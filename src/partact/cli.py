@@ -48,16 +48,9 @@ from .pactions import (
     translation_groupoid,
     validate,
 )
-from .rokhlin import (
-    DEFAULT_BUDGET,
-    NonexistenceProof,
-    SearchBudgetExceeded,
-    TowerCertificate,
-    rokhlin_dimension,
-    towers_exist,
-)
+from .rokhlin import NonexistenceProof, TowerCertificate, rokhlin_dimension, towers_exist
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -72,18 +65,32 @@ class ValidationError(ValueError):
         super().__init__(f"instance does not validate: {cause}")
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _group_from_payload(payload, location: str) -> FiniteGroup:
     if not isinstance(payload, dict):
         raise ParseError("group must be an object", location)
     if "table" in payload:
-        return build_group(payload["table"])
+        table = payload["table"]
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(map(_is_index, row)) for row in table
+        ):
+            raise ParseError("table must be a list of rows of element indices", f"{location}.table")
+        return build_group(table)
     if "family" in payload:
         family = payload["family"]
         if family == "klein4":
             return build_group("klein4")
+        if not isinstance(family, str):
+            raise ParseError(f"family must be a name, got {family!r}", f"{location}.family")
         if "n" not in payload:
             raise ParseError(f"family {family!r} needs a parameter n", location)
-        return build_group((family, int(payload["n"])))
+        n = payload["n"]
+        if not _is_index(n):
+            raise ParseError(f"parameter n must be an integer, got {n!r}", f"{location}.n")
+        return build_group((family, n))
     raise ParseError("group needs either 'family' or 'table'", location)
 
 
@@ -98,6 +105,8 @@ def parse_instance_with_labels(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"not valid JSON: {err.msg}", f"line {err.lineno}, column {err.colno}")
+    except RecursionError:
+        raise ParseError("JSON is nested too deeply", "document")
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     for key in ("group", "carrier", "domains", "maps"):
@@ -107,7 +116,11 @@ def parse_instance_with_labels(text: str):
         group = _group_from_payload(doc["group"], "group")
     except GroupError as err:
         raise ParseError(str(err), "group")
-    labels = list(doc["carrier"])
+    shapes = (("carrier", list, "array"), ("domains", dict, "object"), ("maps", dict, "object"))
+    for key, kind, name in shapes:
+        if not isinstance(doc[key], kind):
+            raise ParseError(f"{key} must be a JSON {name}", key)
+    labels = doc["carrier"]
     if len(set(map(str, labels))) != len(labels):
         raise ParseError("carrier labels are not distinct", "carrier")
     index = {str(lbl): i for i, lbl in enumerate(labels)}
@@ -119,15 +132,19 @@ def parse_instance_with_labels(text: str):
         return index[key]
 
     domains = {}
-    for g_str, lst in dict(doc["domains"]).items():
+    for g_str, lst in doc["domains"].items():
         g = _element(group, g_str, "domains")
+        if not isinstance(lst, list):
+            raise ParseError("a domain must be a list of labels", f"domains.{g_str}")
         domains[g] = {point(lbl, f"domains.{g_str}") for lbl in lst}
     maps = {}
-    for g_str, pairs in dict(doc["maps"]).items():
+    for g_str, pairs in doc["maps"].items():
         g = _element(group, g_str, "maps")
+        if not isinstance(pairs, list):
+            raise ParseError("a map must be a list of [source, target] pairs", f"maps.{g_str}")
         mapping = {}
         for entry in pairs:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError("map entries must be [source, target] pairs", f"maps.{g_str}")
             src, tgt = entry
             mapping[point(src, f"maps.{g_str}")] = point(tgt, f"maps.{g_str}")
@@ -139,10 +156,14 @@ def parse_instance_with_labels(text: str):
     return pa, labels
 
 
-def _element(group: FiniteGroup, key, location: str) -> int:
+def _element(group: FiniteGroup, key: str, location: str) -> int:
+    # Only the canonical spelling: int() also reads " 1" and "+1", and a second
+    # spelling of one element would silently replace its domain or map.
     try:
         g = int(key)
-    except (TypeError, ValueError):
+    except ValueError:
+        g = None
+    if g is None or str(g) != key:
         raise ParseError(f"group element key {key!r} is not an index", location)
     if not (0 <= g < group.order):
         raise ParseError(f"group element {g} out of range", location)
@@ -195,24 +216,11 @@ def _certificate_payload(cert: TowerCertificate) -> dict:
 
 
 def _nonexistence_payload(proof: NonexistenceProof) -> dict:
-    return {
-        "d": proof.d,
-        "exhaustive": proof.exhaustive,
-        "orbits": [
-            {
-                "points": list(ev.orbit),
-                "parallelSources": list(ev.parallel_sources),
-                "supports": ev.supports_found,
-                "patterns": ev.patterns_checked,
-                "note": ev.note,
-            }
-            for ev in proof.evidence
-        ],
-    }
+    return {"orbit": list(proof.orbit), "parallelArrows": [list(t) for t in proof.parallel]}
 
 
-def analyze(pa: PartialAction, seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
-    """The full report: every analysis section, budget overruns distinguished."""
+def analyze(pa: PartialAction, seed: int = 0) -> dict:
+    """The full report: every analysis section."""
     gr = translation_groupoid(pa)
     strata = stratification(pa)
     tuple_sizes = {len(pa.domain_tuple(x)) for x in pa.carrier}
@@ -236,26 +244,11 @@ def analyze(pa: PartialAction, seed: int = 0, budget: int = DEFAULT_BUDGET) -> d
         "strata": {str(k): len(strata.stratum(k)) for k in range(1, pa.group.order + 1)},
         "decomposability": {"n": decomposable_n},
     }
-    try:
-        rok = rokhlin_dimension(pa, budget=budget)
-        report["rokhlin"] = {
-            "dimension": _dim_json(rok.dimension),
-            "commutingTowers": _dim_json(rok.commuting_dimension),
-            "certificate": _certificate_payload(rok.certificate) if rok.certificate else None,
-            "budget": {"exceeded": False, "limit": budget},
-        }
-    except SearchBudgetExceeded as err:
-        report["rokhlin"] = {
-            "dimension": "unknown",
-            "commutingTowers": "unknown",
-            "certificate": None,
-            "budget": {
-                "exceeded": True,
-                "limit": budget,
-                "explored": err.explored,
-                "orbit": sorted(err.orbit),
-            },
-        }
+    rok = rokhlin_dimension(pa)
+    report["rokhlin"] = {
+        "dimension": _dim_json(rok.dimension),
+        "certificate": _certificate_payload(rok.certificate) if rok.certificate else None,
+    }
     cp = crossed_product(pa)
     numeric = block_structure_full(cp, seed=seed)
     combinatorial = crossed_product_blocks_combinatorial(pa)
@@ -274,7 +267,7 @@ def analyze(pa: PartialAction, seed: int = 0, budget: int = DEFAULT_BUDGET) -> d
     report["fixedPoint"] = {"blocks": list(fp.blocks)}
     report["morita"] = {
         "equivalent": morita_equivalent(fp, numeric.algebra),
-        "hypothesisFinite": report["rokhlin"]["dimension"] not in ("infinity", "unknown"),
+        "hypothesisFinite": rok.finite,
         "bimodule": {
             **{k: v for k, v in bimodule.clauses.items()},
             "spanDimension": bimodule.span_dimension,
@@ -296,8 +289,13 @@ def _emit(payload) -> None:
 
 
 def _read_instance(path: str) -> PartialAction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: {err.reason}", f"byte {err.start}")
+    return parse_instance(text)
 
 
 def _cmd_validate(args) -> int:
@@ -308,13 +306,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     pa = _read_instance(args.instance)
-    _emit(analyze(pa, seed=args.seed, budget=args.budget))
+    _emit(analyze(pa, seed=args.seed))
     return 0
 
 
 def _cmd_towers(args) -> int:
     pa = _read_instance(args.instance)
-    outcome = towers_exist(pa, args.d, budget=args.budget)
+    outcome = towers_exist(pa, args.d)
     if isinstance(outcome, TowerCertificate):
         _emit({"exists": True, "certificate": _certificate_payload(outcome)})
     else:
@@ -451,13 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="Full analysis report for an instance.")
     p.add_argument("instance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("towers", help="Exact tower search at a fixed dimension.")
     p.add_argument("instance")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_towers)
 
     p = sub.add_parser("globalize", help="Enveloping action and central splitting.")
@@ -494,9 +490,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except (ParseError, ValidationError, PartialActionError, GroupError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except SearchBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

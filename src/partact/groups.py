@@ -127,6 +127,11 @@ def _check_axioms(order: int, table: Sequence[Sequence[int]]) -> tuple[int, ...]
     return tuple(inverse)
 
 
+def _check_order_cap(order: int, max_order: int, order_text: str = "") -> None:
+    if order > max_order:
+        raise GroupError(f"group order {order_text or order} exceeds the cap {max_order}")
+
+
 def group_from_table(
     table: Sequence[Sequence[int]],
     name: str = "table",
@@ -136,8 +141,7 @@ def group_from_table(
     order = len(table)
     if order == 0:
         raise NoIdentity(0)
-    if order > max_order:
-        raise GroupError(f"group order {order} exceeds the cap {max_order}")
+    _check_order_cap(order, max_order)
     rows = []
     for i, row in enumerate(table):
         if len(row) != order:
@@ -155,6 +159,7 @@ def cyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Cyclic group of order n; element i is the residue i."""
     if n < 1:
         raise GroupError(f"cyclic order must be >= 1, got {n}")
+    _check_order_cap(n, max_order)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return group_from_table(table, name=f"cyclic({n})", max_order=max_order)
 
@@ -169,6 +174,7 @@ def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r^k first, then reflections s*r^k."""
     if n < 1:
         raise GroupError(f"dihedral parameter must be >= 1, got {n}")
+    _check_order_cap(2 * n, max_order)
 
     def encode(flip: int, k: int) -> int:
         return flip * n + k % n
@@ -197,6 +203,10 @@ def symmetric_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """
     if n < 1:
         raise GroupError(f"symmetric parameter must be >= 1, got {n}")
+    order = 1
+    for k in range(2, n + 1):  # n! one factor at a time, stopping past the cap
+        order *= k
+        _check_order_cap(order, max_order, f"{n}!")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = []

@@ -1,8 +1,7 @@
-"""Exact rational linear algebra: elimination, nullspaces, LP feasibility.
+"""Exact rational linear algebra: elimination, rank and nullspaces.
 
 Everything here works over ``fractions.Fraction`` so downstream certificates
-are exact.  The feasibility solver is a bounded-variable phase-1 simplex with
-Bland's rule, which terminates on every input.
+are exact.
 """
 
 from __future__ import annotations
@@ -66,100 +65,3 @@ def nullspace(matrix: Sequence[Sequence], ncols: Optional[int] = None) -> list[R
             vec[p] = -reduced[r][f]
         basis.append(vec)
     return basis
-
-
-def solve_feasibility(
-    equalities: Sequence[Sequence],
-    rhs: Sequence,
-    upper: Sequence,
-) -> Optional[list[Fraction]]:
-    """Find v with A v = b and 0 <= v <= upper, or None if infeasible.
-
-    Phase-1 simplex on the extended system with box constraints encoded as
-    extra slack rows.  Exact rational arithmetic; Bland's rule for
-    anti-cycling.
-    """
-    A = _as_fraction_matrix(equalities)
-    b = [Fraction(x) for x in rhs]
-    ub = [Fraction(x) for x in upper]
-    nvars = len(ub)
-    if any(len(row) != nvars for row in A):
-        raise ValueError("equality rows must match the number of variables")
-    if any(u < 0 for u in ub):
-        return None
-
-    # Tableau variables: original v (nvars), slack s for v + s = ub (nvars),
-    # then one artificial per row of the combined system.
-    rows: list[Row] = []
-    rhs_all: list[Fraction] = []
-    for row, bv in zip(A, b):
-        rows.append(list(row) + [Fraction(0)] * nvars)
-        rhs_all.append(bv)
-    for j in range(nvars):
-        slack_row = [Fraction(0)] * (2 * nvars)
-        slack_row[j] = Fraction(1)
-        slack_row[nvars + j] = Fraction(1)
-        rows.append(slack_row)
-        rhs_all.append(ub[j])
-    m = len(rows)
-    n = 2 * nvars
-    for i in range(m):
-        if rhs_all[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs_all[i] = -rhs_all[i]
-
-    # Extend with artificial identity block.
-    tab = [rows[i] + [Fraction(int(i == k)) for k in range(m)] + [rhs_all[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    total = n + m
-
-    # Objective: minimise the sum of artificials.  cost[j] = -sum of column j
-    # over rows with artificial basis; track reduced costs implicitly.
-    def reduced_cost(col: int) -> Fraction:
-        return -sum(tab[i][col] for i in range(m) if basis[i] >= n)
-
-    while True:
-        entering = None
-        for col in range(total):
-            if col in basis:
-                continue
-            if reduced_cost(col) < 0:
-                entering = col
-                break
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for i in range(m):
-            coeff = tab[i][entering]
-            if coeff > 0:
-                ratio = tab[i][total] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            return None  # unbounded phase-1 cannot happen, defensive
-        pivot = tab[leaving][entering]
-        tab[leaving] = [v / pivot for v in tab[leaving]]
-        for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * c for a, c in zip(tab[i], tab[leaving])]
-        basis[leaving] = entering
-
-    infeasibility = sum(tab[i][total] for i in range(m) if basis[i] >= n)
-    if infeasibility != 0:
-        return None
-    solution = [Fraction(0)] * nvars
-    for i, var in enumerate(basis):
-        if var < nvars:
-            solution[var] = tab[i][total]
-    return solution
-
-
-def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """True iff target is a rational linear combination of the vectors."""
-    if not vectors:
-        return all(Fraction(t) == 0 for t in target)
-    base = rank(vectors)
-    return rank(list(vectors) + [list(target)]) == base

@@ -3,45 +3,33 @@
 A tower family at dimension d is determined by its identity-level functions
 f_1^(0..d): equivariance with h = 1 forces f_g = f_1 . theta_{g^-1} on X_g,
 and the partial-action axioms then give every other equivariance instance
-exactly.  The search therefore works per groupoid orbit over the level
-functions alone:
+exactly.
 
-  * per level, the support must meet every point's incoming arrows at most
-    once (exact orthogonality) -- a source with two parallel arrows into the
-    same target can never carry mass;
-  * the per-point masses must sum to one (exact partition of unity) -- for a
-    single level this is an exact cover problem, for more levels a rational
-    linear feasibility problem per support pattern.
+Every partial action is the restriction of its enveloping global action, so
+every groupoid orbit is a clique, and the exact answer is decided orbit by
+orbit:
 
-Certificates carry exact rational values and are re-verified both in the
-derived form (C1-C3) and against the raw tower conditions with indicator
-witnesses at epsilon = 0.
+  * on a free orbit, the indicator of its least point at level 0 is a tower
+    family: every point of the orbit receives exactly one arrow from it;
+  * on an orbit with isotropy, every point y has a parallel arrow pair
+    theta_g(y) = theta_h(y) with g != h.  Orthogonality at that target
+    forces f_1^(j)(y)^2 = 0 on every level, so all towers vanish on the
+    orbit and the partition of unity fails there, at every dimension.
+
+The Rokhlin dimension is therefore 0 or infinity.  Certificates carry exact
+rational values and are re-verified both in the derived form (C1-C3) and
+against the raw tower conditions with indicator witnesses at epsilon = 0;
+refutations are re-verified arrow by arrow against the maps.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .exactcover import solve_exact_cover
 from .pactions import PartialAction, is_free, translation_groupoid
-from .rational import solve_feasibility
-
-DEFAULT_BUDGET = 10_000_000
-
-
-class SearchBudgetExceeded(RuntimeError):
-    def __init__(self, explored: int, budget: int, orbit: frozenset[int]):
-        self.explored = explored
-        self.budget = budget
-        self.orbit = orbit
-        super().__init__(
-            f"tower search exhausted its budget on orbit {sorted(orbit)}: "
-            f"explored {explored} of {budget} allowed patterns"
-        )
 
 
 class PreconditionViolated(ValueError):
@@ -65,26 +53,15 @@ class TowerCertificate:
 
 
 @dataclass(frozen=True)
-class OrbitEvidence:
-    """Why one orbit admits no towers at the requested dimension."""
+class NonexistenceProof:
+    """An orbit with isotropy, with one parallel arrow pair out of each point.
+
+    Each triple (y, g, h) has g != h and theta_g(y) = theta_h(y).  The same
+    proof refutes towers at every dimension.
+    """
 
     orbit: tuple[int, ...]
-    parallel_sources: tuple[int, ...]
-    supports_found: int
-    patterns_checked: int
-    note: str
-
-
-@dataclass(frozen=True)
-class NonexistenceProof:
-    """Exhaustive per-orbit refutation of towers at a fixed dimension."""
-
-    d: int
-    evidence: tuple[OrbitEvidence, ...]
-
-    @property
-    def exhaustive(self) -> bool:
-        return True
+    parallel: tuple[tuple[int, int, int], ...]
 
 
 SearchOutcome = Union[TowerCertificate, NonexistenceProof]
@@ -117,176 +94,43 @@ def _incoming_arrows(pa: PartialAction) -> dict[int, list[tuple[int, int]]]:
     return incoming
 
 
-def _orbit_supports(
-    points: Sequence[int],
-    incoming: Mapping[int, list[tuple[int, int]]],
-    budget_left: int,
-) -> tuple[list[frozenset[int]], list[int], int]:
-    """All level supports: subsets hitting each point's in-arrows at most once.
-
-    Returns (supports, parallel sources, nodes used).  Sources with two
-    arrows into one target are excluded up front: any support containing one
-    would multiply a positive value with itself.
-    """
-    parallel: set[int] = set()
-    targets: dict[int, list[int]] = {y: [] for y in points}
-    for x in points:
-        seen: dict[int, int] = {}
-        for g, y in incoming[x]:
-            seen[y] = seen.get(y, 0) + 1
-        for y, count in seen.items():
-            targets[y].append(x)
-            if count >= 2:
-                parallel.add(y)
-    usable = [y for y in points if y not in parallel]
-    supports: list[frozenset[int]] = [frozenset()]
-    nodes = 0
-
-    def extend(prefix: list[int], start: int, hits: dict[int, int]):
-        nonlocal nodes
-        for idx in range(start, len(usable)):
-            y = usable[idx]
-            if any(hits.get(x, 0) >= 1 for x in targets[y]):
-                continue
-            nodes += 1
-            if nodes > budget_left:
-                raise _BudgetSignal(nodes)
-            for x in targets[y]:
-                hits[x] = hits.get(x, 0) + 1
-            prefix.append(y)
-            supports.append(frozenset(prefix))
-            extend(prefix, idx + 1, hits)
-            prefix.pop()
-            for x in targets[y]:
-                hits[x] -= 1
-
-    extend([], 0, {})
-    return supports, sorted(parallel), nodes
+def _parallel_pair(pa: PartialAction, y: int) -> Optional[tuple[int, int, int]]:
+    """The first (y, g, h) with g < h and theta_g(y) = theta_h(y), if any."""
+    first: dict[int, int] = {}
+    for h in pa.group.elements():
+        z = pa.maps[h].get(y)
+        if z is None:
+            continue
+        if z in first:
+            return (y, first[z], h)
+        first[z] = h
+    return None
 
 
-class _BudgetSignal(Exception):
-    def __init__(self, nodes: int):
-        self.nodes = nodes
+def towers_exist(pa: PartialAction, d: int) -> SearchOutcome:
+    """Exact towers at dimension d, or a refutation that holds at every d.
 
-
-def _solve_orbit(
-    pa: PartialAction,
-    points: Sequence[int],
-    incoming: Mapping[int, list[tuple[int, int]]],
-    d: int,
-    budget: int,
-) -> tuple[Optional[list[dict[int, Fraction]]], OrbitEvidence, int]:
-    """Search one orbit; returns (level functions or None, evidence, cost)."""
-    try:
-        supports, parallel, nodes = _orbit_supports(points, incoming, budget)
-    except _BudgetSignal as sig:
-        raise SearchBudgetExceeded(sig.nodes, budget, frozenset(points)) from None
-
-    source_targets: dict[int, set[int]] = {y: set() for y in points}
-    for x in points:
-        for g, y in incoming[x]:
-            source_targets[y].add(x)
-
-    if d == 0:
-        rows = {
-            y: sorted(source_targets[y])
-            for y in points
-            if y not in parallel and source_targets[y]
-        }
-        try:
-            solution, dlx_nodes = solve_exact_cover(points, rows, budget=budget - nodes)
-        except RuntimeError:
-            raise SearchBudgetExceeded(budget, budget, frozenset(points)) from None
-        evidence = OrbitEvidence(
-            orbit=tuple(sorted(points)),
-            parallel_sources=tuple(parallel),
-            supports_found=len(supports),
-            patterns_checked=dlx_nodes,
-            note="level-0 search dispatched to exact cover",
-        )
-        if solution is None:
-            return None, evidence, nodes + dlx_nodes
-        level = {y: Fraction(1) for y in solution}
-        return [level], evidence, nodes + dlx_nodes
-
-    coverable = set()
-    for T in supports:
-        for y in T:
-            coverable |= source_targets[y]
-    patterns = 0
-    if coverable == set(points):
-        for combo in itertools.combinations_with_replacement(supports, d + 1):
-            patterns += 1
-            if nodes + patterns > budget:
-                raise SearchBudgetExceeded(nodes + patterns, budget, frozenset(points))
-            covered = set()
-            for T in combo:
-                for y in T:
-                    covered |= source_targets[y]
-            if covered != set(points):
-                continue
-            variables = [(j, y) for j, T in enumerate(combo) for y in sorted(T)]
-            var_index = {v: i for i, v in enumerate(variables)}
-            rows = []
-            for x in points:
-                row = [Fraction(0)] * len(variables)
-                for g, y in incoming[x]:
-                    for j, T in enumerate(combo):
-                        if y in T:
-                            row[var_index[(j, y)]] += 1
-                rows.append(row)
-            solution = solve_feasibility(rows, [1] * len(points), [1] * len(variables))
-            if solution is not None:
-                levels: list[dict[int, Fraction]] = [dict() for _ in range(d + 1)]
-                for (j, y), idx in var_index.items():
-                    if solution[idx]:
-                        levels[j][y] = solution[idx]
-                evidence = OrbitEvidence(
-                    orbit=tuple(sorted(points)),
-                    parallel_sources=tuple(parallel),
-                    supports_found=len(supports),
-                    patterns_checked=patterns,
-                    note="feasible pattern found",
-                )
-                return levels, evidence, nodes + patterns
-    note = (
-        "all sources carry parallel arrows; no point can receive mass"
-        if not coverable and parallel
-        else "support patterns exhausted without a feasible mass assignment"
-    )
-    evidence = OrbitEvidence(
-        orbit=tuple(sorted(points)),
-        parallel_sources=tuple(parallel),
-        supports_found=len(supports),
-        patterns_checked=patterns,
-        note=note,
-    )
-    return None, evidence, nodes + patterns
-
-
-def towers_exist(
-    pa: PartialAction, d: int, budget: int = DEFAULT_BUDGET
-) -> SearchOutcome:
-    """Exact towers at dimension d, or an exhaustive nonexistence proof.
-
-    The search is independent per groupoid orbit; any returned certificate
-    passes :func:`verify_certificate` exactly.
+    One pass over the groupoid orbits: each free orbit puts mass 1 on its
+    least point at level 0, and levels 1..d stay empty; the first orbit with
+    isotropy is returned as a NonexistenceProof.  Either outcome passes its
+    exact verifier before it is returned.
     """
     if d < 0:
         raise ValueError(f"tower dimension must be >= 0, got {d}")
-    incoming = _incoming_arrows(pa)
-    orbits = translation_groupoid(pa).orbits
-    levels: list[dict[int, Fraction]] = [dict() for _ in range(d + 1)]
-    evidence: list[OrbitEvidence] = []
-    for orbit in orbits:
-        points = sorted(orbit)
-        orbit_levels, orb_evidence, _ = _solve_orbit(pa, points, incoming, d, budget)
-        evidence.append(orb_evidence)
-        if orbit_levels is None:
-            return NonexistenceProof(d, tuple(evidence))
-        for j, level in enumerate(orbit_levels):
-            levels[j].update(level)
-    cert = TowerCertificate(d, tuple(levels))
+    groupoid = translation_groupoid(pa)
+    level0: dict[int, Fraction] = {}
+    for orbit in groupoid.orbits:
+        rep = min(orbit)
+        if groupoid.stabilizers[rep].order > 1:
+            points = tuple(sorted(orbit))
+            pairs = (_parallel_pair(pa, y) for y in points)
+            proof = NonexistenceProof(points, tuple(p for p in pairs if p is not None))
+            check = verify_refutation(pa, proof)
+            if not check.ok:
+                raise AssertionError(f"solver produced an invalid refutation: {check.witness}")
+            return proof
+        level0[rep] = Fraction(1)
+    cert = TowerCertificate(d, (level0,) + tuple({} for _ in range(d)))
     check = verify_certificate(pa, cert)
     if not check.ok:
         raise AssertionError(f"solver produced an invalid certificate: {check.witness}")
@@ -295,39 +139,34 @@ def towers_exist(
 
 @dataclass(frozen=True)
 class RokhlinResult:
-    """Solver-computed Rokhlin dimension with its certificate or refutations."""
+    """The Rokhlin dimension, 0 or infinity, with its certificate or refutation."""
 
-    dimension: float  # an int 0..|G|-1, or math.inf
-    commuting_dimension: float
+    dimension: float  # 0 or math.inf
     certificate: Optional[TowerCertificate]
-    refutations: tuple[NonexistenceProof, ...]
+    refutation: Optional[NonexistenceProof]
 
     @property
     def finite(self) -> bool:
         return self.dimension != math.inf
 
 
-def rokhlin_dimension(pa: PartialAction, budget: int = DEFAULT_BUDGET) -> RokhlinResult:
-    """Least d with exact towers, or infinity when every d < |G| fails.
+def rokhlin_dimension(pa: PartialAction) -> RokhlinResult:
+    """0 with a level-0 certificate, or infinity with a refutation.
 
-    Infinite output is justified by the freeness obstruction (a fixed point
-    blocks every dimension) together with the dimension bound for free
-    actions on zero-dimensional carriers, and is cross-checked against
-    freeness.  The commuting-towers value equals the plain value because all
-    towers live in a commutative function algebra.
+    A refutation holds at every dimension, so one call to towers_exist
+    decides.  The answer is cross-checked against freeness, which
+    freeness_witness reads off the maps by a separate scan.
     """
-    refutations: list[NonexistenceProof] = []
-    for d in range(max(1, pa.group.order)):
-        outcome = towers_exist(pa, d, budget=budget)
-        if isinstance(outcome, TowerCertificate):
-            return RokhlinResult(d, d, outcome, tuple(refutations))
-        refutations.append(outcome)
-    if is_free(pa):
+    outcome = towers_exist(pa, 0)
+    if isinstance(outcome, TowerCertificate):
+        result = RokhlinResult(0, outcome, None)
+    else:
+        result = RokhlinResult(math.inf, None, outcome)
+    if result.finite != is_free(pa):
         raise AssertionError(
-            "free finite partial action with no towers below the group order; "
-            "this contradicts the dimension bound for free actions"
+            f"Rokhlin dimension {result.dimension} contradicts freeness = {is_free(pa)}"
         )
-    return RokhlinResult(math.inf, math.inf, None, tuple(refutations))
+    return result
 
 
 @dataclass(frozen=True)
@@ -337,6 +176,42 @@ class CertificateCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def verify_refutation(pa: PartialAction, proof: NonexistenceProof) -> CertificateCheck:
+    """Exact check that a NonexistenceProof rules out towers at every d.
+
+    Each triple (y, g, h) must have g != h and theta_g(y) = theta_h(y) in
+    pa.maps; orthogonality at that target then forces f_1^(j)(y) = 0 on every
+    level.  With a triple at every point of a non-empty orbit that is closed
+    under every theta_k, each tower f_g^(j) = f_1^(j) . theta_{g^-1} vanishes
+    on the orbit, so the tower masses there sum to 0, not 1.
+    """
+    orbit = frozenset(proof.orbit)
+    if not orbit:
+        return CertificateCheck(False, "the orbit is empty")
+    points = sorted(orbit)
+    for k in pa.group.elements():
+        for x in points:
+            z = pa.maps[k].get(x)
+            if z is not None and z not in orbit:
+                return CertificateCheck(False, f"theta_{k} maps orbit point {x} to {z} outside it")
+    covered = set()
+    for y, g, h in proof.parallel:
+        if y not in orbit:
+            return CertificateCheck(False, f"parallel pair at {y} lies outside the orbit")
+        if g == h:
+            return CertificateCheck(False, f"parallel pair at {y} repeats the element {g}")
+        target = pa.maps.get(g, {}).get(y)
+        if target is None or target != pa.maps.get(h, {}).get(y):
+            return CertificateCheck(
+                False, f"theta_{g}({y}) and theta_{h}({y}) are not one defined point"
+            )
+        covered.add(y)
+    missing = sorted(orbit - covered)
+    if missing:
+        return CertificateCheck(False, f"orbit point {missing[0]} has no parallel arrow pair")
+    return CertificateCheck(True, None)
 
 
 def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> CertificateCheck:

@@ -64,7 +64,7 @@ def test_criterion_1_trivial_action_identities():
     assert alg.dimension == 3  # only identity terms: the function algebra itself
     assert block_structure_full(alg).algebra.blocks == (1, 1, 1)
     rok = rokhlin_dimension(idle_triple)
-    assert rok.dimension == 0 and rok.commuting_dimension == 0
+    assert rok.dimension == 0 and rok.refutation is None
     assert rok.certificate.levels[0] == {x: F(1) for x in idle_triple.carrier}
     elapsed = time.time() - start
     assert elapsed < 1.0

@@ -1,9 +1,11 @@
 """Independent validation of the exact tower characterization.
 
-The exact solver decides tower existence through the zero-tolerance
-conditions on identity-level functions.  Here tiny instances are swept with
-a brute-force search over raw towers (no identity-level reduction) on a
-dense value grid at positive tolerances.  Agreement contract:
+The exact solver decides tower existence orbit by orbit: a free orbit gets
+the indicator of its least point, an orbit with isotropy is refuted by
+parallel arrows.  Here tiny instances are swept with a brute-force search
+over raw towers (neither the identity-level reduction nor the orbit
+argument) on a dense value grid at positive tolerances, so "free iff
+finite" is backed by a route that does not assume it.  Agreement contract:
 
 * whenever the exact solver returns a certificate, the relaxed search must
   succeed at every swept tolerance (harder conditions imply easier ones);
@@ -21,7 +23,14 @@ from fractions import Fraction
 import pytest
 
 from partact.groups import build_group
-from partact.pactions import trivial_partial_action, validate
+from partact.pactions import (
+    global_action,
+    is_free,
+    restricted_to,
+    translation_groupoid,
+    trivial_partial_action,
+    validate,
+)
 from partact.rokhlin import TowerCertificate, oracle_towers_exist, towers_exist
 
 F = Fraction
@@ -54,7 +63,28 @@ def _instances():
         {0: {0, 1}, 1: set(), 2: {0, 1}, 3: set()},
         {0: {0: 0, 1: 1}, 1: {}, 2: {0: 0, 1: 1}, 3: {}},
     )
+    # C4 on its regular orbit {0, 1, 2, 3} and on C4/<2> = {4, 5}.
+    regular_and_halved = global_action(
+        c4,
+        range(6),
+        {g: {**{x: (x + g) % 4 for x in range(4)}, 4: 4 + g % 2, 5: 5 - g % 2} for g in range(4)},
+    )
+    # Three points of the regular orbit: a free, connected, non-global action.
+    out["c4-free-triple"] = restricted_to(regular_and_halved, {0, 1, 2})
+    # The same free orbit next to a one-point orbit fixed by g^2.
+    out["c4-mixed"] = restricted_to(regular_and_halved, {0, 1, 2, 4})
     return out
+
+
+def test_widened_instances_have_the_intended_orbits():
+    instances = _instances()
+    triple, mixed = instances["c4-free-triple"], instances["c4-mixed"]
+    assert is_free(triple) and not triple.is_global()
+    assert translation_groupoid(triple).orbits == (frozenset({0, 1, 2}),)
+    orbits = translation_groupoid(mixed).orbits
+    assert orbits == (frozenset({0, 1, 2}), frozenset({4}))
+    stabilizers = translation_groupoid(mixed).stabilizers
+    assert (stabilizers[0].order, stabilizers[4].order) == (1, 2)
 
 
 @pytest.mark.parametrize("name", sorted(_instances()))

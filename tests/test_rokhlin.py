@@ -15,12 +15,12 @@ from partact.pactions import (
 from partact.rokhlin import (
     NonexistenceProof,
     PreconditionViolated,
-    SearchBudgetExceeded,
     TowerCertificate,
     orthogonal_lifts,
     rokhlin_dimension,
     towers_exist,
     verify_certificate,
+    verify_refutation,
 )
 
 F = Fraction
@@ -30,19 +30,17 @@ def test_swap_pair_d0_certificate(swap_pair):
     cert = towers_exist(swap_pair, 0)
     assert isinstance(cert, TowerCertificate)
     assert verify_certificate(swap_pair, cert).ok
-    # The hand solution: one point per orbit, e.g. the indicator of {0, 2}
-    # (the solver may pick {1, 2}; either is a transversal).
-    support = set(cert.levels[0])
-    assert len(support & {0, 1}) == 1 and 2 in support
-    assert all(v == 1 for v in cert.levels[0].values())
+    # The hand solution: the least point of each orbit at level 0.
+    assert cert.levels[0] == {0: F(1), 2: F(1)}
 
 
 def test_fixed_single_nonexistence_all_d(fixed_single):
     for d in range(2):
         proof = towers_exist(fixed_single, d)
         assert isinstance(proof, NonexistenceProof)
-        assert proof.exhaustive
-        assert proof.evidence[0].parallel_sources == (0,)
+        assert verify_refutation(fixed_single, proof).ok
+        assert proof.orbit == (0,)
+        assert proof.parallel == ((0, 0, 1),)
 
 
 def test_idle_triple_constant_one_certificate(idle_triple):
@@ -53,10 +51,12 @@ def test_idle_triple_constant_one_certificate(idle_triple):
 
 def test_rokhlin_dimension_reference_instances(swap_pair, fixed_single, idle_triple):
     r1 = rokhlin_dimension(swap_pair)
-    assert (r1.dimension, r1.commuting_dimension) == (0, 0)
+    assert r1.dimension == 0 and r1.refutation is None
+    assert verify_certificate(swap_pair, r1.certificate).ok
     r2 = rokhlin_dimension(fixed_single)
-    assert r2.dimension == math.inf and r2.commuting_dimension == math.inf
-    assert len(r2.refutations) == 2
+    assert r2.dimension == math.inf and r2.certificate is None
+    assert r2.refutation == towers_exist(fixed_single, 0)
+    assert verify_refutation(fixed_single, r2.refutation).ok
     r3 = rokhlin_dimension(idle_triple)
     assert r3.dimension == 0
 
@@ -97,15 +97,19 @@ def test_free_corpus_dimension_zero():
             assert verify_certificate(pa, result.certificate).ok
 
 
-def test_nonfree_instances_always_infinite():
+def _fixed_plus_swap():
+    # C2 on {0, 1, 2}: 0 is fixed (an orbit with isotropy), {1, 2} is swapped.
     c2 = build_group(("cyclic", 2))
-    fixed_plus_swap = validate(
+    return validate(
         c2,
         {0, 1, 2},
         {0: {0, 1, 2}, 1: {0, 1, 2}},
         {0: {0: 0, 1: 1, 2: 2}, 1: {0: 0, 1: 2, 2: 1}},
     )
-    result = rokhlin_dimension(fixed_plus_swap)
+
+
+def test_nonfree_instances_always_infinite():
+    result = rokhlin_dimension(_fixed_plus_swap())
     assert result.dimension == math.inf
 
 
@@ -123,30 +127,85 @@ def test_restriction_monotonicity():
 
 
 def test_nonexistence_is_order_independent(fixed_single):
-    # Rebuild the same instance with permuted carrier labels: evidence shape
-    # (exhaustiveness, parallel-source count) must be stable.
+    # Rebuild the same instance with permuted carrier labels: the proof's
+    # shape (orbit size, parallel-pair count) must be stable.
     c2 = build_group(("cyclic", 2))
     relabeled = validate(c2, {7}, {0: {7}, 1: {7}}, {0: {7: 7}, 1: {7: 7}})
     p1 = towers_exist(fixed_single, 1)
     p2 = towers_exist(relabeled, 1)
     assert isinstance(p1, NonexistenceProof) and isinstance(p2, NonexistenceProof)
-    assert len(p1.evidence) == len(p2.evidence) == 1
-    assert len(p1.evidence[0].parallel_sources) == len(p2.evidence[0].parallel_sources)
+    assert (p1.orbit, p2.orbit) == ((0,), (7,))
+    assert len(p1.parallel) == len(p2.parallel) == 1
 
 
-def test_budget_exceeded_is_loud():
+def test_regular_orbit_certificate_is_least_point_padded():
     c6 = build_group(("cyclic", 6))
-    # One free regular orbit: every support subset is probed, blowing a
-    # 2-node budget immediately.
     pa = validate(
         c6,
         set(range(6)),
         {g: set(range(6)) for g in range(6)},
         {g: {x: (x + g) % 6 for x in range(6)} for g in range(6)},
     )
-    with pytest.raises(SearchBudgetExceeded) as err:
-        towers_exist(pa, 5, budget=2)
-    assert err.value.budget == 2
+    cert = towers_exist(pa, 5)
+    assert isinstance(cert, TowerCertificate)
+    assert cert.levels == ({0: F(1)},) + ({},) * 5
+
+
+def test_refutation_names_the_orbit_with_isotropy():
+    c3 = build_group(("cyclic", 3))
+    # A free point 0, then a C3-fixed point 1.
+    pa = validate(c3, {0, 1}, {0: {0, 1}, 1: {1}, 2: {1}}, {0: {0: 0, 1: 1}, 1: {1: 1}, 2: {1: 1}})
+    proof = towers_exist(pa, 1)
+    assert isinstance(proof, NonexistenceProof)
+    assert proof.orbit == (1,)
+    assert proof.parallel == ((1, 0, 1),)
+    assert rokhlin_dimension(pa).refutation == proof
+
+
+def test_verify_refutation_rejects_repeated_element():
+    pa = _fixed_plus_swap()
+    check = verify_refutation(pa, NonexistenceProof((0,), ((0, 1, 1),)))
+    assert not check.ok and "repeats" in check.witness
+
+
+def test_verify_refutation_rejects_arrows_not_in_maps():
+    pa = _fixed_plus_swap()
+    # theta_0(1) = 1 but theta_1(1) = 2: not parallel.
+    check = verify_refutation(pa, NonexistenceProof((1, 2), ((1, 0, 1), (2, 0, 1))))
+    assert not check.ok and "not one defined point" in check.witness
+    # An element outside the group has no arrows at all.
+    check = verify_refutation(pa, NonexistenceProof((0,), ((0, 0, 5),)))
+    assert not check.ok and "not one defined point" in check.witness
+
+
+def test_verify_refutation_rejects_orbit_not_closed():
+    pa = _fixed_plus_swap()
+    # {0, 1} is not closed: theta_1 maps 1 to 2.
+    check = verify_refutation(pa, NonexistenceProof((0, 1), ((0, 0, 1), (1, 0, 1))))
+    assert not check.ok and "outside it" in check.witness
+
+
+def test_verify_refutation_rejects_uncovered_point():
+    c2 = build_group(("cyclic", 2))
+    pa = validate(c2, {0, 1}, {0: {0, 1}, 1: {0, 1}}, {0: {0: 0, 1: 1}, 1: {0: 0, 1: 1}})
+    good = towers_exist(pa, 0)
+    assert good == NonexistenceProof((0,), ((0, 0, 1),))
+    assert verify_refutation(pa, good).ok
+    # {0, 1} as one (closed) orbit, with a parallel pair at 0 only.
+    check = verify_refutation(pa, NonexistenceProof((0, 1), ((0, 0, 1),)))
+    assert not check.ok and "point 1" in check.witness
+
+
+def test_verify_refutation_rejects_empty_orbit_and_outside_triples(fixed_single):
+    assert not verify_refutation(fixed_single, NonexistenceProof((), ())).ok
+    check = verify_refutation(fixed_single, NonexistenceProof((0,), ((0, 0, 1), (3, 0, 1))))
+    assert not check.ok and "outside the orbit" in check.witness
+
+
+def test_verify_refutation_rejects_free_orbit(swap_pair):
+    # On a free orbit no point has a parallel pair, whatever triples are claimed.
+    for triples in ((), ((0, 0, 1), (1, 0, 1))):
+        assert not verify_refutation(swap_pair, NonexistenceProof((0, 1), triples)).ok
 
 
 def test_empty_carrier_has_dimension_zero():

@@ -1,14 +1,8 @@
-"""Tests for the exact-arithmetic support modules (rational LA, exact cover)."""
+"""Tests for the exact rational linear algebra support module."""
 
-import itertools
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from partact.exactcover import solve_exact_cover
-from partact.rational import in_span, nullspace, rank, rref, solve_feasibility
+from partact.rational import nullspace, rank, rref
 
 F = Fraction
 
@@ -32,98 +26,3 @@ def test_rank_and_nullspace():
 def test_nullspace_of_empty_system():
     basis = nullspace([], ncols=3)
     assert len(basis) == 3
-
-
-def test_in_span():
-    vs = [[1, 0, 1], [0, 1, 1]]
-    assert in_span(vs, [2, 3, 5])
-    assert not in_span(vs, [0, 0, 1])
-
-
-def test_feasibility_simple():
-    # v0 + v1 = 1, 0 <= v <= 1 has solutions.
-    sol = solve_feasibility([[1, 1]], [1], [1, 1])
-    assert sol is not None
-    assert sol[0] + sol[1] == 1
-    assert all(0 <= x <= 1 for x in sol)
-
-
-def test_feasibility_infeasible_bounds():
-    assert solve_feasibility([[1, 1]], [3], [1, 1]) is None
-
-
-def test_feasibility_negative_rhs():
-    sol = solve_feasibility([[-1, 0]], [F(-1, 2)], [1, 1])
-    assert sol is not None and sol[0] == F(1, 2)
-
-
-def test_feasibility_exact_fractions():
-    # v0 = v1 = v2 and the sum is 1 forces thirds.
-    A = [[1, -1, 0], [0, 1, -1], [1, 1, 1]]
-    sol = solve_feasibility(A, [0, 0, 1], [1, 1, 1])
-    assert sol == [F(1, 3)] * 3
-
-
-@given(st.integers(2, 5), st.data())
-@settings(max_examples=30, deadline=None)
-def test_feasibility_agrees_with_small_enumeration(n, data):
-    # Random small 0/1 systems; compare against brute-force over the vertices
-    # {0, 1/2, 1}^n (sufficient for these row patterns with rhs 1).
-    rows = data.draw(
-        st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=3)
-    )
-    rhs = [1] * len(rows)
-    sol = solve_feasibility(rows, rhs, [1] * n)
-    grid = [F(0), F(1, 2), F(1)]
-    brute = any(
-        all(sum(F(a) * v for a, v in zip(row, point)) == 1 for row in rows)
-        for point in itertools.product(grid, repeat=n)
-    )
-    if sol is not None:
-        for row in rows:
-            assert sum(F(a) * v for a, v in zip(row, sol)) == 1
-        assert all(0 <= v <= 1 for v in sol)
-    if brute:
-        assert sol is not None
-
-
-def test_exact_cover_finds_partition():
-    rows = {"a": [1, 2], "b": [3], "c": [2, 3], "d": [1]}
-    solution, nodes = solve_exact_cover([1, 2, 3], rows)
-    assert solution is not None
-    covered = sorted(x for r in solution for x in rows[r])
-    assert covered == [1, 2, 3]
-    assert nodes >= 1
-
-
-def test_exact_cover_none():
-    solution, _ = solve_exact_cover([1, 2], {"a": [1, 2], "b": [1, 2]})
-    assert solution is not None
-    solution2, _ = solve_exact_cover([1, 2, 3], {"a": [1, 3], "b": [3, 2]})
-    assert solution2 is None
-
-
-def test_exact_cover_rejects_duplicate_entries():
-    with pytest.raises(ValueError):
-        solve_exact_cover([1], {"a": [1, 1]})
-
-
-def test_exact_cover_budget():
-    universe = list(range(12))
-    rows = {i: [i] for i in universe}
-    with pytest.raises(RuntimeError):
-        solve_exact_cover(universe, rows, budget=3)
-
-
-def test_exact_cover_classic_knuth_instance():
-    universe = list(range(1, 8))
-    rows = {
-        "A": [1, 4, 7],
-        "B": [1, 4],
-        "C": [4, 5, 7],
-        "D": [3, 5, 6],
-        "E": [2, 3, 6, 7],
-        "F": [2, 7],
-    }
-    solution, _ = solve_exact_cover(universe, rows)
-    assert sorted(solution) == ["B", "D", "F"]
