@@ -257,7 +257,7 @@ def analyze(pa: PartialAction, seed: int = 0) -> dict:
             f"block routes disagree: {numeric.algebra.blocks} vs {combinatorial.blocks}"
         )
     fp = fixed_point_algebra(pa)
-    bimodule = imprimitivity_bimodule_verify(pa, seed=seed)
+    bimodule = imprimitivity_bimodule_verify(pa, seed=seed, crossed=cp)
     report["crossedProduct"] = {
         "dimension": cp.dimension,
         "blocks": list(numeric.algebra.blocks),
@@ -363,9 +363,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    from fractions import Fraction as F
-
     from .gridtowers import (
+        GridError,
         interval_half_shift,
         punctured_circle_pair,
         punctured_circle_pair_global,
@@ -374,34 +373,42 @@ def _cmd_grid(args) -> int:
         witness_bound,
     )
 
+    try:
+        if args.model == "interval":
+            model = interval_half_shift(args.delta, args.m)
+        elif args.model == "circle-pair-global":
+            model = punctured_circle_pair_global(args.m)
+        else:
+            model = punctured_circle_pair(args.m, lipschitz=args.lipschitz)
+    except GridError as err:  # a grid or delta the model cannot take
+        args.usage_error(str(err))
     if args.model == "interval":
-        delta = F(args.delta) if args.delta else F(1, 8)
-        ga, towers, family = interval_half_shift(delta, args.m)
+        ga, towers, family = model
         res = residual(ga, towers, family)
-        bound = witness_bound(ga, family, delta)
+        bound = witness_bound(ga, family, args.delta)
         payload = {
             "model": "interval",
             "m": args.m,
-            "delta": _frac_str(delta),
+            "delta": _frac_str(args.delta),
             "displayedTowersResidual": _frac_str(res),
             "impliedBound": _frac_str(bound),
             "residualWithinBound": res <= bound,
         }
     elif args.model == "circle-pair-global":
-        ga, towers = punctured_circle_pair_global(args.m)
-        family = [{k: F(1) for k in ga.pa.carrier}]
+        ga, towers = model
+        family = [{k: Fraction(1) for k in ga.pa.carrier}]
         payload = {
             "model": "circle-pair-global",
             "m": args.m,
             "projectionResidual": _frac_str(residual(ga, towers, family)),
         }
     else:
-        ga, family, eps = punctured_circle_pair(args.m, lipschitz=args.lipschitz)
+        ga, family, _ = model
         trace: list = []
         towers, best = search_towers(
             ga,
             family,
-            F(args.eps) if args.eps else F(0),
+            args.eps,
             args.d,
             lipschitz=args.lipschitz,
             seed=args.seed,
@@ -434,6 +441,19 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _nonnegative(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partact",
@@ -453,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("towers", help="Exact tower search at a fixed dimension.")
     p.add_argument("instance")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_nonnegative, required=True)
     p.set_defaults(fn=_cmd_towers)
 
     p = sub.add_parser("globalize", help="Enveloping action and central splitting.")
@@ -467,14 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="Grid-discretized tower models and search.")
     p.add_argument("model", choices=["interval", "circle-pair", "circle-pair-global"])
     p.add_argument("--m", type=int, default=128)
-    p.add_argument("--delta", type=str, default=None, help="for the interval model, e.g. 1/8")
-    p.add_argument("--d", type=int, default=0)
+    p.add_argument("--delta", type=_rational, default=Fraction(1, 8), help="for the interval model, e.g. 1/8")
+    p.add_argument("--d", type=_nonnegative, default=0)
     p.add_argument("--lipschitz", type=int, default=8)
-    p.add_argument("--eps", type=str, default=None, help="early-stop residual target, e.g. 1/1000")
+    p.add_argument("--eps", type=_rational, default=Fraction(0), help="early-stop residual target, e.g. 1/1000")
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", type=str, default=None, help="write a tab-separated residual trace")
-    p.set_defaults(fn=_cmd_grid)
+    p.set_defaults(fn=_cmd_grid, usage_error=p.error)
 
     p = sub.add_parser("check", help="Run the six theorem-check suites.")
     p.add_argument("--seed", type=int, default=0)

@@ -6,12 +6,16 @@ The crossed product has basis {delta_x u_g : x in X_g} with
     (delta_x u_g)* = delta_{theta_{g^-1}(x)} u_{g^-1}
 
 which is the specialization of the general coefficient relations to
-indicator functions (tests re-derive it from the symbolic expansion).  Block
-structure is computed two independent ways: numerically, from eigenspaces of
-a random self-adjoint central element in the left regular representation,
-and combinatorially from groupoid orbits and stabilizer group algebras; the
-two must agree.  The imprimitivity bimodule between the fixed point algebra
-and the crossed product is verified in exact rational arithmetic.
+indicator functions (tests re-derive it from the symbolic expansion).  Each
+basis element is an arrow theta_{g^-1}(x) -> x of the translation groupoid.
+Block structure is computed two independent ways: numerically, from the
+eigenvalues of a random self-adjoint central element in the left regular
+representation, the center being spanned by groupoid class sums; and
+combinatorially from groupoid orbits and stabilizer group algebras.  The two
+must agree.  The imprimitivity bimodule between the fixed point algebra and
+the crossed product is verified exactly: positivity by integer elimination,
+compatibility and right fullness on integer index tables of arrow sources,
+targets and products.
 """
 
 from __future__ import annotations
@@ -20,18 +24,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .groups import FiniteGroup
 from .pactions import PartialAction, translation_groupoid
-from .rational import nullspace, rank
+from .rational import nullspace
 
 EIGENVALUE_SEPARATION = 1e-8
 INTEGRALITY_TOLERANCE = 1e-6
 BLOCK_RETRIES = 3
-PSD_EIGENVALUE_FLOOR = -1e-10
+CHECK_CHUNK = 1 << 22  # product-table entries per associativity chunk
 
 
 class AlgebraError(ValueError):
@@ -74,32 +78,28 @@ class StructureConstantStarAlgebra:
         n = self.dimension
         if n == 0:
             return
+        # Vanishing products point at an extra index n that absorbs everything.
+        E = np.full((n + 1, n + 1), n, dtype=np.int16 if n < 2**15 else np.int64)
         P = np.array(self.product, dtype=np.int64)
-        S = np.array(self.star, dtype=np.int64)
-        ks = np.arange(n, dtype=np.int64)
-        AB = P[:, :, None]
-        left = np.where(AB >= 0, P[np.clip(AB, 0, None), ks[None, None, :]], -1)
-        BC = P[None, :, :]
-        right = np.where(BC >= 0, P[np.arange(n)[:, None, None], np.clip(BC, 0, None)], -1)
-        if not np.array_equal(left, right):
-            i, j, k = np.argwhere(left != right)[0]
-            raise AlgebraError(f"product is not associative at basis triple ({i}, {j}, {k})")
+        E[:n, :n] = np.where(P >= 0, P, n)
+        idx = E[:n, :n].astype(np.intp)
+        rows_of = np.ascontiguousarray(E[:, :n])
+        # (b_i b_j) b_k against b_i (b_j b_k), a few rows i at a time: O(n^2) memory.
+        step = max(1, CHECK_CHUNK // (n * n))
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            left = rows_of[idx[start:stop]]
+            right = np.take(E[start:stop], idx, axis=1)
+            if not np.array_equal(left, right):
+                i, j, k = np.argwhere(left != right)[0]
+                raise AlgebraError(
+                    f"product is not associative at basis triple ({start + i}, {j}, {k})"
+                )
+        S = np.array(self.star, dtype=np.intp)
         if not np.array_equal(S[S], np.arange(n)):
             raise AlgebraError("star is not an involution")
-        star_of_prod = np.where(P >= 0, S[np.clip(P, 0, None)], -1)
-        prod_of_stars = P[np.ix_(S, S)].T
-        if not np.array_equal(star_of_prod, prod_of_stars):
+        if not np.array_equal(np.append(S, n)[idx], E[np.ix_(S, S)].T):
             raise AlgebraError("star is not an anti-homomorphism")
-
-    def multiply(self, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, va in a.items():
-            row = self.product[i]
-            for j, vb in b.items():
-                k = row[j]
-                if k >= 0:
-                    out[k] = out.get(k, Fraction(0)) + va * vb
-        return {k: v for k, v in out.items() if v != 0}
 
     def adjoint(self, a: Mapping[int, Fraction]) -> dict[int, Fraction]:
         return {self.star[i]: v for i, v in a.items() if v != 0}
@@ -136,12 +136,8 @@ def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
     for i, (g, x) in enumerate(basis):
         xg = pa.theta(G.inv(g), x)
         for j, (h, y) in enumerate(basis):
-            if xg == y:
-                gh = G.mul(g, h)
-                if x in pa.domain(gh):
-                    product[i][j] = index[(gh, x)]
-                else:  # unreachable by the derived domain identity
-                    raise AlgebraError("product left the crossed-product basis")
+            if xg == y:  # x lies in X_gh by the derived domain identity
+                product[i][j] = index[(G.mul(g, h), x)]
     star = [index[(G.inv(g), pa.theta(G.inv(g), x))] for (g, x) in basis]
     return _make_algebra(basis, product, star)
 
@@ -164,29 +160,48 @@ class BlockComputation:
 
 
 def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
-    """Orthonormal basis of the center as rows, via an SVD nullspace."""
+    """The center as 0/1 rows: one class sum per conjugacy class of loops.
+
+    Every basis element b is a groupoid arrow with unit b b*, and a loop when
+    b b* = b* b.  Loop b is joined with c b c* for every arrow c out of its
+    unit; the sum over each class is central (Burnside's class sums), and for
+    a groupoid algebra these sums span the center.  Each row is checked
+    central exactly: z b_j and b_j z are equal multisets of basis indices.
+    """
     n = alg.dimension
     P = np.array(alg.product, dtype=np.int64)
-    rows = []
-    for i in range(n):
-        # Equations (z b_i - b_i z) = 0, one per output coordinate k.
-        block = np.zeros((n, n))
-        for j in range(n):
-            k1 = P[j][i]
-            if k1 >= 0:
-                block[k1, j] += 1.0
-            k2 = P[i][j]
-            if k2 >= 0:
-                block[k2, j] -= 1.0
-        rows.append(block)
-    system = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(system)
-    tol = max(system.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 1.0)
-    tol = max(tol, 1e-9)
-    nullity = int(np.sum(svals < tol)) + (vh.shape[0] - len(svals))
-    if nullity == 0:
-        raise NotSemisimpleOrDegenerate("the center is trivial, cannot split blocks")
-    return vh[-nullity:]
+    S = np.array(alg.star, dtype=np.int64)
+    ks = np.arange(n)
+    unit, source = P[ks, S], P[S, ks]
+    bad = np.flatnonzero((unit < 0) | (P[np.clip(unit, 0, None), ks] != ks))
+    if len(bad):
+        raise NotSemisimpleOrDegenerate(f"basis element {bad[0]} is not a groupoid arrow")
+    parent = list(range(n))
+
+    def find(b: int) -> int:
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        return b
+
+    loops = np.flatnonzero(unit == source)
+    for b in loops:
+        out = np.flatnonzero(source == unit[b])
+        cb = P[out, b]
+        conjugates = P[cb, S[out]]
+        if (cb < 0).any() or (conjugates < 0).any():
+            raise NotSemisimpleOrDegenerate(f"a conjugate of loop {b} vanishes")
+        for c in conjugates:
+            parent[find(int(c))] = find(int(b))
+    classes: dict[int, list[int]] = {}
+    for b in loops:
+        classes.setdefault(find(int(b)), []).append(int(b))
+    Z = np.zeros((len(classes), n))
+    for row, members in enumerate(classes.values()):
+        Z[row, members] = 1.0
+        if not np.array_equal(np.sort(P[members], axis=0), np.sort(P[:, members].T, axis=0)):
+            raise AssertionError(f"class sum of basis element {members[0]} is not central")
+    return Z
 
 
 def block_structure_full(
@@ -204,22 +219,16 @@ def block_structure_full(
     center_dim = Z.shape[0]
     P = np.array(alg.product, dtype=np.int64)
     S = np.array(alg.star, dtype=np.int64)
+    js, cols = np.nonzero(P >= 0)  # b_j b_i = b_{P[j, i]}
     last_failure = "no attempt made"
     for attempt in range(retries):
         rng = np.random.default_rng(seed + attempt)
         coeffs = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
         z = coeffs @ Z
-        zstar = np.zeros(n, dtype=complex)
-        np.add.at(zstar, S, np.conj(z))
-        w = z + zstar
+        w = z.copy()
+        w[S] += np.conj(z)
         L = np.zeros((n, n), dtype=complex)
-        cols = np.arange(n)
-        for j in range(n):
-            if w[j] == 0:
-                continue
-            targets = P[j]
-            valid = targets >= 0
-            np.add.at(L, (targets[valid], cols[valid]), w[j])
+        np.add.at(L, (P[js, cols], cols), w[js])
         eigvals = np.linalg.eigvals(L)
         if np.max(np.abs(eigvals.imag)) > 1e-7 * max(1.0, np.max(np.abs(eigvals))):
             last_failure = "central element has visibly complex spectrum"
@@ -287,26 +296,21 @@ def fixed_point_algebra(pa: PartialAction) -> FDCStarAlgebra:
     """
     points = sorted(pa.carrier)
     idx = {p: i for i, p in enumerate(points)}
+    edges = sorted({(x, y) for _, x, y in pa.arrows() if x != y})
     rows = []
-    for g, x, y in pa.arrows():
-        if x != y:
-            row = [Fraction(0)] * len(points)
-            row[idx[x]] = Fraction(1)
-            row[idx[y]] = Fraction(-1)
-            rows.append(row)
-    solution_dim = (
-        len(points) if not rows else len(nullspace(rows, ncols=len(points)))
-    )
+    for x, y in edges:
+        row = [0] * len(points)
+        row[idx[x]], row[idx[y]] = 1, -1
+        rows.append(row)
     orbits = translation_groupoid(pa).orbits
-    if solution_dim != len(orbits):
+    if len(nullspace(rows, ncols=len(points))) != len(orbits):
         raise AssertionError(
             "fixed-point constraint solution space does not match orbit indicators"
         )
-    for orbit in orbits:
-        indicator = [Fraction(int(p in orbit)) for p in points]
-        for row in rows:
-            if sum(a * b for a, b in zip(row, indicator)) != 0:
-                raise AssertionError("orbit indicator violates a fixed-point constraint")
+    # An orbit indicator meets the constraint of arrow x -> y iff x, y share an orbit.
+    orbit_of = {p: k for k, orbit in enumerate(orbits) for p in orbit}
+    if any(orbit_of[x] != orbit_of[y] for x, y in edges):
+        raise AssertionError("orbit indicator violates a fixed-point constraint")
     return FDCStarAlgebra(tuple([1] * len(orbits)))
 
 
@@ -326,10 +330,6 @@ def isomorphic(a: FDCStarAlgebra, b: FDCStarAlgebra) -> bool:
 
 Func = dict[int, Fraction]
 CPElement = dict[tuple[int, int], Fraction]
-
-
-def _func_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> Func:
-    return {p: a[p] * b[p] for p in set(a) & set(b) if a[p] * b[p] != 0}
 
 
 def inner_product_crossed(pa: PartialAction, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> CPElement:
@@ -378,50 +378,36 @@ def is_fixed_element(pa: PartialAction, x: Mapping[int, Fraction]) -> bool:
     )
 
 
-def _cp_vector(alg: StructureConstantStarAlgebra, elt: CPElement) -> list[Fraction]:
-    index = {b: i for i, b in enumerate(alg.basis)}
-    vec = [Fraction(0)] * alg.dimension
-    for key, v in elt.items():
-        vec[index[key]] = v
-    return vec
+def _is_psd_rational(M: Sequence[Sequence[int]]) -> bool:
+    """Exact positive semidefiniteness of a symmetric integer matrix.
 
-
-def _cp_from_vector(alg: StructureConstantStarAlgebra, vec: Sequence[Fraction]) -> CPElement:
-    return {alg.basis[i]: v for i, v in enumerate(vec) if v != 0}
-
-
-def _left_mult_matrix(alg: StructureConstantStarAlgebra, elt: CPElement) -> list[list[Fraction]]:
-    n = alg.dimension
-    index = {b: i for i, b in enumerate(alg.basis)}
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for key, v in elt.items():
-        j = index[key]
-        for i in range(n):
-            k = alg.product[j][i]
-            if k >= 0:
-                M[k][i] += v
-    return M
-
-
-def _is_psd_rational(M: list[list[Fraction]]) -> bool:
-    """Exact positive semidefiniteness of a symmetric rational matrix."""
-    n = len(M)
-    A = [row[:] for row in M]
-    active = list(range(n))
+    Pivoted elimination, fraction-free: row i holds r_i > 0 times its Schur
+    complement row, which keeps every sign and zero test exact, and each
+    updated row is divided by the gcd of its entries.
+    """
+    A = [list(row) for row in M]
+    active = list(range(len(A)))
     while active:
         p = max(active, key=lambda i: A[i][i])
         pivot = A[p][p]
         if pivot < 0:
             return False
-        if pivot == 0:
-            return all(A[i][j] == 0 for i in active for j in active)
+        if pivot == 0:  # the eliminated columns of active rows are zero already
+            return not any(any(A[i]) for i in active)
         active.remove(p)
+        row_p = A[p]
         for i in active:
-            f = A[i][p] / pivot
+            row = A[i]
+            f = row[p]
             if f == 0:
                 continue
             for j in active:
-                A[i][j] -= f * A[p][j]
+                row[j] = row[j] * pivot - f * row_p[j]
+            row[p] = 0
+            g = math.gcd(*(row[j] for j in active))
+            if g > 1:
+                for j in active:
+                    row[j] //= g
     return True
 
 
@@ -453,22 +439,29 @@ class BimoduleReport:
         return all(self.clauses.values())
 
 
-def imprimitivity_bimodule_verify(pa: PartialAction, seed: int = 0) -> BimoduleReport:
+def imprimitivity_bimodule_verify(
+    pa: PartialAction,
+    seed: int = 0,
+    *,
+    crossed: Optional[StructureConstantStarAlgebra] = None,
+) -> BimoduleReport:
     """Exact verification of the fixed-point / crossed-product bimodule.
 
-    Checks, over the function space on the carrier: the domain-count function
-    is bounded below by one and fixed (it is central in the commutative
-    coefficient algebra, so that is not checked); both inner products are
-    positive definite on a spanning family; the associativity compatibility
-    between the crossed-product inner product and the right module action on
-    basis triples; left fullness through the reciprocal of the domain-count
-    function; and right fullness as the rational span dimension of all
-    basis inner products.  Failures are reported, not raised: the Morita
-    statement assumes finite tower dimension, which non-free instances lack.
+    Checks: the domain-count function is bounded below by one and fixed (it
+    is central in the commutative coefficient algebra, so that is not
+    checked); both inner products are positive on a spanning family, the
+    crossed-product one by an integer PSD test of its multiplication matrix;
+    left fullness through the reciprocal of the domain-count function.
+    Compatibility and right fullness are read off integer index tables: basis
+    element k is an arrow src(k) -> tgt(k), <delta_a, delta_b> is the
+    indicator of I(a, b) = {k : tgt k = a, src k = b}, and
+    delta_b . (delta_z u_h) = [z = b] delta_{src}.  ``crossed`` is
+    crossed_product(pa), built here when not given.  Failures are reported,
+    not raised: the Morita statement assumes finite tower dimension.
     """
     G = pa.group
     points = sorted(pa.carrier)
-    alg = crossed_product(pa)
+    alg = crossed_product(pa) if crossed is None else crossed
     n = alg.dimension
 
     x_alpha: Func = {p: Fraction(len(pa.domain_tuple(p))) for p in points}
@@ -481,6 +474,7 @@ def imprimitivity_bimodule_verify(pa: PartialAction, seed: int = 0) -> BimoduleR
         family.append(
             {p: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for p in points}
         )
+    index = {b: i for i, b in enumerate(alg.basis)}
     positivity = True
     for x in family:
         fixed_val = inner_product_fixed(pa, x, x)
@@ -491,36 +485,36 @@ def imprimitivity_bimodule_verify(pa: PartialAction, seed: int = 0) -> BimoduleR
         cp_val = inner_product_crossed(pa, x, x)
         if x and not cp_val:
             positivity = False
-        as_indices = _cp_as_dictkeys(alg, cp_val)
+        as_indices = {index[k]: v for k, v in cp_val.items()}
         if alg.adjoint(as_indices) != as_indices:
             positivity = False  # <x,x> must be self-adjoint
-        M = _left_mult_matrix(alg, cp_val)
-        if any(M[i][j] != M[j][i] for i in range(n) for j in range(i)):
-            positivity = False
-            continue
-        if n:
-            eig = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in M]))
-            if eig.min() < PSD_EIGENVALUE_FLOOR:
-                positivity = False
-                continue
-        if not _is_psd_rational(M):
+        # Left multiplication by <x,x>, scaled by its common denominator.
+        scale = math.lcm(*(v.denominator for v in as_indices.values()))
+        M = [[0] * n for _ in range(n)]
+        for j, v in as_indices.items():
+            w = int(v * scale)
+            for i, k in enumerate(alg.product[j]):
+                if k >= 0:
+                    M[k][i] += w
+        if M != [list(col) for col in zip(*M)] or not _is_psd_rational(M):
             positivity = False
 
-    compatibility = True
-    basis_index = {b: i for i, b in enumerate(alg.basis)}
-    for a in points:
-        for b in points:
-            x: Func = {a: Fraction(1)}
-            y: Func = {b: Fraction(1)}
-            inner_idx = _cp_as_dictkeys(alg, inner_product_crossed(pa, x, y))
-            for xi_basis in alg.basis:
-                xi: CPElement = {xi_basis: Fraction(1)}
-                lhs = alg.multiply(inner_idx, {basis_index[xi_basis]: Fraction(1)})
-                rhs = _cp_as_dictkeys(
-                    alg, inner_product_crossed(pa, x, right_action(pa, y, xi))
-                )
-                if lhs != rhs:
-                    compatibility = False
+    # For xi = b_j the clause <delta_a, delta_b> xi = <delta_a, delta_b . xi>
+    # over all (a, b) reads: the multiset of (tgt k, src k, k b_j) over k with
+    # k b_j != 0 equals that of (tgt m, tgt j, m) over m with src m = src j.
+    # Column j of lhs and rhs encodes those triples, padded with -1.
+    pos = {p: i for i, p in enumerate(points)}  # dense codes cannot overflow int64
+    tgt = np.array([pos[x] for _, x in alg.basis], dtype=np.int64)
+    src = np.array([pos[pa.theta(G.inv(g), x)] for g, x in alg.basis], dtype=np.int64)
+    P = np.array(alg.product, dtype=np.int64).reshape(n, n)
+    cells = tgt * len(points) + src
+    lhs = np.where(P >= 0, cells[:, None] * n + P, -1)
+    rhs = np.where(
+        src[:, None] == src[None, :],
+        (tgt[:, None] * len(points) + tgt[None, :]) * n + np.arange(n)[:, None],
+        -1,
+    )
+    compatibility = bool(np.array_equal(np.sort(lhs, axis=0), np.sort(rhs, axis=0)))
 
     # x_alpha >= 1 pointwise, so its reciprocal exists whenever X is nonempty.
     left_fullness = True
@@ -530,13 +524,12 @@ def imprimitivity_bimodule_verify(pa: PartialAction, seed: int = 0) -> BimoduleR
         if inner_product_fixed(pa, x, reciprocal) != x:
             left_fullness = False
 
-    vectors = []
-    for a in points:
-        for b in points:
-            elt = inner_product_crossed(pa, {a: Fraction(1)}, {b: Fraction(1)})
-            if elt:
-                vectors.append(_cp_vector(alg, elt))
-    span_dim = rank(vectors) if vectors else 0
+    # The <delta_a, delta_b> are the indicators of the nonempty cells I(a, b).
+    # Over distinct basis arrows the cells partition the basis, so those
+    # indicators are independent and the span dimension is their count.
+    if len(index) != n:
+        raise AssertionError("crossed-product basis labels repeat")
+    span_dim = len(np.unique(cells))
     right_fullness = span_dim == n
 
     return BimoduleReport(
@@ -549,8 +542,3 @@ def imprimitivity_bimodule_verify(pa: PartialAction, seed: int = 0) -> BimoduleR
         span_dimension=span_dim,
         algebra_dimension=n,
     )
-
-
-def _cp_as_dictkeys(alg: StructureConstantStarAlgebra, elt: CPElement) -> dict[int, Fraction]:
-    index = {b: i for i, b in enumerate(alg.basis)}
-    return {index[k]: v for k, v in elt.items()}

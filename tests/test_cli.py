@@ -245,6 +245,27 @@ def test_cli_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["towers", "--d", "-1", "INSTANCE"], "argument --d: must be an integer >= 0"),
+        (["grid", "interval", "--delta", "x"], "argument --delta: not a rational number"),
+        (["grid", "circle-pair", "--eps", "1/x"], "argument --eps: not a rational number"),
+        (["grid", "circle-pair", "--eps", "1/0"], "argument --eps: not a rational number"),
+        (["grid", "circle-pair", "--m", "8"], "too coarse"),
+        (["grid", "circle-pair", "--m", "17"], "needs an even grid"),
+        (["grid", "interval", "--m", "7"], "needs an even grid"),
+    ],
+)
+def test_cli_bad_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+    argv = [_write_swap_pair(tmp_path) if a == "INSTANCE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: partact") and message in err
+
+
 def test_cli_globalize_and_decompose(tmp_path, capsys):
     path = _write_swap_pair(tmp_path)
     assert main(["globalize", path]) == 0

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import partact
 from partact.fdcstar import (
+    AlgebraError,
     FDCStarAlgebra,
+    StructureConstantStarAlgebra,
+    _center_basis,
+    _is_psd_rational,
     block_structure,
     block_structure_full,
     crossed_product,
@@ -22,6 +31,7 @@ from partact.pactions import (
     global_action,
     is_free,
     random_partial_action,
+    validate,
 )
 
 F = Fraction
@@ -195,3 +205,165 @@ def test_inner_product_crossed_positive_diagonal(swap_pair):
     for p in swap_pair.carrier:
         elt = inner_product_crossed(swap_pair, {p: F(1)}, {p: F(1)})
         assert elt[(0, p)] == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer routes against Fraction references, and tamper tests.
+# ---------------------------------------------------------------------------
+
+
+def reference_bimodule_clauses(pa, alg):
+    """Compatibility and right-fullness span dimension, evaluated on Fractions.
+
+    Compatibility compares <delta_a, delta_b> xi with <delta_a, delta_b . xi>
+    for every pair of points and every basis element xi, multiplying in the
+    crossed product term by term; the span dimension is the rational rank of
+    all nonzero <delta_a, delta_b>.
+    """
+    from partact.rational import rank
+
+    index = {b: i for i, b in enumerate(alg.basis)}
+    points = sorted(pa.carrier)
+
+    def indexed(elt):
+        return {index[k]: v for k, v in elt.items()}
+
+    def multiply(a, b):
+        out = {}
+        for i, va in a.items():
+            for j, vb in b.items():
+                k = alg.product[i][j]
+                if k >= 0:
+                    out[k] = out.get(k, F(0)) + va * vb
+        return {k: v for k, v in out.items() if v != 0}
+
+    compatibility = True
+    vectors = []
+    for a in points:
+        for b in points:
+            x, y = {a: F(1)}, {b: F(1)}
+            inner = inner_product_crossed(pa, x, y)
+            for label in alg.basis:
+                lhs = multiply(indexed(inner), {index[label]: F(1)})
+                rhs = indexed(inner_product_crossed(pa, x, right_action(pa, y, {label: F(1)})))
+                compatibility = compatibility and lhs == rhs
+            if inner:
+                vec = [F(0)] * alg.dimension
+                for i, v in indexed(inner).items():
+                    vec[i] = v
+                vectors.append(vec)
+    return compatibility, (rank(vectors) if vectors else 0)
+
+
+def _shifted(pa, offset):
+    """The same action on the points x + offset (far from 0..|X|-1)."""
+    G = pa.group
+    return validate(
+        G,
+        {x + offset for x in pa.carrier},
+        {g: {x + offset for x in pa.domain(g)} for g in G.elements()},
+        {g: {x + offset: y + offset for x, y in pa.maps[g].items()} for g in G.elements()},
+    )
+
+
+def _differential_instances(swap_pair, fixed_single, idle_triple):
+    from partact.harness import corpus
+
+    instances = [swap_pair, fixed_single, idle_triple] + corpus(20260808, 20)
+    return instances + [_shifted(instances[3], 10**15)]
+
+
+def test_bimodule_index_tables_match_fraction_reference(swap_pair, fixed_single, idle_triple):
+    for pa in _differential_instances(swap_pair, fixed_single, idle_triple):
+        alg = crossed_product(pa)
+        report = imprimitivity_bimodule_verify(pa, crossed=alg)
+        compatibility, span = reference_bimodule_clauses(pa, alg)
+        assert report.compatibility == compatibility
+        assert report.span_dimension == span
+        assert report.right_fullness == (span == alg.dimension)
+        assert report == imprimitivity_bimodule_verify(pa)
+
+
+def test_bimodule_swapped_basis_labels_break_compatibility(swap_pair):
+    alg = crossed_product(swap_pair)
+    basis = list(alg.basis)
+    assert basis[0] == (0, 0) and basis[3] == (1, 0)
+    basis[0], basis[3] = basis[3], basis[0]
+    tampered = replace(alg, basis=tuple(basis))
+    report = imprimitivity_bimodule_verify(swap_pair, crossed=tampered)
+    assert not report.compatibility
+    assert reference_bimodule_clauses(swap_pair, tampered)[0] is False
+
+
+def test_center_basis_of_s3_group_algebra_is_its_class_sums():
+    Z = _center_basis(group_algebra(build_group(("symmetric", 3))))
+    assert Z.shape == (3, 6)
+    assert sorted(Z.sum(axis=1)) == [1, 2, 3]
+    assert (Z.sum(axis=0) == 1).all()
+
+
+def test_center_basis_rejects_a_corrupted_product_entry():
+    alg = group_algebra(build_group(("symmetric", 3)))
+    product = [list(row) for row in alg.product]
+    # Entry (1, 2) is neither an identity row nor a b b* entry, so the
+    # groupoid check passes and the class-sum centrality check must fail.
+    assert alg.star[1] != 2 and product[1][2] != 0
+    product[1][2] = (product[1][2] + 1) % 6
+    corrupted = StructureConstantStarAlgebra(alg.basis, tuple(map(tuple, product)), alg.star)
+    with pytest.raises(AssertionError, match="not central"):
+        _center_basis(corrupted)
+
+
+def test_check_invariants_streams_and_locates_a_broken_triple(monkeypatch):
+    import partact.fdcstar as fdcstar
+
+    alg = group_algebra(build_group(("symmetric", 3)))
+    product = [list(row) for row in alg.product]
+    product[4][5] = (product[4][5] + 1) % 6
+    corrupted = StructureConstantStarAlgebra(alg.basis, tuple(map(tuple, product)), alg.star)
+    monkeypatch.setattr(fdcstar, "CHECK_CHUNK", 1)  # one row i per chunk
+    with pytest.raises(AlgebraError, match="not associative") as err:
+        corrupted.check_invariants()
+    i, j, k = map(int, str(err.value).split("(")[1].rstrip(")").split(", "))
+    P = corrupted.product
+    assert P[P[i][j]][k] != P[i][P[j][k]]
+
+
+def test_crossed_product_of_regular_s4_action_fits_in_memory():
+    """n = 576: the associativity check and the center stay O(n^2) in memory."""
+    code = (
+        "import resource\n"
+        "from partact.groups import symmetric_group\n"
+        "from partact.pactions import global_action\n"
+        "from partact.fdcstar import crossed_product, block_structure_full\n"
+        "G = symmetric_group(4)\n"
+        "pts = range(G.order)\n"
+        "pa = global_action(G, pts, {g: {x: G.mul(g, x) for x in pts} for g in G.elements()})\n"
+        "cp = crossed_product(pa)\n"
+        "blocks = list(block_structure_full(cp).algebra.blocks)\n"
+        "print(cp.dimension, blocks, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(partact.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["576", "[24]", out.stdout.split()[-1]]
+    assert int(out.stdout.split()[-1]) < 1024 * 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.parametrize(
+    "matrix, psd",
+    [
+        ([[1, 2], [2, 1]], False),  # eigenvalues 3 and -1
+        ([[0, 1], [1, 0]], False),  # zero pivot, nonzero off-diagonal
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], False),  # zero pivot after one step
+        ([[1, 1], [1, 1]], True),  # rank 1
+        ([[1, 2, 3], [2, 5, 7], [3, 7, 10]], True),  # rank 2 Gram matrix
+        ([[0, 0], [0, 0]], True),
+        ([], True),
+    ],
+)
+def test_is_psd_rational(matrix, psd):
+    assert _is_psd_rational(matrix) is psd

@@ -5,6 +5,7 @@ import pytest
 
 from partact.groups import build_group
 from partact.pactions import (
+    PartialAction,
     globalize,
     is_free,
     random_partial_action,
@@ -69,6 +70,27 @@ def test_verify_certificate_rejects_tampering(swap_pair):
     bad = TowerCertificate(0, (bad_level,))
     check = verify_certificate(swap_pair, bad)
     assert not check.ok and check.witness
+
+
+def test_verify_certificate_raw_condition_catches_broken_equivariance():
+    """Equivariance is checked against the maps themselves, in the raw loop.
+
+    The instance is built without validate: theta_2 is the swap (0 1), not
+    the inverse of the 3-cycle theta_1.  The certificate f_1 = delta_0 then
+    passes supports, orthogonality and the partition of unity, and only the
+    raw condition f_0(0) = f_2(theta_2(0)) fails.
+    """
+    c3 = build_group(("cyclic", 3))
+    everything = frozenset({0, 1, 2})
+    broken = PartialAction(
+        c3,
+        everything,
+        {g: everything for g in range(3)},
+        {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2, 2: 0}, 2: {0: 1, 1: 0, 2: 2}},
+    )
+    check = verify_certificate(broken, TowerCertificate(0, ({0: F(1)},)))
+    assert not check.ok
+    assert check.witness == "raw condition (1) fails at (g=2, h=0, y=0, level 0)"
 
 
 def test_verify_certificate_rejects_all_zero(swap_pair):
