@@ -349,7 +349,6 @@ def _cmd_decompose(args) -> int:
         parts = orbit_type_decomposition(pa, n)
         payload["parts"] = [
             {
-                "orbitClass": p.orbit_class,
                 "representativeTuple": sorted(p.representative),
                 "points": sorted(p.part),
                 "stabilizerOrder": p.stabilizer.order,
@@ -441,10 +440,13 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _nonnegative(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _rational(text: str) -> Fraction:
@@ -473,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("towers", help="Exact tower search at a fixed dimension.")
     p.add_argument("instance")
-    p.add_argument("--d", type=_nonnegative, required=True)
+    p.add_argument("--d", type=_at_least(0), required=True)
     p.set_defaults(fn=_cmd_towers)
 
     p = sub.add_parser("globalize", help="Enveloping action and central splitting.")
@@ -488,10 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=["interval", "circle-pair", "circle-pair-global"])
     p.add_argument("--m", type=int, default=128)
     p.add_argument("--delta", type=_rational, default=Fraction(1, 8), help="for the interval model, e.g. 1/8")
-    p.add_argument("--d", type=_nonnegative, default=0)
-    p.add_argument("--lipschitz", type=int, default=8)
+    p.add_argument("--d", type=_at_least(0), default=0)
+    p.add_argument("--lipschitz", type=_at_least(0), default=8)
     p.add_argument("--eps", type=_rational, default=Fraction(0), help="early-stop residual target, e.g. 1/1000")
-    p.add_argument("--restarts", type=int, default=100)
+    p.add_argument("--restarts", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", type=str, default=None, help="write a tab-separated residual trace")
     p.set_defaults(fn=_cmd_grid, usage_error=p.error)

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .groups import Subgroup
 from .pactions import PartialAction, restricted_to, translation_groupoid, validate
-from .tuples import stabilizer_and_section, tuple_space
+from .tuples import orbit_of, stabilizer_and_section
 
 
 class DecompositionError(ValueError):
@@ -56,10 +56,14 @@ def is_n_decomposable(pa: PartialAction, n: int) -> bool:
     if not (1 <= n <= pa.group.order):
         raise DecompositionError(f"n must be in 1..{pa.group.order}, got {n}")
     pointwise = all(len(pa.domain_tuple(x)) == n for x in pa.carrier)
-    ts = tuple_space(pa.group, n)
+    # Only the n-tuples that occur as some tau(x) need checking: a point in
+    # fewer than n domains lies in no X_tau, and a point in more than n either
+    # stays uncovered or lies in an occurring X_tau together with an outside
+    # domain.  So the restricted check fails exactly when the full one does.
+    occurring = {tau for tau in map(pa.domain_tuple, pa.carrier) if len(tau) == n}
     covered: set[int] = set()
     intersections_clean = True
-    for tau in ts.tuples:
+    for tau in occurring:
         X_tau = _domain_intersection(pa, tau)
         covered |= X_tau
         for g in pa.group.elements():
@@ -128,12 +132,17 @@ class OrbitTypePart:
     reindexed so the stabilizer is a standalone group.
     """
 
-    orbit_class: int
     representative: frozenset[int]
     part: frozenset[int]
     stabilizer: Subgroup
     subsystem: PartialAction
     carrier_X_tau: frozenset[int]
+
+
+def _require_decomposable(pa: PartialAction, n: int) -> None:
+    if not is_n_decomposable(pa, n):
+        witness = next(x for x in pa.carrier if len(pa.domain_tuple(x)) != n)
+        raise NotDecomposable(n, witness, len(pa.domain_tuple(witness)))
 
 
 def _points_with_tuple(pa: PartialAction, tau) -> frozenset[int]:
@@ -148,13 +157,14 @@ def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
     (identity first, then ascending parent index).
     """
     tau = frozenset(tau)
-    n = len(tau)
-    if not is_n_decomposable(pa, n):
-        witness = next(x for x in pa.carrier if len(pa.domain_tuple(x)) != n)
-        raise NotDecomposable(n, witness, len(pa.domain_tuple(witness)))
-    ts = tuple_space(pa.group, n)
-    H, _, _ = stabilizer_and_section(ts, tau)
-    X_tau = _points_with_tuple(pa, tau)
+    _require_decomposable(pa, len(tau))
+    return _stabilizer_subsystem(pa, tau, _points_with_tuple(pa, tau))
+
+
+def _stabilizer_subsystem(
+    pa: PartialAction, tau: frozenset[int], X_tau: frozenset[int]
+) -> tuple[Subgroup, PartialAction]:
+    H, _, _ = stabilizer_and_section(pa.group, tau)
     if not X_tau:
         raise EmptyStratum(tau)
     sub_group = H.as_group()
@@ -172,32 +182,32 @@ def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
 def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:
     """Split an n-decomposable action into its orbit-class parts.
 
-    Parts are indexed by the orbit space of the n-tuple space; empty parts
-    are skipped.  The parts are disjoint, invariant, and cover the carrier.
+    Only the tuples tau(x) that occur are visited.  Since
+    tau(theta_g x) = g tau(x), each part is the union of the strata of the
+    occurring tuples in one translation orbit; parts are keyed and ordered by
+    the orbit's lexicographically least tuple, which also occurs.  The parts
+    are disjoint, invariant, and cover the carrier.
     """
-    if not is_n_decomposable(pa, n):
-        witness = next(x for x in pa.carrier if len(pa.domain_tuple(x)) != n)
-        raise NotDecomposable(n, witness, len(pa.domain_tuple(witness)))
-    ts = tuple_space(pa.group, n)
+    _require_decomposable(pa, n)
+    by_tuple: dict[frozenset[int], set[int]] = {}
+    for x in pa.carrier:
+        by_tuple.setdefault(pa.domain_tuple(x), set()).add(x)
+    part_points: dict[frozenset[int], set[int]] = {}
+    for tau, points in by_tuple.items():
+        part_points.setdefault(orbit_of(pa.group, tau)[0], set()).update(points)
     parts: list[OrbitTypePart] = []
-    for z, orbit in enumerate(ts.orbits):
-        tau_z = ts.representative(z)
-        part_points: set[int] = set()
-        for i in orbit:
-            part_points |= _points_with_tuple(pa, ts.tuples[i])
-        if not part_points:
-            continue
-        # A nonempty part forces a nonempty representative stratum: the tuple
-        # translating tau_z to an inhabited tuple also translates its points.
-        H, subsystem = global_subsystem(pa, tau_z)
+    for tau in sorted(part_points, key=sorted):
+        # The least tuple is t^-1 tau(x) for some t in tau(x), and theta_t^-1
+        # carries x to a point of it.
+        X_tau = frozenset(by_tuple.get(tau, ()))
+        H, subsystem = _stabilizer_subsystem(pa, tau, X_tau)
         parts.append(
             OrbitTypePart(
-                orbit_class=z,
-                representative=tau_z,
-                part=frozenset(part_points),
+                representative=tau,
+                part=frozenset(part_points[tau]),
                 stabilizer=H,
                 subsystem=subsystem,
-                carrier_X_tau=_points_with_tuple(pa, tau_z),
+                carrier_X_tau=X_tau,
             )
         )
     arrows = tuple(pa.arrows())

@@ -30,7 +30,6 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .pactions import PartialAction, translation_groupoid
-from .rational import nullspace
 
 EIGENVALUE_SEPARATION = 1e-8
 INTEGRALITY_TOLERANCE = 1e-6
@@ -288,29 +287,22 @@ def crossed_product_blocks(pa: PartialAction, seed: int = 0) -> FDCStarAlgebra:
 
 
 def fixed_point_algebra(pa: PartialAction) -> FDCStarAlgebra:
-    """The fixed point algebra, computed two ways and asserted equal.
+    """The fixed point algebra: one one-dimensional block per groupoid orbit.
 
-    Route one solves the defining linear constraints (each arrow forces equal
-    values at its endpoints); route two takes functions constant on groupoid
-    orbits.  Both give one one-dimensional block per orbit.
+    A fixed function takes equal values at the two ends of every arrow, so
+    the algebra is the functions constant on the components of the arrow
+    graph.  Two checks show those components are the groupoid orbits: every
+    arrow stays in its orbit, and every orbit is a clique (the arrows out of
+    any of its points reach all of it).
     """
-    points = sorted(pa.carrier)
-    idx = {p: i for i, p in enumerate(points)}
-    edges = sorted({(x, y) for _, x, y in pa.arrows() if x != y})
-    rows = []
-    for x, y in edges:
-        row = [0] * len(points)
-        row[idx[x]], row[idx[y]] = 1, -1
-        rows.append(row)
     orbits = translation_groupoid(pa).orbits
-    if len(nullspace(rows, ncols=len(points))) != len(orbits):
-        raise AssertionError(
-            "fixed-point constraint solution space does not match orbit indicators"
-        )
-    # An orbit indicator meets the constraint of arrow x -> y iff x, y share an orbit.
     orbit_of = {p: k for k, orbit in enumerate(orbits) for p in orbit}
-    if any(orbit_of[x] != orbit_of[y] for x, y in edges):
+    if any(orbit_of[x] != orbit_of[y] for _, x, y in pa.arrows()):
         raise AssertionError("orbit indicator violates a fixed-point constraint")
+    for orbit in orbits:
+        for x in orbit:
+            if {theta[x] for theta in pa.maps.values() if x in theta} != orbit:
+                raise AssertionError(f"the orbit of point {x} is not a clique of arrows")
     return FDCStarAlgebra(tuple([1] * len(orbits)))
 
 

@@ -414,8 +414,14 @@ def search_towers(
     stops early when the exact residual reaches eps.  Never claims
     nonexistence.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    slope = F1(lipschitz) if lipschitz is not None else ga.lipschitz
+    if slope < 0:
+        raise ValueError(f"lipschitz must be >= 0, got {slope}")
     eps = F1(eps)
-    band = float((F1(lipschitz) if lipschitz is not None else ga.lipschitz) * ga.spacing)
+    exact_band = slope * ga.spacing
+    band = float(exact_band)
     pa = ga.pa
     G = pa.group
     points = sorted(pa.carrier)
@@ -514,7 +520,6 @@ def search_towers(
             r2 = 0.0
         return max(r2, r3)
 
-    exact_band = (F1(lipschitz) if lipschitz is not None else ga.lipschitz) * ga.spacing
     exact_cap = {points[i]: F1(1) for i in range(P)}
     for i in range(P):
         if cap[i] < 1.0:

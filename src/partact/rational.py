@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: elimination, rank and nullspaces.
+"""Exact rational linear algebra: elimination and rank.
 
 Everything here works over ``fractions.Fraction`` so downstream certificates
 are exact.
@@ -7,7 +7,7 @@ are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 Row = list[Fraction]
 
@@ -44,24 +44,3 @@ def rref(matrix: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
 
 def rank(matrix: Sequence[Sequence]) -> int:
     return len(rref(matrix)[1])
-
-
-def nullspace(matrix: Sequence[Sequence], ncols: Optional[int] = None) -> list[Row]:
-    """Basis of the rational nullspace of a matrix (rows = equations)."""
-    rows = _as_fraction_matrix(matrix)
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer the number of columns from an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
-        basis.append(vec)
-    return basis

@@ -1,15 +1,17 @@
 """The space of n-element subsets of G containing the identity.
 
 Left translation gives a canonical partial action on these tuples: g moves
-the tuples containing g^-1 to the tuples containing g.  Stabilizers, coset
-sections, orbits, and a deterministic global section of the orbit space all
-live here.
+the tuples containing g^-1 to the tuples containing g.  The orbit of tau is
+{t^-1 tau : t in tau} and its stabilizer lies inside tau, so orbits,
+stabilizers and coset sections are computed from tau alone; ``tuple_space``
+enumerates the whole space only as a small explicit API.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .groups import FiniteGroup, Subgroup
 from .pactions import PartialAction, translation_groupoid, validate
@@ -33,6 +35,13 @@ def translate(group: FiniteGroup, g: int, tau: frozenset[int]) -> frozenset[int]
     return frozenset(group.mul(g, t) for t in tau)
 
 
+def _checked_tuple(group: FiniteGroup, tau) -> frozenset[int]:
+    tau = frozenset(tau)
+    if 0 not in tau or not tau <= frozenset(group.elements()):
+        raise TupleNotInSpace(tau)
+    return tau
+
+
 @dataclass(frozen=True)
 class TupleSpace:
     """All n-subsets of G containing 1, with the left-translation partial action.
@@ -40,7 +49,7 @@ class TupleSpace:
     ``tuples`` is lexicographically ordered (as sorted index lists); ``lt`` is
     a validated partial action on tuple indices; ``orbits`` lists orbit index
     sets; ``section`` maps each orbit (by position) to the index of its
-    lexicographically least member.
+    lexicographically least member; ``index`` inverts ``tuples``.
     """
 
     group: FiniteGroup
@@ -49,16 +58,14 @@ class TupleSpace:
     lt: PartialAction
     orbits: tuple[frozenset[int], ...]
     section: tuple[int, ...]
+    index: Mapping[frozenset[int], int] = field(repr=False, compare=False)
 
     def index_of(self, tau) -> int:
         tau = frozenset(tau)
         try:
-            return self._index()[tau]
+            return self.index[tau]
         except KeyError:
             raise TupleNotInSpace(tau) from None
-
-    def _index(self) -> dict[frozenset[int], int]:
-        return {t: i for i, t in enumerate(self.tuples)}
 
     def orbit_index_of(self, tau) -> int:
         i = self.index_of(tau)
@@ -72,7 +79,11 @@ class TupleSpace:
 
 
 def tuple_space(group: FiniteGroup, n: int) -> TupleSpace:
-    """Build the n-tuple space with its translation partial action."""
+    """Build the n-tuple space with its translation partial action.
+
+    The closed-form orbit of every tuple is checked against the groupoid
+    orbit holding it.
+    """
     if not (1 <= n <= group.order):
         raise NOutOfRange(n, group.order)
     tuples = tuple(
@@ -91,34 +102,32 @@ def tuple_space(group: FiniteGroup, n: int) -> TupleSpace:
         maps[g] = {index[t]: index[translate(group, g, t)] for t in tuples if ginv in t}
     lt = validate(group, carrier, domains, maps)
     orbits = translation_groupoid(lt).orbits
+    for orbit in orbits:
+        for i in orbit:
+            if frozenset(index[t] for t in orbit_of(group, tuples[i])) != orbit:
+                raise AssertionError("closed-form orbit disagrees with the groupoid orbit")
     section = tuple(min(orbit) for orbit in orbits)
-    space = TupleSpace(group, n, tuples, lt, orbits, section)
-    for tau in tuples:
-        h, m, _ = stabilizer_and_section(space, tau)
-        if n % h.order != 0 or m != n // h.order - 1:
-            raise AssertionError("stabilizer order does not divide the tuple size")
-    return space
+    return TupleSpace(group, n, tuples, lt, orbits, section, index)
 
 
 def stabilizer_and_section(
-    ts: TupleSpace, tau
+    group: FiniteGroup, tau
 ) -> tuple[Subgroup, int, tuple[int, ...]]:
     """Stabilizer H of tau under left translation, with a coset section.
 
     Returns (H, m, (x_0=1, x_1, ..., x_m)) where tau is the disjoint union of
-    the right cosets H, H x_1, ..., H x_m.  The section is deterministic:
-    each x_i is the least element of tau not yet covered.
+    the right cosets H, H x_1, ..., H x_m.  H lies inside tau, since
+    h = h 1 is in h tau.  The section is deterministic: each x_i is the least
+    element of tau not yet covered.
     """
-    tau = frozenset(tau)
-    ts.index_of(tau)
-    G = ts.group
-    members = frozenset(h for h in G.elements() if translate(G, h, tau) == tau)
-    H = Subgroup(G, members)
+    tau = _checked_tuple(group, tau)
+    members = frozenset(h for h in tau if translate(group, h, tau) == tau)
+    H = Subgroup(group, members)
     section = [0]
     covered = set(members)
     while covered != tau:
         x = min(tau - covered)
-        coset = {G.mul(h, x) for h in members}
+        coset = {group.mul(h, x) for h in members}
         if not coset <= tau or coset & covered:
             raise AssertionError("coset section failed to tile the tuple")
         covered |= coset
@@ -127,24 +136,11 @@ def stabilizer_and_section(
     return H, m, tuple(section)
 
 
-def orbit_of(ts: TupleSpace, tau) -> list[frozenset[int]]:
-    """The left-translation orbit of tau, cross-checked against the groupoid."""
-    tau = frozenset(tau)
-    start = ts.index_of(tau)
-    G = ts.group
-    seen = {tau}
-    frontier = [tau]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in G.elements():
-                if G.inv(g) in t:
-                    u = translate(G, g, t)
-                    if u not in seen:
-                        seen.add(u)
-                        new.append(u)
-        frontier = new
-    groupoid_orbit = next(o for o in ts.orbits if start in o)
-    if frozenset(ts.index_of(t) for t in seen) != groupoid_orbit:
-        raise AssertionError("set-theoretic orbit disagrees with the groupoid orbit")
-    return sorted(seen, key=sorted)
+def orbit_of(group: FiniteGroup, tau) -> list[frozenset[int]]:
+    """The left-translation orbit {t^-1 tau : t in tau}, lexicographically sorted.
+
+    t^-1 acts on tau because t is in tau, and a second step s^-1 with s = t^-1 u
+    in t^-1 tau lands on u^-1 tau again, so the set is the whole orbit.
+    """
+    tau = _checked_tuple(group, tau)
+    return sorted({translate(group, group.inv(t), tau) for t in tau}, key=sorted)

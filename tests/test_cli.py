@@ -255,6 +255,9 @@ def test_cli_usage_error_exit_2():
         (["grid", "circle-pair", "--m", "8"], "too coarse"),
         (["grid", "circle-pair", "--m", "17"], "needs an even grid"),
         (["grid", "interval", "--m", "7"], "needs an even grid"),
+        (["grid", "circle-pair", "--restarts", "0"], "argument --restarts: must be an integer >= 1"),
+        (["grid", "circle-pair", "--restarts", "-1"], "argument --restarts: must be an integer >= 1"),
+        (["grid", "circle-pair", "--lipschitz", "-1"], "argument --lipschitz: must be an integer >= 0"),
     ],
 )
 def test_cli_bad_arguments_are_usage_errors(tmp_path, capsys, argv, message):
@@ -275,6 +278,43 @@ def test_cli_globalize_and_decompose(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["strata"]["2"] == [0, 1]
     assert out["parts"] is None
+
+
+def test_cli_decompose_parts(tmp_path, capsys):
+    """Two orbit classes of 2-tuples in C4: {1, g} ~ {1, g^3} and {1, g^2}."""
+    doc = {
+        "group": {"family": "cyclic", "n": 4},
+        "carrier": ["a", "b", "c", "d"],
+        "domains": {"0": ["a", "b", "c", "d"], "1": ["c"], "2": ["a", "b"], "3": ["d"]},
+        "maps": {
+            "0": [["a", "a"], ["b", "b"], ["c", "c"], ["d", "d"]],
+            "1": [["d", "c"]],
+            "2": [["a", "b"], ["b", "a"]],
+            "3": [["c", "d"]],
+        },
+    }
+    path = _write_swap_pair(tmp_path, doc)
+    assert main(["decompose", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "instanceDigest": instance_digest(parse_instance(json.dumps(doc))),
+        "strata": {"1": [], "2": [0, 1, 2, 3], "3": [], "4": []},
+        "parts": [
+            {
+                "representativeTuple": [0, 1],
+                "points": [2, 3],
+                "stabilizerOrder": 1,
+                "subsystemCarrier": [2],
+            },
+            {
+                "representativeTuple": [0, 2],
+                "points": [0, 1],
+                "stabilizerOrder": 2,
+                "subsystemCarrier": [0, 1],
+            },
+        ],
+        "decomposableN": 2,
+    }
 
 
 def test_cli_grid_interval(capsys):

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from partact.decomp import (
@@ -18,6 +21,7 @@ from partact.pactions import (
     restricted_to,
     validate,
 )
+from partact.tuples import tuple_space
 
 
 def test_domain_tuple_swap_pair(swap_pair):
@@ -162,3 +166,68 @@ def test_freeness_transfers_to_subsystems():
             layer = restricted_to(pa, stratum)
             parts = orbit_type_decomposition(layer, k)
             assert is_free(layer) == all(is_free(p.subsystem) for p in parts)
+
+
+def _reference_parts(pa, n):
+    """The orbit-type parts rebuilt from the enumerated tuple space.
+
+    Every orbit of the n-tuple space is visited in order; its representative
+    is the section member and its stabilizer the isotropy of the translation
+    partial action there.
+    """
+    ts = tuple_space(pa.group, n)
+    parts = []
+    for z, orbit in enumerate(ts.orbits):
+        members = {ts.tuples[i] for i in orbit}
+        points = frozenset(x for x in pa.carrier if pa.domain_tuple(x) in members)
+        if not points:
+            continue
+        rep = ts.section[z]
+        stabilizer = frozenset(a for a in pa.group.elements() if ts.lt.maps[a].get(rep) == rep)
+        X_tau = frozenset(x for x in points if pa.domain_tuple(x) == ts.tuples[rep])
+        parts.append((ts.tuples[rep], points, stabilizer, X_tau))
+    return parts
+
+
+@pytest.mark.parametrize(
+    "spec", [("cyclic", 4), "klein4", ("symmetric", 3), ("cyclic", 6), ("dihedral", 4)]
+)
+def test_decomposition_matches_tuple_space_reference(spec):
+    compared = nontrivial = 0
+    for seed in range(12):
+        pa = random_partial_action(seed, spec, 14, 0.5)
+        s = stratification(pa)
+        for k in range(1, pa.group.order + 1):
+            if not s.stratum(k):
+                continue
+            layer = restricted_to(pa, s.stratum(k))
+            parts = orbit_type_decomposition(layer, k)
+            got = [
+                (p.representative, p.part, p.stabilizer.members, p.carrier_X_tau)
+                for p in parts
+            ]
+            assert got == _reference_parts(layer, k)
+            assert all(p.subsystem.carrier == p.carrier_X_tau for p in parts)
+            compared += len(parts)
+            nontrivial += sum(p.stabilizer.order > 1 for p in parts)
+    assert compared >= 20 and nontrivial >= 1
+
+
+def test_regular_s4_on_twelve_points_decomposes_at_n12_quickly():
+    """Every point of a 12-point restriction of the regular S4 action lies in
+    exactly 12 domains; the 12-tuple space (1,352,078 tuples) is never built."""
+    s4 = build_group(("symmetric", 4))
+    regular = global_action(
+        s4, s4.elements(), {a: {g: s4.mul(a, g) for g in s4.elements()} for a in s4.elements()}
+    )
+    pa = restricted_to(regular, random.Random(4).sample(range(24), 12))
+    assert {len(pa.domain_tuple(x)) for x in pa.carrier} == {12}
+    start = time.perf_counter()
+    assert is_n_decomposable(pa, 12)
+    parts = orbit_type_decomposition(pa, 12)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert frozenset().union(*(p.part for p in parts)) == pa.carrier
+    # tau(x) = x S^-1 for the kept set S, so each stabilizer is a subgroup of
+    # order dividing 12 and the subsystems are free global actions.
+    assert all(12 % p.stabilizer.order == 0 and is_free(p.subsystem) for p in parts)

@@ -28,6 +28,7 @@ from partact.fdcstar import (
 )
 from partact.groups import build_group
 from partact.pactions import (
+    PartialAction,
     global_action,
     is_free,
     random_partial_action,
@@ -129,6 +130,20 @@ def test_fixed_point_algebra(swap_pair, fixed_single, idle_triple):
     assert fixed_point_algebra(swap_pair).blocks == (1, 1)
     assert fixed_point_algebra(fixed_single).blocks == (1,)
     assert fixed_point_algebra(idle_triple).blocks == (1, 1, 1)
+
+
+def test_fixed_point_algebra_rejects_orbit_that_is_not_a_clique():
+    """Built without validate: theta_1 and theta_2 link 0 - 1 - 2 in a path,
+    but no arrow joins 0 and 2, as the composition law would force."""
+    c3 = build_group(("cyclic", 3))
+    path = PartialAction(
+        c3,
+        frozenset({0, 1, 2}),
+        {0: frozenset({0, 1, 2}), 1: frozenset({1, 2}), 2: frozenset({0, 1})},
+        {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2}, 2: {1: 0, 2: 1}},
+    )
+    with pytest.raises(AssertionError, match="not a clique"):
+        fixed_point_algebra(path)
 
 
 def test_morita_and_isomorphic():

@@ -124,3 +124,26 @@ def test_search_embeds_exact_cover_instance(swap_pair):
     ga, _, family = embed_certificate(swap_pair, cert.levels)
     towers, res = search_towers(ga, family, F(0), 0, seed=2, restarts=20)
     assert res == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"restarts": 0}, "restarts must be >= 1"),
+        ({"restarts": -1}, "restarts must be >= 1"),
+        ({"lipschitz": -3}, "lipschitz must be >= 0"),
+    ],
+)
+def test_search_rejects_no_restarts_and_negative_band(kwargs, message):
+    ga, family, _ = punctured_circle_pair(32)
+    with pytest.raises(ValueError, match=message):
+        search_towers(ga, family, F(0), 0, **kwargs)
+
+
+def test_search_rejects_negative_model_band_and_accepts_zero():
+    ga, family, _ = punctured_circle_pair(32, lipschitz=-3)
+    with pytest.raises(ValueError, match="lipschitz must be >= 0"):
+        search_towers(ga, family, F(0), 0, restarts=1)
+    ga, family, _ = punctured_circle_pair(32)
+    towers, res = search_towers(ga, family, F(0), 0, lipschitz=0, restarts=1, sweeps=5, polish_sweeps=5)
+    assert res == residual(ga, towers, family)

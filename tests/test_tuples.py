@@ -59,16 +59,14 @@ def test_n_out_of_range():
 
 def test_stabilizer_cyclic2_full_tuple():
     g = build_group(("cyclic", 2))
-    ts = tuple_space(g, 2)
-    H, m, section = stabilizer_and_section(ts, {0, 1})
+    H, m, section = stabilizer_and_section(g, {0, 1})
     assert H.members == frozenset({0, 1})
     assert m == 0 and section == (0,)
 
 
 def test_stabilizer_cyclic3_n2():
     g = build_group(("cyclic", 3))
-    ts = tuple_space(g, 2)
-    H, m, section = stabilizer_and_section(ts, {0, 1})
+    H, m, section = stabilizer_and_section(g, {0, 1})
     assert H.members == frozenset({0})
     assert m == 1 and section == (0, 1)
 
@@ -76,32 +74,34 @@ def test_stabilizer_cyclic3_n2():
 def test_full_tuple_stabilized_by_everything():
     for spec in GROUPS:
         g = build_group(spec)
-        ts = tuple_space(g, g.order)
-        H, m, _ = stabilizer_and_section(ts, frozenset(range(g.order)))
+        H, m, _ = stabilizer_and_section(g, frozenset(range(g.order)))
         assert H.members == frozenset(range(g.order))
         assert m == 0
-        assert orbit_of(ts, frozenset(range(g.order))) == [frozenset(range(g.order))]
+        assert orbit_of(g, frozenset(range(g.order))) == [frozenset(range(g.order))]
 
 
 def test_orbit_cyclic3_n2_is_everything():
     g = build_group(("cyclic", 3))
-    ts = tuple_space(g, 2)
-    assert orbit_of(ts, {0, 1}) == [frozenset({0, 1}), frozenset({0, 2})]
+    assert orbit_of(g, {0, 1}) == [frozenset({0, 1}), frozenset({0, 2})]
 
 
 def test_orbit_cyclic4_half_tuple_is_fixed():
     g = build_group(("cyclic", 4))
-    ts = tuple_space(g, 2)
-    assert orbit_of(ts, {0, 2}) == [frozenset({0, 2})]
+    assert orbit_of(g, {0, 2}) == [frozenset({0, 2})]
 
 
 def test_tuple_not_in_space():
     g = build_group(("cyclic", 4))
-    ts = tuple_space(g, 2)
     with pytest.raises(TupleNotInSpace):
-        stabilizer_and_section(ts, {1, 2})
+        stabilizer_and_section(g, {1, 2})
     with pytest.raises(TupleNotInSpace):
-        orbit_of(ts, {0, 1, 2})
+        stabilizer_and_section(g, {0, 4})
+    with pytest.raises(TupleNotInSpace):
+        orbit_of(g, {1, 2})
+    with pytest.raises(TupleNotInSpace):
+        orbit_of(g, {0, 4})
+    with pytest.raises(TupleNotInSpace):
+        tuple_space(g, 2).index_of({0, 1, 2})
 
 
 def test_section_tiles_tuple_by_cosets():
@@ -110,7 +110,7 @@ def test_section_tiles_tuple_by_cosets():
         for n in range(1, g.order + 1):
             ts = tuple_space(g, n)
             for tau in ts.tuples:
-                H, m, xs = stabilizer_and_section(ts, tau)
+                H, m, xs = stabilizer_and_section(g, tau)
                 assert xs[0] == 0
                 cosets = [frozenset(g.mul(h, x) for h in H.members) for x in xs]
                 assert len(cosets) == m + 1
@@ -140,7 +140,7 @@ def test_groupoid_stabilizer_equals_tuple_stabilizer():
             gr = translation_groupoid(ts.lt)
             for tau in ts.tuples:
                 i = ts.index_of(tau)
-                H, _, _ = stabilizer_and_section(ts, tau)
+                H, _, _ = stabilizer_and_section(g, tau)
                 iso = frozenset(
                     a for a in g.elements() if ts.lt.maps[a].get(i) == i
                 )
@@ -154,3 +154,21 @@ def test_lt_translation_matches_set_translation():
         for a in g.elements():
             if g.inv(a) in tau:
                 assert ts.tuples[ts.lt.theta(a, ts.index_of(tau))] == translate(g, a, tau)
+
+
+def test_orbit_size_times_stabilizer_order_is_tuple_size():
+    for spec in GROUPS:
+        g = build_group(spec)
+        for n in range(1, g.order + 1):
+            for tau in tuple_space(g, n).tuples:
+                orbit = orbit_of(g, tau)
+                assert orbit == sorted(orbit, key=sorted) and tau in orbit
+                assert len(orbit) * stabilizer_and_section(g, tau)[0].order == n
+
+
+def test_tuple_space_checks_closed_form_orbits(monkeypatch):
+    import partact.tuples
+
+    monkeypatch.setattr(partact.tuples, "orbit_of", lambda group, tau: [frozenset(tau)])
+    with pytest.raises(AssertionError, match="closed-form orbit"):
+        tuple_space(build_group(("cyclic", 3)), 2)
