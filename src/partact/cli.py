@@ -426,9 +426,9 @@ def _cmd_grid(args) -> int:
         }
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write("restart\tresidual\tbest\n")
-                for restart, res_f, best_f in trace:
-                    fh.write(f"{restart}\t{res_f:.9g}\t{best_f:.9g}\n")
+                fh.write("restart\tresidual\tbest\tsweeps\n")
+                for restart, res_f, best_f, ran in trace:
+                    fh.write(f"{restart}\t{res_f:.9g}\t{best_f:.9g}\t{ran}\n")
             payload["traceFile"] = args.trace
     _emit(payload)
     return 0

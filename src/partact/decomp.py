@@ -84,19 +84,26 @@ def _domain_intersection(pa: PartialAction, tau) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Stratification:
-    """Invariant strata X_{=k} = {x : |tau(x)| = k} and the extension chain.
-
-    ``chain[k]`` (k >= 2, only for nonempty X_{=k} unless padded) holds the
-    triple (ideal, total, quotient) = restrictions to X_{=k}, X_{<=k},
-    X_{<=k-1}.  Empty strata are retained as empty extensions.
-    """
+    """Invariant strata X_{=k} = {x : |tau(x)| = k}, with their extension chain
+    built on demand by :meth:`extension`."""
 
     pa: PartialAction
     strata: Mapping[int, frozenset[int]]
-    chain: Mapping[int, tuple[PartialAction, PartialAction, PartialAction]]
 
     def stratum(self, k: int) -> frozenset[int]:
         return self.strata.get(k, frozenset())
+
+    def extension(self, k: int) -> tuple[PartialAction, PartialAction, PartialAction]:
+        """(ideal, total, quotient): the restrictions to X_{=k}, X_{<=k} and
+        X_{<=k-1}, for 2 <= k <= |G|; an empty stratum gives an empty ideal."""
+        if not (2 <= k <= self.pa.group.order):
+            raise DecompositionError(f"k must be in 2..{self.pa.group.order}, got {k}")
+        below = frozenset().union(*(self.stratum(i) for i in range(1, k)))
+        return (
+            restricted_to(self.pa, self.stratum(k)),
+            restricted_to(self.pa, below | self.stratum(k)),
+            restricted_to(self.pa, below),
+        )
 
 
 def stratification(pa: PartialAction) -> Stratification:
@@ -108,19 +115,9 @@ def stratification(pa: PartialAction) -> Stratification:
     for g, x, y in gr.arrows:
         if len(pa.domain_tuple(x)) != len(pa.domain_tuple(y)):
             raise AssertionError("an arrow crosses strata; equivariance is broken")
-    below: frozenset[int] = strata[1]
-    chain = {}
-    for k in range(2, order + 1):
-        current = below | strata[k]
-        chain[k] = (
-            restricted_to(pa, strata[k]),
-            restricted_to(pa, current),
-            restricted_to(pa, below),
-        )
-        below = current
-    if below != pa.carrier:
+    if frozenset().union(*strata.values()) != pa.carrier:
         raise AssertionError("strata do not exhaust the carrier")
-    return Stratification(pa, strata, chain)
+    return Stratification(pa, strata)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ nonexistence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -110,27 +111,64 @@ def derived_numeric_towers(ga: GridAction, levels: Sequence[Mapping[int, Fractio
     return NumericTowers(len(levels) - 1, values)
 
 
-def check_admissible(ga: GridAction, towers: NumericTowers) -> None:
-    """Domains, [0, 1] bounds, and the Lipschitz band; raises on violation."""
+def _layout(ga: GridAction) -> tuple[list[int], dict[int, int], np.ndarray, np.ndarray]:
+    """Sorted grid points, their positions, src[g, z], the position of
+    theta_{g^-1}(z) for z in X_g (-1 off the domain), and the edges as a
+    (2, |edges|) array of positions."""
     pa = ga.pa
-    band = ga.band
+    points = sorted(pa.carrier)
+    index = {x: i for i, x in enumerate(points)}
+    src = np.full((pa.group.order, len(points)), -1, dtype=np.int64)
+    for g in pa.group.elements():
+        ginv = pa.group.inv(g)
+        for z in pa.domain(g):
+            src[g, index[z]] = index[pa.theta(ginv, z)]
+    edges = np.array([[index[x] for x, _ in ga.edges], [index[y] for _, y in ga.edges]], dtype=np.int64)
+    return points, index, src, edges
+
+
+def _int_dtype(bound: int):
+    """int64 while every intermediate stays below the bound < 2^62, else Python ints."""
+    return np.int64 if bound < 1 << 62 else object
+
+
+def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray, int]:
+    """Domains, [0, 1] bounds, and the Lipschitz band; raises on violation.
+
+    Returns the values as integers over their common denominator D_t: the
+    array T[g, j, i] = D_t * f_{g,j}(x_i) over the sorted grid points x_i,
+    and D_t.
+    """
+    pa = ga.pa
+    _, index, _, (ex, ey) = _layout(ga)
+    entries = []
     for (g, j), tower in towers.values.items():
         if g not in pa.group.elements() or not (0 <= j <= towers.d):
             raise ShapeMismatch(f"tower index ({g}, {j}) does not fit the action")
+        dom = pa.domain(g)
         for x, v in tower.items():
             if x not in pa.carrier:
                 raise ShapeMismatch(f"tower ({g}, {j}) uses unknown grid point {x}")
-            if x not in pa.domain(g) and v != 0:
+            num, den = v.numerator, v.denominator
+            if x not in dom and num:
                 raise GridError(f"tower ({g}, {j}) has mass off its domain at {x}")
-            if not (0 <= v <= 1):
+            if not (0 <= num <= den):
                 raise GridError(f"tower ({g}, {j}) leaves [0, 1] at {x}")
-    for g in pa.group.elements():
-        for j in range(towers.d + 1):
-            for x, y in ga.edges:
-                if abs(towers.value(g, j, x) - towers.value(g, j, y)) > band:
-                    raise GridError(
-                        f"tower ({g}, {j}) violates the Lipschitz band on edge ({x}, {y})"
-                    )
+            if num:
+                entries.append((g, j, index[x], num, den))
+    scale = math.lcm(*{e[4] for e in entries})
+    band = ga.band
+    dtype = _int_dtype(scale * max(abs(band.numerator), band.denominator))
+    T = np.zeros((pa.group.order, towers.d + 1, len(index)), dtype=dtype)
+    if entries:
+        gs, js, xs, nums, dens = zip(*entries)
+        T[gs, js, xs] = [n * (scale // q) for n, q in zip(nums, dens)]
+    over = np.abs(T[:, :, ex] - T[:, :, ey]) * band.denominator > band.numerator * scale
+    if over.any():
+        g, j, e = np.unravel_index(np.argmax(over), over.shape)
+        x, y = ga.edges[e]
+        raise GridError(f"tower ({g}, {j}) violates the Lipschitz band on edge ({x}, {y})")
+    return T, scale
 
 
 def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[int, Fraction]]) -> Fraction:
@@ -140,45 +178,43 @@ def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[
     restrictions of the family and a in the family; (2) per-level
     orthogonality against a; (3) the witnessed partition of unity.  The
     commutator condition vanishes identically on commutative carriers.
+
+    Every term is a product of nonnegative factors that vary independently,
+    so the family enters only through wmax(z) = max_a |a(z)|: condition (1)
+    is |f_h(y) - f_gh(z)| wmax(y) wmax(z) at z = theta_g(y), (2) the product
+    of the two largest f_g(z) at one level times wmax(z), and (3)
+    |sum f(z) - 1| wmax(z).  All three are evaluated on integers over the
+    common denominators D_t of the towers and D_w of the family.
     """
-    check_admissible(ga, towers)
-    pa = ga.pa
-    G = pa.group
-    worst = F1(0)
+    T, scale = check_admissible(ga, towers)
+    G = ga.pa.group
+    _, index, src, _ = _layout(ga)
+    wscale = math.lcm(*{v.denominator for a in witnesses for x, v in a.items() if x in index})
+    wmax = [0] * len(index)
     for a in witnesses:
-        for z in pa.carrier:
-            az = abs(a.get(z, F1(0)))
-            if az == 0:
-                continue
-            total = sum(
-                towers.value(g, j, z)
-                for g in G.elements()
-                for j in range(towers.d + 1)
-            )
-            worst = max(worst, abs(total - 1) * az)
-            for j in range(towers.d + 1):
-                vals = sorted(
-                    (towers.value(g, j, z) for g in G.elements()), reverse=True
-                )
-                if len(vals) >= 2:
-                    worst = max(worst, vals[0] * vals[1] * az)
-    for g in G.elements():
-        ginv = G.inv(g)
-        dom_src = pa.domain(ginv)
-        for xt in witnesses:
-            for a in witnesses:
-                for z in pa.domain(g):
-                    y = pa.theta(ginv, z)
-                    wit = abs(xt.get(y, F1(0))) * abs(a.get(z, F1(0)))
-                    if wit == 0:
-                        continue
-                    for h in G.elements():
-                        gh = G.mul(g, h)
-                        for j in range(towers.d + 1):
-                            gap = abs(towers.value(h, j, y) - towers.value(gh, j, z))
-                            if gap:
-                                worst = max(worst, gap * wit)
-    return worst
+        for x, v in a.items():
+            i = index.get(x)
+            if i is not None:
+                wmax[i] = max(wmax[i], abs(v.numerator) * (wscale // v.denominator))
+    top = max(max(wmax, default=0), 1)
+    dtype = _int_dtype(scale * top * max(scale, top, T.shape[0] * T.shape[1] + 1))
+    T, W = T.astype(dtype), np.array(wmax, dtype=dtype)
+    partition = (np.abs(T.sum(axis=(0, 1)) - scale) * W).max(initial=0)
+    orthogonality = 0
+    if G.order >= 2:
+        pair = np.sort(T, axis=0)[-2:]
+        orthogonality = (pair[0] * pair[1] * W).max(initial=0)
+    gs, zs = np.nonzero(src >= 0)
+    ys = src[gs, zs]
+    Tl = T.transpose(1, 0, 2)  # (level, h, point)
+    mul = np.array(G.table, dtype=np.int64)
+    gap = np.abs(Tl[:, :, ys] - Tl[:, mul[gs].T, zs])
+    equivariance = (gap * (W[ys] * W[zs])).max(initial=0)
+    return max(
+        F1(int(equivariance), scale * wscale * wscale),
+        F1(int(orthogonality), scale * scale * wscale),
+        F1(int(partition), scale * wscale),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +448,8 @@ def search_towers(
     Lipschitz band, per-level orthogonalization (softly at first, frozen in
     a polish phase), and the sum-to-one rows.  Deterministic in the seed;
     stops early when the exact residual reaches eps.  Never claims
-    nonexistence.
+    nonexistence.  Each restart appends (restart, residual, best residual,
+    sweeps run) to ``trace``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -424,19 +461,16 @@ def search_towers(
     band = float(exact_band)
     pa = ga.pa
     G = pa.group
-    points = sorted(pa.carrier)
+    points, index, src, (ex, ey) = _layout(ga)
     P = len(points)
-    index = {x: i for i, x in enumerate(points)}
     levels = d + 1
-
-    src = np.full((G.order, P), -1, dtype=np.int64)
-    for g in G.elements():
-        ginv = G.inv(g)
-        for z in pa.domain(g):
-            src[g, index[z]] = index[pa.theta(ginv, z)]
     in_mask = src >= 0
     src_clip = np.clip(src, 0, None)
     counts = in_mask.sum(axis=0) * levels  # row size per point
+    # The sum-to-one update is the same at every level: point src[g, z]
+    # collects the row step at z.  The sum runs g-major, in the order of
+    # np.nonzero, and that order fixes the float result.
+    row_src, row_z = src[in_mask], np.nonzero(in_mask)[1]
 
     # Chains and cycles: maximal runs of adjacent points.
     adj = {x: set() for x in points}
@@ -462,6 +496,19 @@ def search_towers(
     for x in points:
         if x not in seen:
             chain_idx.append((np.array([index[p] for p in walk(x)], dtype=np.int64), True))
+    # One padded row per chain (a cycle tripled, so its middle third sees
+    # both ways round); padding reads column P, which holds +inf.
+    width = max(((3 if cyclic else 1) * len(ci) for ci, cyclic in chain_idx), default=0)
+    window_idx = np.full((len(chain_idx), width), P, dtype=np.int64)
+    chain_dest: list[int] = []
+    chain_take: list[int] = []
+    for r, (ci, cyclic) in enumerate(chain_idx):
+        window = np.concatenate([ci, ci, ci]) if cyclic else ci
+        window_idx[r, : len(window)] = window
+        start = r * width + (len(ci) if cyclic else 0)
+        chain_dest.extend(ci)
+        chain_take.extend(range(start, start + len(ci)))
+    chain_dest, chain_take = np.array(chain_dest, dtype=np.int64), np.array(chain_take, dtype=np.int64)
 
     # Derived-support caps: a domain point adjacent to an off-domain point
     # forces the corresponding identity-level value under the band.
@@ -479,29 +526,21 @@ def search_towers(
         for x, v in w.items():
             wmax[index[x]] = max(wmax[index[x]], abs(float(v)))
 
+    steps = band * np.arange(width)
+
     def _envelope(vals: np.ndarray) -> np.ndarray:
-        steps = band * np.arange(vals.shape[1])
-        fwd = np.minimum.accumulate(vals - steps, axis=1) + steps
-        bwd = np.minimum.accumulate((vals + steps)[:, ::-1], axis=1)[:, ::-1] - steps
+        fwd = np.minimum.accumulate(vals - steps, axis=-1) + steps
+        bwd = np.minimum.accumulate((vals + steps)[..., ::-1], axis=-1)[..., ::-1] - steps
         return np.minimum(fwd, bwd)
 
     def lipschitz_project(v: np.ndarray) -> np.ndarray:
         """Largest band-Lipschitz function below v, per chain (lower envelope)."""
-        for ci, cyclic in chain_idx:
-            if cyclic:
-                n = len(ci)
-                tripled = np.concatenate([ci, ci, ci])
-                v[:, ci] = _envelope(v[:, tripled])[:, n : 2 * n]
-            else:
-                v[:, ci] = _envelope(v[:, ci])
+        padded = np.concatenate([v, np.full((levels, 1), np.inf)], axis=1)
+        v[:, chain_dest] = _envelope(padded[:, window_idx]).reshape(levels, -1)[:, chain_take]
         return v
 
     def lipschitz_ok(v: np.ndarray) -> bool:
-        for ci, cyclic in chain_idx:
-            vals = v[:, ci] if not cyclic else v[:, np.concatenate([ci, ci[:1]])]
-            if np.any(np.abs(np.diff(vals, axis=1)) > band + 1e-12):
-                return False
-        return True
+        return not np.any(np.abs(v[:, ex] - v[:, ey]) > band + 1e-12)
 
     def gather(v: np.ndarray) -> np.ndarray:
         # towers[g, j, z] = v[j, src[g, z]] masked to domains
@@ -520,40 +559,43 @@ def search_towers(
             r2 = 0.0
         return max(r2, r3)
 
-    exact_cap = {points[i]: F1(1) for i in range(P)}
-    for i in range(P):
-        if cap[i] < 1.0:
-            exact_cap[points[i]] = exact_band
-    edge_list = list(ga.edges)
+    def damping(winner: np.ndarray, shrink: float) -> np.ndarray:
+        """shrink at every source of a non-winning incoming value, 1 elsewhere."""
+        losers = (np.arange(G.order)[None, :, None] != winner[:, None, :]) & in_mask[None]
+        js, gs, zs = np.nonzero(losers)
+        damp = np.ones((levels, P))
+        damp[js, src_clip[gs, zs]] = shrink
+        return damp
+
+    # Exact candidates are integers over denom = lcm(2^20, band denominator);
+    # the cap is the band wherever the float cap binds.
+    denom = math.lcm(1 << 20, exact_band.denominator)
+    exact_step = exact_band.numerator * (denom // exact_band.denominator)
+    int_dtype = _int_dtype(denom + abs(exact_step))
+    exact_cap = np.full(P, denom, dtype=int_dtype)
+    exact_cap[cap < 1.0] = exact_step
 
     def to_towers(v: np.ndarray) -> NumericTowers:
         """Exact-rational candidate: floor to a dyadic grid, then repair.
 
         Flooring keeps box and cap constraints; a shortest-path style
         relaxation then restores the Lipschitz band exactly (values only
-        decrease, so box and caps survive).
+        decrease, so box and caps survive).  The relaxation's fixed point is
+        the largest band-respecting function below the floor, whatever the
+        order of the edge updates.
         """
-        scale = 1 << 20
-        level_maps: list[dict[int, Fraction]] = []
-        for j in range(levels):
-            func = {}
-            for i in range(P):
-                val = F1(int(v[j, i] * scale), scale)
-                val = min(max(val, F1(0)), F1(1), exact_cap[points[i]])
-                func[points[i]] = val
-            changed = True
-            while changed:
-                changed = False
-                for x, y in edge_list:
-                    hi = func[x] + exact_band
-                    if func[y] > hi:
-                        func[y] = hi
-                        changed = True
-                    hi = func[y] + exact_band
-                    if func[x] > hi:
-                        func[x] = hi
-                        changed = True
-            level_maps.append({p: val for p, val in func.items() if val > 0})
+        scaled = (v * (1 << 20)).astype(np.int64).astype(int_dtype) * (denom >> 20)
+        f = np.minimum(scaled, exact_cap[None, :])
+        while True:
+            before = f.copy()
+            np.minimum.at(f, (slice(None), ey), f[:, ex] + exact_step)
+            np.minimum.at(f, (slice(None), ex), f[:, ey] + exact_step)
+            if np.array_equal(f, before):
+                break
+        level_maps = [
+            {points[i]: F1(int(f[j, i]), denom) for i in np.flatnonzero(f[j] > 0)}
+            for j in range(levels)
+        ]
         return derived_numeric_towers(ga, level_maps)
 
     best_res: Optional[Fraction] = None
@@ -569,44 +611,26 @@ def search_towers(
             v[j] = np.interp(xs, np.linspace(0, 1, len(anchors)), anchors)
         v = np.clip(v, 0.0, 1.0)
 
-        frozen_pattern = None
+        polish_damp = None
         total_sweeps = sweeps + polish_sweeps
         last = np.inf
+        it = -1
         for it in range(total_sweeps):
             polishing = it >= sweeps
             # Orthogonalization: per (level, point) damp all but the largest
-            # incoming value.
-            t = v[:, src_clip]  # (levels, G, P)
-            t = np.where(in_mask[None, :, :], t, -1.0)
-            winner = np.argmax(t, axis=1)  # (levels, P)
-            if polishing and frozen_pattern is None:
-                frozen_pattern = winner.copy()
-            if polishing:
-                winner = frozen_pattern
-            shrink = 0.0 if polishing else 0.35
-            damp = np.ones((levels, P))
-            for j in range(levels):
-                losers_src = np.where(
-                    (np.arange(G.order)[:, None] != winner[j][None, :]) & in_mask,
-                    src_clip,
-                    -1,
-                )
-                flat = losers_src[losers_src >= 0]
-                if len(flat):
-                    mult = np.ones(P)
-                    np.minimum.at(mult, flat, shrink)
-                    damp[j] *= mult
+            # incoming value; the polish phase freezes the winners it starts
+            # with and zeroes the rest.
+            damp = polish_damp
+            if damp is None:
+                t = np.where(in_mask[None, :, :], v[:, src_clip], -1.0)  # (levels, G, P)
+                damp = damping(np.argmax(t, axis=1), 0.0 if polishing else 0.35)
+                if polishing:
+                    polish_damp = damp
             v *= damp
             # Sum-to-one rows (simultaneous Kaczmarz step).
-            t = gather(v)
-            total = t.sum(axis=(0, 1))
+            total = gather(v).sum(axis=(0, 1))
             delta = (1.0 - total) / np.maximum(counts, 1)
-            upd = np.zeros_like(v)
-            for g in G.elements():
-                valid = in_mask[g]
-                for j in range(levels):
-                    np.add.at(upd[j], src_clip[g][valid], delta[valid])
-            v += 1.0 * upd
+            v += np.bincount(row_src, weights=delta[row_z], minlength=P)
             # Hard constraints: box, caps, Lipschitz band.
             v = np.clip(v, 0.0, 1.0)
             v = np.minimum(v, cap[None, :])
@@ -623,7 +647,7 @@ def search_towers(
         if best_res is None or res < best_res:
             best_res, best_towers = res, candidate
         if trace is not None:
-            trace.append((restart, float(res), float(best_res)))
+            trace.append((restart, float(res), float(best_res), it + 1))
         if best_res <= eps:
             break
     assert best_towers is not None

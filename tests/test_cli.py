@@ -337,8 +337,9 @@ def test_cli_grid_circle_search_with_trace(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert "bestResidual" in out
     lines = trace.read_text().strip().splitlines()
-    assert lines[0].split("\t") == ["restart", "residual", "best"]
+    assert lines[0].split("\t") == ["restart", "residual", "best", "sweeps"]
     assert len(lines) >= 2
+    assert all(0 < int(line.split("\t")[3]) <= 160 + 1400 for line in lines[1:])
 
 
 def test_cli_check_small(capsys):

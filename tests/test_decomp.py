@@ -4,6 +4,7 @@ import time
 import pytest
 
 from partact.decomp import (
+    DecompositionError,
     EmptyStratum,
     NotDecomposable,
     PointOutOfRange,
@@ -55,12 +56,15 @@ def test_stratification_swap_pair(swap_pair):
     s = stratification(swap_pair)
     assert s.stratum(2) == frozenset({0, 1})
     assert s.stratum(1) == frozenset({2})
-    ideal, total, quotient = s.chain[2]
+    ideal, total, quotient = s.extension(2)
     assert ideal.carrier == frozenset({0, 1})
     assert total.carrier == swap_pair.carrier
     assert quotient.carrier == frozenset({2})
     # Reassembly: the top of the chain is the input.
     assert total.domains == swap_pair.domains and total.maps == swap_pair.maps
+    for k in (1, 3):
+        with pytest.raises(DecompositionError, match="k must be in 2..2"):
+            s.extension(k)
 
 
 def test_stratification_single_stratum():

@@ -235,7 +235,7 @@ def reference_bimodule_clauses(pa, alg):
     crossed product term by term; the span dimension is the rational rank of
     all nonzero <delta_a, delta_b>.
     """
-    from partact.rational import rank
+    from fraction_reference import rank
 
     index = {b: i for i, b in enumerate(alg.basis)}
     points = sorted(pa.carrier)

@@ -1,6 +1,6 @@
-"""Tests for the exact rational linear algebra support module."""
+"""Tests for the Fraction row reduction behind the test-side references."""
 
-from partact.rational import rank, rref
+from fraction_reference import rank, rref
 
 
 def test_rref_identity():
