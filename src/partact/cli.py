@@ -44,7 +44,6 @@ from .pactions import (
     central_splitting,
     freeness_witness,
     globalize,
-    is_free,
     translation_groupoid,
     validate,
 )
@@ -225,6 +224,7 @@ def analyze(pa: PartialAction, seed: int = 0) -> dict:
     strata = stratification(pa)
     tuple_sizes = {len(pa.domain_tuple(x)) for x in pa.carrier}
     decomposable_n = tuple_sizes.pop() if len(tuple_sizes) == 1 else None
+    witness = freeness_witness(pa)
     report: dict = {
         "schemaVersion": SCHEMA_VERSION,
         "toolVersion": __version__,
@@ -233,8 +233,8 @@ def analyze(pa: PartialAction, seed: int = 0) -> dict:
         "group": {"name": pa.group.name, "order": pa.group.order},
         "carrierSize": pa.size(),
         "freeness": {
-            "free": is_free(pa),
-            "witness": list(freeness_witness(pa)) if freeness_witness(pa) else None,
+            "free": witness is None,
+            "witness": None if witness is None else list(witness),
         },
         "orbits": {
             "count": len(gr.orbits),
@@ -257,7 +257,7 @@ def analyze(pa: PartialAction, seed: int = 0) -> dict:
             f"block routes disagree: {numeric.algebra.blocks} vs {combinatorial.blocks}"
         )
     fp = fixed_point_algebra(pa)
-    bimodule = imprimitivity_bimodule_verify(pa, seed=seed, crossed=cp)
+    bimodule = imprimitivity_bimodule_verify(pa, crossed=cp)
     report["crossedProduct"] = {
         "dimension": cp.dimension,
         "blocks": list(numeric.algebra.blocks),

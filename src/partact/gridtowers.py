@@ -552,7 +552,7 @@ def search_towers(
         total = t.sum(axis=(0, 1))
         r3 = float(np.max(np.abs(total - 1.0) * wmax)) if P else 0.0
         flat = np.sort(t, axis=0)
-        if flat.shape[0] >= 2:
+        if flat.shape[0] >= 2 and P:
             prod = flat[-1] * flat[-2]
             r2 = float(np.max(prod * wmax[None, :]))
         else:

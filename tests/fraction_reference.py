@@ -6,9 +6,12 @@ faster route replaced; tests compare the two.
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from partact.fdcstar import inner_product_fixed
 from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch
 
 Row = list[Fraction]
@@ -104,3 +107,109 @@ def reference_residual(
                             if gap:
                                 worst = max(worst, gap * wit)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# The crossed-product inner product, and the sampled positivity test that the
+# identity e* = e, e e = x_alpha e replaced in imprimitivity_bimodule_verify.
+# ---------------------------------------------------------------------------
+
+CPElement = dict[tuple[int, int], Fraction]
+
+
+def inner_product_crossed(pa, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> CPElement:
+    """<x, y> in the crossed product: sum_g x* alpha_g(y 1_{g^-1}) u_g."""
+    G = pa.group
+    out: CPElement = {}
+    for g in G.elements():
+        ginv = G.inv(g)
+        for z in pa.domain(g):
+            v = x.get(z, Fraction(0)) * y.get(pa.theta(ginv, z), Fraction(0))
+            if v != 0:
+                out[(g, z)] = v
+    return out
+
+
+def right_action(pa, x: Mapping[int, Fraction], xi: CPElement) -> dict[int, Fraction]:
+    """x . xi = sum_g alpha_{g^-1}(x xi(g)), a function on the carrier."""
+    G = pa.group
+    out: dict[int, Fraction] = {}
+    for (g, z), c in xi.items():
+        v = x.get(z, Fraction(0)) * c
+        if v != 0:
+            w = pa.theta(G.inv(g), z)
+            out[w] = out.get(w, Fraction(0)) + v
+    return {p: v for p, v in out.items() if v != 0}
+
+
+def is_psd_rational(M: Sequence[Sequence[int]]) -> bool:
+    """Exact positive semidefiniteness of a symmetric integer matrix.
+
+    Pivoted elimination, fraction-free: row i holds r_i > 0 times its Schur
+    complement row, which keeps every sign and zero test exact, and each
+    updated row is divided by the gcd of its entries.
+    """
+    A = [list(row) for row in M]
+    active = list(range(len(A)))
+    while active:
+        p = max(active, key=lambda i: A[i][i])
+        pivot = A[p][p]
+        if pivot < 0:
+            return False
+        if pivot == 0:  # the eliminated columns of active rows are zero already
+            return not any(any(A[i]) for i in active)
+        active.remove(p)
+        row_p = A[p]
+        for i in active:
+            row = A[i]
+            f = row[p]
+            if f == 0:
+                continue
+            for j in active:
+                row[j] = row[j] * pivot - f * row_p[j]
+            row[p] = 0
+            g = math.gcd(*(row[j] for j in active))
+            if g > 1:
+                for j in active:
+                    row[j] //= g
+    return True
+
+
+def sampled_positivity(pa, alg) -> bool:
+    """Both inner products positive on |X| + 2 sampled vectors x.
+
+    The family is the point indicators and two random positive functions
+    drawn at seed 0.  For each x, <x, x> in the fixed point algebra is
+    nonnegative and nonzero, and <x, x> in the crossed product ``alg`` is
+    nonzero, self-adjoint, and its left multiplication matrix, scaled to
+    integers, is PSD.
+    """
+    points = sorted(pa.carrier)
+    n = alg.dimension
+    rng = random.Random(0)
+    family = [{p: Fraction(1)} for p in points]
+    for _ in range(2):
+        family.append({p: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for p in points})
+    index = {b: i for i, b in enumerate(alg.basis)}
+    positivity = True
+    for x in family:
+        fixed_val = inner_product_fixed(pa, x, x)
+        if any(v < 0 for v in fixed_val.values()) or (x and not fixed_val):
+            positivity = False
+        cp_val = inner_product_crossed(pa, x, x)
+        if x and not cp_val:
+            positivity = False
+        as_indices = {index[k]: v for k, v in cp_val.items()}
+        adjoint = {alg.star[i]: v for i, v in as_indices.items()}
+        if adjoint != as_indices:
+            positivity = False  # <x,x> must be self-adjoint
+        scale = math.lcm(*(v.denominator for v in as_indices.values()))
+        M = [[0] * n for _ in range(n)]
+        for j, v in as_indices.items():
+            w = int(v * scale)
+            for i, k in enumerate(alg.product[j]):
+                if k >= 0:
+                    M[k][i] += w
+        if M != [list(col) for col in zip(*M)] or not is_psd_rational(M):
+            positivity = False
+    return positivity

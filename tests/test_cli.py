@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from partact.cli import (
     ParseError,
     ValidationError,
+    _emit,
     analyze,
     instance_digest,
     main,
@@ -14,6 +16,9 @@ from partact.cli import (
     parse_instance_with_labels,
     serialize_instance,
 )
+from partact.groups import build_group
+from partact.harness import corpus
+from partact.pactions import global_action
 
 SWAP_PAIR_DOC = {
     "group": {"family": "cyclic", "n": 2},
@@ -198,6 +203,28 @@ def test_analyze_idle_triple(idle_triple):
 
 def test_analyze_deterministic(swap_pair):
     assert analyze(swap_pair, seed=3) == analyze(swap_pair, seed=3)
+
+
+def _regular_s4_action():
+    G = build_group(("symmetric", 4))
+    pts = range(G.order)
+    return [global_action(G, pts, {g: {x: G.mul(g, x) for x in pts} for g in G.elements()})]
+
+
+@pytest.mark.parametrize(
+    "instances, digest",
+    [
+        (lambda: corpus(20260808, 100), "4cbabd17874db3c0424192cfbe864a5c7e99805932a75698a15defe108f58de3"),
+        (_regular_s4_action, "367ad595d618942a68cccbe185ef690950dfb0117a2986940ce009591963e663"),
+    ],
+    ids=["corpus", "regular-s4"],
+)
+def test_default_analyze_output_is_pinned(instances, digest, capsys):
+    """The default report is byte-identical: sha256 of everything `partact
+    analyze` prints, instance after instance, at the default seed."""
+    for pa in instances():
+        _emit(analyze(pa))
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_validate_and_analyze(tmp_path, capsys):

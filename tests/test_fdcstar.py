@@ -5,6 +5,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from fraction_reference import (
+    inner_product_crossed,
+    is_psd_rational,
+    right_action,
+    sampled_positivity,
+)
 
 import partact
 from partact.fdcstar import (
@@ -12,7 +18,6 @@ from partact.fdcstar import (
     FDCStarAlgebra,
     StructureConstantStarAlgebra,
     _center_basis,
-    _is_psd_rational,
     block_structure,
     block_structure_full,
     crossed_product,
@@ -21,10 +26,8 @@ from partact.fdcstar import (
     fixed_point_algebra,
     group_algebra,
     imprimitivity_bimodule_verify,
-    inner_product_crossed,
     isomorphic,
     morita_equivalent,
-    right_action,
 )
 from partact.groups import build_group
 from partact.pactions import (
@@ -299,6 +302,33 @@ def test_bimodule_index_tables_match_fraction_reference(swap_pair, fixed_single,
         assert report == imprimitivity_bimodule_verify(pa)
 
 
+def test_positivity_identity_matches_sampled_reference(swap_pair, fixed_single, idle_triple):
+    for pa in _differential_instances(swap_pair, fixed_single, idle_triple):
+        alg = crossed_product(pa)
+        report = imprimitivity_bimodule_verify(pa, crossed=alg)
+        assert report.positivity == sampled_positivity(pa, alg)
+        assert report.positivity
+
+
+def test_positivity_fails_on_a_corrupted_product_entry(swap_pair):
+    alg = crossed_product(swap_pair)
+    for i, j in [(0, 0), (0, 1)]:  # a nonzero entry, and a vanishing one
+        product = [list(row) for row in alg.product]
+        product[i][j] = (product[i][j] + 1) % alg.dimension
+        # replace skips check_invariants, which would reject the table.
+        tampered = replace(alg, product=tuple(map(tuple, product)))
+        assert not imprimitivity_bimodule_verify(swap_pair, crossed=tampered).positivity
+        assert not sampled_positivity(swap_pair, tampered)
+
+
+def test_positivity_fails_when_star_is_not_a_permutation(swap_pair):
+    alg = crossed_product(swap_pair)
+    tampered = replace(alg, star=(alg.star[0],) * alg.dimension)
+    report = imprimitivity_bimodule_verify(swap_pair, crossed=tampered)
+    assert not report.positivity and not sampled_positivity(swap_pair, tampered)
+    assert report.compatibility and report.right_fullness
+
+
 def test_bimodule_swapped_basis_labels_break_compatibility(swap_pair):
     alg = crossed_product(swap_pair)
     basis = list(alg.basis)
@@ -381,4 +411,4 @@ def test_crossed_product_of_regular_s4_action_fits_in_memory():
     ],
 )
 def test_is_psd_rational(matrix, psd):
-    assert _is_psd_rational(matrix) is psd
+    assert is_psd_rational(matrix) is psd

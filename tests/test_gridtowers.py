@@ -20,6 +20,8 @@ from partact.gridtowers import (
     search_towers,
     witness_bound,
 )
+from partact.groups import build_group
+from partact.pactions import trivial_partial_action
 from partact.rokhlin import towers_exist
 
 F = Fraction
@@ -128,6 +130,15 @@ def test_search_embeds_exact_cover_instance(swap_pair):
     ga, _, family = embed_certificate(swap_pair, cert.levels)
     towers, res = search_towers(ga, family, F(0), 0, seed=2, restarts=20)
     assert res == 0
+
+
+def test_search_on_an_empty_carrier():
+    """No points: the float residual has no axis to maximise over."""
+    empty = trivial_partial_action(build_group(("cyclic", 2)), [])
+    ga, _, witnesses = embed_certificate(empty, [{}])
+    towers, res = search_towers(ga, witnesses, 0, 0, restarts=1, sweeps=30, polish_sweeps=0)
+    assert res == 0
+    assert towers.d == 0
 
 
 @pytest.mark.parametrize(

@@ -229,9 +229,16 @@ def test_tuple_map_equivariance_on_corpus():
 
 
 def test_globalize_round_trip_on_corpus():
+    """The envelope has one G-orbit G/Stab(x) per groupoid orbit, x in it.
+
+    The size is read from the translation groupoid, not from the quotient
+    construction that globalize runs.
+    """
     for pa in corpus(12, base_seed=100):
         res = globalize(pa)
-        assert res.envelope.size() <= pa.group.order * max(pa.size(), 1)
+        gr = translation_groupoid(pa)
+        expected = sum(pa.group.order // gr.stabilizers[min(o)].order for o in gr.orbits)
+        assert res.envelope.size() == expected
         emb = res.embedding
         back = restricted_to(res.envelope, frozenset(emb.values()))
         assert back.size() == pa.size()
