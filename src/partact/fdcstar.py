@@ -320,20 +320,6 @@ def isomorphic(a: FDCStarAlgebra, b: FDCStarAlgebra) -> bool:
 Func = dict[int, Fraction]
 
 
-def inner_product_fixed(pa: PartialAction, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> Func:
-    """<x, y> in the fixed point algebra: sum_g alpha_g(x y* 1_{g^-1})."""
-    G = pa.group
-    out: Func = {}
-    for g in G.elements():
-        ginv = G.inv(g)
-        for z in pa.domain(g):
-            w = pa.theta(ginv, z)
-            v = x.get(w, Fraction(0)) * y.get(w, Fraction(0))
-            if v != 0:
-                out[z] = out.get(z, Fraction(0)) + v
-    return {p: v for p, v in out.items() if v != 0}
-
-
 def is_fixed_element(pa: PartialAction, x: Mapping[int, Fraction]) -> bool:
     """Membership in A^alpha: constant along every groupoid arrow."""
     return all(
@@ -378,7 +364,11 @@ def imprimitivity_bimodule_verify(
 
     Checks: the domain-count function x_alpha is bounded below by one and
     fixed (it is central in the commutative coefficient algebra, so that is
-    not checked); left fullness through the reciprocal of x_alpha.  Basis
+    not checked).  Left fullness follows from x_alpha being fixed: the
+    fixed-point inner product <1_O, 1/x_alpha>(z) sums 1_O(w)/x_alpha(w)
+    over the x_alpha(z) arrows w -> z, and orbits are closed and x_alpha
+    constant along arrows, so it is 1_O(z); every orbit indicator, hence all
+    of A^alpha, is an inner product.  Basis
     element k is an arrow src(k) -> tgt(k).  Positivity of <x, x> = x* e x,
     where e is the sum of all basis arrows, holds for every x at once when
     two identities hold on the tables: star permutes the basis, so e* = e;
@@ -427,14 +417,6 @@ def imprimitivity_bimodule_verify(
     )
     compatibility = bool(np.array_equal(np.sort(lhs, axis=0), np.sort(rhs, axis=0)))
 
-    # x_alpha >= 1 pointwise, so its reciprocal exists whenever X is nonempty.
-    left_fullness = True
-    reciprocal: Func = {p: Fraction(1) / x_alpha[p] for p in points}
-    for orbit in translation_groupoid(pa).orbits:
-        x = {p: Fraction(1) for p in orbit}
-        if inner_product_fixed(pa, x, reciprocal) != x:
-            left_fullness = False
-
     # The <delta_a, delta_b> are the indicators of the nonempty cells I(a, b).
     # Over distinct basis arrows the cells partition the basis, so those
     # indicators are independent and the span dimension is their count.
@@ -448,7 +430,7 @@ def imprimitivity_bimodule_verify(
         unit_sum_fixed=unit_fixed,
         positivity=positivity,
         compatibility=compatibility,
-        left_fullness=left_fullness,
+        left_fullness=unit_fixed,
         right_fullness=right_fullness,
         span_dimension=span_dim,
         algebra_dimension=n,

@@ -132,6 +132,11 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 1 << 62 else object
 
 
+def _over_band(T: np.ndarray, scale: int, band: Fraction, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Where the table T[g, j, i] over scale steps by more than band: (G, levels, |edges|)."""
+    return np.abs(T[:, :, ex] - T[:, :, ey]) * band.denominator > band.numerator * scale
+
+
 def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray, int]:
     """Domains, [0, 1] bounds, and the Lipschitz band; raises on violation.
 
@@ -163,7 +168,7 @@ def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray,
     if entries:
         gs, js, xs, nums, dens = zip(*entries)
         T[gs, js, xs] = [n * (scale // q) for n, q in zip(nums, dens)]
-    over = np.abs(T[:, :, ex] - T[:, :, ey]) * band.denominator > band.numerator * scale
+    over = _over_band(T, scale, band, ex, ey)
     if over.any():
         g, j, e = np.unravel_index(np.argmax(over), over.shape)
         x, y = ga.edges[e]
@@ -187,8 +192,15 @@ def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[
     common denominators D_t of the towers and D_w of the family.
     """
     T, scale = check_admissible(ga, towers)
-    G = ga.pa.group
     _, index, src, _ = _layout(ga)
+    return _residual_formula(ga, index, src, witnesses)(T, scale)
+
+
+def _residual_formula(ga: GridAction, index: Mapping[int, int], src: np.ndarray, witnesses):
+    """The residual of an admissible table T[g, j, i] over its scale D_t, as a
+    function of (T, D_t); what depends only on the action and the family
+    (wmax over D_w, the arrows z = theta_g(y)) is computed here once."""
+    G = ga.pa.group
     wscale = math.lcm(*{v.denominator for a in witnesses for x, v in a.items() if x in index})
     wmax = [0] * len(index)
     for a in witnesses:
@@ -197,24 +209,28 @@ def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[
             if i is not None:
                 wmax[i] = max(wmax[i], abs(v.numerator) * (wscale // v.denominator))
     top = max(max(wmax, default=0), 1)
-    dtype = _int_dtype(scale * top * max(scale, top, T.shape[0] * T.shape[1] + 1))
-    T, W = T.astype(dtype), np.array(wmax, dtype=dtype)
-    partition = (np.abs(T.sum(axis=(0, 1)) - scale) * W).max(initial=0)
-    orthogonality = 0
-    if G.order >= 2:
-        pair = np.sort(T, axis=0)[-2:]
-        orthogonality = (pair[0] * pair[1] * W).max(initial=0)
     gs, zs = np.nonzero(src >= 0)
     ys = src[gs, zs]
-    Tl = T.transpose(1, 0, 2)  # (level, h, point)
-    mul = np.array(G.table, dtype=np.int64)
-    gap = np.abs(Tl[:, :, ys] - Tl[:, mul[gs].T, zs])
-    equivariance = (gap * (W[ys] * W[zs])).max(initial=0)
-    return max(
-        F1(int(equivariance), scale * wscale * wscale),
-        F1(int(orthogonality), scale * scale * wscale),
-        F1(int(partition), scale * wscale),
-    )
+    ghs = np.array(G.table, dtype=np.int64)[gs].T  # (h, arrow): the element g h
+
+    def evaluate(T: np.ndarray, scale: int) -> Fraction:
+        dtype = _int_dtype(scale * top * max(scale, top, T.shape[0] * T.shape[1] + 1))
+        T, W = T.astype(dtype, copy=False), np.array(wmax, dtype=dtype)
+        partition = (np.abs(T.sum(axis=(0, 1)) - scale) * W).max(initial=0)
+        orthogonality = 0
+        if G.order >= 2:
+            pair = np.sort(T, axis=0)[-2:]
+            orthogonality = (pair[0] * pair[1] * W).max(initial=0)
+        Tl = T.transpose(1, 0, 2)  # (level, h, point)
+        gap = np.abs(Tl[:, :, ys] - Tl[:, ghs, zs])
+        equivariance = (gap * (W[ys] * W[zs])).max(initial=0)
+        return max(
+            F1(int(equivariance), scale * wscale * wscale),
+            F1(int(orthogonality), scale * scale * wscale),
+            F1(int(partition), scale * wscale),
+        )
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +445,12 @@ def embed_certificate(pa: PartialAction, levels: Sequence[Mapping[int, Fraction]
 # ---------------------------------------------------------------------------
 
 
+# Restarts run together in chunks of this many, one (chunk, levels, P) array
+# through one sweep loop.  Larger chunks waste more sweeps past an early stop
+# at eps; smaller ones pay numpy's per-call cost more often.
+RESTART_CHUNK = 16
+
+
 def search_towers(
     ga: GridAction,
     witnesses: Sequence[Mapping[int, Fraction]],
@@ -450,6 +472,12 @@ def search_towers(
     stops early when the exact residual reaches eps.  Never claims
     nonexistence.  Each restart appends (restart, residual, best residual,
     sweeps run) to ``trace``.
+
+    Restarts run in chunks of ``RESTART_CHUNK`` along a leading array axis.
+    Each restart keeps its own seed, its own polish early stop and the float
+    operations of a run on its own, and restarts are scored in order, so the
+    towers, best residual and trace are those of running them one after
+    another.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -466,11 +494,16 @@ def search_towers(
     levels = d + 1
     in_mask = src >= 0
     src_clip = np.clip(src, 0, None)
-    counts = in_mask.sum(axis=0) * levels  # row size per point
+    row_size = np.maximum(in_mask.sum(axis=0) * levels, 1)
     # The sum-to-one update is the same at every level: point src[g, z]
     # collects the row step at z.  The sum runs g-major, in the order of
-    # np.nonzero, and that order fixes the float result.
-    row_src, row_z = src[in_mask], np.nonzero(in_mask)[1]
+    # np.nonzero, and that order fixes the float result.  Restart r of a
+    # chunk adds into bins offset by r P, which keeps each bin's order.
+    row_g, row_z = np.nonzero(in_mask)
+    row_src = src[row_g, row_z]
+    chunk_rows = (np.arange(RESTART_CHUNK)[:, None] * P + row_src).ravel()
+    # The same arrows z -> src[g, z], offset by (restart, level) row.
+    arrow_dest = np.arange(RESTART_CHUNK * levels)[:, None] * P + row_src
 
     # Chains and cycles: maximal runs of adjacent points.
     adj = {x: set() for x in points}
@@ -535,37 +568,80 @@ def search_towers(
 
     def lipschitz_project(v: np.ndarray) -> np.ndarray:
         """Largest band-Lipschitz function below v, per chain (lower envelope)."""
-        padded = np.concatenate([v, np.full((levels, 1), np.inf)], axis=1)
-        v[:, chain_dest] = _envelope(padded[:, window_idx]).reshape(levels, -1)[:, chain_take]
+        padded = np.concatenate([v, np.full(v.shape[:-1] + (1,), np.inf)], axis=-1)
+        v[..., chain_dest] = _envelope(padded[..., window_idx]).reshape(v.shape[:-1] + (-1,))[..., chain_take]
         return v
 
     def lipschitz_ok(v: np.ndarray) -> bool:
         return not np.any(np.abs(v[:, ex] - v[:, ey]) > band + 1e-12)
 
     def gather(v: np.ndarray) -> np.ndarray:
-        # towers[g, j, z] = v[j, src[g, z]] masked to domains
-        t = np.swapaxes(v[:, src_clip], 0, 1)  # (G, levels, P)
-        return np.where(in_mask[:, None, :], t, 0.0)
+        # towers[..., g, j, z] = v[..., j, src[g, z]] masked to domains
+        t = np.swapaxes(v[..., src_clip], -3, -2)  # (..., G, levels, P)
+        return np.where(in_mask[:, None, :], t, 0)
 
-    def float_residual(v: np.ndarray) -> float:
+    def float_residual(v: np.ndarray) -> np.ndarray:
+        """Per restart: the partition and orthogonality terms in floats."""
         t = gather(v)
-        total = t.sum(axis=(0, 1))
-        r3 = float(np.max(np.abs(total - 1.0) * wmax)) if P else 0.0
-        flat = np.sort(t, axis=0)
-        if flat.shape[0] >= 2 and P:
-            prod = flat[-1] * flat[-2]
-            r2 = float(np.max(prod * wmax[None, :]))
-        else:
-            r2 = 0.0
-        return max(r2, r3)
+        res = (np.abs(t.sum(axis=(1, 2)) - 1.0) * wmax).max(axis=-1, initial=0.0)
+        if G.order >= 2:
+            flat = np.sort(t, axis=1)
+            prod = flat[:, -1] * flat[:, -2]
+            res = np.maximum(res, (prod * wmax).max(axis=(1, 2), initial=0.0))
+        return res
 
-    def damping(winner: np.ndarray, shrink: float) -> np.ndarray:
+    def damping(v: np.ndarray, shrink: float) -> np.ndarray:
         """shrink at every source of a non-winning incoming value, 1 elsewhere."""
-        losers = (np.arange(G.order)[None, :, None] != winner[:, None, :]) & in_mask[None]
-        js, gs, zs = np.nonzero(losers)
-        damp = np.ones((levels, P))
-        damp[js, src_clip[gs, zs]] = shrink
+        winner = np.argmax(np.where(in_mask, v[..., src_clip], -1.0), axis=-2)  # (R, levels, P)
+        rows = len(v) * levels
+        lost = (winner[..., row_z] != row_g).reshape(rows, -1)
+        damp = np.ones(v.shape)
+        damp.reshape(-1)[arrow_dest[:rows][lost]] = shrink
         return damp
+
+    def sweep_chunk(v: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+        """Sweep a (R, levels, P) chunk; each restart's final values and sweeps run.
+
+        Orthogonalization: per (level, point) damp all but the largest
+        incoming value; the polish phase freezes the winners it starts with
+        and zeroes the rest.  A polishing restart whose float residual stops
+        falling leaves the chunk with its values at that sweep.
+        """
+        total_sweeps = sweeps + polish_sweeps
+        final: list = [None] * len(v)
+        ran = [total_sweeps] * len(v)
+        active = np.arange(len(v))
+        last = np.full(len(v), np.inf)
+        polish_damp = None
+        for it in range(total_sweeps):
+            polishing = it >= sweeps
+            damp = polish_damp
+            if damp is None:
+                damp = damping(v, 0.0 if polishing else 0.35)
+                if polishing:
+                    polish_damp = damp
+            v *= damp
+            # Sum-to-one rows (simultaneous Kaczmarz step).
+            R = len(v)
+            delta = (1.0 - gather(v).sum(axis=(1, 2))) / row_size
+            step = np.bincount(chunk_rows[: R * len(row_src)], weights=delta[:, row_z].ravel(), minlength=R * P)
+            v += step.reshape(R, 1, P)
+            # Hard constraints: box and caps (cap <= 1), Lipschitz band.
+            v = lipschitz_project(np.clip(v, 0.0, cap))
+            if it % 25 == 24 or it == total_sweeps - 1:
+                fr = float_residual(v)
+                done = fr >= last - 1e-14
+                if polishing and it > sweeps + 100 and done.any():
+                    for k, v_k in zip(active[done], v[done]):
+                        final[k], ran[k] = v_k, it + 1
+                    keep = ~done
+                    active, v, fr, polish_damp = active[keep], v[keep], fr[keep], polish_damp[keep]
+                    if not len(active):
+                        break
+                last = fr
+        for k, v_k in zip(active, v):
+            final[k] = v_k
+        return final, ran
 
     # Exact candidates are integers over denom = lcm(2^20, band denominator);
     # the cap is the band wherever the float cap binds.
@@ -574,9 +650,12 @@ def search_towers(
     int_dtype = _int_dtype(denom + abs(exact_step))
     exact_cap = np.full(P, denom, dtype=int_dtype)
     exact_cap[cap < 1.0] = exact_step
+    model_band = ga.band
+    check_dtype = _int_dtype(denom * max(abs(model_band.numerator), model_band.denominator))
+    exact_residual = _residual_formula(ga, index, src, witnesses)
 
-    def to_towers(v: np.ndarray) -> NumericTowers:
-        """Exact-rational candidate: floor to a dyadic grid, then repair.
+    def floor_cap_repair(v: np.ndarray) -> np.ndarray:
+        """Exact-rational candidate over denom: floor to a dyadic grid, then repair.
 
         Flooring keeps box and cap constraints; a shortest-path style
         relaxation then restores the Lipschitz band exactly (values only
@@ -591,7 +670,9 @@ def search_towers(
             np.minimum.at(f, (slice(None), ey), f[:, ex] + exact_step)
             np.minimum.at(f, (slice(None), ex), f[:, ey] + exact_step)
             if np.array_equal(f, before):
-                break
+                return f
+
+    def to_towers(f: np.ndarray) -> NumericTowers:
         level_maps = [
             {points[i]: F1(int(f[j, i]), denom) for i in np.flatnonzero(f[j] > 0)}
             for j in range(levels)
@@ -599,56 +680,38 @@ def search_towers(
         return derived_numeric_towers(ga, level_maps)
 
     best_res: Optional[Fraction] = None
-    best_towers: Optional[NumericTowers] = None
+    best_f: Optional[np.ndarray] = None
     rng_master = np.random.default_rng(seed)
-    for restart in range(restarts):
-        rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
-        anchor_step = max(1, P // 16)
-        v = np.empty((levels, P))
-        for j in range(levels):
-            anchors = rng.random(P // anchor_step + 2)
-            xs = np.linspace(0, 1, P)
-            v[j] = np.interp(xs, np.linspace(0, 1, len(anchors)), anchors)
-        v = np.clip(v, 0.0, 1.0)
-
-        polish_damp = None
-        total_sweeps = sweeps + polish_sweeps
-        last = np.inf
-        it = -1
-        for it in range(total_sweeps):
-            polishing = it >= sweeps
-            # Orthogonalization: per (level, point) damp all but the largest
-            # incoming value; the polish phase freezes the winners it starts
-            # with and zeroes the rest.
-            damp = polish_damp
-            if damp is None:
-                t = np.where(in_mask[None, :, :], v[:, src_clip], -1.0)  # (levels, G, P)
-                damp = damping(np.argmax(t, axis=1), 0.0 if polishing else 0.35)
-                if polishing:
-                    polish_damp = damp
-            v *= damp
-            # Sum-to-one rows (simultaneous Kaczmarz step).
-            total = gather(v).sum(axis=(0, 1))
-            delta = (1.0 - total) / np.maximum(counts, 1)
-            v += np.bincount(row_src, weights=delta[row_z], minlength=P)
-            # Hard constraints: box, caps, Lipschitz band.
-            v = np.clip(v, 0.0, 1.0)
-            v = np.minimum(v, cap[None, :])
-            v = lipschitz_project(v)
-            if it % 25 == 24 or it == total_sweeps - 1:
-                fr = float_residual(v)
-                if polishing and fr >= last - 1e-14 and it > sweeps + 100:
-                    break
-                last = fr
-        if not lipschitz_ok(v):
-            v = lipschitz_project(np.clip(v, 0.0, 1.0))
-        candidate = to_towers(np.clip(np.minimum(v, cap[None, :]), 0.0, 1.0))
-        res = residual(ga, candidate, witnesses)
-        if best_res is None or res < best_res:
-            best_res, best_towers = res, candidate
-        if trace is not None:
-            trace.append((restart, float(res), float(best_res), it + 1))
+    anchor_step = max(1, P // 16)
+    xs = np.linspace(0, 1, P)
+    for first in range(0, restarts, RESTART_CHUNK):
+        chunk = range(first, min(first + RESTART_CHUNK, restarts))
+        v = np.empty((len(chunk), levels, P))
+        for v_r in v:
+            rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
+            for j in range(levels):
+                anchors = rng.random(P // anchor_step + 2)
+                v_r[j] = np.interp(xs, np.linspace(0, 1, len(anchors)), anchors)
+        final, ran = sweep_chunk(np.clip(v, 0.0, 1.0))
+        for restart, v_r, sweeps_run in zip(chunk, final, ran):
+            if not lipschitz_ok(v_r):
+                v_r = lipschitz_project(np.clip(v_r, 0.0, 1.0))
+            f = floor_cap_repair(np.clip(np.minimum(v_r, cap[None, :]), 0.0, 1.0))
+            # The candidate's towers f_g = f . theta_{g^-1} as a table over denom.
+            T = gather(f).astype(check_dtype, copy=False)
+            if (T < 0).any() or (T > denom).any() or _over_band(T, denom, model_band, ex, ey).any():
+                check_admissible(ga, to_towers(f))  # raises, naming the violation
+                raise AssertionError("integer and Fraction admissibility checks disagree")
+            res = exact_residual(T, denom)
+            if best_res is None or res < best_res:
+                best_res, best_f = res, f
+            if trace is not None:
+                trace.append((restart, float(res), float(best_res), sweeps_run))
+            if best_res <= eps:
+                break
         if best_res <= eps:
             break
-    assert best_towers is not None
+    assert best_f is not None and best_res is not None
+    best_towers = to_towers(best_f)
+    assert residual(ga, best_towers, witnesses) == best_res
     return best_towers, best_res

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .groups import (
@@ -105,6 +107,13 @@ class PartialAction:
 
     def is_global(self) -> bool:
         return all(self.domains[g] == self.carrier for g in self.group.elements())
+
+    @cached_property
+    def _groupoid_parts(self) -> tuple:
+        # Kept outside the dataclass fields, so equality and repr ignore it.
+        # The parts hold no reference back to self: a cycle would keep a
+        # dropped action alive until the cyclic garbage collector runs.
+        return _translation_groupoid_parts(self)
 
     def size(self) -> int:
         return len(self.carrier)
@@ -235,7 +244,15 @@ class TranslationGroupoid:
 
 
 def translation_groupoid(pa: PartialAction) -> TranslationGroupoid:
-    """Enumerate arrows, connected components, and orbit-representative stabilizers."""
+    """Arrows, connected components, and orbit-representative stabilizers.
+
+    Built on the first call for ``pa`` and kept on it: a PartialAction is
+    frozen, so every later caller shares the same read-only parts.
+    """
+    return TranslationGroupoid(pa, *pa._groupoid_parts)
+
+
+def _translation_groupoid_parts(pa: PartialAction) -> tuple:
     arrows = tuple(pa.arrows())
     parent: dict[int, int] = {x: x for x in pa.carrier}
 
@@ -258,7 +275,7 @@ def translation_groupoid(pa: PartialAction) -> TranslationGroupoid:
         rep = min(orbit)
         members = frozenset(g for g in pa.group.elements() if pa.maps[g].get(rep) == rep)
         stabilizers[rep] = Subgroup(pa.group, members)
-    return TranslationGroupoid(pa, arrows, orbits, stabilizers)
+    return arrows, orbits, MappingProxyType(stabilizers)
 
 
 def restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:

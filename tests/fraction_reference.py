@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from partact.fdcstar import inner_product_fixed
 from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch
+from partact.pactions import translation_groupoid
 
 Row = list[Fraction]
 
@@ -110,9 +110,34 @@ def reference_residual(
 
 
 # ---------------------------------------------------------------------------
-# The crossed-product inner product, and the sampled positivity test that the
+# The two inner products, the per-orbit left-fullness check that the identity
+# <1_O, 1/x_alpha> = 1_O replaced, and the sampled positivity test that the
 # identity e* = e, e e = x_alpha e replaced in imprimitivity_bimodule_verify.
 # ---------------------------------------------------------------------------
+
+
+def inner_product_fixed(pa, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """<x, y> in the fixed point algebra: sum_g alpha_g(x y* 1_{g^-1})."""
+    G = pa.group
+    out: dict[int, Fraction] = {}
+    for g in G.elements():
+        ginv = G.inv(g)
+        for z in pa.domain(g):
+            w = pa.theta(ginv, z)
+            v = x.get(w, Fraction(0)) * y.get(w, Fraction(0))
+            if v != 0:
+                out[z] = out.get(z, Fraction(0)) + v
+    return {p: v for p, v in out.items() if v != 0}
+
+
+def reference_left_fullness(pa) -> bool:
+    """<1_O, 1/x_alpha> = 1_O for every orbit O, evaluated on Fractions."""
+    reciprocal = {p: Fraction(1, len(pa.domain_tuple(p))) for p in pa.carrier}
+    for orbit in translation_groupoid(pa).orbits:
+        x = {p: Fraction(1) for p in orbit}
+        if inner_product_fixed(pa, x, reciprocal) != x:
+            return False
+    return True
 
 CPElement = dict[tuple[int, int], Fraction]
 

@@ -8,6 +8,7 @@ import pytest
 from fraction_reference import (
     inner_product_crossed,
     is_psd_rational,
+    reference_left_fullness,
     right_action,
     sampled_positivity,
 )
@@ -300,6 +301,15 @@ def test_bimodule_index_tables_match_fraction_reference(swap_pair, fixed_single,
         assert report.span_dimension == span
         assert report.right_fullness == (span == alg.dimension)
         assert report == imprimitivity_bimodule_verify(pa)
+
+
+def test_left_fullness_identity_matches_fraction_reference():
+    from partact.harness import corpus
+
+    for pa in corpus(20260808, 100):
+        report = imprimitivity_bimodule_verify(pa)
+        assert report.left_fullness == reference_left_fullness(pa)
+        assert report.left_fullness
 
 
 def test_positivity_identity_matches_sampled_reference(swap_pair, fixed_single, idle_triple):

@@ -155,6 +155,12 @@ def test_search_rejects_no_restarts_and_negative_band(kwargs, message):
         search_towers(ga, family, F(0), 0, **kwargs)
 
 
+def test_search_with_a_band_wider_than_the_model_fails_admissibility():
+    ga, family, _ = punctured_circle_pair(32)
+    with pytest.raises(GridError, match=r"tower \(0, 0\) violates the Lipschitz band on edge \(5, 6\)"):
+        search_towers(ga, family, F(0), 0, lipschitz=16, restarts=3, sweeps=20, polish_sweeps=20)
+
+
 def test_search_rejects_negative_model_band_and_accepts_zero():
     ga, family, _ = punctured_circle_pair(32, lipschitz=-3)
     with pytest.raises(ValueError, match="lipschitz must be >= 0"):
@@ -321,6 +327,38 @@ def test_search_is_pinned_on_the_circle_pair(d, seed, best, trace, digest):
     ga, family, _ = punctured_circle_pair(32)
     got: list = []
     towers, res = search_towers(ga, family, F(0), d, seed=seed, trace=got, **_SMALL_SWEEPS)
+    assert (res, got, _digest(towers)) == (best, trace, digest)
+
+
+_CHUNK_EDGE_SWEEPS = {"sweeps": 60, "polish_sweeps": 300}
+# Restarts run in chunks of 16: an early stop inside the first chunk, and a
+# run that crosses one chunk boundary.
+PINNED_CHUNK_EDGES = [
+    (0, 20, F(33, 100), F(90007735971, 274877906944), PINNED_SEARCHES[0][3], "8019091f4dde2518"),
+    (1, 17, F(0), F(162201791041, 549755813888), PINNED_SEARCHES[1][3] + [
+        (3, 0.3759140358533841, 0.32233807623924804, 175),
+        (4, 0.3515187469529337, 0.32233807623924804, 175),
+        (5, 0.3520165739701042, 0.32233807623924804, 175),
+        (6, 0.45866454652241373, 0.32233807623924804, 175),
+        (7, 0.3511069029591454, 0.32233807623924804, 175),
+        (8, 0.38182366094042663, 0.32233807623924804, 175),
+        (9, 0.4356238299878896, 0.32233807623924804, 175),
+        (10, 0.40234526688072947, 0.32233807623924804, 175),
+        (11, 0.3564677137273975, 0.32233807623924804, 175),
+        (12, 0.38705377614314784, 0.32233807623924804, 175),
+        (13, 0.29504333913973824, 0.29504333913973824, 200),
+        (14, 0.4168806028128529, 0.29504333913973824, 175),
+        (15, 0.38384101719748287, 0.29504333913973824, 200),
+        (16, 0.3940181085381482, 0.29504333913973824, 175),
+    ], "2bb83aae970c65c0"),
+]
+
+
+@pytest.mark.parametrize("seed, restarts, eps, best, trace, digest", PINNED_CHUNK_EDGES)
+def test_search_is_pinned_at_the_chunk_edges(seed, restarts, eps, best, trace, digest):
+    ga, family, _ = punctured_circle_pair(32)
+    got: list = []
+    towers, res = search_towers(ga, family, eps, 0, seed=seed, restarts=restarts, trace=got, **_CHUNK_EDGE_SWEEPS)
     assert (res, got, _digest(towers)) == (best, trace, digest)
 
 

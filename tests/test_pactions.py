@@ -90,6 +90,21 @@ def test_translation_groupoid_fixed_single(fixed_single):
     assert gr.stabilizers[0].order == 2
 
 
+def test_analyze_builds_one_shared_read_only_groupoid(swap_pair, monkeypatch):
+    from partact import cli, pactions
+
+    builds = []
+    build = pactions._translation_groupoid_parts
+    monkeypatch.setattr(pactions, "_translation_groupoid_parts", lambda pa: builds.append(pa) or build(pa))
+    cli.analyze(swap_pair)
+    assert builds == [swap_pair]
+    gr, again = translation_groupoid(swap_pair), translation_groupoid(swap_pair)
+    assert (again.arrows, again.orbits, again.stabilizers) == (gr.arrows, gr.orbits, gr.stabilizers)
+    assert again.arrows is gr.arrows and again.stabilizers is gr.stabilizers
+    with pytest.raises(TypeError):
+        gr.stabilizers[0] = gr.stabilizers[2]
+
+
 def test_translation_groupoid_idle_triple(idle_triple):
     gr = translation_groupoid(idle_triple)
     assert len(gr.arrows) == 3
