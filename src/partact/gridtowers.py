@@ -471,7 +471,9 @@ def search_towers(
     a polish phase), and the sum-to-one rows.  Deterministic in the seed;
     stops early when the exact residual reaches eps.  Never claims
     nonexistence.  Each restart appends (restart, residual, best residual,
-    sweeps run) to ``trace``.
+    sweeps run) to ``trace``.  ``lipschitz`` may narrow the model's band but
+    not widen it: towers repaired to a wider band fail the model's
+    admissibility, so a slope above the model's is refused up front.
 
     Restarts run in chunks of ``RESTART_CHUNK`` along a leading array axis.
     Each restart keeps its own seed, its own polish early stop and the float
@@ -484,6 +486,11 @@ def search_towers(
     slope = F1(lipschitz) if lipschitz is not None else ga.lipschitz
     if slope < 0:
         raise ValueError(f"lipschitz must be >= 0, got {slope}")
+    if slope > ga.lipschitz:
+        raise ValueError(
+            f"lipschitz must be at most the model's slope {ga.lipschitz}, got {slope}: "
+            f"admissible towers keep the model's band"
+        )
     eps = F1(eps)
     exact_band = slope * ga.spacing
     band = float(exact_band)

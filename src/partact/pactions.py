@@ -15,8 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from .groups import (
     FiniteGroup,
@@ -69,6 +72,55 @@ class NotInvariant(PartialActionError):
         super().__init__(f"subset is not invariant: arrow (g={g}, {x} -> {y}) crosses its boundary")
 
 
+# The vectorised checks over (g, h, x) triples take g in row blocks of at most
+# this many table entries (one row when a row is larger), so no temporary
+# over all triples is ever held: at |G| = 24 and 4,800 points one would take
+# 22 MB a table.
+BLOCK_ELEMENTS = 1 << 16
+
+
+@dataclass(frozen=True)
+class IndexTables:
+    """A partial action as integer arrays over its sorted carrier.
+
+    ``index[x]`` is the rank of the point x in the sorted carrier.
+    ``theta[g, i]`` is the index of theta_g of the point with index i, or -1
+    where theta_g is undefined; a column of -1 appended to a table makes an
+    undefined index read as undefined again.  ``mul`` and ``inv`` are the
+    group's tables.
+    """
+
+    index: Mapping[int, int]
+    theta: np.ndarray
+    mul: np.ndarray
+    inv: np.ndarray
+
+
+def _index_tables(group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int, Mapping[int, int]]) -> IndexTables:
+    index = {x: i for i, x in enumerate(sorted(carrier))}
+    at = index.__getitem__
+    elements = group.elements()
+    sizes = [len(maps[g]) for g in elements]
+    total = sum(sizes)
+    src = np.fromiter(map(at, chain.from_iterable(maps[g].keys() for g in elements)), np.intp, total)
+    dst = np.fromiter(map(at, chain.from_iterable(maps[g].values() for g in elements)), np.intp, total)
+    theta = np.full((group.order, len(index)), -1, dtype=np.intp)
+    theta[np.repeat(np.arange(group.order), sizes), src] = dst
+    mul, inv = np.array(group.table, dtype=np.intp), np.array(group.inverse, dtype=np.intp)
+    return IndexTables(MappingProxyType(index), theta, mul, inv)
+
+
+def index_tables(pa: PartialAction) -> IndexTables:
+    """The integer tables of ``pa``, built on the first call and kept on it."""
+    return pa._tables
+
+
+def row_blocks(order: int, width: int) -> Iterable[slice]:
+    """Consecutive slices of group elements, BLOCK_ELEMENTS // width rows each (at least one)."""
+    rows = max(1, BLOCK_ELEMENTS // max(1, width))
+    return (slice(lo, min(lo + rows, order)) for lo in range(0, order, rows))
+
+
 @dataclass(frozen=True)
 class PartialAction:
     """A validated partial action; construct via :func:`validate`."""
@@ -109,6 +161,11 @@ class PartialAction:
         return all(self.domains[g] == self.carrier for g in self.group.elements())
 
     @cached_property
+    def _tables(self) -> IndexTables:
+        # Like _groupoid_parts: outside the fields, with no reference to self.
+        return _index_tables(self.group, self.carrier, self.maps)
+
+    @cached_property
     def _groupoid_parts(self) -> tuple:
         # Kept outside the dataclass fields, so equality and repr ignore it.
         # The parts hold no reference back to self: a cycle would keep a
@@ -135,6 +192,12 @@ def validate(
 
     Raises the first violated axiom with a witness: IdentityDomainNotFull,
     NotBijective(g), InverseMismatch(g), or CompositionViolation(g, h, x).
+
+    Domains, bijections and inverses are checked map by map.  Composition
+    and the derived domain identity are then whole-array comparisons on the
+    integer table ``theta[g, i]`` (see IndexTables), taken in row blocks of
+    g; the witness is the first failing (g, h), and for composition the first
+    failing x in the order of ``maps[h]``.
     """
     X = frozenset(carrier)
     doms: dict[int, frozenset[int]] = {}
@@ -169,23 +232,31 @@ def validate(
             if thetas[ginv].get(y) != x:
                 raise InverseMismatch(g, x)
 
+    pa = PartialAction(group, X, doms, thetas)
+    t = index_tables(pa)
+    order, n = group.order, len(t.index)
     # Composition: x in X_{h^-1} and theta_h(x) in X_{g^-1} imply
     # x in X_{(gh)^-1} and theta_{gh}(x) = theta_g(theta_h(x)).
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            for x, hx in thetas[h].items():
-                if hx in doms[group.inv(g)]:
-                    if thetas[gh].get(x) != thetas[g][hx]:
-                        raise CompositionViolation(g, h, x)
+    ext = np.full((order, n + 1), -1, dtype=np.intp)
+    ext[:, :n] = t.theta
+    for rows in row_blocks(order, order * n):
+        ghx = ext[rows][:, t.theta]  # (g, h, x) -> theta_g(theta_h(x))
+        bad = (ghx >= 0) & (ghx != t.theta[t.mul[rows]])
+        if bad.any():
+            g, h = divmod(int(np.argmax(bad.any(axis=2))), order)
+            x = next(x for x in thetas[h] if bad[g, h, t.index[x]])
+            raise CompositionViolation(rows.start + g, h, x)
 
-    pa = PartialAction(group, X, doms, thetas)
-    # Standard consequences; violations here would indicate an internal bug.
-    for g in group.elements():
-        for h in group.elements():
-            lhs = frozenset(thetas[g][x] for x in doms[group.inv(g)] & doms[h])
-            if lhs != doms[g] & doms[group.mul(g, h)]:
-                raise AssertionError(f"derived domain identity fails at (g={g}, h={h})")
+    # Standard consequence, read pointwise: z lies in theta_g(X_{g^-1} & X_h)
+    # iff z is in X_g and theta_{g^-1}(z) is in X_h.  It must equal
+    # X_g & X_{gh}; a violation here would indicate an internal bug.
+    dom = ext[t.inv] >= 0  # dom[g, i]: point i lies in X_g; column n is False
+    for rows in row_blocks(order, order * n):
+        lhs = dom[:, t.theta[t.inv[rows]]].swapaxes(0, 1)  # (g, h, z)
+        bad = dom[rows, None, :n] & (lhs != dom[t.mul[rows], :n])
+        if bad.any():
+            g, h = divmod(int(np.argmax(bad.any(axis=2))), order)
+            raise AssertionError(f"derived domain identity fails at (g={rows.start + g}, h={h})")
     return pa
 
 
@@ -224,23 +295,9 @@ def freeness_witness(pa: PartialAction) -> Optional[tuple[int, int]]:
 class TranslationGroupoid:
     """Arrows (g, x -> theta_g(x)) of a partial action, with orbits and isotropy."""
 
-    pa: PartialAction
     arrows: tuple[tuple[int, int, int], ...]
     orbits: tuple[frozenset[int], ...]
     stabilizers: Mapping[int, Subgroup]
-
-    def orbit_of(self, x: int) -> frozenset[int]:
-        for orbit in self.orbits:
-            if x in orbit:
-                return orbit
-        raise KeyError(f"point {x} not in carrier")
-
-    def stabilizer_at(self, x: int) -> Subgroup:
-        """Isotropy group {g : x in X_{g^-1}, theta_g(x) = x} at any point."""
-        members = frozenset(
-            g for g in self.pa.group.elements() if self.pa.maps[g].get(x) == x
-        )
-        return Subgroup(self.pa.group, members)
 
 
 def translation_groupoid(pa: PartialAction) -> TranslationGroupoid:
@@ -249,7 +306,7 @@ def translation_groupoid(pa: PartialAction) -> TranslationGroupoid:
     Built on the first call for ``pa`` and kept on it: a PartialAction is
     frozen, so every later caller shares the same read-only parts.
     """
-    return TranslationGroupoid(pa, *pa._groupoid_parts)
+    return TranslationGroupoid(*pa._groupoid_parts)
 
 
 def _translation_groupoid_parts(pa: PartialAction) -> tuple:
@@ -326,62 +383,52 @@ class GlobalizationResult:
 def globalize(pa: PartialAction) -> GlobalizationResult:
     """Enveloping global action via the quotient of G x X.
 
-    (g, x) ~ (h, y) iff x lies in X_{g^-1 h} and theta_{h^-1 g}(x) = y.  The
+    (g, x) ~ (h, y) iff x lies in X_{g^-1 h} and theta_{h^-1 g}(x) = y, so
+    the class of (g, x) is {(g k^-1, theta_k(x)) : k with x in X_{k^-1}} in closed
+    form (Abadie, J. Funct. Anal. 197 (2003)).  On the integer tables each
+    pair (g, x) gets the least pair of its class, taking x in sorted order,
+    and the classes are numbered in the order of their least pairs.  The
     envelope acts by a.[g, x] = [a g, x] and the embedding is x -> [1, x].
-    Construction invariants are asserted: the embedding is injective, domains
-    match intersections, the envelope extends the action, and translates of X
-    cover.  They fix the envelope up to equivariant isomorphism (uniqueness
-    of the globalization, Abadie, J. Funct. Anal. 197 (2003)).
+    Construction invariants are asserted on the envelope's own tables: the
+    embedding is injective, domains match intersections, the envelope
+    extends the action, and translates of X cover.  They fix the envelope up
+    to equivariant isomorphism (uniqueness of the globalization).
     """
     G = pa.group
-    elems = list(G.elements())
-    pairs = [(g, x) for g in elems for x in sorted(pa.carrier)]
-    parent = {p: p for p in pairs}
+    t = index_tables(pa)
+    order, n = G.order, len(t.index)
+    least = np.arange(order * n).reshape(order, n)  # pair (g, x) as g * n + index(x)
+    for k in range(1, order):
+        member = t.mul[:, t.inv[k], None] * n + t.theta[k]  # (g k^-1, theta_k(x))
+        np.minimum(least, member, out=least, where=t.theta[k] >= 0)
+    firsts, point = np.unique(least, return_inverse=True)
+    point = point.reshape(order, n)
+    size = len(firsts)
+    # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
+    moved = point[t.mul[:, firsts // n], firsts % n].tolist()
+    perms = {a: dict(enumerate(moved[a])) for a in G.elements()}
+    envelope = global_action(G, range(size), perms)
+    embed = point[0]
+    at = embed.tolist()
+    embedding = {x: at[t.index[x]] for x in pa.carrier}
 
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for g in elems:
-        for h in elems:
-            hg = G.mul(G.inv(h), g)
-            for x in pa.domains[G.inv(hg)]:
-                # (g, x) ~ (h, theta_{h^-1 g}(x))
-                y = pa.maps[hg][x]
-                a, b = find((g, x)), find((h, y))
-                if a != b:
-                    parent[a] = b
-
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for p in pairs:
-        classes.setdefault(find(p), []).append(p)
-    reps = sorted(classes, key=lambda r: min(classes[r]))
-    label = {rep: i for i, rep in enumerate(reps)}
-    point = {p: label[find(p)] for p in pairs}
-
-    carrier = frozenset(range(len(reps)))
-    perms = {}
-    for a in G.elements():
-        perms[a] = {point[(g, x)]: point[(G.mul(a, g), x)] for (g, x) in pairs}
-    envelope = global_action(G, carrier, perms)
-    embedding = {x: point[(0, x)] for x in pa.carrier}
-
-    if len(set(embedding.values())) != len(pa.carrier):
+    in_emb = np.zeros(size, dtype=bool)
+    in_emb[embed] = True
+    if in_emb.sum() != n:
         raise AssertionError("globalization embedding is not injective")
-    emb = frozenset(embedding.values())
-    for g in G.elements():
-        translated = frozenset(envelope.maps[g][z] for z in emb)
-        if frozenset(embedding[x] for x in pa.domains[g]) != emb & translated:
+    translated = index_tables(envelope).theta[:, embed]  # [g, i]: sigma_g of the embedded point i
+    # emb(X_g) = emb & sigma_g(emb) holds iff sigma_{g^-1} takes emb(z) into emb
+    # exactly for z in X_g.  Extension is read where theta_g is defined.
+    domain_bad = (in_emb[translated[t.inv]] != (t.theta[t.inv] >= 0)).any(axis=1)
+    defined = t.theta >= 0
+    extend_bad = (defined & (translated != embed[t.theta])).any(axis=1)
+    for g in np.flatnonzero(domain_bad | extend_bad)[:1].tolist():
+        if domain_bad[g]:
             raise AssertionError(f"envelope domain condition fails at g={g}")
-        for x in pa.domains[G.inv(g)]:
-            if envelope.maps[g][embedding[x]] != embedding[pa.maps[g][x]]:
-                raise AssertionError(f"envelope does not extend theta_{g}")
-    covered = set()
-    for g in G.elements():
-        covered |= {envelope.maps[g][z] for z in emb}
-    if covered != set(carrier):
+        raise AssertionError(f"envelope does not extend theta_{g}")
+    covered = np.zeros(size, dtype=bool)
+    covered[translated] = True
+    if not covered.all():
         raise AssertionError("translates of the embedded carrier do not cover the envelope")
     return GlobalizationResult(envelope, embedding, pa)
 

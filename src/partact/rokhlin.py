@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .pactions import PartialAction, is_free, translation_groupoid
+import numpy as np
+
+from .pactions import PartialAction, index_tables, is_free, row_blocks, translation_groupoid
 
 
 class PreconditionViolated(ValueError):
@@ -66,24 +68,6 @@ class NonexistenceProof:
 
 
 SearchOutcome = Union[TowerCertificate, NonexistenceProof]
-
-
-def derived_towers(
-    pa: PartialAction, cert: TowerCertificate
-) -> dict[int, list[dict[int, Fraction]]]:
-    """f_g^(j) = f_1^(j) . theta_{g^-1} on X_g, zero elsewhere."""
-    out: dict[int, list[dict[int, Fraction]]] = {}
-    for g in pa.group.elements():
-        ginv = pa.group.inv(g)
-        out[g] = []
-        for j in range(cert.d + 1):
-            tower = {}
-            for z in pa.domain(g):
-                v = cert.value(j, pa.theta(ginv, z))
-                if v:
-                    tower[z] = v
-            out[g].append(tower)
-    return out
 
 
 def _incoming_arrows(pa: PartialAction) -> dict[int, list[tuple[int, int]]]:
@@ -218,54 +202,70 @@ def verify_refutation(pa: PartialAction, proof: NonexistenceProof) -> Certificat
 def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> CertificateCheck:
     """Exact check of the tower conditions, derived and raw forms.
 
-    Derived form: supports inside domains, per-level orthogonality (C2),
-    partition of unity (C3).  Raw form: the tower conditions with indicator
-    witnesses at epsilon = 0, which include equivariance (C1)
-    f_h(y) = f_{gh}(theta_g(y)) for every y in X_{g^-1} and every h.
+    Derived form: values in [0, 1] on carrier points, per-level
+    orthogonality (C2), partition of unity (C3).  Raw form: the tower
+    conditions with indicator witnesses at epsilon = 0, which include
+    equivariance (C1) f_h(y) = f_{gh}(theta_g(y)) for every y in X_{g^-1}
+    and every h.
+
+    The towers are one integer table T[j, g, z] = code of f_1^(j)(theta_{g^-1} z)
+    on X_g, 0 elsewhere, where equal values share a code and 0 has code 0;
+    it lies inside the domains by construction.  (C2) and (1) are whole-array
+    comparisons of codes, (1) in row blocks of g, and (C3) sums the distinct
+    nonzero values at each point as Fractions.  A failure names the witness a point-by-point scan
+    would meet first: checks in the order above, (C2) by level then point,
+    (C3) by point, and (1) by g, y, h, level, with points taken in the
+    iteration order of ``pa.carrier`` and of each domain.
     """
-    G = pa.group
-    towers = derived_towers(pa, cert)
-    for j in range(cert.d + 1):
+    levels = cert.d + 1
+    for j in range(levels):
         for x, v in cert.levels[j].items():
             if x not in pa.carrier:
                 return CertificateCheck(False, f"level {j} assigns mass to non-carrier point {x}")
             if not (0 <= v <= 1):
                 return CertificateCheck(False, f"level {j} value at {x} is outside [0, 1]")
-    for g in G.elements():
-        for j in range(cert.d + 1):
-            if any(z not in pa.domain(g) for z in towers[g][j]):
-                return CertificateCheck(False, f"tower f_{g}^({j}) leaves its domain")
+    t = index_tables(pa)
+    n = len(t.index)
+    # A level without mass gives zero towers, which pass (C2) and (1) and add
+    # nothing to (C3); only the other levels enter the table.
+    live = [j for j in range(levels) if any(cert.levels[j].values())]
+    values = [0] + sorted({v for j in live for v in cert.levels[j].values() if v})
+    code = {v: r for r, v in enumerate(values)}
+    first = np.zeros((len(live), n + 1), dtype=np.intp)  # column n: read off X_g
+    for row, j in enumerate(live):
+        for x, v in cert.levels[j].items():
+            first[row, t.index[x]] = code[v]
+    T = first[:, t.theta[t.inv]]  # (live level, g, z)
     # (C2) per-level orthogonality.
-    for j in range(cert.d + 1):
-        for x in pa.carrier:
-            positive = [g for g in G.elements() if towers[g][j].get(x, Fraction(0)) > 0]
-            if len(positive) > 1:
-                return CertificateCheck(
-                    False, f"orthogonality fails at point {x}, level {j}: towers {positive}"
-                )
-    # (C3) partition of unity.
-    for x in pa.carrier:
-        total = sum(
-            towers[g][j].get(x, Fraction(0))
-            for g in G.elements()
-            for j in range(cert.d + 1)
+    crowded = (T > 0).sum(axis=1) > 1
+    for row in np.flatnonzero(crowded.any(axis=1)).tolist():
+        x = next(x for x in pa.carrier if crowded[row, t.index[x]])
+        positive = np.flatnonzero(T[row, :, t.index[x]]).tolist()
+        return CertificateCheck(
+            False, f"orthogonality fails at point {x}, level {live[row]}: towers {positive}"
         )
-        if total != 1:
-            return CertificateCheck(False, f"tower masses sum to {total} != 1 at point {x}")
-    # Raw tower conditions with indicator witnesses at epsilon = 0.
-    for g in G.elements():
-        for y in pa.domain(G.inv(g)):
-            z = pa.theta(g, y)
-            for h in G.elements():
-                gh = G.mul(g, h)
-                for j in range(cert.d + 1):
-                    lhs = towers[h][j].get(y, Fraction(0))
-                    rhs = towers[gh][j].get(z, Fraction(0))
-                    if lhs != rhs:
-                        return CertificateCheck(
-                            False,
-                            f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {j})",
-                        )
+    # (C3) partition of unity: after (C2) each level holds at most one
+    # positive code per point, so a point's mass is fixed by its codes.
+    codes = list(map(tuple, T.max(axis=1).T.tolist()))  # by point index
+    totals = {key: sum(values[r] for r in key if r) for key in set(codes)}
+    if any(total != 1 for total in totals.values()):
+        x = next(x for x in pa.carrier if totals[codes[t.index[x]]] != 1)
+        total = totals[codes[t.index[x]]]
+        return CertificateCheck(False, f"tower masses sum to {total} != 1 at point {x}")
+    # Raw condition (1): T[j, h, y] = T[j, gh, theta_g(y)] wherever theta_g(y)
+    # is defined, for a block of g at a time.
+    for rows in row_blocks(pa.group.order, T.size):
+        defined = t.theta[rows] >= 0  # (g, y)
+        moved = T[:, t.mul[rows][:, :, None], t.theta[rows][:, None, :]]  # (level, g, h, y)
+        bad = defined[None, :, None, :] & (T[:, None] != moved)
+        if bad.any():
+            b = int(np.argmax(bad.any(axis=(0, 2, 3))))
+            g = rows.start + b
+            y = next(y for y in pa.domain(pa.group.inv(g)) if bad[:, b, :, t.index[y]].any())
+            h, row = np.argwhere(bad[:, b, :, t.index[y]].T)[0].tolist()
+            return CertificateCheck(
+                False, f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {live[row]})"
+            )
     return CertificateCheck(True, None)
 
 

@@ -1,0 +1,198 @@
+"""Plain Python scans for the integer-table checks in ``src/``.
+
+Each function here is the element-by-element formulation that a table
+route replaced: the certificate verifier, the partial-action axiom checks
+and the union-find globalization.  Tests compare the two, witness for
+witness and label for label.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+from partact.groups import FiniteGroup
+from partact.pactions import (
+    CompositionViolation,
+    GlobalizationResult,
+    IdentityDomainNotFull,
+    InverseMismatch,
+    NotBijective,
+    PartialAction,
+    PartialActionError,
+    global_action,
+)
+from partact.rokhlin import CertificateCheck, TowerCertificate
+
+
+def reference_validate(
+    group: FiniteGroup,
+    carrier: Iterable[int],
+    domains: Mapping[int, Iterable[int]],
+    maps: Mapping[int, Mapping[int, int]],
+) -> PartialAction:
+    """Every axiom point by point; the composition and derived-domain scans
+    run over all (g, h) pairs."""
+    X = frozenset(carrier)
+    doms: dict[int, frozenset[int]] = {}
+    thetas: dict[int, dict[int, int]] = {}
+    for g in group.elements():
+        dom = frozenset(domains.get(g, ()))
+        if not dom <= X:
+            stray = sorted(dom - X)[0]
+            raise PartialActionError(f"domain of g={g} contains non-carrier point {stray}")
+        doms[g] = dom
+        thetas[g] = {int(x): int(y) for x, y in maps.get(g, {}).items()}
+
+    if doms[0] != X:
+        missing = sorted(X - doms[0])
+        raise IdentityDomainNotFull(missing[0] if missing else -1)
+    if any(thetas[0].get(x, x) != x for x in X):
+        raise PartialActionError("theta_1 must be the identity map")
+    thetas[0] = {x: x for x in X}
+
+    for g in group.elements():
+        ginv = group.inv(g)
+        mp = thetas[g]
+        if set(mp.keys()) != set(doms[ginv]):
+            raise NotBijective(g, "source set is not X_(g^-1)")
+        values = list(mp.values())
+        if set(values) != set(doms[g]) or len(set(values)) != len(values):
+            raise NotBijective(g, "image is not X_g or map is not injective")
+
+    for g in group.elements():
+        ginv = group.inv(g)
+        for x, y in thetas[g].items():
+            if thetas[ginv].get(y) != x:
+                raise InverseMismatch(g, x)
+
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mul(g, h)
+            for x, hx in thetas[h].items():
+                if hx in doms[group.inv(g)]:
+                    if thetas[gh].get(x) != thetas[g][hx]:
+                        raise CompositionViolation(g, h, x)
+
+    pa = PartialAction(group, X, doms, thetas)
+    for g in group.elements():
+        for h in group.elements():
+            lhs = frozenset(thetas[g][x] for x in doms[group.inv(g)] & doms[h])
+            if lhs != doms[g] & doms[group.mul(g, h)]:
+                raise AssertionError(f"derived domain identity fails at (g={g}, h={h})")
+    return pa
+
+
+def derived_towers(pa: PartialAction, cert: TowerCertificate) -> dict[int, list[dict[int, Fraction]]]:
+    """f_g^(j) = f_1^(j) . theta_{g^-1} on X_g, zero elsewhere."""
+    out: dict[int, list[dict[int, Fraction]]] = {}
+    for g in pa.group.elements():
+        ginv = pa.group.inv(g)
+        out[g] = []
+        for j in range(cert.d + 1):
+            tower = {}
+            for z in pa.domain(g):
+                v = cert.value(j, pa.theta(ginv, z))
+                if v:
+                    tower[z] = v
+            out[g].append(tower)
+    return out
+
+
+def reference_verify_certificate(pa: PartialAction, cert: TowerCertificate) -> CertificateCheck:
+    """Supports, (C2), (C3) and raw condition (1), tower by tower on Fractions."""
+    G = pa.group
+    towers = derived_towers(pa, cert)
+    for j in range(cert.d + 1):
+        for x, v in cert.levels[j].items():
+            if x not in pa.carrier:
+                return CertificateCheck(False, f"level {j} assigns mass to non-carrier point {x}")
+            if not (0 <= v <= 1):
+                return CertificateCheck(False, f"level {j} value at {x} is outside [0, 1]")
+    for g in G.elements():
+        for j in range(cert.d + 1):
+            if any(z not in pa.domain(g) for z in towers[g][j]):
+                return CertificateCheck(False, f"tower f_{g}^({j}) leaves its domain")
+    for j in range(cert.d + 1):
+        for x in pa.carrier:
+            positive = [g for g in G.elements() if towers[g][j].get(x, Fraction(0)) > 0]
+            if len(positive) > 1:
+                return CertificateCheck(
+                    False, f"orthogonality fails at point {x}, level {j}: towers {positive}"
+                )
+    for x in pa.carrier:
+        total = sum(
+            towers[g][j].get(x, Fraction(0))
+            for g in G.elements()
+            for j in range(cert.d + 1)
+        )
+        if total != 1:
+            return CertificateCheck(False, f"tower masses sum to {total} != 1 at point {x}")
+    for g in G.elements():
+        for y in pa.domain(G.inv(g)):
+            z = pa.theta(g, y)
+            for h in G.elements():
+                gh = G.mul(g, h)
+                for j in range(cert.d + 1):
+                    lhs = towers[h][j].get(y, Fraction(0))
+                    rhs = towers[gh][j].get(z, Fraction(0))
+                    if lhs != rhs:
+                        return CertificateCheck(
+                            False,
+                            f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {j})",
+                        )
+    return CertificateCheck(True, None)
+
+
+def reference_globalize(pa: PartialAction) -> GlobalizationResult:
+    """The envelope by union-find over G x X, classes numbered by least pair."""
+    G = pa.group
+    elems = list(G.elements())
+    pairs = [(g, x) for g in elems for x in sorted(pa.carrier)]
+    parent = {p: p for p in pairs}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for g in elems:
+        for h in elems:
+            hg = G.mul(G.inv(h), g)
+            for x in pa.domains[G.inv(hg)]:
+                y = pa.maps[hg][x]
+                a, b = find((g, x)), find((h, y))
+                if a != b:
+                    parent[a] = b
+
+    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p in pairs:
+        classes.setdefault(find(p), []).append(p)
+    reps = sorted(classes, key=lambda r: min(classes[r]))
+    label = {rep: i for i, rep in enumerate(reps)}
+    point = {p: label[find(p)] for p in pairs}
+
+    carrier = frozenset(range(len(reps)))
+    perms = {}
+    for a in G.elements():
+        perms[a] = {point[(g, x)]: point[(G.mul(a, g), x)] for (g, x) in pairs}
+    envelope = global_action(G, carrier, perms)
+    embedding = {x: point[(0, x)] for x in pa.carrier}
+
+    if len(set(embedding.values())) != len(pa.carrier):
+        raise AssertionError("globalization embedding is not injective")
+    emb = frozenset(embedding.values())
+    for g in G.elements():
+        translated = frozenset(envelope.maps[g][z] for z in emb)
+        if frozenset(embedding[x] for x in pa.domains[g]) != emb & translated:
+            raise AssertionError(f"envelope domain condition fails at g={g}")
+        for x in pa.domains[G.inv(g)]:
+            if envelope.maps[g][embedding[x]] != embedding[pa.maps[g][x]]:
+                raise AssertionError(f"envelope does not extend theta_{g}")
+    covered = set()
+    for g in G.elements():
+        covered |= {envelope.maps[g][z] for z in emb}
+    if covered != set(carrier):
+        raise AssertionError("translates of the embedded carrier do not cover the envelope")
+    return GlobalizationResult(envelope, embedding, pa)

@@ -155,10 +155,19 @@ def test_search_rejects_no_restarts_and_negative_band(kwargs, message):
         search_towers(ga, family, F(0), 0, **kwargs)
 
 
-def test_search_with_a_band_wider_than_the_model_fails_admissibility():
+def test_search_rejects_a_slope_above_the_model():
+    """A wider band than the model's cannot give admissible towers, so the
+    search refuses it up front and names the model's slope."""
     ga, family, _ = punctured_circle_pair(32)
-    with pytest.raises(GridError, match=r"tower \(0, 0\) violates the Lipschitz band on edge \(5, 6\)"):
+    with pytest.raises(ValueError, match=r"at most the model's slope 8, got 16"):
         search_towers(ga, family, F(0), 0, lipschitz=16, restarts=3, sweeps=20, polish_sweeps=20)
+
+
+def test_search_at_or_below_the_model_slope_still_searches():
+    ga, family, _ = punctured_circle_pair(32)
+    for slope in (8, 4):
+        towers, res = search_towers(ga, family, F(0), 0, lipschitz=slope, restarts=2, sweeps=20, polish_sweeps=20)
+        assert res == residual(ga, towers, family)
 
 
 def test_search_rejects_negative_model_band_and_accepts_zero():
