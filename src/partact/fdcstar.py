@@ -11,16 +11,18 @@ basis element is an arrow theta_{g^-1}(x) -> x of the translation groupoid.
 Block structure is computed two independent ways: numerically, from the
 eigenvalues of a random self-adjoint central element in the left regular
 representation, the center being spanned by groupoid class sums; and
-combinatorially from groupoid orbits and stabilizer group algebras.  The two
-must agree.  The imprimitivity bimodule between the fixed point algebra and
-the crossed product is verified exactly on integer index tables of arrow
-sources, targets and products: positivity for every vector at once from the
+combinatorially from groupoid orbits and the exact character degrees of the
+stabilizers, found mod p by the Burnside-Dixon method.  The two must agree.
+The imprimitivity bimodule between the fixed point algebra and the crossed
+product is verified exactly on integer index tables of arrow sources,
+targets and products: positivity for every vector at once from the
 identities e* = e and e e = x_alpha e for the sum e of all basis arrows, and
 compatibility and right fullness cell by cell.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,12 +103,6 @@ class StructureConstantStarAlgebra:
             raise AlgebraError("star is not an anti-homomorphism")
 
 
-def _make_algebra(basis, product, star) -> StructureConstantStarAlgebra:
-    alg = StructureConstantStarAlgebra(tuple(basis), tuple(map(tuple, product)), tuple(star))
-    alg.check_invariants()
-    return alg
-
-
 @dataclass(frozen=True)
 class FDCStarAlgebra:
     """Matrix block sizes of a finite-dimensional C*-algebra, sorted ascending."""
@@ -135,14 +131,9 @@ def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
             if xg == y:  # x lies in X_gh by the derived domain identity
                 product[i][j] = index[(G.mul(g, h), x)]
     star = [index[(G.inv(g), pa.theta(G.inv(g), x))] for (g, x) in basis]
-    return _make_algebra(basis, product, star)
-
-
-def group_algebra(group: FiniteGroup) -> StructureConstantStarAlgebra:
-    basis = list(group.elements())
-    product = [[group.mul(a, b) for b in basis] for a in basis]
-    star = [group.inv(a) for a in basis]
-    return _make_algebra(basis, product, star)
+    alg = StructureConstantStarAlgebra(tuple(basis), tuple(map(tuple, product)), tuple(star))
+    alg.check_invariants()
+    return alg
 
 
 @dataclass(frozen=True)
@@ -258,16 +249,118 @@ def block_structure(alg: StructureConstantStarAlgebra, seed: int = 0) -> FDCStar
     return block_structure_full(alg, seed=seed).algebra
 
 
+def _nullspace_mod(A: list[list[int]], lam: int, p: int) -> tuple[list[int], list[list[int]]]:
+    """The nullspace of A - lam I over GF(p) as (free columns, basis), basis
+    vector f being 1 at free column f and 0 at the other free columns."""
+    m = [[(a - lam * (r == c)) % p for c, a in enumerate(row)] for r, row in enumerate(A)]
+    pivots, width = [], len(A)
+    for c in range(width):
+        r = next((r for r in range(len(pivots), len(m)) if m[r][c]), None)
+        if r is not None:
+            top = len(pivots)
+            m[r], m[top] = m[top], [v * pow(m[r][c], -1, p) % p for v in m[r]]
+            m = [row if i == top else [(a - row[c] * b) % p for a, b in zip(row, m[top])]
+                 for i, row in enumerate(m)]
+            pivots.append(c)
+    free = [c for c in range(width) if c not in pivots]
+    basis = [[int(c == f) for c in range(width)] for f in free]
+    for v, f in zip(basis, free):
+        for row, c in enumerate(pivots):
+            v[c] = -m[row][f] % p
+    return free, basis
+
+
+def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial of A over GF(p), highest coefficient first (Faddeev-LeVerrier)."""
+    A = np.array(A, dtype=np.int64)  # entries below p: products stay far from overflow
+    coeffs, M, eye = [1], np.zeros_like(A), np.eye(len(A), dtype=np.int64)
+    for k in range(1, len(A) + 1):
+        M = (A @ M + coeffs[-1] * eye) % p
+        coeffs.append(-int(np.trace(A @ M)) * pow(k, -1, p) % p)
+    return coeffs
+
+
+def character_degrees(group: FiniteGroup) -> tuple[int, ...]:
+    """The irreducible character degrees of ``group``, sorted, in exact arithmetic.
+
+    Burnside-Dixon over GF(p) (Dixon, Numer. Math. 10 (1967); Schneider,
+    J. Symbolic Comput. 9 (1990)), with p the least prime above |H| that is
+    1 mod the exponent, so the class algebra splits over GF(p).  The class
+    matrices M_i[j][k] = #{x in C_i : x^-1 g_k in C_j} (g_k in C_k) commute,
+    and their common eigenvectors are the central characters
+    omega(C_j) = |C_j| chi(g_j) / chi(1).  GF(p)^k is split subspace by
+    subspace at the roots of each restricted characteristic polynomial; then
+    chi(1)^2 = |H| / sum_j omega(C_j) omega(C_j^-1) / |C_j| mod p, which lifts
+    uniquely because chi(1)^2 <= |H| < p.  With as many classes as elements
+    every degree is 1, since the squares sum to |H|.
+    """
+    order, mul, inv = group.order, group.table, group.inverse
+    classes = sorted({tuple(sorted({mul[mul[g][x]][inv[g]] for g in range(order)})) for x in range(order)})
+    class_of = {y: i for i, members in enumerate(classes) for y in members}
+    k = len(classes)
+    if k == order:
+        return (1,) * order
+    exponent = 1
+    for x in range(order):
+        power, n = x, 1
+        while power:
+            power, n = mul[power][x], n + 1
+        exponent = math.lcm(exponent, n)
+    p = order + 1  # the exponent divides |H|
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += exponent
+    coeff = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for i, members in enumerate(classes):
+        for l, (rep, *_) in enumerate(classes):
+            for x in members:
+                coeff[i][class_of[mul[inv[x]][rep]]][l] += 1
+    # Each space is (pivot rows, basis columns) with the basis the identity
+    # on its pivot rows, so the coordinates of a vector are its pivot entries.
+    spaces = [(list(range(k)), [[int(r == c) for r in range(k)] for c in range(k)])]
+    for M in coeff[1:]:
+        split = []
+        for pivots, basis in spaces:
+            if len(basis) == 1:
+                split.append((pivots, basis))
+                continue
+            A = [[sum(a * b for a, b in zip(M[r], v)) % p for v in basis] for r in pivots]
+            poly = _charpoly_mod(A, p)
+            for lam in range(p):
+                if functools.reduce(lambda acc, c: (acc * lam + c) % p, poly, 0):
+                    continue
+                free, null = _nullspace_mod(A, lam, p)
+                split.append(([pivots[f] for f in free], [
+                    [sum(w * v[r] for w, v in zip(u, basis)) % p for r in range(k)] for u in null
+                ]))
+        spaces = split
+    if len(spaces) != k or any(len(basis) != 1 for _, basis in spaces):
+        raise AssertionError(f"class matrices of {group.name} split into {len(spaces)} spaces, not {k}")
+    degrees = []
+    for _, (omega,) in spaces:
+        norm = sum(w * omega[class_of[inv[c[0]]]] * pow(len(c), -1, p) for w, c in zip(omega, classes))
+        norm *= pow(omega[0], -2, p)
+        square = order * pow(norm % p, -1, p) % p
+        degree = math.isqrt(square)
+        if degree * degree != square:
+            raise AssertionError(f"chi(1)^2 = {square} mod {p} is not a square in {group.name}")
+        degrees.append(degree)
+    if sum(d * d for d in degrees) != order:
+        raise AssertionError(f"squared degrees {degrees} of {group.name} do not sum to {order}")
+    return tuple(sorted(degrees))
+
+
 def crossed_product_blocks_combinatorial(pa: PartialAction) -> FDCStarAlgebra:
-    """Blocks via orbits and stabilizers: each orbit O with isotropy S
-    contributes |O| * d for every block d of the group algebra of S."""
+    """Blocks via orbits and stabilizers, in exact arithmetic: each orbit O
+    with isotropy H contributes |O| * chi(1) for every irreducible character
+    chi of H (character_degrees, computed once per stabilizer here)."""
     gr = translation_groupoid(pa)
+    degrees: dict[frozenset[int], tuple[int, ...]] = {}
     blocks: list[int] = []
     for orbit in gr.orbits:
-        rep = min(orbit)
-        stab = gr.stabilizers[rep].as_group()
-        stab_blocks = block_structure(group_algebra(stab))
-        blocks.extend(len(orbit) * d for d in stab_blocks.blocks)
+        stab = gr.stabilizers[min(orbit)]
+        if stab.members not in degrees:
+            degrees[stab.members] = character_degrees(stab.as_group())
+        blocks.extend(len(orbit) * d for d in degrees[stab.members])
     return FDCStarAlgebra(tuple(sorted(blocks)))
 
 
@@ -288,14 +381,12 @@ def fixed_point_algebra(pa: PartialAction) -> FDCStarAlgebra:
 
     A fixed function takes equal values at the two ends of every arrow, so
     the algebra is the functions constant on the components of the arrow
-    graph.  Two checks show those components are the groupoid orbits: every
-    arrow stays in its orbit, and every orbit is a clique (the arrows out of
-    any of its points reach all of it).
+    graph.  One check, by arrows out of each point rather than by the index
+    table the orbits come from, shows those components are the groupoid
+    orbits: the arrows out of any point reach exactly its orbit, so every
+    arrow stays in its orbit and every orbit is a clique.
     """
     orbits = translation_groupoid(pa).orbits
-    orbit_of = {p: k for k, orbit in enumerate(orbits) for p in orbit}
-    if any(orbit_of[x] != orbit_of[y] for _, x, y in pa.arrows()):
-        raise AssertionError("orbit indicator violates a fixed-point constraint")
     for orbit in orbits:
         for x in orbit:
             if {theta[x] for theta in pa.maps.values() if x in theta} != orbit:

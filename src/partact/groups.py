@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 DEFAULT_MAX_ORDER = 24
 
@@ -73,6 +76,13 @@ class FiniteGroup:
     def conjugate(self, g: int, h: int) -> int:
         """g * h * g^-1."""
         return self.mul(self.mul(g, h), self.inverse[g])
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``table`` and ``inverse`` as read-only intp arrays, built once and shared."""
+        mul, inv = np.array(self.table, dtype=np.intp), np.array(self.inverse, dtype=np.intp)
+        mul.flags.writeable = inv.flags.writeable = False
+        return mul, inv
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"

@@ -87,7 +87,7 @@ class IndexTables:
     ``theta[g, i]`` is the index of theta_g of the point with index i, or -1
     where theta_g is undefined; a column of -1 appended to a table makes an
     undefined index read as undefined again.  ``mul`` and ``inv`` are the
-    group's tables.
+    group's read-only tables, shared by every action of the group.
     """
 
     index: Mapping[int, int]
@@ -106,8 +106,7 @@ def _index_tables(group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int,
     dst = np.fromiter(map(at, chain.from_iterable(maps[g].values() for g in elements)), np.intp, total)
     theta = np.full((group.order, len(index)), -1, dtype=np.intp)
     theta[np.repeat(np.arange(group.order), sizes), src] = dst
-    mul, inv = np.array(group.table, dtype=np.intp), np.array(group.inverse, dtype=np.intp)
-    return IndexTables(MappingProxyType(index), theta, mul, inv)
+    return IndexTables(MappingProxyType(index), theta, *group.arrays)
 
 
 def index_tables(pa: PartialAction) -> IndexTables:
@@ -116,7 +115,8 @@ def index_tables(pa: PartialAction) -> IndexTables:
 
 
 def row_blocks(order: int, width: int) -> Iterable[slice]:
-    """Consecutive slices of group elements, BLOCK_ELEMENTS // width rows each (at least one)."""
+    """Consecutive slices of range(order) (group elements or tower levels),
+    BLOCK_ELEMENTS // width rows each (at least one)."""
     rows = max(1, BLOCK_ELEMENTS // max(1, width))
     return (slice(lo, min(lo + rows, order)) for lo in range(0, order, rows))
 
@@ -310,29 +310,21 @@ def translation_groupoid(pa: PartialAction) -> TranslationGroupoid:
 
 
 def _translation_groupoid_parts(pa: PartialAction) -> tuple:
-    arrows = tuple(pa.arrows())
-    parent: dict[int, int] = {x: x for x in pa.carrier}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, x, y in arrows:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    groups_: dict[int, set[int]] = {}
-    for x in pa.carrier:
-        groups_.setdefault(find(x), set()).add(x)
-    orbits = tuple(sorted((frozenset(v) for v in groups_.values()), key=min))
-    stabilizers = {}
-    for orbit in orbits:
-        rep = min(orbit)
-        members = frozenset(g for g in pa.group.elements() if pa.maps[g].get(rep) == rep)
-        stabilizers[rep] = Subgroup(pa.group, members)
-    return arrows, orbits, MappingProxyType(stabilizers)
+    # theta_h theta_g lies inside theta_hg, so every orbit is a clique: the
+    # orbit of x is the defined column x of the theta table, and its least
+    # index names the orbit.  Orbits come out sorted by their least points.
+    t = index_tables(pa)
+    points = sorted(pa.carrier)
+    least = np.where(t.theta >= 0, t.theta, len(points)).min(axis=0).tolist()
+    members: dict[int, list[int]] = {}
+    for x, r in zip(points, least):
+        members.setdefault(r, []).append(x)
+    orbits = tuple(frozenset(m) for m in members.values())
+    stabilizers = {
+        points[r]: Subgroup(pa.group, frozenset(np.flatnonzero(t.theta[:, r] == r).tolist()))
+        for r in members
+    }
+    return tuple(pa.arrows()), orbits, MappingProxyType(stabilizers)
 
 
 def restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:

@@ -208,13 +208,15 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
     equivariance (C1) f_h(y) = f_{gh}(theta_g(y)) for every y in X_{g^-1}
     and every h.
 
-    The towers are one integer table T[j, g, z] = code of f_1^(j)(theta_{g^-1} z)
+    The towers are integer tables T[j, g, z] = code of f_1^(j)(theta_{g^-1} z)
     on X_g, 0 elsewhere, where equal values share a code and 0 has code 0;
-    it lies inside the domains by construction.  (C2) and (1) are whole-array
-    comparisons of codes, (1) in row blocks of g, and (C3) sums the distinct
-    nonzero values at each point as Fractions.  A failure names the witness a point-by-point scan
-    would meet first: checks in the order above, (C2) by level then point,
-    (C3) by point, and (1) by g, y, h, level, with points taken in the
+    they lie inside the domains by construction.  Levels with mass are taken
+    in row blocks, so memory does not grow with their number.  (C2) and (1)
+    are whole-array comparisons of codes, (1) in row blocks of g, and (C3)
+    keeps one running Fraction mass per distinct sequence of codes.  A
+    failure names the witness a point-by-point scan would meet first: checks
+    in the order above, (C2) by level then point, (C3) by point, and (1) by
+    g, y, h, level (the least over level blocks), with points taken in the
     iteration order of ``pa.carrier`` and of each domain.
     """
     levels = cert.d + 1
@@ -225,47 +227,52 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
             if not (0 <= v <= 1):
                 return CertificateCheck(False, f"level {j} value at {x} is outside [0, 1]")
     t = index_tables(pa)
-    n = len(t.index)
+    order, n = pa.group.order, len(t.index)
     # A level without mass gives zero towers, which pass (C2) and (1) and add
-    # nothing to (C3); only the other levels enter the table.
+    # nothing to (C3); only the other levels enter the tables.
     live = [j for j in range(levels) if any(cert.levels[j].values())]
     values = [0] + sorted({v for j in live for v in cert.levels[j].values() if v})
     code = {v: r for r, v in enumerate(values)}
-    first = np.zeros((len(live), n + 1), dtype=np.intp)  # column n: read off X_g
-    for row, j in enumerate(live):
-        for x, v in cert.levels[j].items():
-            first[row, t.index[x]] = code[v]
-    T = first[:, t.theta[t.inv]]  # (live level, g, z)
-    # (C2) per-level orthogonality.
-    crowded = (T > 0).sum(axis=1) > 1
-    for row in np.flatnonzero(crowded.any(axis=1)).tolist():
-        x = next(x for x in pa.carrier if crowded[row, t.index[x]])
-        positive = np.flatnonzero(T[row, :, t.index[x]]).tolist()
-        return CertificateCheck(
-            False, f"orthogonality fails at point {x}, level {live[row]}: towers {positive}"
-        )
-    # (C3) partition of unity: after (C2) each level holds at most one
-    # positive code per point, so a point's mass is fixed by its codes.
-    codes = list(map(tuple, T.max(axis=1).T.tolist()))  # by point index
-    totals = {key: sum(values[r] for r in key if r) for key in set(codes)}
-    if any(total != 1 for total in totals.values()):
-        x = next(x for x in pa.carrier if totals[codes[t.index[x]]] != 1)
-        total = totals[codes[t.index[x]]]
-        return CertificateCheck(False, f"tower masses sum to {total} != 1 at point {x}")
-    # Raw condition (1): T[j, h, y] = T[j, gh, theta_g(y)] wherever theta_g(y)
-    # is defined, for a block of g at a time.
-    for rows in row_blocks(pa.group.order, T.size):
-        defined = t.theta[rows] >= 0  # (g, y)
-        moved = T[:, t.mul[rows][:, :, None], t.theta[rows][:, None, :]]  # (level, g, h, y)
-        bad = defined[None, :, None, :] & (T[:, None] != moved)
-        if bad.any():
-            b = int(np.argmax(bad.any(axis=(0, 2, 3))))
-            g = rows.start + b
-            y = next(y for y in pa.domain(pa.group.inv(g)) if bad[:, b, :, t.index[y]].any())
-            h, row = np.argwhere(bad[:, b, :, t.index[y]].T)[0].tolist()
-            return CertificateCheck(
-                False, f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {live[row]})"
-            )
+    key, masses = np.zeros(n, dtype=np.intp), [Fraction(0)]  # (C3): equal keys, equal codes so far
+    raw = (order,)  # least witness of (1) so far: (g, position of y, h, level, y)
+    for block in row_blocks(len(live), order * n):
+        first = np.zeros((block.stop - block.start, n + 1), dtype=np.intp)  # column n: off X_g
+        for row, j in enumerate(live[block]):
+            for x, v in cert.levels[j].items():
+                first[row, t.index[x]] = code[v]
+        T = first[:, t.theta[t.inv]]  # (level in block, g, z)
+        # (C2) per-level orthogonality.
+        crowded = (T > 0).sum(axis=1) > 1
+        for row in np.flatnonzero(crowded.any(axis=1)).tolist():
+            x = next(x for x in pa.carrier if crowded[row, t.index[x]])
+            positive = np.flatnonzero(T[row, :, t.index[x]]).tolist()
+            return CertificateCheck(False, f"orthogonality fails at point {x}, level {live[block][row]}: towers {positive}")
+        # (C3) partition of unity: after (C2) each level holds at most one
+        # positive code per point, so a point's mass is fixed by its codes.
+        for top in T.max(axis=1):
+            pairs, key = np.unique(key * len(values) + top, return_inverse=True)
+            masses = [masses[k] + values[c] for k, c in (divmod(u, len(values)) for u in pairs.tolist())]
+        # Raw condition (1): T[j, h, y] = T[j, gh, theta_g(y)] wherever
+        # theta_g(y) is defined, for a block of g at a time, up to the least g found.
+        for rows in row_blocks(min(order, raw[0] + 1), T.size):
+            defined = t.theta[rows] >= 0  # (g, y)
+            moved = T[:, t.mul[rows][:, :, None], t.theta[rows][:, None, :]]  # (level, g, h, y)
+            bad = defined[None, :, None, :] & (T[:, None] != moved)
+            if bad.any():
+                b = int(np.argmax(bad.any(axis=(0, 2, 3))))
+                g = rows.start + b
+                pos, y = next((pos, y) for pos, y in enumerate(pa.domain(pa.group.inv(g)))
+                              if bad[:, b, :, t.index[y]].any())
+                h, row = np.argwhere(bad[:, b, :, t.index[y]].T)[0].tolist()
+                raw = min(raw, (g, pos, h, block.start + row, y))
+                break
+    short = np.array([m != 1 for m in masses], dtype=bool)[key]  # by point index
+    if short.any():
+        x = next(x for x in pa.carrier if short[t.index[x]])
+        return CertificateCheck(False, f"tower masses sum to {masses[key[t.index[x]]]} != 1 at point {x}")
+    if raw[0] < order:
+        g, _, h, row, y = raw
+        return CertificateCheck(False, f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {live[row]})")
     return CertificateCheck(True, None)
 
 

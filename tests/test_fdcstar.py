@@ -21,16 +21,16 @@ from partact.fdcstar import (
     _center_basis,
     block_structure,
     block_structure_full,
+    character_degrees,
     crossed_product,
     crossed_product_blocks,
     crossed_product_blocks_combinatorial,
     fixed_point_algebra,
-    group_algebra,
     imprimitivity_bimodule_verify,
     isomorphic,
     morita_equivalent,
 )
-from partact.groups import build_group
+from partact.groups import FiniteGroup, all_subgroups, build_group, subgroup_closure
 from partact.pactions import (
     PartialAction,
     global_action,
@@ -40,6 +40,15 @@ from partact.pactions import (
 )
 
 F = Fraction
+
+
+def group_algebra(group: FiniteGroup) -> StructureConstantStarAlgebra:
+    """The group algebra as a checked structure-constant *-algebra."""
+    basis = tuple(group.elements())
+    product = tuple(tuple(group.mul(a, b) for b in basis) for a in basis)
+    alg = StructureConstantStarAlgebra(basis, product, tuple(group.inv(a) for a in basis))
+    alg.check_invariants()
+    return alg
 
 
 def symbolic_product(pa, f, g_elt, k, h_elt):
@@ -107,6 +116,38 @@ def test_group_algebra_blocks():
     assert block_structure(group_algebra(build_group(("cyclic", 3)))).blocks == (1, 1, 1)
     assert block_structure(group_algebra(build_group(("symmetric", 3)))).blocks == (1, 1, 2)
     assert block_structure(group_algebra(build_group("klein4"))).blocks == (1, 1, 1, 1)
+
+
+def test_character_degrees_of_symmetric_groups():
+    assert character_degrees(build_group(("symmetric", 3))) == (1, 1, 2)
+    assert character_degrees(build_group(("symmetric", 4))) == (1, 1, 2, 3, 3)
+
+
+def _class_count(group: FiniteGroup) -> int:
+    return len({frozenset(group.conjugate(g, x) for g in group.elements()) for x in group.elements()})
+
+
+def _commutator_subgroup_order(group: FiniteGroup) -> int:
+    commutators = {
+        group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
+        for a in group.elements()
+        for b in group.elements()
+    }
+    return subgroup_closure(group, commutators).order
+
+
+@pytest.mark.parametrize("spec", [("cyclic", 24), ("dihedral", 12), ("symmetric", 4), "klein4"])
+def test_character_degrees_of_every_subgroup(spec):
+    """Sum of squares |H|, one degree per class, |H : H'| linear characters,
+    and the numeric blocks of the group algebra, on every subgroup."""
+    for sub in all_subgroups(build_group(spec)):
+        h = sub.as_group()
+        degrees = character_degrees(h)
+        assert list(degrees) == sorted(degrees)
+        assert sum(d * d for d in degrees) == h.order
+        assert len(degrees) == _class_count(h)
+        assert degrees.count(1) == h.order // _commutator_subgroup_order(h)
+        assert degrees == block_structure(group_algebra(h)).blocks
 
 
 def test_combinatorial_route_reference_instances(swap_pair, fixed_single):

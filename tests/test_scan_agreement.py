@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from partact import harness
+from partact import harness, pactions
 from partact.groups import build_group
 from partact.pactions import (
     PartialAction,
@@ -135,7 +135,7 @@ def _solver_variants(pa: PartialAction, rng: random.Random):
     return out
 
 
-def test_verify_certificate_agrees_with_scan_reference(instances):
+def _witness_kinds_agreeing(instances) -> set:
     rng = random.Random(20260808)
     seen = set()
     for pa in instances:
@@ -144,7 +144,11 @@ def test_verify_certificate_agrees_with_scan_reference(instances):
             new, ref = verify_certificate(pa, cert), reference_verify_certificate(pa, cert)
             assert (new.ok, new.witness) == (ref.ok, ref.witness), cert
             seen.add(new.witness.split(" ")[0] if new.witness else "ok")
-    assert {"ok", "orthogonality", "tower", "level"} <= seen
+    return seen
+
+
+def test_verify_certificate_agrees_with_scan_reference(instances):
+    assert {"ok", "orthogonality", "tower", "level"} <= _witness_kinds_agreeing(instances)
 
 
 def test_verify_certificate_agrees_on_the_unvalidated_broken_action():
@@ -180,6 +184,19 @@ def test_verify_certificate_agrees_when_only_equivariance_breaks(instances):
     """Orbits alternate between two levels in one certificate, so the first
     witness of raw condition (1) depends on taking h before the level, and
     sparse labels make it depend on each domain's iteration order."""
+    assert _raw_witnesses_agreeing(instances) >= 20
+
+
+def test_verify_certificate_agrees_with_one_level_and_one_g_per_block(instances, monkeypatch):
+    """With a single table entry per block every level and every g is a
+    block of its own, so (C2) and (C3) run across level blocks and the
+    witness of raw condition (1) is the least of the blocks' witnesses."""
+    monkeypatch.setattr(pactions, "BLOCK_ELEMENTS", 1)
+    assert {"ok", "orthogonality", "tower", "level"} <= _witness_kinds_agreeing(instances)
+    assert _raw_witnesses_agreeing(instances) >= 20
+
+
+def _raw_witnesses_agreeing(instances) -> int:
     rng = random.Random(24)
     raw = 0
     specs = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
@@ -200,7 +217,7 @@ def test_verify_certificate_agrees_when_only_equivariance_breaks(instances):
                 new, ref = verify_certificate(broken, c), reference_verify_certificate(broken, c)
                 assert (new.ok, new.witness) == (ref.ok, ref.witness)
                 raw += (new.witness or "").startswith("raw condition (1)")
-    assert raw >= 20
+    return raw
 
 
 def test_globalize_agrees_with_union_find_label_for_label(instances):
@@ -240,3 +257,35 @@ def test_axiom_and_certificate_checks_stay_small_at_scale():
     assert check.ok
     assert validate_peak < 32 * 2**20
     assert verify_peak < 12 * 2**20
+
+
+def test_certificate_check_memory_does_not_grow_with_levels():
+    """verify_certificate takes the live levels in blocks: on a global C24
+    action on 4,800 points, spreading the 200 orbit masses over 20 levels
+    peaks within 1.5x of holding them all on one level (tracemalloc)."""
+    group = build_group(("cyclic", 24))
+    copies = 200
+    n = group.order * copies
+    perms = {
+        a: {c * 24 + g: c * 24 + group.mul(a, g) for c in range(copies) for g in range(24)}
+        for a in group.elements()
+    }
+    pa = global_action(group, range(n), perms)
+
+    def certificate(levels: int) -> TowerCertificate:
+        return TowerCertificate(levels - 1, tuple(
+            {c * 24: F(1) for c in range(copies) if c % levels == j} for j in range(levels)
+        ))
+
+    assert verify_certificate(pa, certificate(1)).ok  # builds the tables kept on pa
+    peaks = {}
+    for levels in (1, 20):
+        cert = certificate(levels)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert verify_certificate(pa, cert).ok
+            peaks[levels] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert peaks[20] <= 1.5 * peaks[1], peaks
