@@ -150,10 +150,12 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
     """The center as 0/1 rows: one class sum per conjugacy class of loops.
 
     Every basis element b is a groupoid arrow with unit b b*, and a loop when
-    b b* = b* b.  Loop b is joined with c b c* for every arrow c out of its
-    unit; the sum over each class is central (Burnside's class sums), and for
-    a groupoid algebra these sums span the center.  Each row is checked
-    central exactly: z b_j and b_j z are equal multisets of basis indices.
+    b b* = b* b.  The class of loop b is {c b c* : c an arrow out of its
+    unit}, the same set from each of its members, so its least member names
+    it; rows follow the classes' least members.  The sum over each class is
+    central (Burnside's class sums), and for a groupoid algebra these sums
+    span the center.  Each row is checked central exactly: z b_j and b_j z
+    are equal multisets of basis indices.
     """
     n = alg.dimension
     P = np.array(alg.product, dtype=np.int64)
@@ -163,29 +165,24 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
     bad = np.flatnonzero((unit < 0) | (P[np.clip(unit, 0, None), ks] != ks))
     if len(bad):
         raise NotSemisimpleOrDegenerate(f"basis element {bad[0]} is not a groupoid arrow")
-    parent = list(range(n))
-
-    def find(b: int) -> int:
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        return b
-
     loops = np.flatnonzero(unit == source)
-    for b in loops:
-        out = np.flatnonzero(source == unit[b])
-        cb = P[out, b]
-        conjugates = P[cb, S[out]]
-        if (cb < 0).any() or (conjugates < 0).any():
-            raise NotSemisimpleOrDegenerate(f"a conjugate of loop {b} vanishes")
-        for c in conjugates:
-            parent[find(int(c))] = find(int(b))
-    classes: dict[int, list[int]] = {}
-    for b in loops:
-        classes.setdefault(find(int(b)), []).append(int(b))
-    Z = np.zeros((len(classes), n))
-    for row, members in enumerate(classes.values()):
-        Z[row, members] = 1.0
+    # Every pair (c, b) of a loop b and an arrow c out of its unit, b-major:
+    # the arrows sorted by source, loop b's run starting at first[b].
+    outs = np.argsort(source, kind="stable")
+    first = np.searchsorted(source[outs], unit[loops])
+    size = np.bincount(source, minlength=n)[unit[loops]]
+    starts = np.cumsum(size) - size
+    b = np.repeat(loops, size)
+    c = outs[np.arange(len(b)) + np.repeat(first - starts, size)]
+    cb = P[c, b]
+    conjugates = np.where(cb < 0, -1, P[cb, S[c]])
+    if (conjugates < 0).any():
+        raise NotSemisimpleOrDegenerate(f"a conjugate of loop {b[conjugates < 0].min()} vanishes")
+    labels, row = np.unique(np.minimum.reduceat(conjugates, starts), return_inverse=True)
+    Z = np.zeros((len(labels), n))
+    Z[row, loops] = 1.0
+    for z in Z:
+        members = np.flatnonzero(z)
         if not np.array_equal(np.sort(P[members], axis=0), np.sort(P[:, members].T, axis=0)):
             raise AssertionError(f"class sum of basis element {members[0]} is not central")
     return Z

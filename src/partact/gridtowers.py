@@ -12,13 +12,15 @@ The search is an alternating projection over the constraint families
 (domain support, Lipschitz band, per-level orthogonalization, sum-to-one)
 in the identity-level parametrization, so the equivariance condition holds
 by construction.  It reports the best residual found and never claims
-nonexistence.
+nonexistence.  Sweeps run in place on one padded buffer per chunk of
+restarts and gather through flat index plans.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -83,6 +85,24 @@ class GridAction:
     def band(self) -> Fraction:
         return self.lipschitz * self.spacing
 
+    @cached_property
+    def _layout(self) -> tuple[list[int], dict[int, int], np.ndarray, np.ndarray]:
+        """Sorted grid points, their positions, src[g, z], the position of
+        theta_{g^-1}(z) for z in X_g (-1 off the domain), and the edges as a
+        (2, |edges|) array of positions; built once, read-only, and holding no
+        reference back to the action."""
+        pa = self.pa
+        points = sorted(pa.carrier)
+        index = {x: i for i, x in enumerate(points)}
+        src = np.full((pa.group.order, len(points)), -1, dtype=np.int64)
+        for g in pa.group.elements():
+            ginv = pa.group.inv(g)
+            for z in pa.domain(g):
+                src[g, index[z]] = index[pa.theta(ginv, z)]
+        edges = np.array([[index[x] for x, _ in self.edges], [index[y] for _, y in self.edges]], dtype=np.int64)
+        src.flags.writeable = edges.flags.writeable = False
+        return points, index, src, edges
+
 
 @dataclass(frozen=True)
 class NumericTowers:
@@ -111,22 +131,6 @@ def derived_numeric_towers(ga: GridAction, levels: Sequence[Mapping[int, Fractio
     return NumericTowers(len(levels) - 1, values)
 
 
-def _layout(ga: GridAction) -> tuple[list[int], dict[int, int], np.ndarray, np.ndarray]:
-    """Sorted grid points, their positions, src[g, z], the position of
-    theta_{g^-1}(z) for z in X_g (-1 off the domain), and the edges as a
-    (2, |edges|) array of positions."""
-    pa = ga.pa
-    points = sorted(pa.carrier)
-    index = {x: i for i, x in enumerate(points)}
-    src = np.full((pa.group.order, len(points)), -1, dtype=np.int64)
-    for g in pa.group.elements():
-        ginv = pa.group.inv(g)
-        for z in pa.domain(g):
-            src[g, index[z]] = index[pa.theta(ginv, z)]
-    edges = np.array([[index[x] for x, _ in ga.edges], [index[y] for _, y in ga.edges]], dtype=np.int64)
-    return points, index, src, edges
-
-
 def _int_dtype(bound: int):
     """int64 while every intermediate stays below the bound < 2^62, else Python ints."""
     return np.int64 if bound < 1 << 62 else object
@@ -145,7 +149,7 @@ def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray,
     and D_t.
     """
     pa = ga.pa
-    _, index, _, (ex, ey) = _layout(ga)
+    _, index, _, (ex, ey) = ga._layout
     entries = []
     for (g, j), tower in towers.values.items():
         if g not in pa.group.elements() or not (0 <= j <= towers.d):
@@ -192,7 +196,7 @@ def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[
     common denominators D_t of the towers and D_w of the family.
     """
     T, scale = check_admissible(ga, towers)
-    _, index, src, _ = _layout(ga)
+    _, index, src, _ = ga._layout
     return _residual_formula(ga, index, src, witnesses)(T, scale)
 
 
@@ -480,6 +484,13 @@ def search_towers(
     operations of a run on its own, and restarts are scored in order, so the
     towers, best residual and trace are those of running them one after
     another.
+
+    A chunk's values sit in one flat buffer after three pads: +inf ends the
+    envelope's chain windows, 0.0 and -1.0 stand for off-domain values in
+    the sum-to-one rows and in the winner scan.  Updates run in place, and
+    flat index plans, cut to the chunk's rows whenever restarts leave it,
+    read each gather with one ``take``.  Winners are first largest values,
+    found without ``argmax``; every float sum keeps its operands and order.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -496,7 +507,7 @@ def search_towers(
     band = float(exact_band)
     pa = ga.pa
     G = pa.group
-    points, index, src, (ex, ey) = _layout(ga)
+    points, index, src, (ex, ey) = ga._layout
     P = len(points)
     levels = d + 1
     in_mask = src >= 0
@@ -505,12 +516,12 @@ def search_towers(
     # The sum-to-one update is the same at every level: point src[g, z]
     # collects the row step at z.  The sum runs g-major, in the order of
     # np.nonzero, and that order fixes the float result.  Restart r of a
-    # chunk adds into bins offset by r P, which keeps each bin's order.
+    # chunk reads row steps and adds into bins offset by r P, which keeps
+    # each bin's order.
     row_g, row_z = np.nonzero(in_mask)
-    row_src = src[row_g, row_z]
-    chunk_rows = (np.arange(RESTART_CHUNK)[:, None] * P + row_src).ravel()
-    # The same arrows z -> src[g, z], offset by (restart, level) row.
-    arrow_dest = np.arange(RESTART_CHUNK * levels)[:, None] * P + row_src
+    C = min(restarts, RESTART_CHUNK)
+    delta_plan = (np.arange(C)[:, None] * P + row_z).ravel()
+    chunk_rows = (np.arange(C)[:, None] * P + src[row_g, row_z]).ravel()
 
     # Chains and cycles: maximal runs of adjacent points.
     adj = {x: set() for x in points}
@@ -537,18 +548,17 @@ def search_towers(
         if x not in seen:
             chain_idx.append((np.array([index[p] for p in walk(x)], dtype=np.int64), True))
     # One padded row per chain (a cycle tripled, so its middle third sees
-    # both ways round); padding reads column P, which holds +inf.
+    # both ways round), then each row reversed; padding reads +inf.  Point p
+    # sits at ends[0, p] in the forward rows and ends[1, p] in the reversed.
     width = max(((3 if cyclic else 1) * len(ci) for ci, cyclic in chain_idx), default=0)
-    window_idx = np.full((len(chain_idx), width), P, dtype=np.int64)
-    chain_dest: list[int] = []
-    chain_take: list[int] = []
+    windows = np.full((2, len(chain_idx), width), P, dtype=np.int64)
+    ends = np.empty((2, P), dtype=np.int64)
     for r, (ci, cyclic) in enumerate(chain_idx):
         window = np.concatenate([ci, ci, ci]) if cyclic else ci
-        window_idx[r, : len(window)] = window
-        start = r * width + (len(ci) if cyclic else 0)
-        chain_dest.extend(ci)
-        chain_take.extend(range(start, start + len(ci)))
-    chain_dest, chain_take = np.array(chain_dest, dtype=np.int64), np.array(chain_take, dtype=np.int64)
+        windows[0, r, : len(window)] = window
+        at = (len(ci) if cyclic else 0) + np.arange(len(ci))
+        ends[:, ci] = r * width + at, (len(chain_idx) + r + 1) * width - 1 - at
+    windows[1] = windows[0, :, ::-1]
 
     # Derived-support caps: a domain point adjacent to an off-domain point
     # forces the corresponding identity-level value under the band.
@@ -566,45 +576,69 @@ def search_towers(
         for x, v in w.items():
             wmax[index[x]] = max(wmax[index[x]], abs(float(v)))
 
+    # The lower envelope's forward pass is a prefix minimum of vals - steps
+    # on the rows, its backward pass one of vals + steps on the reversed rows.
     steps = band * np.arange(width)
+    signed_steps = np.stack([-steps, steps[::-1]])[:, None, :]
 
-    def _envelope(vals: np.ndarray) -> np.ndarray:
-        fwd = np.minimum.accumulate(vals - steps, axis=-1) + steps
-        bwd = np.minimum.accumulate((vals + steps)[..., ::-1], axis=-1)[..., ::-1] - steps
-        return np.minimum(fwd, bwd)
+    # Plans into the buffer [+inf, 0.0, -1.0, v]: incoming values per (level,
+    # point) as (R, levels, G, P), the same laid out (G, P, R, levels) with
+    # 0.0 off the domains, and the chain windows with their reverses.
+    INF, ZERO, NEG = 0, 1, 2
+    base = 3 + np.arange(C * levels).reshape(C, levels, 1) * P
+    winner_plan = np.where(in_mask, base[:, :, None] + src_clip, NEG)
+    tower_plan = np.where(in_mask, base[:, :, None] + src_clip, ZERO).transpose(2, 3, 0, 1)
+    window_plan = np.where(windows == P, INF, base[..., None, None] + windows)
+    envelope_take = np.arange(C * levels).reshape(C, levels, 1, 1) * windows.size + ends
 
-    def lipschitz_project(v: np.ndarray) -> np.ndarray:
+    def load(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A new buffer holding the (R, levels, P) values v, its view of them,
+        and the tower plan for R rows (contiguous, so its take is cheap)."""
+        buf = np.empty(3 + v.size)
+        buf[:3] = np.inf, 0.0, -1.0
+        buf[3:] = v.ravel()
+        return buf, buf[3:].reshape(v.shape), np.ascontiguousarray(tower_plan[:, :, : len(v)])
+
+    def towers(buf: np.ndarray, plan: np.ndarray) -> np.ndarray:
+        """f_g(z) as (R, G, levels, P), laid out in memory as a fancy-index
+        gather lays it out: the layout fixes the order of the sum over (g, j)."""
+        return buf.take(plan).transpose(2, 0, 3, 1)
+
+    def lipschitz_project(buf: np.ndarray, v: np.ndarray) -> None:
         """Largest band-Lipschitz function below v, per chain (lower envelope)."""
-        padded = np.concatenate([v, np.full(v.shape[:-1] + (1,), np.inf)], axis=-1)
-        v[..., chain_dest] = _envelope(padded[..., window_idx]).reshape(v.shape[:-1] + (-1,))[..., chain_take]
-        return v
+        vals = buf.take(window_plan[: len(v)]) + signed_steps
+        np.fmin.accumulate(vals, axis=-1, out=vals)
+        vals -= signed_steps
+        np.fmin.reduce(vals.take(envelope_take[: len(v)]), axis=2, out=v)
 
     def lipschitz_ok(v: np.ndarray) -> bool:
         return not np.any(np.abs(v[:, ex] - v[:, ey]) > band + 1e-12)
 
-    def gather(v: np.ndarray) -> np.ndarray:
-        # towers[..., g, j, z] = v[..., j, src[g, z]] masked to domains
-        t = np.swapaxes(v[..., src_clip], -3, -2)  # (..., G, levels, P)
-        return np.where(in_mask[:, None, :], t, 0)
-
-    def float_residual(v: np.ndarray) -> np.ndarray:
+    def float_residual(buf: np.ndarray, plan: np.ndarray) -> np.ndarray:
         """Per restart: the partition and orthogonality terms in floats."""
-        t = gather(v)
+        t = towers(buf, plan)
         res = (np.abs(t.sum(axis=(1, 2)) - 1.0) * wmax).max(axis=-1, initial=0.0)
-        if G.order >= 2:
-            flat = np.sort(t, axis=1)
-            prod = flat[:, -1] * flat[:, -2]
-            res = np.maximum(res, (prod * wmax).max(axis=(1, 2), initial=0.0))
-        return res
+        # The two largest f_g(z) >= 0 at each (level, point), ties counted
+        # twice; the second is 0 when G is trivial.
+        top, second = t[:, 0], np.zeros(t[:, 0].shape)
+        for g in range(1, G.order):
+            second = np.maximum(second, np.minimum(top, t[:, g]))
+            top = np.maximum(top, t[:, g])
+        return np.maximum(res, (top * second * wmax).max(axis=(1, 2), initial=0.0))
 
-    def damping(v: np.ndarray, shrink: float) -> np.ndarray:
-        """shrink at every source of a non-winning incoming value, 1 elsewhere."""
-        winner = np.argmax(np.where(in_mask, v[..., src_clip], -1.0), axis=-2)  # (R, levels, P)
-        rows = len(v) * levels
-        lost = (winner[..., row_z] != row_g).reshape(rows, -1)
-        damp = np.ones(v.shape)
-        damp.reshape(-1)[arrow_dest[:rows][lost]] = shrink
-        return damp
+    def damping(buf: np.ndarray, R: int, shrink: float) -> np.ndarray:
+        """shrink at every source of a non-winning incoming value, 1 elsewhere:
+        lost arrows write at their sources, off-domain ones (-1.0) at a pad."""
+        vals = buf.take(winner_plan[:R])
+        eq = vals == vals.max(axis=2, keepdims=True)
+        lost = ~eq
+        taken = eq[:, :, 0]
+        for g in range(1, G.order):
+            lost[:, :, g] |= taken
+            taken = taken | eq[:, :, g]
+        damp = np.ones(buf.shape)
+        damp[winner_plan[:R][lost]] = shrink
+        return damp[3:].reshape(R, levels, P)
 
     def sweep_chunk(v: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
         """Sweep a (R, levels, P) chunk; each restart's final values and sweeps run.
@@ -620,31 +654,35 @@ def search_towers(
         active = np.arange(len(v))
         last = np.full(len(v), np.inf)
         polish_damp = None
+        buf, v, plan = load(v)
         for it in range(total_sweeps):
+            R = len(v)
             polishing = it >= sweeps
             damp = polish_damp
             if damp is None:
-                damp = damping(v, 0.0 if polishing else 0.35)
+                damp = damping(buf, R, 0.0 if polishing else 0.35)
                 if polishing:
                     polish_damp = damp
             v *= damp
             # Sum-to-one rows (simultaneous Kaczmarz step).
-            R = len(v)
-            delta = (1.0 - gather(v).sum(axis=(1, 2))) / row_size
-            step = np.bincount(chunk_rows[: R * len(row_src)], weights=delta[:, row_z].ravel(), minlength=R * P)
+            delta = (1.0 - towers(buf, plan).sum(axis=(1, 2))) / row_size
+            step = np.bincount(chunk_rows[: R * len(row_z)], weights=delta.take(delta_plan[: R * len(row_z)]), minlength=R * P)
             v += step.reshape(R, 1, P)
             # Hard constraints: box and caps (cap <= 1), Lipschitz band.
-            v = lipschitz_project(np.clip(v, 0.0, cap))
+            np.maximum(v, 0.0, out=v)
+            np.minimum(v, cap, out=v)
+            lipschitz_project(buf, v)
             if it % 25 == 24 or it == total_sweeps - 1:
-                fr = float_residual(v)
+                fr = float_residual(buf, plan)
                 done = fr >= last - 1e-14
                 if polishing and it > sweeps + 100 and done.any():
                     for k, v_k in zip(active[done], v[done]):
                         final[k], ran[k] = v_k, it + 1
                     keep = ~done
-                    active, v, fr, polish_damp = active[keep], v[keep], fr[keep], polish_damp[keep]
+                    active, fr, polish_damp = active[keep], fr[keep], polish_damp[keep]
                     if not len(active):
                         break
+                    buf, v, plan = load(v[keep])
                 last = fr
         for k, v_k in zip(active, v):
             final[k] = v_k
@@ -702,10 +740,12 @@ def search_towers(
         final, ran = sweep_chunk(np.clip(v, 0.0, 1.0))
         for restart, v_r, sweeps_run in zip(chunk, final, ran):
             if not lipschitz_ok(v_r):
-                v_r = lipschitz_project(np.clip(v_r, 0.0, 1.0))
+                buf, v_r, _ = load(np.clip(v_r, 0.0, 1.0)[None])
+                lipschitz_project(buf, v_r)
+                v_r = v_r[0]
             f = floor_cap_repair(np.clip(np.minimum(v_r, cap[None, :]), 0.0, 1.0))
             # The candidate's towers f_g = f . theta_{g^-1} as a table over denom.
-            T = gather(f).astype(check_dtype, copy=False)
+            T = np.where(in_mask[:, None, :], f[:, src_clip].swapaxes(0, 1), 0).astype(check_dtype, copy=False)
             if (T < 0).any() or (T > denom).any() or _over_band(T, denom, model_band, ex, ey).any():
                 check_admissible(ga, to_towers(f))  # raises, naming the violation
                 raise AssertionError("integer and Fraction admissibility checks disagree")

@@ -149,7 +149,7 @@ class PartialAction:
 
     def domain_tuple(self, x: int) -> frozenset[int]:
         """tau(x) = set of g with x in X_g."""
-        return frozenset(g for g in self.group.elements() if x in self.domains[g])
+        return self._domain_tuples.get(x, frozenset())
 
     def arrows(self):
         """Yield all arrows (g, x, theta_g(x)) with x in X_{g^-1}."""
@@ -164,6 +164,13 @@ class PartialAction:
     def _tables(self) -> IndexTables:
         # Like _groupoid_parts: outside the fields, with no reference to self.
         return _index_tables(self.group, self.carrier, self.maps)
+
+    @cached_property
+    def _domain_tuples(self) -> Mapping[int, frozenset[int]]:
+        # x is in X_g where theta_{g^-1}(x) is defined; no reference to self.
+        t = self._tables
+        defined = (t.theta[t.inv] >= 0).T
+        return {x: frozenset(np.flatnonzero(defined[i]).tolist()) for x, i in t.index.items()}
 
     @cached_property
     def _groupoid_parts(self) -> tuple:

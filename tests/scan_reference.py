@@ -1,9 +1,9 @@
 """Plain Python scans for the integer-table checks in ``src/``.
 
 Each function here is the element-by-element formulation that a table
-route replaced: the certificate verifier, the partial-action axiom checks
-and the union-find globalization.  Tests compare the two, witness for
-witness and label for label.
+route replaced: the certificate verifier, the partial-action axiom checks,
+the union-find globalization and the union-find center basis.  Tests
+compare the two, witness for witness and label for label.
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from partact.fdcstar import StructureConstantStarAlgebra
 from partact.groups import FiniteGroup
 from partact.pactions import (
     CompositionViolation,
@@ -196,3 +199,32 @@ def reference_globalize(pa: PartialAction) -> GlobalizationResult:
     if covered != set(carrier):
         raise AssertionError("translates of the embedded carrier do not cover the envelope")
     return GlobalizationResult(envelope, embedding, pa)
+
+
+def reference_center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
+    """Class sums of loops by union-find: loop b joined with c b c* for each
+    arrow c out of its unit; rows in the order of each class's least loop."""
+    n = alg.dimension
+    P, S = alg.product, alg.star
+    unit = [P[k][S[k]] for k in range(n)]
+    source = [P[S[k]][k] for k in range(n)]
+    parent = list(range(n))
+
+    def find(b: int) -> int:
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        return b
+
+    loops = [b for b in range(n) if unit[b] == source[b]]
+    for b in loops:
+        for c in range(n):
+            if source[c] == unit[b]:
+                parent[find(P[P[c][b]][S[c]])] = find(b)
+    classes: dict[int, list[int]] = {}
+    for b in loops:
+        classes.setdefault(find(b), []).append(b)
+    Z = np.zeros((len(classes), n))
+    for row, members in enumerate(classes.values()):
+        Z[row, members] = 1.0
+    return Z

@@ -111,6 +111,19 @@ def test_truncating_a_level_hurts():
     assert residual(ga, truncated, family) >= residual(ga, towers, family)
 
 
+def test_layout_is_built_once_read_only_and_without_a_back_reference():
+    import gc
+
+    ga, family, _ = punctured_circle_pair(32)
+    layout = ga._layout
+    towers, res = search_towers(ga, family, F(0), 0, restarts=1, sweeps=5, polish_sweeps=5)
+    assert residual(ga, towers, family) == res
+    assert ga._layout is layout
+    points, index, src, edges = layout
+    assert not src.flags.writeable and not edges.flags.writeable
+    assert not any(ref is ga for part in layout for ref in gc.get_referents(part))
+
+
 def test_search_reproducible_small():
     ga, _, family = interval_half_shift(F(1, 8), 16)
     t1, r1 = search_towers(ga, family, F(1, 100), 1, seed=5, restarts=3, sweeps=40, polish_sweeps=150)

@@ -243,6 +243,22 @@ def test_tuple_map_equivariance_on_corpus():
                 assert pa.domain_tuple(pa.theta(g, x)) == image
 
 
+def test_domain_tuples_are_read_off_the_theta_table():
+    """tau(x) from the defined entries of theta_{g^-1} equals the scan of
+    every domain; a point off the carrier has the empty tuple."""
+    import gc
+
+    for pa in corpus(30):
+        for x in pa.carrier:
+            tau = pa.domain_tuple(x)
+            assert tau == frozenset(g for g in pa.group.elements() if x in pa.domain(g))
+            assert all(type(g) is int for g in tau)
+        assert pa.domain_tuple(max(pa.carrier, default=0) + 1) == frozenset()
+        assert pa.domain_tuple(-1) == frozenset()
+        assert pa._domain_tuples is pa._domain_tuples
+        assert not any(ref is pa for ref in gc.get_referents(pa._domain_tuples))
+
+
 def test_globalize_round_trip_on_corpus():
     """The envelope has one G-orbit G/Stab(x) per groupoid orbit, x in it.
 

@@ -8,9 +8,11 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from partact import harness, pactions
+from partact.fdcstar import _center_basis, crossed_product
 from partact.groups import build_group
 from partact.pactions import (
     PartialAction,
@@ -21,7 +23,12 @@ from partact.pactions import (
     validate,
 )
 from partact.rokhlin import TowerCertificate, towers_exist, verify_certificate
-from scan_reference import reference_globalize, reference_validate, reference_verify_certificate
+from scan_reference import (
+    reference_center_basis,
+    reference_globalize,
+    reference_validate,
+    reference_verify_certificate,
+)
 
 F = Fraction
 
@@ -289,3 +296,20 @@ def test_certificate_check_memory_does_not_grow_with_levels():
         finally:
             tracemalloc.stop()
     assert peaks[20] <= 1.5 * peaks[1], peaks
+
+
+def test_center_basis_agrees_with_union_find():
+    """Classes named by their least conjugate, row for row the union-find's."""
+    instances = harness.corpus(20260808, 60) + [
+        random_partial_action(seed, spec, ambient_size=10, keep_probability=0.6)
+        for seed in range(6)
+        for spec in (("symmetric", 3), ("dihedral", 4), "klein4", ("symmetric", 4))
+    ]
+    nontrivial = 0
+    for pa in instances:
+        alg = crossed_product(pa)
+        if alg.dimension:
+            Z = _center_basis(alg)
+            assert np.array_equal(Z, reference_center_basis(alg))
+            nontrivial += (Z.sum(axis=1) > 1).any()
+    assert nontrivial > 10

@@ -1,0 +1,89 @@
+"""The buffer-and-plan sweep of ``search_towers`` against the elementwise one.
+
+``sweep_reference.reference_search_towers`` is the sweep with fancy-index
+gathers, ``np.where`` masks and an ``np.argmax`` winner; both must give the
+same best residual, the same trace and the same towers, value for value.
+"""
+
+from fractions import Fraction
+
+import pytest
+from sweep_reference import reference_search_towers
+
+from partact.gridtowers import (
+    RESTART_CHUNK,
+    embed_certificate,
+    interval_half_shift,
+    punctured_circle_pair,
+    punctured_circle_pair_global,
+    search_towers,
+)
+from partact.pactions import random_partial_action
+
+F = Fraction
+_SHORT = {"sweeps": 60, "polish_sweeps": 300}
+
+
+def _assert_agree(ga, family, eps, d, **kwargs):
+    got, want = [], []
+    towers, res = search_towers(ga, family, eps, d, trace=got, **kwargs)
+    ref_towers, ref_res = reference_search_towers(ga, family, eps, d, trace=want, **kwargs)
+    assert (res, got) == (ref_res, want)
+    assert towers.d == ref_towers.d and towers.values == ref_towers.values
+    return got
+
+
+@pytest.mark.parametrize("m", [32, 128])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_sweep_agrees_on_the_circle_pair(m, d):
+    ga, family, _ = punctured_circle_pair(m)
+    trace = _assert_agree(ga, family, F(0), d, seed=7 + d, restarts=3, **_SHORT)
+    assert len(trace) == 3
+
+
+def test_sweep_agrees_at_the_default_sweeps():
+    ga, family, _ = punctured_circle_pair(128)
+    trace = _assert_agree(ga, family, F(0), 0, seed=20261007, lipschitz=8, restarts=4)
+    # The first and last restarts leave the chunk at its 275th sweep, the
+    # middle two at the 300th (the polish early stop).
+    assert [row[3] for row in trace] == [275, 300, 300, 275]
+
+
+@pytest.mark.parametrize("restarts", [1, RESTART_CHUNK, RESTART_CHUNK + 1, RESTART_CHUNK + 2])
+def test_sweep_agrees_across_chunk_edges(restarts):
+    ga, family, _ = punctured_circle_pair(32)
+    trace = _assert_agree(ga, family, F(0), 0, seed=restarts, restarts=restarts, sweeps=30, polish_sweeps=150)
+    assert [row[0] for row in trace] == list(range(restarts))
+
+
+def test_sweep_agrees_with_an_early_stop_inside_a_chunk():
+    ga, family, _ = punctured_circle_pair(32)
+    trace = _assert_agree(ga, family, F(33, 100), 0, seed=0, restarts=20, **_SHORT)
+    assert len(trace) < RESTART_CHUNK
+    trace = _assert_agree(ga, family, F(1, 1000), 1, seed=1, restarts=RESTART_CHUNK + 2, **_SHORT)
+    assert len(trace) == 1
+
+
+def test_sweep_agrees_on_cycles_and_the_interval():
+    ga, _ = punctured_circle_pair_global(32)
+    family = [{k: F(1) for k in ga.pa.carrier}, {k: F(1, 3) for k in range(40)}]
+    for d in (0, 1):
+        _assert_agree(ga, family, F(0), d, seed=3, restarts=2, sweeps=30, polish_sweeps=60)
+    ga, _, family = interval_half_shift(F(1, 8), 16)
+    _assert_agree(ga, family, F(0), 1, seed=5, restarts=3, sweeps=40, polish_sweeps=150)
+
+
+@pytest.mark.parametrize("spec", [("symmetric", 3), ("dihedral", 4), ("cyclic", 3)])
+def test_sweep_agrees_on_embedded_partial_actions(spec):
+    # |G| >= 3 exercises the first-max tie rule past two candidates, and
+    # d >= 1 puts several levels into each sum-to-one row.
+    for seed in range(3):
+        pa = random_partial_action(seed, spec, ambient_size=9, keep_probability=0.7)
+        ga, _, family = embed_certificate(pa, [{}])
+        for d in (0, 1):
+            _assert_agree(ga, family, F(0), d, seed=seed, restarts=2, sweeps=30, polish_sweeps=150)
+
+
+def test_sweep_agrees_with_a_band_on_python_ints():
+    ga, family, _ = punctured_circle_pair(32, lipschitz=F(3**40 - 1, 3**40))
+    _assert_agree(ga, family, F(0), 0, seed=4, restarts=2, sweeps=20, polish_sweeps=30)
