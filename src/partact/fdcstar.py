@@ -7,7 +7,9 @@ The crossed product has basis {delta_x u_g : x in X_g} with
 
 which is the specialization of the general coefficient relations to
 indicator functions (tests re-derive it from the symbolic expansion).  Each
-basis element is an arrow theta_{g^-1}(x) -> x of the translation groupoid.
+basis element is an arrow theta_{g^-1}(x) -> x of the translation groupoid,
+so the product and star tables are read off the integer theta table, and
+checked by O(n^2) identities on the arrows' labels, sources and targets.
 Block structure is computed two independent ways: numerically, from the
 eigenvalues of a random self-adjoint central element in the left regular
 representation, the center being spanned by groupoid class sums; and
@@ -25,18 +27,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .groups import FiniteGroup
-from .pactions import PartialAction, translation_groupoid
+from .pactions import IndexTables, PartialAction, index_tables, row_blocks, translation_groupoid
 
 EIGENVALUE_SEPARATION = 1e-8
 INTEGRALITY_TOLERANCE = 1e-6
 BLOCK_RETRIES = 3
-CHECK_CHUNK = 1 << 22  # product-table entries per associativity chunk
 
 
 class AlgebraError(ValueError):
@@ -56,51 +56,31 @@ class IntegralityFailure(AlgebraError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureConstantStarAlgebra:
     """A *-algebra presented by basis labels and monomial structure constants.
 
-    ``product[i][j]`` is the basis index of b_i b_j or -1 when the product
-    vanishes; ``star[i]`` is the basis index of b_i^*.  All coefficients here
-    are 0 or 1, which covers every groupoid algebra this package builds; the
-    associativity and involution laws are verified exhaustively on
-    construction.
+    ``product[i, j]`` is the basis index of b_i b_j or -1 when the product
+    vanishes; ``star[i]`` is the basis index of b_i^*.  Both are read-only
+    ``intp`` arrays: tuples are converted on construction, and arrays are
+    frozen in place, not copied.  All coefficients are 0 or 1, which covers
+    every groupoid algebra this package builds.
     """
 
     basis: tuple[object, ...]
-    product: tuple[tuple[int, ...], ...]
-    star: tuple[int, ...]
+    product: np.ndarray
+    star: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.basis)
+        for name, shape in (("product", (n, n)), ("star", (n,))):
+            table = np.asarray(getattr(self, name), dtype=np.intp).reshape(shape)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def check_invariants(self) -> None:
-        n = self.dimension
-        if n == 0:
-            return
-        # Vanishing products point at an extra index n that absorbs everything.
-        E = np.full((n + 1, n + 1), n, dtype=np.int16 if n < 2**15 else np.int64)
-        P = np.array(self.product, dtype=np.int64)
-        E[:n, :n] = np.where(P >= 0, P, n)
-        idx = E[:n, :n].astype(np.intp)
-        rows_of = np.ascontiguousarray(E[:, :n])
-        # (b_i b_j) b_k against b_i (b_j b_k), a few rows i at a time: O(n^2) memory.
-        step = max(1, CHECK_CHUNK // (n * n))
-        for start in range(0, n, step):
-            stop = min(n, start + step)
-            left = rows_of[idx[start:stop]]
-            right = np.take(E[start:stop], idx, axis=1)
-            if not np.array_equal(left, right):
-                i, j, k = np.argwhere(left != right)[0]
-                raise AlgebraError(
-                    f"product is not associative at basis triple ({start + i}, {j}, {k})"
-                )
-        S = np.array(self.star, dtype=np.intp)
-        if not np.array_equal(S[S], np.arange(n)):
-            raise AlgebraError("star is not an involution")
-        if not np.array_equal(np.append(S, n)[idx], E[np.ix_(S, S)].T):
-            raise AlgebraError("star is not an anti-homomorphism")
 
 
 @dataclass(frozen=True)
@@ -118,21 +98,86 @@ class FDCStarAlgebra:
         return len(self.blocks)
 
 
+def _arrow_ends(alg: StructureConstantStarAlgebra, t: IndexTables) -> tuple[np.ndarray, ...]:
+    """Label g, target x and source theta_{g^-1}(x) of each basis element
+    (g, x), the points as indices into the sorted carrier."""
+    n = alg.dimension
+    lab = np.fromiter((g for g, _ in alg.basis), np.intp, n)
+    tgt = np.fromiter((t.index[x] for _, x in alg.basis), np.intp, n)
+    src = t.theta[t.inv[lab], tgt]
+    if (src < 0).any():
+        raise AlgebraError(f"basis label {alg.basis[np.argmax(src < 0)]} is not an arrow")
+    return lab, tgt, src
+
+
+def check_arrow_identities(alg: StructureConstantStarAlgebra, t: IndexTables) -> None:
+    """The crossed-product laws as O(n^2) identities on the basis labels.
+
+    Basis element i = (g, x) is the arrow src(i) -> tgt(i) with label
+    lambda(i) = g, tgt(i) = x and src(i) = theta_{g^-1}(x); distinct labels
+    give distinct (lambda, tgt).  The identities are:
+
+      * b_i b_j is defined iff src(i) = tgt(j);
+      * where it is defined, it is a basis element with label
+        lambda(i) lambda(j), target tgt(i) and source src(j);
+      * b_i^* has label lambda(i)^-1, target src(i) and source tgt(i).
+
+    They imply associativity: (b_i b_j) b_k and b_i (b_j b_k) are both
+    defined iff src(i) = tgt(j) and src(j) = tgt(k), and then both are the
+    basis element with label lambda(i) lambda(j) lambda(k) and target
+    tgt(i), which is unique.  In the same way (b_i b_j)^* and b_j^* b_i^*
+    are defined together and are both the element with label
+    (lambda(i) lambda(j))^-1 and target src(j), so star is an
+    anti-homomorphism; and b_i^** has the label and target of b_i, so star
+    is an involution.
+    """
+    n = alg.dimension
+    lab, tgt, src = _arrow_ends(alg, t)
+    if len(np.unique(lab * len(t.index) + tgt)) != n:
+        raise AlgebraError("crossed-product basis labels repeat")
+    P, S = alg.product, alg.star
+    defined = src[:, None] == tgt[None, :]
+    if not np.array_equal(P >= 0, defined):
+        i, j = np.argwhere((P >= 0) != defined)[0]
+        raise AlgebraError(f"product of basis elements ({i}, {j}) is not defined exactly when src = tgt")
+    i, j = np.nonzero(defined)
+    k = P[i, j]
+    bad = k >= n
+    if not bad.any():
+        bad = (lab[k] != t.mul[lab[i], lab[j]]) | (tgt[k] != tgt[i]) | (src[k] != src[j])
+    if bad.any():
+        at = np.argmax(bad)
+        raise AlgebraError(f"product of basis elements ({i[at]}, {j[at]}) is not the composed arrow")
+    bad = (S < 0) | (S >= n)
+    if not bad.any():
+        bad = (lab[S] != t.inv[lab]) | (tgt[S] != src) | (src[S] != tgt)
+    if bad.any():
+        raise AlgebraError(f"star of basis element {np.argmax(bad)} is not the inverse arrow")
+
+
 def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
-    """The crossed product of a validated partial action, dimension sum |X_g|."""
-    G = pa.group
-    basis = [(g, x) for g in G.elements() for x in sorted(pa.domain(g))]
-    index = {b: i for i, b in enumerate(basis)}
-    n = len(basis)
-    product = [[-1] * n for _ in range(n)]
-    for i, (g, x) in enumerate(basis):
-        xg = pa.theta(G.inv(g), x)
-        for j, (h, y) in enumerate(basis):
-            if xg == y:  # x lies in X_gh by the derived domain identity
-                product[i][j] = index[(G.mul(g, h), x)]
-    star = [index[(G.inv(g), pa.theta(G.inv(g), x))] for (g, x) in basis]
-    alg = StructureConstantStarAlgebra(tuple(basis), tuple(map(tuple, product)), tuple(star))
-    alg.check_invariants()
+    """The crossed product of a validated partial action, dimension sum |X_g|.
+
+    Built from the theta table: the basis (g, x) with theta_{g^-1}(x)
+    defined, g-major with points ascending; b_i b_j is the element
+    (lambda(i) lambda(j), tgt(i)) where src(i) = tgt(j), and b_i^* is
+    (lambda(i)^-1, src(i)).  The tables are checked by
+    ``check_arrow_identities``.
+    """
+    t = index_tables(pa)
+    back = t.theta[t.inv]  # back[g, x]: theta_{g^-1}(x), -1 off X_g
+    lab, tgt = np.nonzero(back >= 0)
+    src = back[lab, tgt]
+    n = len(lab)
+    bidx = np.full(back.shape, -1, dtype=np.intp)
+    bidx[lab, tgt] = np.arange(n)
+    product = np.full((n, n), -1, dtype=np.intp)
+    i, j = np.nonzero(src[:, None] == tgt[None, :])
+    product[i, j] = bidx[t.mul[lab[i], lab[j]], tgt[i]]
+    points = np.array(sorted(t.index), dtype=object)
+    basis = tuple(zip(lab.tolist(), points[tgt].tolist()))
+    alg = StructureConstantStarAlgebra(basis, product, bidx[t.inv[lab], src])
+    check_arrow_identities(alg, t)
     return alg
 
 
@@ -154,12 +199,12 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
     unit}, the same set from each of its members, so its least member names
     it; rows follow the classes' least members.  The sum over each class is
     central (Burnside's class sums), and for a groupoid algebra these sums
-    span the center.  Each row is checked central exactly: z b_j and b_j z
-    are equal multisets of basis indices.
+    span the center.  Every row is checked central exactly, all at once: z
+    b_j and b_j z are equal multisets of basis indices, so the products of
+    the loops with b_j on either side, keyed by class, sort to equal columns.
     """
     n = alg.dimension
-    P = np.array(alg.product, dtype=np.int64)
-    S = np.array(alg.star, dtype=np.int64)
+    P, S = alg.product, alg.star
     ks = np.arange(n)
     unit, source = P[ks, S], P[S, ks]
     bad = np.flatnonzero((unit < 0) | (P[np.clip(unit, 0, None), ks] != ks))
@@ -179,12 +224,17 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
     if (conjugates < 0).any():
         raise NotSemisimpleOrDegenerate(f"a conjugate of loop {b[conjugates < 0].min()} vanishes")
     labels, row = np.unique(np.minimum.reduceat(conjugates, starts), return_inverse=True)
+    # Key k (n + 1) + 1 + P[., .] keeps each class's products apart, -1 included.
+    key = (row * (n + 1) + 1)[:, None]
+    for cols in row_blocks(n, len(loops)):
+        left = np.sort(key + P[loops, cols], axis=0)
+        right = np.sort(key + P[cols][:, loops].T, axis=0)
+        if not np.array_equal(left, right):
+            k, j = np.argwhere(left != right)[0]
+            cls = min(left[k, j], right[k, j]) // (n + 1)
+            raise AssertionError(f"class sum of basis element {loops[np.argmax(row == cls)]} is not central")
     Z = np.zeros((len(labels), n))
     Z[row, loops] = 1.0
-    for z in Z:
-        members = np.flatnonzero(z)
-        if not np.array_equal(np.sort(P[members], axis=0), np.sort(P[:, members].T, axis=0)):
-            raise AssertionError(f"class sum of basis element {members[0]} is not central")
     return Z
 
 
@@ -201,8 +251,7 @@ def block_structure_full(
         return BlockComputation(FDCStarAlgebra(()), 0.0, 0, 0)
     Z = _center_basis(alg)
     center_dim = Z.shape[0]
-    P = np.array(alg.product, dtype=np.int64)
-    S = np.array(alg.star, dtype=np.int64)
+    P, S = alg.product, alg.star
     js, cols = np.nonzero(P >= 0)  # b_j b_i = b_{P[j, i]}
     last_failure = "no attempt made"
     for attempt in range(retries):
@@ -405,16 +454,6 @@ def isomorphic(a: FDCStarAlgebra, b: FDCStarAlgebra) -> bool:
 # Imprimitivity bimodule between A^alpha and the crossed product.
 # ---------------------------------------------------------------------------
 
-Func = dict[int, Fraction]
-
-
-def is_fixed_element(pa: PartialAction, x: Mapping[int, Fraction]) -> bool:
-    """Membership in A^alpha: constant along every groupoid arrow."""
-    return all(
-        x.get(px, Fraction(0)) == x.get(py, Fraction(0)) for _, px, py in pa.arrows()
-    )
-
-
 @dataclass(frozen=True)
 class BimoduleReport:
     """Which imprimitivity clauses hold, in exact arithmetic."""
@@ -450,14 +489,15 @@ def imprimitivity_bimodule_verify(
 ) -> BimoduleReport:
     """Exact verification of the fixed-point / crossed-product bimodule.
 
-    Checks: the domain-count function x_alpha is bounded below by one and
-    fixed (it is central in the commutative coefficient algebra, so that is
-    not checked).  Left fullness follows from x_alpha being fixed: the
-    fixed-point inner product <1_O, 1/x_alpha>(z) sums 1_O(w)/x_alpha(w)
-    over the x_alpha(z) arrows w -> z, and orbits are closed and x_alpha
-    constant along arrows, so it is 1_O(z); every orbit indicator, hence all
-    of A^alpha, is an inner product.  Basis
-    element k is an arrow src(k) -> tgt(k).  Positivity of <x, x> = x* e x,
+    Checks: the domain-count function x_alpha, the column counts of the
+    theta table, is bounded below by one and fixed, that is equal at the two
+    ends of every basis arrow (it is central in the commutative coefficient
+    algebra, so that is not checked).  Left fullness follows from x_alpha
+    being fixed: the fixed-point inner product <1_O, 1/x_alpha>(z) sums
+    1_O(w)/x_alpha(w) over the x_alpha(z) arrows w -> z, and orbits are
+    closed and x_alpha constant along arrows, so it is 1_O(z); every orbit
+    indicator, hence all of A^alpha, is an inner product.  Basis element k
+    is an arrow src(k) -> tgt(k).  Positivity of <x, x> = x* e x,
     where e is the sum of all basis arrows, holds for every x at once when
     two identities hold on the tables: star permutes the basis, so e* = e;
     and b_k occurs in e e exactly x_alpha(tgt k) times, so e e = x_alpha e.
@@ -471,24 +511,20 @@ def imprimitivity_bimodule_verify(
     are reported, not raised: the Morita statement assumes finite tower
     dimension.
     """
-    G = pa.group
-    points = sorted(pa.carrier)
+    t = index_tables(pa)
     alg = crossed_product(pa) if crossed is None else crossed
-    n = alg.dimension
+    n, npoints = alg.dimension, len(t.index)
+    _, tgt, src = _arrow_ends(alg, t)
+    P = alg.product
 
-    x_alpha: Func = {p: Fraction(len(pa.domain_tuple(p))) for p in points}
-    unit_bounded = all(v >= 1 for v in x_alpha.values())
-    unit_fixed = is_fixed_element(pa, x_alpha)
+    counts = (t.theta[t.inv] >= 0).sum(axis=0)  # x_alpha(x) = #{g : x in X_g}
+    unit_bounded = bool((counts >= 1).all())
+    unit_fixed = bool(np.array_equal(counts[src], counts[tgt]))
 
-    pos = {p: i for i, p in enumerate(points)}  # dense codes cannot overflow int64
-    tgt = np.array([pos[x] for _, x in alg.basis], dtype=np.int64)
-    src = np.array([pos[pa.theta(G.inv(g), x)] for g, x in alg.basis], dtype=np.int64)
-    P = np.array(alg.product, dtype=np.int64).reshape(n, n)
     # e* = e: star permutes the basis.  e e = x_alpha e: b_k is the product
     # of exactly x_alpha(tgt k) pairs of basis elements.
-    counts = np.array([int(x_alpha[p]) for p in points], dtype=np.int64)
     positivity = bool(
-        np.array_equal(np.sort(np.array(alg.star, dtype=np.int64)), np.arange(n))
+        np.array_equal(np.sort(alg.star), np.arange(n))
         and np.array_equal(np.bincount(P[P >= 0], minlength=n), counts[tgt])
     )
 
@@ -496,11 +532,11 @@ def imprimitivity_bimodule_verify(
     # over all (a, b) reads: the multiset of (tgt k, src k, k b_j) over k with
     # k b_j != 0 equals that of (tgt m, tgt j, m) over m with src m = src j.
     # Column j of lhs and rhs encodes those triples, padded with -1.
-    cells = tgt * len(points) + src
+    cells = tgt * npoints + src
     lhs = np.where(P >= 0, cells[:, None] * n + P, -1)
     rhs = np.where(
         src[:, None] == src[None, :],
-        (tgt[:, None] * len(points) + tgt[None, :]) * n + np.arange(n)[:, None],
+        (tgt[:, None] * npoints + tgt[None, :]) * n + np.arange(n)[:, None],
         -1,
     )
     compatibility = bool(np.array_equal(np.sort(lhs, axis=0), np.sort(rhs, axis=0)))

@@ -180,7 +180,12 @@ def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray,
     return T, scale
 
 
-def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[int, Fraction]]) -> Fraction:
+def residual(
+    ga: GridAction,
+    towers: NumericTowers,
+    witnesses: Sequence[Mapping[int, Fraction]],
+    formula: Optional[ResidualFormula] = None,
+) -> Fraction:
     """Worst witnessed violation of the tower conditions, exactly.
 
     Conditions: (1) equivariance against witnesses x in the domain
@@ -193,48 +198,51 @@ def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[
     is |f_h(y) - f_gh(z)| wmax(y) wmax(z) at z = theta_g(y), (2) the product
     of the two largest f_g(z) at one level times wmax(z), and (3)
     |sum f(z) - 1| wmax(z).  All three are evaluated on integers over the
-    common denominators D_t of the towers and D_w of the family.
+    common denominators D_t of the towers and D_w of the family.  ``formula``
+    is ResidualFormula(ga, witnesses), built here when not given.
     """
     T, scale = check_admissible(ga, towers)
-    _, index, src, _ = ga._layout
-    return _residual_formula(ga, index, src, witnesses)(T, scale)
+    return (formula or ResidualFormula(ga, witnesses))(T, scale)
 
 
-def _residual_formula(ga: GridAction, index: Mapping[int, int], src: np.ndarray, witnesses):
+class ResidualFormula:
     """The residual of an admissible table T[g, j, i] over its scale D_t, as a
-    function of (T, D_t); what depends only on the action and the family
-    (wmax over D_w, the arrows z = theta_g(y)) is computed here once."""
-    G = ga.pa.group
-    wscale = math.lcm(*{v.denominator for a in witnesses for x, v in a.items() if x in index})
-    wmax = [0] * len(index)
-    for a in witnesses:
-        for x, v in a.items():
-            i = index.get(x)
-            if i is not None:
-                wmax[i] = max(wmax[i], abs(v.numerator) * (wscale // v.denominator))
-    top = max(max(wmax, default=0), 1)
-    gs, zs = np.nonzero(src >= 0)
-    ys = src[gs, zs]
-    ghs = np.array(G.table, dtype=np.int64)[gs].T  # (h, arrow): the element g h
+    function of (T, D_t).  What depends only on the action and the family is
+    built once, on construction: wmax as integers over D_w, and the arrows
+    z = theta_g(y) with the products g h."""
 
-    def evaluate(T: np.ndarray, scale: int) -> Fraction:
-        dtype = _int_dtype(scale * top * max(scale, top, T.shape[0] * T.shape[1] + 1))
-        T, W = T.astype(dtype, copy=False), np.array(wmax, dtype=dtype)
+    def __init__(self, ga: GridAction, witnesses: Sequence[Mapping[int, Fraction]]):
+        _, index, src, _ = ga._layout
+        self.wscale = math.lcm(*{v.denominator for a in witnesses for x, v in a.items() if x in index})
+        wmax = [0] * len(index)
+        for a in witnesses:
+            for x, v in a.items():
+                i = index.get(x)
+                if i is not None:
+                    wmax[i] = max(wmax[i], abs(v.numerator) * (self.wscale // v.denominator))
+        self.wmax = wmax
+        self.top = max(max(wmax, default=0), 1)
+        gs, self.zs = np.nonzero(src >= 0)
+        self.ys = src[gs, self.zs]
+        self.ghs = np.array(ga.pa.group.table, dtype=np.int64)[gs].T  # (h, arrow): the element g h
+
+    def __call__(self, T: np.ndarray, scale: int) -> Fraction:
+        wscale, ys, zs = self.wscale, self.ys, self.zs
+        dtype = _int_dtype(scale * self.top * max(scale, self.top, T.shape[0] * T.shape[1] + 1))
+        T, W = T.astype(dtype, copy=False), np.array(self.wmax, dtype=dtype)
         partition = (np.abs(T.sum(axis=(0, 1)) - scale) * W).max(initial=0)
         orthogonality = 0
-        if G.order >= 2:
+        if T.shape[0] >= 2:
             pair = np.sort(T, axis=0)[-2:]
             orthogonality = (pair[0] * pair[1] * W).max(initial=0)
         Tl = T.transpose(1, 0, 2)  # (level, h, point)
-        gap = np.abs(Tl[:, :, ys] - Tl[:, ghs, zs])
+        gap = np.abs(Tl[:, :, ys] - Tl[:, self.ghs, zs])
         equivariance = (gap * (W[ys] * W[zs])).max(initial=0)
         return max(
             F1(int(equivariance), scale * wscale * wscale),
             F1(int(orthogonality), scale * scale * wscale),
             F1(int(partition), scale * wscale),
         )
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +579,9 @@ def search_towers(
             if any(n not in dom for n in adj[z]):
                 cap[src[g, index[z]]] = min(cap[src[g, index[z]]], band)
 
-    wmax = np.zeros(P)
-    for w in witnesses:
-        for x, v in w.items():
-            wmax[index[x]] = max(wmax[index[x]], abs(float(v)))
+    # Integer over integer division rounds correctly, so this is max_a |float(a(z))|.
+    exact_residual = ResidualFormula(ga, witnesses)
+    wmax = np.array([w / exact_residual.wscale for w in exact_residual.wmax])
 
     # The lower envelope's forward pass is a prefix minimum of vals - steps
     # on the rows, its backward pass one of vals + steps on the reversed rows.
@@ -697,7 +704,6 @@ def search_towers(
     exact_cap[cap < 1.0] = exact_step
     model_band = ga.band
     check_dtype = _int_dtype(denom * max(abs(model_band.numerator), model_band.denominator))
-    exact_residual = _residual_formula(ga, index, src, witnesses)
 
     def floor_cap_repair(v: np.ndarray) -> np.ndarray:
         """Exact-rational candidate over denom: floor to a dyadic grid, then repair.
@@ -760,5 +766,5 @@ def search_towers(
             break
     assert best_f is not None and best_res is not None
     best_towers = to_towers(best_f)
-    assert residual(ga, best_towers, witnesses) == best_res
+    assert residual(ga, best_towers, witnesses, exact_residual) == best_res
     return best_towers, best_res

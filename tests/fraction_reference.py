@@ -130,6 +130,13 @@ def inner_product_fixed(pa, x: Mapping[int, Fraction], y: Mapping[int, Fraction]
     return {p: v for p, v in out.items() if v != 0}
 
 
+def is_fixed_element(pa, x: Mapping[int, Fraction]) -> bool:
+    """Membership in A^alpha: constant along every groupoid arrow."""
+    return all(
+        x.get(px, Fraction(0)) == x.get(py, Fraction(0)) for _, px, py in pa.arrows()
+    )
+
+
 def reference_left_fullness(pa) -> bool:
     """<1_O, 1/x_alpha> = 1_O for every orbit O, evaluated on Fractions."""
     reciprocal = {p: Fraction(1, len(pa.domain_tuple(p))) for p in pa.carrier}

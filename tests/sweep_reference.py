@@ -20,9 +20,9 @@ from partact.gridtowers import (
     RESTART_CHUNK,
     GridAction,
     NumericTowers,
+    ResidualFormula,
     _int_dtype,
     _over_band,
-    _residual_formula,
     check_admissible,
     derived_numeric_towers,
     residual,
@@ -254,7 +254,7 @@ def reference_search_towers(
     exact_cap[cap < 1.0] = exact_step
     model_band = ga.band
     check_dtype = _int_dtype(denom * max(abs(model_band.numerator), model_band.denominator))
-    exact_residual = _residual_formula(ga, index, src, witnesses)
+    exact_residual = ResidualFormula(ga, witnesses)
 
     def floor_cap_repair(v: np.ndarray) -> np.ndarray:
         """Exact-rational candidate over denom: floor to a dyadic grid, then repair.

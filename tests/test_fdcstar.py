@@ -4,6 +4,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from fraction_reference import (
     inner_product_crossed,
@@ -12,6 +13,7 @@ from fraction_reference import (
     right_action,
     sampled_positivity,
 )
+from scan_reference import reference_check_invariants
 
 import partact
 from partact.fdcstar import (
@@ -47,7 +49,7 @@ def group_algebra(group: FiniteGroup) -> StructureConstantStarAlgebra:
     basis = tuple(group.elements())
     product = tuple(tuple(group.mul(a, b) for b in basis) for a in basis)
     alg = StructureConstantStarAlgebra(basis, product, tuple(group.inv(a) for a in basis))
-    alg.check_invariants()
+    reference_check_invariants(alg)
     return alg
 
 
@@ -228,7 +230,7 @@ def test_degenerate_algebra_is_rejected():
         product=((0, 1), (1, -1)),
         star=(0, 1),
     )
-    nil.check_invariants()
+    reference_check_invariants(nil)
     with pytest.raises(NotSemisimpleOrDegenerate):
         block_structure(nil)
 
@@ -366,7 +368,7 @@ def test_positivity_fails_on_a_corrupted_product_entry(swap_pair):
     for i, j in [(0, 0), (0, 1)]:  # a nonzero entry, and a vanishing one
         product = [list(row) for row in alg.product]
         product[i][j] = (product[i][j] + 1) % alg.dimension
-        # replace skips check_invariants, which would reject the table.
+        # replace skips the crossed-product identities, which would reject the table.
         tampered = replace(alg, product=tuple(map(tuple, product)))
         assert not imprimitivity_bimodule_verify(swap_pair, crossed=tampered).positivity
         assert not sampled_positivity(swap_pair, tampered)
@@ -391,6 +393,14 @@ def test_bimodule_swapped_basis_labels_break_compatibility(swap_pair):
     assert reference_bimodule_clauses(swap_pair, tampered)[0] is False
 
 
+def test_bimodule_rejects_a_basis_label_that_is_not_an_arrow(swap_pair):
+    alg = crossed_product(swap_pair)
+    assert 2 not in swap_pair.domain(1)
+    tampered = replace(alg, basis=alg.basis[:3] + ((1, 2),) + alg.basis[4:])
+    with pytest.raises(AlgebraError, match=r"basis label \(1, 2\) is not an arrow"):
+        imprimitivity_bimodule_verify(swap_pair, crossed=tampered)
+
+
 def test_center_basis_of_s3_group_algebra_is_its_class_sums():
     Z = _center_basis(group_algebra(build_group(("symmetric", 3))))
     assert Z.shape == (3, 6)
@@ -410,23 +420,47 @@ def test_center_basis_rejects_a_corrupted_product_entry():
         _center_basis(corrupted)
 
 
+def test_center_basis_checks_each_class_on_its_own():
+    """S3 acting on two points through the sign: swapping b_6 b_2 with
+    b_7 b_2 trades products between the two classes of 3-cycle loops.  Every
+    column keeps its multiset over all loops, so only a check that keeps
+    the classes apart sees that those class sums stop being central, and the
+    error names a member of one of them."""
+    s3 = build_group(("symmetric", 3))
+    ident, swap = {0: 0, 1: 1}, {0: 1, 1: 0}
+    sign = global_action(s3, {0, 1}, {g: swap if g in (1, 2, 5) else ident for g in s3.elements()})
+    alg = crossed_product(sign)
+    product = alg.product.copy()
+    product[6, 2], product[7, 2] = product[7, 2], product[6, 2]
+    loops = [i for i, (g, _) in enumerate(alg.basis) if g not in (1, 2, 5)]
+    assert np.array_equal(np.sort(product[loops], axis=0), np.sort(product[:, loops].T, axis=0))
+    with pytest.raises(AssertionError, match="not central") as err:
+        _center_basis(replace(alg, product=product))
+    named = int(str(err.value).split("basis element ")[1].split()[0])
+    noncentral = [
+        members for members in map(np.flatnonzero, _center_basis(alg))
+        if not np.array_equal(np.sort(product[members], axis=0), np.sort(product[:, members].T, axis=0))
+    ]
+    assert any(named in members for members in noncentral)
+
+
 def test_check_invariants_streams_and_locates_a_broken_triple(monkeypatch):
-    import partact.fdcstar as fdcstar
+    import scan_reference
 
     alg = group_algebra(build_group(("symmetric", 3)))
     product = [list(row) for row in alg.product]
     product[4][5] = (product[4][5] + 1) % 6
     corrupted = StructureConstantStarAlgebra(alg.basis, tuple(map(tuple, product)), alg.star)
-    monkeypatch.setattr(fdcstar, "CHECK_CHUNK", 1)  # one row i per chunk
+    monkeypatch.setattr(scan_reference, "CHECK_CHUNK", 1)  # one row i per chunk
     with pytest.raises(AlgebraError, match="not associative") as err:
-        corrupted.check_invariants()
+        reference_check_invariants(corrupted)
     i, j, k = map(int, str(err.value).split("(")[1].rstrip(")").split(", "))
     P = corrupted.product
     assert P[P[i][j]][k] != P[i][P[j][k]]
 
 
 def test_crossed_product_of_regular_s4_action_fits_in_memory():
-    """n = 576: the associativity check and the center stay O(n^2) in memory."""
+    """n = 576: the arrow identities and the center stay O(n^2) in memory."""
     code = (
         "import resource\n"
         "from partact.groups import symmetric_group\n"

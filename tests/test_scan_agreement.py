@@ -6,18 +6,28 @@ failure names the first witness of the old scan order.
 
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from fraction_reference import is_fixed_element
 
 from partact import harness, pactions
-from partact.fdcstar import _center_basis, crossed_product
+from partact.fdcstar import (
+    AlgebraError,
+    StructureConstantStarAlgebra,
+    _center_basis,
+    check_arrow_identities,
+    crossed_product,
+    imprimitivity_bimodule_verify,
+)
 from partact.groups import build_group
 from partact.pactions import (
     PartialAction,
     global_action,
     globalize,
+    index_tables,
     random_partial_action,
     restricted_to,
     validate,
@@ -25,6 +35,8 @@ from partact.pactions import (
 from partact.rokhlin import TowerCertificate, towers_exist, verify_certificate
 from scan_reference import (
     reference_center_basis,
+    reference_check_invariants,
+    reference_crossed_product,
     reference_globalize,
     reference_validate,
     reference_verify_certificate,
@@ -313,3 +325,93 @@ def test_center_basis_agrees_with_union_find():
             assert np.array_equal(Z, reference_center_basis(alg))
             nontrivial += (Z.sum(axis=1) > 1).any()
     assert nontrivial > 10
+
+
+def test_crossed_product_agrees_with_nested_loop_builder(instances):
+    """Basis, product and star equal the nested loop's, on the corpus, the
+    regular actions at the group cap, random order-24 restrictions and the
+    empty carrier; the reference scan accepts every table."""
+    rng = random.Random(11)
+    restrictions = [
+        restricted_to(_regular(spec), rng.sample(range(24), rng.randint(1, 24)))
+        for spec in (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
+        for _ in range(3)
+    ]
+    empty = validate(build_group(("symmetric", 3)), set(), {}, {})
+    for pa in instances + restrictions + [empty]:
+        alg, ref = crossed_product(pa), reference_crossed_product(pa)
+        assert alg.basis == ref.basis
+        assert np.array_equal(alg.product, ref.product) and np.array_equal(alg.star, ref.star)
+        assert not alg.product.flags.writeable and not alg.star.flags.writeable
+        assert alg.product.dtype == alg.star.dtype == np.intp
+        if alg.dimension <= 100:
+            reference_check_invariants(alg)
+    assert crossed_product(empty).product.shape == (0, 0)
+
+
+def test_arrow_identities_reject_every_table_the_scan_rejects(instances):
+    """Every one-entry corruption of the product and star tables of small
+    crossed products: the identities reject each table the scan rejects."""
+    rejected = 0
+    for pa in [pa for pa in instances if 0 < crossed_product(pa).dimension <= 9][:4]:
+        alg, t = crossed_product(pa), index_tables(pa)
+        n = alg.dimension
+        for table in ("product", "star"):
+            for at in np.ndindex(getattr(alg, table).shape):
+                for value in range(-1, n):
+                    corrupted = getattr(alg, table).copy()
+                    if corrupted[at] == value:
+                        continue
+                    corrupted[at] = value
+                    tampered = replace(alg, **{table: corrupted})
+                    if _outcome(reference_check_invariants, tampered)[0] != "ok":
+                        rejected += 1
+                        with pytest.raises(AlgebraError):
+                            check_arrow_identities(tampered, t)
+    assert rejected > 100
+
+
+def _c3_path() -> PartialAction:
+    """Built without validate: theta_1 and theta_2 link 0 - 1 - 2 in a path,
+    but no arrow joins 0 and 2, as the composition law would force."""
+    return PartialAction(
+        build_group(("cyclic", 3)),
+        frozenset({0, 1, 2}),
+        {0: frozenset({0, 1, 2}), 1: frozenset({1, 2}), 2: frozenset({0, 1})},
+        {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2}, 2: {1: 0, 2: 1}},
+    )
+
+
+def test_broken_composition_is_rejected_by_both_routes():
+    """Built without validate.  On the C3 path the composed arrow is missing,
+    so the nested loop fails to build; with theta_1 = theta_2 a swap every
+    arrow exists and the scan finds a non-associative triple."""
+    path = _c3_path()
+    with pytest.raises(KeyError):
+        reference_crossed_product(path)
+    with pytest.raises(AlgebraError, match="not defined exactly when"):
+        crossed_product(path)
+    swap = {0: 1, 1: 0, 2: 2}
+    full = frozenset({0, 1, 2})
+    doubled = PartialAction(path.group, full, {g: full for g in range(3)}, {0: {0: 0, 1: 1, 2: 2}, 1: swap, 2: swap})
+    with pytest.raises(AlgebraError, match="not associative"):
+        reference_check_invariants(reference_crossed_product(doubled))
+    with pytest.raises(AlgebraError):
+        crossed_product(doubled)
+
+
+def test_unit_fixed_agrees_with_fraction_reference():
+    """On the corpus x_alpha is always fixed; on the C3 path, built without
+    validate, the arrow 0 -> 1 joins points in 2 and 3 domains.  The verdict
+    reads only the basis arrows, so the path gets an unchecked algebra."""
+    path = _c3_path()
+    basis = tuple((g, x) for g in range(3) for x in sorted(path.domain(g)))
+    unchecked = StructureConstantStarAlgebra(basis, np.full((7, 7), -1), np.arange(7))
+    cases = [(pa, None) for pa in harness.corpus(20260808, 100)] + [(path, unchecked)]
+    verdicts = set()
+    for pa, alg in cases:
+        x_alpha = {p: F(len(pa.domain_tuple(p))) for p in pa.carrier}
+        fixed = imprimitivity_bimodule_verify(pa, crossed=alg).unit_sum_fixed
+        assert fixed == is_fixed_element(pa, x_alpha)
+        verdicts.add(fixed)
+    assert verdicts == {True, False}
