@@ -103,10 +103,13 @@ def _arrow_ends(alg: StructureConstantStarAlgebra, t: IndexTables) -> tuple[np.n
     (g, x), the points as indices into the sorted carrier."""
     n = alg.dimension
     lab = np.fromiter((g for g, _ in alg.basis), np.intp, n)
-    tgt = np.fromiter((t.index[x] for _, x in alg.basis), np.intp, n)
-    src = t.theta[t.inv[lab], tgt]
-    if (src < 0).any():
-        raise AlgebraError(f"basis label {alg.basis[np.argmax(src < 0)]} is not an arrow")
+    tgt = np.fromiter((t.index.get(x, -1) for _, x in alg.basis), np.intp, n)
+    bad = (lab < 0) | (lab >= len(t.inv)) | (tgt < 0)
+    if not bad.any():
+        src = t.theta[t.inv[lab], tgt]
+        bad = src < 0
+    if bad.any():
+        raise AlgebraError(f"basis label {alg.basis[np.argmax(bad)]} is not an arrow")
     return lab, tgt, src
 
 

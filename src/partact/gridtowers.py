@@ -180,12 +180,7 @@ def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray,
     return T, scale
 
 
-def residual(
-    ga: GridAction,
-    towers: NumericTowers,
-    witnesses: Sequence[Mapping[int, Fraction]],
-    formula: Optional[ResidualFormula] = None,
-) -> Fraction:
+def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[int, Fraction]]) -> Fraction:
     """Worst witnessed violation of the tower conditions, exactly.
 
     Conditions: (1) equivariance against witnesses x in the domain
@@ -198,11 +193,9 @@ def residual(
     is |f_h(y) - f_gh(z)| wmax(y) wmax(z) at z = theta_g(y), (2) the product
     of the two largest f_g(z) at one level times wmax(z), and (3)
     |sum f(z) - 1| wmax(z).  All three are evaluated on integers over the
-    common denominators D_t of the towers and D_w of the family.  ``formula``
-    is ResidualFormula(ga, witnesses), built here when not given.
+    common denominators D_t of the towers and D_w of the family.
     """
-    T, scale = check_admissible(ga, towers)
-    return (formula or ResidualFormula(ga, witnesses))(T, scale)
+    return ResidualFormula(ga, witnesses)(*check_admissible(ga, towers))
 
 
 class ResidualFormula:
@@ -766,5 +759,5 @@ def search_towers(
             break
     assert best_f is not None and best_res is not None
     best_towers = to_towers(best_f)
-    assert residual(ga, best_towers, witnesses, exact_residual) == best_res
+    assert exact_residual(*check_admissible(ga, best_towers)) == best_res
     return best_towers, best_res

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -396,9 +397,11 @@ def test_bimodule_swapped_basis_labels_break_compatibility(swap_pair):
 def test_bimodule_rejects_a_basis_label_that_is_not_an_arrow(swap_pair):
     alg = crossed_product(swap_pair)
     assert 2 not in swap_pair.domain(1)
-    tampered = replace(alg, basis=alg.basis[:3] + ((1, 2),) + alg.basis[4:])
-    with pytest.raises(AlgebraError, match=r"basis label \(1, 2\) is not an arrow"):
-        imprimitivity_bimodule_verify(swap_pair, crossed=tampered)
+    # Not in X_1; a label below 0 or past |G|; a point off the carrier.
+    for label in ((1, 2), (-1, 0), (swap_pair.group.order, 0), (0, "z")):
+        tampered = replace(alg, basis=alg.basis[:3] + (label,) + alg.basis[4:])
+        with pytest.raises(AlgebraError, match=re.escape(f"basis label {label} is not an arrow")):
+            imprimitivity_bimodule_verify(swap_pair, crossed=tampered)
 
 
 def test_center_basis_of_s3_group_algebra_is_its_class_sums():

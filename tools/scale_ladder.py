@@ -1,7 +1,7 @@
 """Scaling ladder for ``partact analyze``, written as SCALE_<label>.json.
 
-Run from the root of a checkout (optionally with a second checkout to
-compare against):
+Run from the root of the change's checkout, with a checkout of its parent
+commit beside it:
 
     python3 tools/scale_ladder.py --label 11 --parent ../parent --parent-rev 53c3bc0
 
@@ -110,14 +110,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="suffix of the output file, SCALE_<label>.json")
     parser.add_argument("--change", default=".", help="checkout of the change (default: .)")
-    parser.add_argument("--parent", help="checkout of the parent commit, measured too when given")
-    parser.add_argument("--parent-rev", default=None, help="the parent's revision, as recorded")
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--parent-rev", required=True, help="the parent's revision, as recorded")
     parser.add_argument("--out-dir", default=".", help="directory for SCALE_<label>.json")
     args = parser.parse_args(argv)
 
-    checkouts = {"change": os.path.abspath(args.change)}
-    if args.parent:
-        checkouts["parent"] = os.path.abspath(args.parent)
+    checkouts = {"change": os.path.abspath(args.change), "parent": os.path.abspath(args.parent)}
     runs, summary = [], []
     for case in cases():
         name = f"{'/'.join(map(str, case['group']))} {case['action']}" + (
