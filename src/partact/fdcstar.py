@@ -10,11 +10,11 @@ indicator functions (tests re-derive it from the symbolic expansion).  Each
 basis element is an arrow theta_{g^-1}(x) -> x of the translation groupoid,
 so the product and star tables are read off the integer theta table, and
 checked by O(n^2) identities on the arrows' labels, sources and targets.
-Block structure is computed two independent ways: numerically, from the
-eigenvalues of a random self-adjoint central element in the left regular
-representation, the center being spanned by groupoid class sums; and
-combinatorially from groupoid orbits and the exact character degrees of the
-stabilizers, found mod p by the Burnside-Dixon method.  The two must agree.
+Block structure is computed two independent, exact ways: from the tables
+alone, orbit by orbit, splitting the loop class sums into primitive central
+idempotents over GF(p); and from groupoid orbits and the character degrees
+of the stabilizers, found mod p by the Burnside-Dixon method.  The two must
+agree.
 The imprimitivity bimodule between the fixed point algebra and the crossed
 product is verified exactly on integer index tables of arrow sources,
 targets and products: positivity for every vector at once from the
@@ -24,7 +24,6 @@ compatibility and right fullness cell by cell.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,26 +33,16 @@ import numpy as np
 from .groups import FiniteGroup
 from .pactions import IndexTables, PartialAction, index_tables, row_blocks, translation_groupoid
 
-EIGENVALUE_SEPARATION = 1e-8
-INTEGRALITY_TOLERANCE = 1e-6
-BLOCK_RETRIES = 3
-
-
 class AlgebraError(ValueError):
     pass
 
 
 class NotSemisimpleOrDegenerate(AlgebraError):
-    def __init__(self, detail: str):
-        super().__init__(f"block decomposition did not converge: {detail}")
+    """The tables are not those of a semisimple groupoid algebra."""
 
 
 class IntegralityFailure(AlgebraError):
-    def __init__(self, sizes: Sequence[int]):
-        self.sizes = tuple(sizes)
-        super().__init__(
-            f"eigenspace dimensions {list(sizes)} are not perfect squares"
-        )
+    """Block sizes that are not whole numbers."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,27 +173,19 @@ def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
     return alg
 
 
-@dataclass(frozen=True)
-class BlockComputation:
-    """Numeric block decomposition with its diagnostics."""
-
-    algebra: FDCStarAlgebra
-    integrality_residual: float
-    attempts: int
-    center_dimension: int
-
-
-def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
-    """The center as 0/1 rows: one class sum per conjugacy class of loops.
+def _center_basis(alg: StructureConstantStarAlgebra) -> tuple[np.ndarray, ...]:
+    """The center as class sums: the loops, the class of each, each class's least member.
 
     Every basis element b is a groupoid arrow with unit b b*, and a loop when
     b b* = b* b.  The class of loop b is {c b c* : c an arrow out of its
     unit}, the same set from each of its members, so its least member names
-    it; rows follow the classes' least members.  The sum over each class is
+    it; classes are numbered in the order of their least members, and loop
+    ``loops[i]`` lies in class ``row[i]``.  The sum over each class is
     central (Burnside's class sums), and for a groupoid algebra these sums
-    span the center.  Every row is checked central exactly, all at once: z
-    b_j and b_j z are equal multisets of basis indices, so the products of
-    the loops with b_j on either side, keyed by class, sort to equal columns.
+    span the center.  Every class sum is checked central exactly, all at
+    once: z b_j and b_j z are equal multisets of basis indices, so the
+    products of the loops with b_j on either side, keyed by class, sort to
+    equal columns.
     """
     n = alg.dimension
     P, S = alg.product, alg.star
@@ -226,7 +207,7 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
     conjugates = np.where(cb < 0, -1, P[cb, S[c]])
     if (conjugates < 0).any():
         raise NotSemisimpleOrDegenerate(f"a conjugate of loop {b[conjugates < 0].min()} vanishes")
-    labels, row = np.unique(np.minimum.reduceat(conjugates, starts), return_inverse=True)
+    least, row = np.unique(np.minimum.reduceat(conjugates, starts), return_inverse=True)
     # Key k (n + 1) + 1 + P[., .] keeps each class's products apart, -1 included.
     key = (row * (n + 1) + 1)[:, None]
     for cols in row_blocks(n, len(loops)):
@@ -236,66 +217,7 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
             k, j = np.argwhere(left != right)[0]
             cls = min(left[k, j], right[k, j]) // (n + 1)
             raise AssertionError(f"class sum of basis element {loops[np.argmax(row == cls)]} is not central")
-    Z = np.zeros((len(labels), n))
-    Z[row, loops] = 1.0
-    return Z
-
-
-def block_structure_full(
-    alg: StructureConstantStarAlgebra,
-    seed: int = 0,
-    separation: float = EIGENVALUE_SEPARATION,
-    integrality: float = INTEGRALITY_TOLERANCE,
-    retries: int = BLOCK_RETRIES,
-) -> BlockComputation:
-    """Block sizes from eigenprojections of a random self-adjoint central element."""
-    n = alg.dimension
-    if n == 0:
-        return BlockComputation(FDCStarAlgebra(()), 0.0, 0, 0)
-    Z = _center_basis(alg)
-    center_dim = Z.shape[0]
-    P, S = alg.product, alg.star
-    js, cols = np.nonzero(P >= 0)  # b_j b_i = b_{P[j, i]}
-    last_failure = "no attempt made"
-    for attempt in range(retries):
-        rng = np.random.default_rng(seed + attempt)
-        coeffs = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
-        z = coeffs @ Z
-        w = z.copy()
-        w[S] += np.conj(z)
-        L = np.zeros((n, n), dtype=complex)
-        np.add.at(L, (P[js, cols], cols), w[js])
-        eigvals = np.linalg.eigvals(L)
-        if np.max(np.abs(eigvals.imag)) > 1e-7 * max(1.0, np.max(np.abs(eigvals))):
-            last_failure = "central element has visibly complex spectrum"
-            continue
-        reals = np.sort(eigvals.real)
-        scale = max(1.0, float(np.max(np.abs(reals))))
-        clusters: list[list[float]] = [[float(reals[0])]]
-        for v in reals[1:]:
-            if float(v) - clusters[-1][-1] <= separation * scale:
-                clusters[-1].append(float(v))
-            else:
-                clusters.append([float(v)])
-        if len(clusters) != center_dim:
-            last_failure = (
-                f"eigenvalue clustering found {len(clusters)} blocks, center has "
-                f"dimension {center_dim} (collision below separation threshold)"
-            )
-            continue
-        sizes = [len(c) for c in clusters]
-        residual = max(abs(math.sqrt(s) - round(math.sqrt(s))) for s in sizes)
-        if residual > integrality:
-            raise IntegralityFailure(sizes)
-        ms = sorted(round(math.sqrt(s)) for s in sizes)
-        if sum(m * m for m in ms) != n:
-            raise IntegralityFailure(sizes)
-        return BlockComputation(FDCStarAlgebra(tuple(ms)), residual, attempt + 1, center_dim)
-    raise NotSemisimpleOrDegenerate(last_failure)
-
-
-def block_structure(alg: StructureConstantStarAlgebra, seed: int = 0) -> FDCStarAlgebra:
-    return block_structure_full(alg, seed=seed).algebra
+    return loops, row, least
 
 
 def _nullspace_mod(A: list[list[int]], lam: int, p: int) -> tuple[list[int], list[list[int]]]:
@@ -329,16 +251,123 @@ def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
     return coeffs
 
 
+def _split_mod(matrices: Sequence[list[list[int]]], k: int, p: int) -> list[list[list[int]]]:
+    """The common eigenspaces over GF(p) of commuting k x k integer matrices.
+
+    GF(p)^k is split subspace by subspace at the roots of each restricted
+    characteristic polynomial, all of GF(p) tried at once.  Each space is
+    its basis, the identity on the space's pivot rows, so the coordinates of
+    a vector are its pivot entries; k spaces come back when all are lines.
+    """
+    spaces = [(list(range(k)), [[int(r == c) for r in range(k)] for c in range(k)])]
+    every = np.arange(p, dtype=np.int64)
+    for M in matrices:
+        split = []
+        for pivots, basis in spaces:
+            if len(basis) == 1:
+                split.append((pivots, basis))
+                continue
+            A = [[sum(a * b for a, b in zip(M[r], v)) % p for v in basis] for r in pivots]
+            values = np.zeros(p, dtype=np.int64)
+            for c in _charpoly_mod(A, p):
+                values = (values * every + c) % p
+            for lam in np.flatnonzero(values == 0).tolist():
+                free, null = _nullspace_mod(A, lam, p)
+                split.append(([pivots[f] for f in free], [
+                    [sum(w * v[r] for w, v in zip(u, basis)) % p for r in range(k)] for u in null
+                ]))
+        spaces = split
+    return [basis for _, basis in spaces]
+
+
+def _prime_above(m: int, step: int) -> int:
+    """The least prime above m that is 1 mod step, for step dividing m."""
+    p = m + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += step
+    return p
+
+
+def _orbit_blocks(N: np.ndarray, unit: int, arrows: int, h: int) -> list[int]:
+    """Block sizes of an orbit algebra of n_O = ``arrows`` arrows and corner
+    order h from its class-sum structure constants N[a, c, b], the
+    coefficient of C_c in C_a C_b; ``unit`` is the class of the units.
+
+    The common eigenvectors v of the C_a split GF(p)^k, p the least prime
+    above n_O that is 1 mod h.  Each v is lam e for a primitive central
+    idempotent e, and v^2 = lam v.  Left multiplication by e has trace k^2
+    for a block of size k; a unit has trace n_O / u_O, any other arrow 0, so
+    k^2 = e[unit] n_O mod p, which lifts as k^2 <= n_O < p.
+    """
+    k, p = len(N), _prime_above(arrows, h)
+    spaces = _split_mod([N[a].tolist() for a in range(k) if a != unit], k, p)
+    if len(spaces) != k:
+        raise NotSemisimpleOrDegenerate(f"class sums split into {len(spaces)} spaces mod {p}, not {k}")
+    V = np.array([v for (v,) in spaces], dtype=np.int64)
+    squares = []
+    for v, w in zip(V.tolist(), (np.einsum("ia,acb,ib->ic", V, N, V) % p).tolist()):  # w = v^2
+        c = next(c for c, x in enumerate(v) if x)
+        squares.append(v[unit] * v[c] * pow(w[c], -1, p) * arrows % p)  # e = v v[c] / w[c]
+    sizes = [math.isqrt(s) for s in squares]
+    if [m * m for m in sizes] != squares or sum(squares) != arrows:
+        raise IntegralityFailure(f"squared sizes {squares} mod {p} in an orbit of {arrows} arrows")
+    return sizes
+
+
+def block_structure(alg: StructureConstantStarAlgebra) -> FDCStarAlgebra:
+    """Block sizes of a groupoid algebra, exactly, orbit by orbit, from its
+    product and star tables alone.
+
+    Arrows in different orbits multiply to 0, so the algebra is the sum of
+    its orbit algebras.  Orbits are cliques, so an orbit's units form one
+    loop class, named by its least unit.  An orbit of n_O arrows, u_O units
+    and k_O classes is M_{u_O}(C[H]), H the loops at a unit, of order
+    h = n_O / u_O^2.  When k_O = h, the k_O squared degrees of H sum to h,
+    so all are 1: k_O blocks of size u_O.  Other orbits go to
+    ``_orbit_blocks`` with the structure constants counted at their least
+    unit, one split per distinct constants and size within a call.
+    """
+    n = alg.dimension
+    if n == 0:
+        return FDCStarAlgebra(())
+    loops, row, least = _center_basis(alg)
+    P, S = alg.product, alg.star
+    unit = P[np.arange(n), S]
+    cls = np.full(n + 1, -1)  # the class of each loop; -1 elsewhere and at index -1
+    cls[loops] = row
+    orbit = cls[unit]  # of each arrow: the class of its unit
+    orbits = np.flatnonzero(np.bincount(orbit))
+    arrows, units = np.bincount(orbit)[orbits], np.bincount(row)[orbits]
+    classes = np.bincount(orbit[least], minlength=len(least))[orbits]
+    h, rest = np.divmod(arrows, units**2)
+    if rest.any():
+        raise IntegralityFailure(f"orbits of {arrows.tolist()} arrows on {units.tolist()} units")
+    blocks = [int(units[o]) for o in np.flatnonzero(classes == h) for _ in range(classes[o])]
+    split: dict[tuple[int, bytes], list[int]] = {}
+    for o in np.flatnonzero(classes != h):
+        xs = loops[unit[loops] == least[orbits[o]]]  # the loops at the orbit's least unit
+        cs, first, a = np.unique(cls[xs], return_index=True, return_inverse=True)
+        k = len(cs)
+        local = np.full(len(least) + 1, -1)
+        local[cs] = np.arange(k)
+        b = local[cls[P[S[xs][:, None], xs[first]]]]  # the class of x* z, z the first of class c
+        N = np.bincount(((a[:, None] * k + np.arange(k)) * k + b).ravel(), minlength=k**3).reshape(k, k, k)
+        key = (int(arrows[o]), N.tobytes())
+        if key not in split:
+            split[key] = _orbit_blocks(N, int(local[orbits[o]]), key[0], int(h[o]))
+        blocks += split[key]
+    return FDCStarAlgebra(tuple(sorted(blocks)))
+
+
 def character_degrees(group: FiniteGroup) -> tuple[int, ...]:
     """The irreducible character degrees of ``group``, sorted, in exact arithmetic.
 
     Burnside-Dixon over GF(p) (Dixon, Numer. Math. 10 (1967); Schneider,
     J. Symbolic Comput. 9 (1990)), with p the least prime above |H| that is
-    1 mod the exponent, so the class algebra splits over GF(p).  The class
-    matrices M_i[j][k] = #{x in C_i : x^-1 g_k in C_j} (g_k in C_k) commute,
-    and their common eigenvectors are the central characters
-    omega(C_j) = |C_j| chi(g_j) / chi(1).  GF(p)^k is split subspace by
-    subspace at the roots of each restricted characteristic polynomial; then
+    1 mod |H|, hence mod the exponent, so the class algebra splits over
+    GF(p).  The class matrices M_i[j][k] = #{x in C_i : x^-1 g_k in C_j}
+    (g_k in C_k) commute, and their common eigenvectors (``_split_mod``) are
+    the central characters omega(C_j) = |C_j| chi(g_j) / chi(1).  Then
     chi(1)^2 = |H| / sum_j omega(C_j) omega(C_j^-1) / |C_j| mod p, which lifts
     uniquely because chi(1)^2 <= |H| < p.  With as many classes as elements
     every degree is 1, since the squares sum to |H|.
@@ -349,43 +378,17 @@ def character_degrees(group: FiniteGroup) -> tuple[int, ...]:
     k = len(classes)
     if k == order:
         return (1,) * order
-    exponent = 1
-    for x in range(order):
-        power, n = x, 1
-        while power:
-            power, n = mul[power][x], n + 1
-        exponent = math.lcm(exponent, n)
-    p = order + 1  # the exponent divides |H|
-    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        p += exponent
+    p = _prime_above(order, order)  # the exponent divides |H|
     coeff = [[[0] * k for _ in range(k)] for _ in range(k)]
     for i, members in enumerate(classes):
         for l, (rep, *_) in enumerate(classes):
             for x in members:
                 coeff[i][class_of[mul[inv[x]][rep]]][l] += 1
-    # Each space is (pivot rows, basis columns) with the basis the identity
-    # on its pivot rows, so the coordinates of a vector are its pivot entries.
-    spaces = [(list(range(k)), [[int(r == c) for r in range(k)] for c in range(k)])]
-    for M in coeff[1:]:
-        split = []
-        for pivots, basis in spaces:
-            if len(basis) == 1:
-                split.append((pivots, basis))
-                continue
-            A = [[sum(a * b for a, b in zip(M[r], v)) % p for v in basis] for r in pivots]
-            poly = _charpoly_mod(A, p)
-            for lam in range(p):
-                if functools.reduce(lambda acc, c: (acc * lam + c) % p, poly, 0):
-                    continue
-                free, null = _nullspace_mod(A, lam, p)
-                split.append(([pivots[f] for f in free], [
-                    [sum(w * v[r] for w, v in zip(u, basis)) % p for r in range(k)] for u in null
-                ]))
-        spaces = split
-    if len(spaces) != k or any(len(basis) != 1 for _, basis in spaces):
+    spaces = _split_mod(coeff[1:], k, p)
+    if len(spaces) != k:
         raise AssertionError(f"class matrices of {group.name} split into {len(spaces)} spaces, not {k}")
     degrees = []
-    for _, (omega,) in spaces:
+    for (omega,) in spaces:
         norm = sum(w * omega[class_of[inv[c[0]]]] * pow(len(c), -1, p) for w, c in zip(omega, classes))
         norm *= pow(omega[0], -2, p)
         square = order * pow(norm % p, -1, p) % p
@@ -413,16 +416,14 @@ def crossed_product_blocks_combinatorial(pa: PartialAction) -> FDCStarAlgebra:
     return FDCStarAlgebra(tuple(sorted(blocks)))
 
 
-def crossed_product_blocks(pa: PartialAction, seed: int = 0) -> FDCStarAlgebra:
-    """Both block routes, cross-asserted; disagreement aborts loudly."""
-    numeric = block_structure(crossed_product(pa), seed=seed)
+def crossed_product_blocks(pa: PartialAction, *, crossed: Optional[StructureConstantStarAlgebra] = None) -> FDCStarAlgebra:
+    """Both block routes, cross-asserted; disagreement aborts loudly.
+    ``crossed`` is crossed_product(pa), built here when not given."""
+    exact = block_structure(crossed_product(pa) if crossed is None else crossed)
     combinatorial = crossed_product_blocks_combinatorial(pa)
-    if numeric != combinatorial:
-        raise AssertionError(
-            f"block routes disagree: numeric {numeric.blocks} vs "
-            f"combinatorial {combinatorial.blocks}"
-        )
-    return numeric
+    if exact != combinatorial:
+        raise AssertionError(f"block routes disagree: {exact.blocks} vs {combinatorial.blocks}")
+    return exact
 
 
 def fixed_point_algebra(pa: PartialAction) -> FDCStarAlgebra:
@@ -534,15 +535,16 @@ def imprimitivity_bimodule_verify(
     # For xi = b_j the clause <delta_a, delta_b> xi = <delta_a, delta_b . xi>
     # over all (a, b) reads: the multiset of (tgt k, src k, k b_j) over k with
     # k b_j != 0 equals that of (tgt m, tgt j, m) over m with src m = src j.
-    # Column j of lhs and rhs encodes those triples, padded with -1.
-    cells = tgt * npoints + src
-    lhs = np.where(P >= 0, cells[:, None] * n + P, -1)
-    rhs = np.where(
-        src[:, None] == src[None, :],
-        (tgt[:, None] * npoints + tgt[None, :]) * n + np.arange(n)[:, None],
-        -1,
+    # Column j of each side's table encodes those triples, padded with -1;
+    # the tables are built and compared a block of columns at a time.
+    cells, ks = tgt * npoints + src, np.arange(n)[:, None]
+    compatibility = all(
+        np.array_equal(
+            np.sort(np.where(P[:, c] >= 0, cells[:, None] * n + P[:, c], -1), axis=0),
+            np.sort(np.where(src[:, None] == src[c], (tgt[:, None] * npoints + tgt[c]) * n + ks, -1), axis=0),
+        )
+        for c in row_blocks(n, n)
     )
-    compatibility = bool(np.array_equal(np.sort(lhs, axis=0), np.sort(rhs, axis=0)))
 
     # The <delta_a, delta_b> are the indicators of the nonempty cells I(a, b).
     # Over distinct basis arrows the cells partition the basis, so those

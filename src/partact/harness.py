@@ -17,6 +17,7 @@ from typing import Callable
 
 from .decomp import orbit_type_decomposition, stratification
 from .fdcstar import (
+    crossed_product,
     crossed_product_blocks,
     fixed_point_algebra,
     imprimitivity_bimodule_verify,
@@ -195,10 +196,11 @@ def check_morita(seed: int, count: int = 100) -> CheckReport:
     notes = []
     for pa in corpus(seed, count):
         rok = rokhlin_dimension(pa)
-        cp = crossed_product_blocks(pa)
+        alg = crossed_product(pa)
+        cp = crossed_product_blocks(pa, crossed=alg)
         fp = fixed_point_algebra(pa)
         equivalent = morita_equivalent(fp, cp)
-        report = imprimitivity_bimodule_verify(pa)
+        report = imprimitivity_bimodule_verify(pa, crossed=alg)
         if rok.finite:
             if not equivalent or not report.all_hold:
                 failures.append(

@@ -9,8 +9,10 @@ import random
 import time
 from fractions import Fraction
 
+from block_reference import block_structure_full
+
 from partact.fdcstar import (
-    block_structure_full,
+    block_structure,
     crossed_product,
     crossed_product_blocks_combinatorial,
     imprimitivity_bimodule_verify,
@@ -106,14 +108,16 @@ def test_criterion_4_decomposable_dimension_via_subsystems():
 def test_criterion_5_block_route_equivalence():
     start = time.time()
     for pa in corpus(SEED, 100):
-        comp = block_structure_full(crossed_product(pa), seed=0)
+        alg = crossed_product(pa)
+        comp = block_structure_full(alg, seed=0)
         combinatorial = crossed_product_blocks_combinatorial(pa)
         assert comp.algebra == combinatorial
+        assert block_structure(alg) == combinatorial
         assert comp.algebra.dimension == sum(len(pa.domain(g)) for g in pa.group.elements())
         assert comp.integrality_residual < 1e-6
     elapsed = time.time() - start
     assert elapsed < 300
-    _report(5, f"numeric and combinatorial block routes agree on 100 instances in {elapsed:.1f}s")
+    _report(5, f"exact, float and combinatorial block routes agree on 100 instances in {elapsed:.1f}s")
 
 
 def test_criterion_6_morita_bimodule():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from block_reference import block_structure_full, center_rows
 from fraction_reference import (
     inner_product_crossed,
     is_psd_rational,
@@ -23,7 +24,6 @@ from partact.fdcstar import (
     StructureConstantStarAlgebra,
     _center_basis,
     block_structure,
-    block_structure_full,
     character_degrees,
     crossed_product,
     crossed_product_blocks,
@@ -223,9 +223,10 @@ def test_degenerate_algebra_is_rejected():
         StructureConstantStarAlgebra,
     )
 
-    # Dual numbers: 1 and a self-adjoint nilpotent.  The left regular
-    # representation of any central element is defective, so clustering can
-    # never match the center dimension.
+    # Dual numbers: 1 and a self-adjoint nilpotent.  eps eps* = eps eps
+    # vanishes, so eps is not a groupoid arrow, and the left regular
+    # representation of any central element is defective, so the float
+    # reference's clustering can never match the center dimension.
     nil = StructureConstantStarAlgebra(
         basis=("one", "eps"),
         product=((0, 1), (1, -1)),
@@ -234,6 +235,8 @@ def test_degenerate_algebra_is_rejected():
     reference_check_invariants(nil)
     with pytest.raises(NotSemisimpleOrDegenerate):
         block_structure(nil)
+    with pytest.raises(NotSemisimpleOrDegenerate):
+        block_structure_full(nil)
 
 
 def test_bimodule_swap_pair_all_clauses(swap_pair):
@@ -394,6 +397,28 @@ def test_bimodule_swapped_basis_labels_break_compatibility(swap_pair):
     assert reference_bimodule_clauses(swap_pair, tampered)[0] is False
 
 
+def test_bimodule_compatibility_in_column_blocks(monkeypatch):
+    """Several column blocks give the same report as one, on the corpus and
+    on a corrupted product entry in the last block."""
+    from partact import pactions
+    from partact.harness import corpus
+
+    instances = corpus(20260808, 40)
+    whole = [imprimitivity_bimodule_verify(pa) for pa in instances]
+    alg = crossed_product(instances[0])
+    n = alg.dimension
+    i = int(np.flatnonzero(alg.product[:, n - 1] >= 0)[-1])
+    product = alg.product.copy()
+    product[i, n - 1] = (product[i, n - 1] + 1) % n
+    tampered = replace(alg, product=product)
+    tampered_whole = imprimitivity_bimodule_verify(instances[0], crossed=tampered)
+    assert not tampered_whole.compatibility
+    monkeypatch.setattr(pactions, "BLOCK_ELEMENTS", 3 * n)
+    assert len(list(pactions.row_blocks(n, n))) > 1
+    assert [imprimitivity_bimodule_verify(pa) for pa in instances] == whole
+    assert imprimitivity_bimodule_verify(instances[0], crossed=tampered) == tampered_whole
+
+
 def test_bimodule_rejects_a_basis_label_that_is_not_an_arrow(swap_pair):
     alg = crossed_product(swap_pair)
     assert 2 not in swap_pair.domain(1)
@@ -405,7 +430,7 @@ def test_bimodule_rejects_a_basis_label_that_is_not_an_arrow(swap_pair):
 
 
 def test_center_basis_of_s3_group_algebra_is_its_class_sums():
-    Z = _center_basis(group_algebra(build_group(("symmetric", 3))))
+    Z = center_rows(group_algebra(build_group(("symmetric", 3))))
     assert Z.shape == (3, 6)
     assert sorted(Z.sum(axis=1)) == [1, 2, 3]
     assert (Z.sum(axis=0) == 1).all()
@@ -441,7 +466,7 @@ def test_center_basis_checks_each_class_on_its_own():
         _center_basis(replace(alg, product=product))
     named = int(str(err.value).split("basis element ")[1].split()[0])
     noncentral = [
-        members for members in map(np.flatnonzero, _center_basis(alg))
+        members for members in map(np.flatnonzero, center_rows(alg))
         if not np.array_equal(np.sort(product[members], axis=0), np.sort(product[:, members].T, axis=0))
     ]
     assert any(named in members for members in noncentral)
@@ -468,7 +493,8 @@ def test_crossed_product_of_regular_s4_action_fits_in_memory():
         "import resource\n"
         "from partact.groups import symmetric_group\n"
         "from partact.pactions import global_action\n"
-        "from partact.fdcstar import crossed_product, block_structure_full\n"
+        "from partact.fdcstar import crossed_product\n"
+        "from block_reference import block_structure_full\n"
         "G = symmetric_group(4)\n"
         "pts = range(G.order)\n"
         "pa = global_action(G, pts, {g: {x: G.mul(g, x) for x in pts} for g in G.elements()})\n"
@@ -477,7 +503,8 @@ def test_crossed_product_of_regular_s4_action_fits_in_memory():
         "print(cp.dimension, blocks, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     src = os.path.dirname(os.path.dirname(partact.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
     )

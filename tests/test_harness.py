@@ -78,3 +78,19 @@ def test_run_all_checks_passes_small():
     reports = run_all_checks(5, count=6)
     assert len(reports) == 6
     assert all(r.passed for r in reports)
+
+
+def test_check_morita_builds_one_crossed_product_per_instance(monkeypatch):
+    from partact import fdcstar, harness
+
+    built = []
+    crossed_product = fdcstar.crossed_product
+
+    def counted(pa):
+        built.append(pa)
+        return crossed_product(pa)
+
+    monkeypatch.setattr(fdcstar, "crossed_product", counted)
+    monkeypatch.setattr(harness, "crossed_product", counted)
+    assert check_morita(5, count=12).passed
+    assert len(built) == 12

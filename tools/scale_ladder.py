@@ -3,7 +3,7 @@
 Run from the root of the change's checkout, with a checkout of its parent
 commit beside it:
 
-    python3 tools/scale_ladder.py --label 11 --parent ../parent --parent-rev 53c3bc0
+    python3 tools/scale_ladder.py --label 12 --parent ../parent --parent-rev a0b1bd4
 
 Two ladders of global actions:
 
@@ -14,12 +14,12 @@ Two ladders of global actions:
 
 Each case runs REPEATS times per checkout, alternating the checkouts, each
 time in a fresh interpreter.  A run records the wall time of
-``cli.analyze``, the time spent in each of its layers (the functions ``cli``
-calls, timed where ``cli`` looks them up), the basis size n, and the
-process's peak RSS from ``getrusage`` (``ru_maxrss``, KiB on Linux).  The
-summary gives, per case and checkout, the median of each time and the
-largest peak RSS: a single run's first dense eigensolve can take twice as
-long as the next.
+``cli.analyze``, the time spent in each of its layers (timed where ``cli``
+and ``fdcstar`` look them up; a layer that was renamed is timed under its
+former name in checkouts from before the rename), the basis size n, and
+the process's peak RSS from ``getrusage`` (``ru_maxrss``, KiB on Linux).
+The summary gives, per case and checkout, the median of each time and the
+largest peak RSS.
 """
 
 from __future__ import annotations
@@ -38,17 +38,19 @@ CARRIERS = (25, 50, 100)
 LAYERS = (
     "rokhlin_dimension",
     "crossed_product",
-    "block_structure_full",
+    "block_structure",
     "crossed_product_blocks_combinatorial",
     "fixed_point_algebra",
     "imprimitivity_bimodule_verify",
     "globalize",
 )
+# The float eigen route, replaced by the exact block_structure.
+FORMER_NAMES = {"block_structure": "block_structure_full"}
 
 # Runs in the child: argv[1] is the case as JSON; prints one JSON line.
 CHILD = r"""
 import json, resource, sys, time
-from partact import cli
+from partact import cli, fdcstar
 from partact.groups import build_group
 from partact.pactions import global_action
 
@@ -73,7 +75,10 @@ def timed(name, fn):
             layers[name] = layers.get(name, 0.0) + time.perf_counter() - start
     return wrapper
 for name in case["layers"]:
-    setattr(cli, name, timed(name, getattr(cli, name)))
+    for module in (cli, fdcstar):
+        attr = next((a for a in (name, case["former"].get(name)) if a and hasattr(module, a)), None)
+        if attr:
+            setattr(module, attr, timed(name, getattr(module, attr)))
 
 start = time.perf_counter()
 report = cli.analyze(pa)
@@ -99,7 +104,7 @@ def cases() -> list[dict]:
 
 def run_case(checkout: str, case: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    payload = json.dumps({**case, "layers": list(LAYERS)})
+    payload = json.dumps({**case, "layers": list(LAYERS), "former": FORMER_NAMES})
     proc = subprocess.run([sys.executable, "-c", CHILD, payload], capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {case} exited {proc.returncode}:\n{proc.stderr}")
@@ -133,12 +138,13 @@ def main(argv=None) -> int:
                 "side": side,
                 "n": results[0]["n"],
                 "analyze_s": statistics.median(r["analyze_s"] for r in results),
-                "layers_s": {layer: statistics.median(r["layers_s"][layer] for r in results) for layer in LAYERS},
+                "layers_s": {layer: statistics.median(r["layers_s"].get(layer, 0.0) for r in results)
+                             for layer in LAYERS},
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
             }
             summary.append(row)
-            print(f"{side} {name}: n {row['n']}, analyze {row['analyze_s']:.3f} s, crossed_product "
-                  f"{row['layers_s']['crossed_product']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB",
+            print(f"{side} {name}: n {row['n']}, analyze {row['analyze_s']:.3f} s, block_structure "
+                  f"{row['layers_s']['block_structure']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB",
                   file=sys.stderr, flush=True)
 
     scale = {
