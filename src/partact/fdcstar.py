@@ -174,7 +174,7 @@ def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
 
 
 def _center_basis(alg: StructureConstantStarAlgebra) -> tuple[np.ndarray, ...]:
-    """The center as class sums: the loops, the class of each, each class's least member.
+    """The center as class sums: the loops, the class of each, each class's least member, each arrow's unit.
 
     Every basis element b is a groupoid arrow with unit b b*, and a loop when
     b b* = b* b.  The class of loop b is {c b c* : c an arrow out of its
@@ -217,7 +217,7 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> tuple[np.ndarray, ...]:
             k, j = np.argwhere(left != right)[0]
             cls = min(left[k, j], right[k, j]) // (n + 1)
             raise AssertionError(f"class sum of basis element {loops[np.argmax(row == cls)]} is not central")
-    return loops, row, least
+    return loops, row, least, unit
 
 
 def _nullspace_mod(A: list[list[int]], lam: int, p: int) -> tuple[list[int], list[list[int]]]:
@@ -325,14 +325,14 @@ def block_structure(alg: StructureConstantStarAlgebra) -> FDCStarAlgebra:
     h = n_O / u_O^2.  When k_O = h, the k_O squared degrees of H sum to h,
     so all are 1: k_O blocks of size u_O.  Other orbits go to
     ``_orbit_blocks`` with the structure constants counted at their least
-    unit, one split per distinct constants and size within a call.
+    unit, one split per distinct constants and size within a call (equal
+    orbits recur when many points share a non-abelian stabilizer).
     """
     n = alg.dimension
     if n == 0:
         return FDCStarAlgebra(())
-    loops, row, least = _center_basis(alg)
+    loops, row, least, unit = _center_basis(alg)
     P, S = alg.product, alg.star
-    unit = P[np.arange(n), S]
     cls = np.full(n + 1, -1)  # the class of each loop; -1 elsewhere and at index -1
     cls[loops] = row
     orbit = cls[unit]  # of each arrow: the class of its unit
@@ -416,10 +416,9 @@ def crossed_product_blocks_combinatorial(pa: PartialAction) -> FDCStarAlgebra:
     return FDCStarAlgebra(tuple(sorted(blocks)))
 
 
-def crossed_product_blocks(pa: PartialAction, *, crossed: Optional[StructureConstantStarAlgebra] = None) -> FDCStarAlgebra:
-    """Both block routes, cross-asserted; disagreement aborts loudly.
-    ``crossed`` is crossed_product(pa), built here when not given."""
-    exact = block_structure(crossed_product(pa) if crossed is None else crossed)
+def crossed_product_blocks(pa: PartialAction, *, crossed: StructureConstantStarAlgebra) -> FDCStarAlgebra:
+    """Both block routes on ``crossed`` = crossed_product(pa), cross-asserted; disagreement aborts loudly."""
+    exact = block_structure(crossed)
     combinatorial = crossed_product_blocks_combinatorial(pa)
     if exact != combinatorial:
         raise AssertionError(f"block routes disagree: {exact.blocks} vs {combinatorial.blocks}")

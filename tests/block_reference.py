@@ -40,7 +40,7 @@ class BlockComputation:
 
 def center_rows(alg: StructureConstantStarAlgebra) -> np.ndarray:
     """The class sums as 0/1 rows over the basis, one row per class."""
-    loops, row, _ = _center_basis(alg)
+    loops, row, _, _ = _center_basis(alg)
     Z = np.zeros((row.max() + 1, alg.dimension))
     Z[row, loops] = 1.0
     return Z

@@ -86,7 +86,7 @@ def test_orbit_blocks_reject_sizes_that_are_not_whole():
     s3 = build_group(("symmetric", 3))
     pa = global_action(s3, [0], {g: {0: 0} for g in s3.elements()})
     alg = crossed_product(pa)
-    loops, row, _ = fdcstar._center_basis(alg)
+    loops, row, _, _ = fdcstar._center_basis(alg)
     S = alg.star
     k = row.max() + 1
     N = np.zeros((k, k, k), dtype=np.intp)

@@ -170,7 +170,7 @@ def test_routes_agree_on_corpus():
     for seed in range(25):
         spec = [("cyclic", 2), ("cyclic", 3), ("cyclic", 4), "klein4", ("symmetric", 3)][seed % 5]
         pa = random_partial_action(seed, spec, 4 + seed % 8, (0.3, 0.5, 0.8, 1.0)[seed % 4])
-        blocks = crossed_product_blocks(pa)
+        blocks = crossed_product_blocks(pa, crossed=crossed_product(pa))
         assert blocks.dimension == sum(len(pa.domain(g)) for g in pa.group.elements())
 
 
@@ -210,7 +210,7 @@ def test_free_morita_shadow_on_corpus():
         pa = random_partial_action(seed, ("cyclic", 3), 7, 0.6)
         if not is_free(pa):
             continue
-        cp = crossed_product_blocks(pa)
+        cp = crossed_product_blocks(pa, crossed=crossed_product(pa))
         fp = fixed_point_algebra(pa)
         orbit_count = len(translation_groupoid(pa).orbits)
         assert cp.block_count == orbit_count == fp.block_count

@@ -16,10 +16,10 @@ Each case runs REPEATS times per checkout, alternating the checkouts, each
 time in a fresh interpreter.  A run records the wall time of
 ``cli.analyze``, the time spent in each of its layers (timed where ``cli``
 and ``fdcstar`` look them up; a layer that was renamed is timed under its
-former name in checkouts from before the rename), the basis size n, and
-the process's peak RSS from ``getrusage`` (``ru_maxrss``, KiB on Linux).
-The summary gives, per case and checkout, the median of each time and the
-largest peak RSS.
+former name in checkouts from before the rename; a layer found in neither
+module stops the run), the basis size n, and the process's peak RSS from
+``getrusage`` (``ru_maxrss``, KiB on Linux).  The summary gives, per case
+and checkout, the median of each time and the largest peak RSS.
 """
 
 from __future__ import annotations
@@ -75,10 +75,14 @@ def timed(name, fn):
             layers[name] = layers.get(name, 0.0) + time.perf_counter() - start
     return wrapper
 for name in case["layers"]:
+    found = False
     for module in (cli, fdcstar):
         attr = next((a for a in (name, case["former"].get(name)) if a and hasattr(module, a)), None)
         if attr:
             setattr(module, attr, timed(name, getattr(module, attr)))
+            found = True
+    if not found:
+        raise SystemExit(f"layer {name} is in neither cli nor fdcstar")
 
 start = time.perf_counter()
 report = cli.analyze(pa)
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
                 "side": side,
                 "n": results[0]["n"],
                 "analyze_s": statistics.median(r["analyze_s"] for r in results),
-                "layers_s": {layer: statistics.median(r["layers_s"].get(layer, 0.0) for r in results)
+                "layers_s": {layer: statistics.median(r["layers_s"][layer] for r in results)
                              for layer in LAYERS},
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
             }
