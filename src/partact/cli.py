@@ -13,7 +13,8 @@ Carrier entries are arbitrary labels (strings or numbers); ``domains`` and
 ``maps`` are keyed by group element index.  Reports are JSON on stdout with
 rationals rendered as "p/q" strings and the infinite dimension as the string
 "infinity"; diagnostics go to stderr.  Exit codes: 0 success, 1 domain
-error, 2 usage error.
+error, 2 usage error, 3 internal error (the instance read, if any, is dumped
+to stderr as JSON).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .fdcstar import (
     morita_equivalent,
 )
 from .groups import FiniteGroup, GroupError, build_group
-from .harness import run_all_checks
+from .harness import _instance_payload, run_all_checks
 from .pactions import (
     PartialAction,
     PartialActionError,
@@ -283,30 +284,31 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _read_instance(path: str) -> PartialAction:
-    with open(path, "rb") as fh:
+def _read_instance(args) -> PartialAction:
+    with open(args.instance, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"not UTF-8 text: {err.reason}", f"byte {err.start}")
-    return parse_instance(text)
+    args.pa = parse_instance(text)  # main dumps it on an internal error
+    return args.pa
 
 
 def _cmd_validate(args) -> int:
-    pa = _read_instance(args.instance)
+    pa = _read_instance(args)
     _emit({"valid": True, "instanceDigest": instance_digest(pa), "carrierSize": pa.size()})
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    pa = _read_instance(args.instance)
+    pa = _read_instance(args)
     _emit(analyze(pa, seed=args.seed))
     return 0
 
 
 def _cmd_towers(args) -> int:
-    pa = _read_instance(args.instance)
+    pa = _read_instance(args)
     outcome = towers_exist(pa, args.d)
     if isinstance(outcome, TowerCertificate):
         _emit({"exists": True, "certificate": _certificate_payload(outcome)})
@@ -316,7 +318,7 @@ def _cmd_towers(args) -> int:
 
 
 def _cmd_globalize(args) -> int:
-    pa = _read_instance(args.instance)
+    pa = _read_instance(args)
     result = globalize(pa)
     split = central_splitting(result)
     _emit(
@@ -331,7 +333,7 @@ def _cmd_globalize(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    pa = _read_instance(args.instance)
+    pa = _read_instance(args)
     strata = stratification(pa)
     payload = {
         "instanceDigest": instance_digest(pa),
@@ -509,6 +511,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ValidationError, PartialActionError, GroupError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except (AssertionError, MemoryError) as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        if hasattr(args, "pa"):
+            print(json.dumps(_instance_payload(args.pa), sort_keys=True), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

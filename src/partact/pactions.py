@@ -121,6 +121,21 @@ def row_blocks(order: int, width: int) -> Iterable[slice]:
     return (slice(lo, min(lo + rows, order)) for lo in range(0, order, rows))
 
 
+def _composition_failure(theta: np.ndarray, mul: np.ndarray) -> Optional[tuple[int, int, np.ndarray]]:
+    """First (g, h), in row blocks of g, with theta_g(theta_h(x)) defined but not
+    theta_gh(x), and its mask of such x; None when composition holds."""
+    order, n = theta.shape
+    ext = np.full((order, n + 1), -1, dtype=np.intp)  # column n: undefined stays undefined
+    ext[:, :n] = theta
+    for rows in row_blocks(order, order * n):
+        ghx = ext[rows][:, theta]  # (g, h, x) -> theta_g(theta_h(x))
+        bad = (ghx >= 0) & (ghx != theta[mul[rows]])
+        if bad.any():
+            g, h = divmod(int(np.argmax(bad.any(axis=2))), order)
+            return rows.start + g, h, bad[g, h]
+    return None
+
+
 @dataclass(frozen=True)
 class PartialAction:
     """A validated partial action; construct via :func:`validate`."""
@@ -139,13 +154,8 @@ class PartialAction:
 
     def alpha(self, g: int, f: Mapping[int, object]) -> dict[int, object]:
         """alpha_g(f) = f . theta_{g^-1}, a function supported on X_g."""
-        inv = self.group.inv(g)
-        out = {}
-        for z in self.domains[g]:
-            y = self.maps[inv][z]
-            if y in f:
-                out[z] = f[y]
-        return out
+        back = self.maps[self.group.inv(g)]
+        return {z: f[back[z]] for z in self.domains[g] if back[z] in f}
 
     def domain_tuple(self, x: int) -> frozenset[int]:
         """tau(x) = set of g with x in X_g."""
@@ -204,33 +214,33 @@ def validate(
     and the derived domain identity are then whole-array comparisons on the
     integer table ``theta[g, i]`` (see IndexTables), taken in row blocks of
     g; the witness is the first failing (g, h), and for composition the first
-    failing x in the order of ``maps[h]``.
+    failing x in the order of ``maps[h]``.  A key of ``domains`` or ``maps``
+    that is not a group element is an error, not ignored.
     """
+    for name, keyed in (("domains", domains), ("maps", maps)):
+        if stray := set(keyed).difference(group.elements()):
+            raise PartialActionError(f"{name} key {next(k for k in keyed if k in stray)!r} is not a group element")
     X = frozenset(carrier)
     doms: dict[int, frozenset[int]] = {}
     thetas: dict[int, dict[int, int]] = {}
     for g in group.elements():
         dom = frozenset(domains.get(g, ()))
         if not dom <= X:
-            stray = sorted(dom - X)[0]
-            raise PartialActionError(f"domain of g={g} contains non-carrier point {stray}")
+            raise PartialActionError(f"domain of g={g} contains non-carrier point {min(dom - X)}")
         doms[g] = dom
         thetas[g] = {int(x): int(y) for x, y in maps.get(g, {}).items()}
 
     if doms[0] != X:
-        missing = sorted(X - doms[0])
-        raise IdentityDomainNotFull(missing[0] if missing else -1)
+        raise IdentityDomainNotFull(min(X - doms[0]))
     if any(thetas[0].get(x, x) != x for x in X):
         raise PartialActionError("theta_1 must be the identity map")
     thetas[0] = {x: x for x in X}
 
     for g in group.elements():
-        ginv = group.inv(g)
-        mp = thetas[g]
-        if set(mp.keys()) != set(doms[ginv]):
+        if thetas[g].keys() != doms[group.inv(g)]:
             raise NotBijective(g, "source set is not X_(g^-1)")
-        values = list(mp.values())
-        if set(values) != set(doms[g]) or len(set(values)) != len(values):
+        values = list(thetas[g].values())
+        if set(values) != doms[g] or len(set(values)) != len(values):
             raise NotBijective(g, "image is not X_g or map is not injective")
 
     for g in group.elements():
@@ -242,22 +252,15 @@ def validate(
     pa = PartialAction(group, X, doms, thetas)
     t = index_tables(pa)
     order, n = group.order, len(t.index)
-    # Composition: x in X_{h^-1} and theta_h(x) in X_{g^-1} imply
-    # x in X_{(gh)^-1} and theta_{gh}(x) = theta_g(theta_h(x)).
-    ext = np.full((order, n + 1), -1, dtype=np.intp)
-    ext[:, :n] = t.theta
-    for rows in row_blocks(order, order * n):
-        ghx = ext[rows][:, t.theta]  # (g, h, x) -> theta_g(theta_h(x))
-        bad = (ghx >= 0) & (ghx != t.theta[t.mul[rows]])
-        if bad.any():
-            g, h = divmod(int(np.argmax(bad.any(axis=2))), order)
-            x = next(x for x in thetas[h] if bad[g, h, t.index[x]])
-            raise CompositionViolation(rows.start + g, h, x)
+    if (failure := _composition_failure(t.theta, t.mul)) is not None:
+        g, h, bad = failure
+        raise CompositionViolation(g, h, next(x for x in thetas[h] if bad[t.index[x]]))
 
     # Standard consequence, read pointwise: z lies in theta_g(X_{g^-1} & X_h)
     # iff z is in X_g and theta_{g^-1}(z) is in X_h.  It must equal
     # X_g & X_{gh}; a violation here would indicate an internal bug.
-    dom = ext[t.inv] >= 0  # dom[g, i]: point i lies in X_g; column n is False
+    dom = np.zeros((order, n + 1), dtype=bool)  # dom[g, i]: point i lies in X_g; column n is False
+    dom[:, :n] = t.theta[t.inv] >= 0
     for rows in row_blocks(order, order * n):
         lhs = dom[:, t.theta[t.inv[rows]]].swapaxes(0, 1)  # (g, h, z)
         bad = dom[rows, None, :n] & (lhs != dom[t.mul[rows], :n])
@@ -272,6 +275,23 @@ def global_action(group: FiniteGroup, carrier: Iterable[int], perms: Mapping[int
     X = frozenset(carrier)
     domains = {g: X for g in group.elements()}
     return validate(group, X, domains, perms)
+
+
+def _from_table(group: FiniteGroup, theta: np.ndarray) -> PartialAction:
+    """The global action on range(size) with intp table ``theta``, kept read-only as
+    its IndexTables.  Total rows, identity row 0 and theta_g theta_h = theta_gh make
+    each row a bijection with inverse row theta_{g^-1}; failures are internal bugs."""
+    size = theta.shape[1]
+    if not (((theta >= 0) & (theta < size)).all() and np.array_equal(theta[0], np.arange(size))):
+        raise AssertionError("table is not total on its points with the identity at row 0")
+    if (failure := _composition_failure(theta, group.arrays[0])) is not None:
+        raise AssertionError(f"table fails composition at (g={failure[0]}, h={failure[1]})")
+    theta.flags.writeable = False
+    X = frozenset(range(size))
+    maps = {g: dict(enumerate(row)) for g, row in enumerate(theta.tolist())}
+    pa = PartialAction(group, X, {g: X for g in group.elements()}, maps)
+    pa.__dict__["_tables"] = IndexTables(MappingProxyType({i: i for i in range(size)}), theta, *group.arrays)
+    return pa
 
 
 def trivial_partial_action(group: FiniteGroup, carrier: Iterable[int]) -> PartialAction:
@@ -289,9 +309,7 @@ def is_free(pa: PartialAction) -> bool:
 
 def freeness_witness(pa: PartialAction) -> Optional[tuple[int, int]]:
     """A pair (g, x) with g != 1 and theta_g(x) = x, or None if free."""
-    for g in pa.group.elements():
-        if g == 0:
-            continue
+    for g in range(1, pa.group.order):  # the identity is element 0
         for x, y in pa.maps[g].items():
             if x == y:
                 return (g, x)
@@ -331,7 +349,10 @@ def _translation_groupoid_parts(pa: PartialAction) -> tuple:
         points[r]: Subgroup(pa.group, frozenset(np.flatnonzero(t.theta[:, r] == r).tolist()))
         for r in members
     }
-    return tuple(pa.arrows()), orbits, MappingProxyType(stabilizers)
+    gs, src = np.nonzero(t.theta >= 0)  # g-major, points ascending: as pa.arrows()
+    at = points.__getitem__
+    arrows = tuple(zip(gs.tolist(), map(at, src.tolist()), map(at, t.theta[gs, src].tolist())))
+    return arrows, orbits, MappingProxyType(stabilizers)
 
 
 def restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:
@@ -375,9 +396,6 @@ class GlobalizationResult:
     embedding: Mapping[int, int]
     pa: PartialAction
 
-    def embedded_carrier(self) -> frozenset[int]:
-        return frozenset(self.embedding.values())
-
 
 def globalize(pa: PartialAction) -> GlobalizationResult:
     """Enveloping global action via the quotient of G x X.
@@ -387,8 +405,9 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     form (Abadie, J. Funct. Anal. 197 (2003)).  On the integer tables each
     pair (g, x) gets the least pair of its class, taking x in sorted order,
     and the classes are numbered in the order of their least pairs.  The
-    envelope acts by a.[g, x] = [a g, x] and the embedding is x -> [1, x].
-    Construction invariants are asserted on the envelope's own tables: the
+    envelope acts by a.[g, x] = [a g, x] and the embedding is x -> [1, x];
+    it is built from that integer table, with the global-action axioms
+    checked on the table.  Construction invariants are asserted on it: the
     embedding is injective, domains match intersections, the envelope
     extends the action, and translates of X cover.  They fix the envelope up
     to equivariant isomorphism (uniqueness of the globalization).
@@ -404,9 +423,8 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     point = point.reshape(order, n)
     size = len(firsts)
     # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
-    moved = point[t.mul[:, firsts // n], firsts % n].tolist()
-    perms = {a: dict(enumerate(moved[a])) for a in G.elements()}
-    envelope = global_action(G, range(size), perms)
+    moved = point[t.mul[:, firsts // n], firsts % n]
+    envelope = _from_table(G, moved)
     embed = point[0]
     at = embed.tolist()
     embedding = {x: at[t.index[x]] for x in pa.carrier}
@@ -415,7 +433,7 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     in_emb[embed] = True
     if in_emb.sum() != n:
         raise AssertionError("globalization embedding is not injective")
-    translated = index_tables(envelope).theta[:, embed]  # [g, i]: sigma_g of the embedded point i
+    translated = moved[:, embed]  # [g, i]: sigma_g of the embedded point i
     # emb(X_g) = emb & sigma_g(emb) holds iff sigma_{g^-1} takes emb(z) into emb
     # exactly for z in X_g.  Extension is read where theta_g is defined.
     domain_bad = (in_emb[translated[t.inv]] != (t.theta[t.inv] >= 0)).any(axis=1)
@@ -435,33 +453,23 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
 def central_splitting(gr: GlobalizationResult) -> dict[int, frozenset[int]]:
     """Subsets p_g of the embedded carrier whose translates partition the envelope.
 
-    Greedy inclusion-exclusion over the group's canonical enumeration: each
-    translate keeps what the previous ones have not already claimed,
-    P_k = sigma_{g_k}(X) minus the earlier translates, and
-    p_{g_k} = sigma_{g_k}^{-1}(P_k).  The partition depends on the enumeration
-    order; existence does not.
+    Greedy over the group's canonical enumeration, on the envelope's table:
+    each envelope point is claimed by the least g with the point in sigma_g(X),
+    and p_g holds the embedded points e with sigma_g(e) claimed by g.  The
+    partition depends on the enumeration order; existence does not.
     """
-    env = gr.envelope
-    G = env.group
-    emb = gr.embedded_carrier()
-    translates = {g: frozenset(env.maps[g][z] for z in emb) for g in G.elements()}
-    order = list(G.elements())
-    splitting = {}
-    claimed: set[int] = set()
-    for g in order:
-        P_k = translates[g] - claimed
-        claimed |= translates[g]
-        ginv = G.inv(g)
-        splitting[g] = frozenset(env.maps[ginv][z] for z in P_k)
-    pieces = [frozenset(env.maps[g][z] for z in splitting[g]) for g in order]
-    union = set()
-    for piece in pieces:
-        if piece & union:
-            raise AssertionError("central splitting pieces overlap")
-        union |= piece
-    if union != set(env.carrier):
-        raise AssertionError("central splitting does not cover the envelope")
-    return splitting
+    theta = index_tables(gr.envelope).theta
+    order, size = theta.shape
+    emb = np.fromiter(gr.embedding.values(), np.intp, len(gr.embedding))
+    translated = theta[:, emb]  # [g, i]: sigma_g of the embedded point i
+    owner = np.full(size, order, dtype=np.intp)
+    np.minimum.at(owner, translated, np.arange(order)[:, None])
+    mine = owner[translated] == np.arange(order)[:, None]
+    # Each row of theta is injective, so the pieces partition the envelope
+    # exactly when every point is claimed once.
+    if not np.array_equal(np.sort(translated[mine]), np.arange(size)):
+        raise AssertionError("central splitting pieces do not partition the envelope")
+    return {g: frozenset(emb[row].tolist()) for g, row in enumerate(mine)}
 
 
 def minimal_partial_unitization(pa: PartialAction) -> PartialAction:

@@ -204,6 +204,31 @@ def reference_globalize(pa: PartialAction) -> GlobalizationResult:
     return GlobalizationResult(envelope, embedding, pa)
 
 
+def reference_central_splitting(gr: GlobalizationResult) -> dict[int, frozenset[int]]:
+    """Greedy inclusion-exclusion over the envelope's maps: each translate
+    keeps what the earlier ones have not claimed, P_k = sigma_{g_k}(X) minus
+    the earlier translates, and p_{g_k} = sigma_{g_k}^{-1}(P_k)."""
+    env = gr.envelope
+    G = env.group
+    emb = frozenset(gr.embedding.values())
+    translates = {g: frozenset(env.maps[g][z] for z in emb) for g in G.elements()}
+    splitting = {}
+    claimed: set[int] = set()
+    for g in G.elements():
+        P_k = translates[g] - claimed
+        claimed |= translates[g]
+        splitting[g] = frozenset(env.maps[G.inv(g)][z] for z in P_k)
+    union: set[int] = set()
+    for g in G.elements():
+        piece = frozenset(env.maps[g][z] for z in splitting[g])
+        if piece & union:
+            raise AssertionError("central splitting pieces overlap")
+        union |= piece
+    if union != set(env.carrier):
+        raise AssertionError("central splitting does not cover the envelope")
+    return splitting
+
+
 def reference_center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
     """Class sums of loops by union-find: loop b joined with c b c* for each
     arrow c out of its unit; rows in the order of each class's least loop."""

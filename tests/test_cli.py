@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partact import cli
 from partact.cli import (
     ParseError,
     ValidationError,
@@ -17,7 +18,7 @@ from partact.cli import (
     serialize_instance,
 )
 from partact.groups import build_group
-from partact.harness import corpus
+from partact.harness import _instance_payload, corpus
 from partact.pactions import global_action
 
 SWAP_PAIR_DOC = {
@@ -264,6 +265,39 @@ def test_cli_bad_instance_exit_1(tmp_path, capsys):
     path.write_text("{")
     assert main(["analyze", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_malformed_instance_is_a_domain_error_exit_1(tmp_path, capsys):
+    doc = dict(SWAP_PAIR_DOC, maps={"0": SWAP_PAIR_DOC["maps"]["0"], "1": [["a", "b"], ["b", "b"]]})
+    assert main(["globalize", _write_swap_pair(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance does not validate: theta_1 is not a bijection")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError("envelope does not extend theta_1"), MemoryError()])
+def test_cli_internal_failure_exit_3_dumps_the_instance(tmp_path, capsys, monkeypatch, exc):
+    def broken(pa):
+        raise exc
+
+    monkeypatch.setattr(cli, "globalize", broken)
+    path = _write_swap_pair(tmp_path)
+    for command in ("globalize", "analyze"):
+        assert main([command, path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        line, dump = err.splitlines()
+        assert line == f"internal error: {type(exc).__name__}: {exc}"
+        assert json.loads(dump) == _instance_payload(parse_instance(json.dumps(SWAP_PAIR_DOC)))
+
+
+def test_cli_internal_failure_without_an_instance_exit_3(capsys, monkeypatch):
+    def broken(seed, count):
+        raise AssertionError("check suite broke")
+
+    monkeypatch.setattr(cli, "run_all_checks", broken)
+    assert main(["check", "--count", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: AssertionError: check suite broke\n"
 
 
 def test_cli_usage_error_exit_2():

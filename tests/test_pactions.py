@@ -9,6 +9,7 @@ from partact.pactions import (
     NotBijective,
     NotInvariant,
     PartialAction,
+    PartialActionError,
     central_splitting,
     freeness_witness,
     global_action,
@@ -63,6 +64,22 @@ def test_validate_rejects_composition_violation():
             {0: {0: 0, 1: 1}, 1: dict(swap), 2: dict(swap), 3: dict(swap)},
         )
     assert (err.value.g, err.value.h) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "domains_extra, maps_extra, named",
+    [
+        ({5: [0]}, {7: {0: 1}}, "domains key 5"),
+        ({}, {7: {0: 1}}, "maps key 7"),
+        ({}, {-1: {0: 1}}, "maps key -1"),
+        ({-1: [0], 2: [1]}, {}, "domains key -1"),
+    ],
+)
+def test_validate_rejects_keys_that_are_not_group_elements(c2, domains_extra, maps_extra, named):
+    domains = {0: [0, 1], 1: [0, 1], **domains_extra}
+    maps = {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}, **maps_extra}
+    with pytest.raises(PartialActionError, match=f"^{named} is not a group element$"):
+        validate(c2, [0, 1], domains, maps)
 
 
 def test_validate_requires_full_identity_domain(c2):

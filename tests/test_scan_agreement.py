@@ -4,6 +4,7 @@ Exception types, witness strings and envelopes must be identical: every
 failure names the first witness of the old scan order.
 """
 
+import gc
 import random
 import tracemalloc
 from dataclasses import replace
@@ -25,16 +26,19 @@ from partact.fdcstar import (
 from partact.groups import build_group
 from partact.pactions import (
     PartialAction,
+    central_splitting,
     global_action,
     globalize,
     index_tables,
     random_partial_action,
     restricted_to,
+    translation_groupoid,
     validate,
 )
 from partact.rokhlin import TowerCertificate, towers_exist, verify_certificate
 from scan_reference import (
     reference_center_basis,
+    reference_central_splitting,
     reference_check_invariants,
     reference_crossed_product,
     reference_globalize,
@@ -248,6 +252,37 @@ def test_globalize_agrees_with_union_find_label_for_label(instances):
         new, ref = globalize(pa), reference_globalize(pa)
         assert _same_action(new.envelope, ref.envelope)
         assert list(new.embedding.items()) == list(ref.embedding.items())
+        # The envelope keeps the table it was built from: the tables its maps
+        # would give, read-only, with no reference back to the envelope.
+        env = new.envelope
+        tables = index_tables(env)
+        rebuilt = pactions._index_tables(env.group, env.carrier, env.maps)
+        assert tables.theta.dtype == np.intp and np.array_equal(tables.theta, rebuilt.theta)
+        assert dict(tables.index) == dict(rebuilt.index)
+        assert not tables.theta.flags.writeable
+        assert not any(r is env for r in gc.get_referents(tables, *vars(tables).values()))
+        assert all(list(env.maps[g]) == sorted(env.maps[g]) for g in env.group.elements())
+        assert central_splitting(new) == reference_central_splitting(new)
+        for action in (pa, env):
+            assert translation_groupoid(action).arrows == tuple(action.arrows())
+
+
+def test_envelope_table_with_two_entries_swapped_is_rejected():
+    """The envelope constructor checks the axioms on its table: swapping two
+    entries of the row of some g other than the identity breaks
+    theta_g theta_h = theta_gh for some h (the other rows fix that row once
+    |G| >= 3), and the failure is internal."""
+    rng = random.Random(13)
+    specs = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4), ("cyclic", 3))
+    for seed, spec in enumerate(specs):
+        env = globalize(random_partial_action(seed, spec, 12, 0.5)).envelope
+        table = index_tables(env).theta.copy()
+        g = rng.randrange(1, env.group.order)
+        a, b = rng.sample(range(table.shape[1]), 2)
+        table[g, [a, b]] = table[g, [b, a]]
+        with pytest.raises(AssertionError, match=r"composition at \(g=\d+, h=\d+\)"):
+            pactions._from_table(env.group, table)
+        assert _same_action(pactions._from_table(env.group, index_tables(env).theta.copy()), env)
 
 
 def test_axiom_and_certificate_checks_stay_small_at_scale():
