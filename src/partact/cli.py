@@ -14,7 +14,8 @@ Carrier entries are arbitrary labels (strings or numbers); ``domains`` and
 rationals rendered as "p/q" strings and the infinite dimension as the string
 "infinity"; diagnostics go to stderr.  Exit codes: 0 success, 1 domain
 error, 2 usage error, 3 internal error (the instance read, if any, is dumped
-to stderr as JSON).
+to stderr as one line of instance JSON with its labels, which ``partact
+analyze`` reads back).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .fdcstar import (
     morita_equivalent,
 )
 from .groups import FiniteGroup, GroupError, build_group
-from .harness import _instance_payload, run_all_checks
+from .harness import run_all_checks
 from .pactions import (
     PartialAction,
     PartialActionError,
@@ -291,7 +292,7 @@ def _read_instance(args) -> PartialAction:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"not UTF-8 text: {err.reason}", f"byte {err.start}")
-    args.pa = parse_instance(text)  # main dumps it on an internal error
+    args.pa, args.labels = parse_instance_with_labels(text)  # main dumps them on an internal error
     return args.pa
 
 
@@ -514,7 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AssertionError, MemoryError) as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         if hasattr(args, "pa"):
-            print(json.dumps(_instance_payload(args.pa), sort_keys=True), file=sys.stderr)
+            print(serialize_instance(args.pa, args.labels), file=sys.stderr)
         return 3
 
 

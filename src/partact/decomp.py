@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .groups import Subgroup
-from .pactions import PartialAction, restricted_to, translation_groupoid, validate
+from .pactions import PartialAction, _from_table, _subtable, index_tables, restricted_to
 from .tuples import orbit_of, stabilizer_and_section
 
 
@@ -64,7 +66,7 @@ def is_n_decomposable(pa: PartialAction, n: int) -> bool:
     covered: set[int] = set()
     intersections_clean = True
     for tau in occurring:
-        X_tau = _domain_intersection(pa, tau)
+        X_tau = pa.carrier.intersection(*map(pa.domain, tau))
         covered |= X_tau
         for g in pa.group.elements():
             if g not in tau and X_tau & pa.domain(g):
@@ -73,13 +75,6 @@ def is_n_decomposable(pa: PartialAction, n: int) -> bool:
     if set_form != pointwise:
         raise AssertionError("set-form and pointwise decomposability disagree")
     return set_form
-
-
-def _domain_intersection(pa: PartialAction, tau) -> frozenset[int]:
-    X_tau = pa.carrier
-    for g in tau:
-        X_tau &= pa.domain(g)
-    return X_tau
 
 
 @dataclass(frozen=True)
@@ -107,14 +102,17 @@ class Stratification:
 
 
 def stratification(pa: PartialAction) -> Stratification:
-    """Filtration of the carrier by the number of domains through each point."""
-    order = pa.group.order
-    strata = {k: frozenset(x for x in pa.carrier if len(pa.domain_tuple(x)) == k)
-              for k in range(1, order + 1)}
-    gr = translation_groupoid(pa)
-    for g, x, y in gr.arrows:
-        if len(pa.domain_tuple(x)) != len(pa.domain_tuple(y)):
-            raise AssertionError("an arrow crosses strata; equivariance is broken")
+    """Filtration of the carrier by the number of domains through each point:
+    |tau(x)| counts the g with theta_g defined at x, a column count of the table."""
+    t = index_tables(pa)
+    defined = t.theta >= 0
+    count = defined.sum(axis=0)
+    if (defined & (count[t.theta] != count)).any():
+        raise AssertionError("an arrow crosses strata; equivariance is broken")
+    by_count: dict[int, list[int]] = {}
+    for x, k in zip(t.index, count.tolist()):
+        by_count.setdefault(k, []).append(x)
+    strata = {k: frozenset(by_count.get(k, ())) for k in range(1, pa.group.order + 1)}
     if frozenset().union(*strata.values()) != pa.carrier:
         raise AssertionError("strata do not exhaust the carrier")
     return Stratification(pa, strata)
@@ -142,11 +140,6 @@ def _require_decomposable(pa: PartialAction, n: int) -> None:
         raise NotDecomposable(n, witness, len(pa.domain_tuple(witness)))
 
 
-def _points_with_tuple(pa: PartialAction, tau) -> frozenset[int]:
-    tau = frozenset(tau)
-    return frozenset(x for x in pa.carrier if pa.domain_tuple(x) == tau)
-
-
 def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
     """The global action of the tuple stabilizer on X_tau = {x : tau(x) = tau}.
 
@@ -155,7 +148,7 @@ def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
     """
     tau = frozenset(tau)
     _require_decomposable(pa, len(tau))
-    return _stabilizer_subsystem(pa, tau, _points_with_tuple(pa, tau))
+    return _stabilizer_subsystem(pa, tau, frozenset(x for x in pa.carrier if pa.domain_tuple(x) == tau))
 
 
 def _stabilizer_subsystem(
@@ -164,16 +157,11 @@ def _stabilizer_subsystem(
     H, _, _ = stabilizer_and_section(pa.group, tau)
     if not X_tau:
         raise EmptyStratum(tau)
-    sub_group = H.as_group()
-    members = H.sorted_members()
-    domains = {i: X_tau for i in range(len(members))}
-    maps = {
-        i: {x: pa.theta(members[i], x) for x in X_tau} for i in range(len(members))
-    }
-    subsystem = validate(sub_group, X_tau, domains, maps)
-    if not subsystem.is_global():
+    # The rows of H at the columns of X_tau: global when no entry leaves X_tau.
+    theta, points = _subtable(pa, X_tau, list(H.sorted_members()))
+    if (theta < 0).any():
         raise AssertionError("stabilizer subsystem is not global")
-    return H, subsystem
+    return H, _from_table(H.as_group(), theta, points)
 
 
 def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:
@@ -198,24 +186,18 @@ def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:
         # carries x to a point of it.
         X_tau = frozenset(by_tuple.get(tau, ()))
         H, subsystem = _stabilizer_subsystem(pa, tau, X_tau)
-        parts.append(
-            OrbitTypePart(
-                representative=tau,
-                part=frozenset(part_points[tau]),
-                stabilizer=H,
-                subsystem=subsystem,
-                carrier_X_tau=X_tau,
-            )
-        )
-    arrows = tuple(pa.arrows())
-    union: set[int] = set()
-    for p in parts:
-        if p.part & union:
+        parts.append(OrbitTypePart(tau, frozenset(part_points[tau]), H, subsystem, X_tau))
+    # Each point gets the label of its part; the parts are invariant when
+    # every defined entry of the table keeps the label.
+    t = index_tables(pa)
+    label = np.full(len(t.index), -1, dtype=np.intp)
+    for i, p in enumerate(parts):
+        at = np.fromiter(map(t.index.__getitem__, p.part), np.intp, len(p.part))
+        if (label[at] >= 0).any():
             raise AssertionError("orbit-type parts overlap")
-        union |= p.part
-        for g, x, y in arrows:
-            if (x in p.part) != (y in p.part):
-                raise AssertionError("orbit-type part is not invariant")
-    if union != set(pa.carrier):
+        label[at] = i
+    if ((t.theta >= 0) & (label[t.theta] != label)).any():
+        raise AssertionError("orbit-type part is not invariant")
+    if (label < 0).any():
         raise AssertionError("orbit-type parts do not cover the carrier")
     return parts

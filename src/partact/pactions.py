@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -138,7 +138,8 @@ def _composition_failure(theta: np.ndarray, mul: np.ndarray) -> Optional[tuple[i
 
 @dataclass(frozen=True)
 class PartialAction:
-    """A validated partial action; construct via :func:`validate`."""
+    """A partial action whose axioms hold: built by :func:`validate`, or read
+    off the integer table of one (restrictions, envelopes, subsystems)."""
 
     group: FiniteGroup
     carrier: frozenset[int]
@@ -277,20 +278,33 @@ def global_action(group: FiniteGroup, carrier: Iterable[int], perms: Mapping[int
     return validate(group, X, domains, perms)
 
 
-def _from_table(group: FiniteGroup, theta: np.ndarray) -> PartialAction:
-    """The global action on range(size) with intp table ``theta``, kept read-only as
-    its IndexTables.  Total rows, identity row 0 and theta_g theta_h = theta_gh make
-    each row a bijection with inverse row theta_{g^-1}; failures are internal bugs."""
+def _check_global_table(group: FiniteGroup, theta: np.ndarray) -> None:
+    """Raise AssertionError unless ``theta`` is total on range(size) with the identity
+    at row 0 and theta_g theta_h = theta_gh, which make it a global action."""
     size = theta.shape[1]
     if not (((theta >= 0) & (theta < size)).all() and np.array_equal(theta[0], np.arange(size))):
         raise AssertionError("table is not total on its points with the identity at row 0")
     if (failure := _composition_failure(theta, group.arrays[0])) is not None:
         raise AssertionError(f"table fails composition at (g={failure[0]}, h={failure[1]})")
+
+
+def _from_table(group: FiniteGroup, theta: np.ndarray, points: Optional[np.ndarray] = None) -> PartialAction:
+    """The partial action with intp table ``theta`` (-1 where undefined) over the
+    ascending labels ``points`` (default: range), the table kept read-only as its
+    IndexTables.  Unchecked: each caller's table is valid by construction."""
+    size = theta.shape[1]
+    labels = range(size) if points is None else points.tolist()
+    images = (theta if points is None else points[theta]).tolist()  # -1 reads a label, dropped below
+    defined = theta >= 0
     theta.flags.writeable = False
-    X = frozenset(range(size))
-    maps = {g: dict(enumerate(row)) for g, row in enumerate(theta.tolist())}
-    pa = PartialAction(group, X, {g: X for g in group.elements()}, maps)
-    pa.__dict__["_tables"] = IndexTables(MappingProxyType({i: i for i in range(size)}), theta, *group.arrays)
+    if defined.all():
+        maps = {g: dict(zip(labels, row)) for g, row in enumerate(images)}
+    else:
+        maps = {g: dict(compress(zip(labels, row), ok)) for g, (row, ok) in enumerate(zip(images, defined.tolist()))}
+    X = frozenset(labels)
+    domains = {g: X if len(m) == size else frozenset(m.values()) for g, m in maps.items()}
+    pa = PartialAction(group, X, domains, maps)
+    pa.__dict__["_tables"] = IndexTables(MappingProxyType(dict(zip(labels, range(size)))), theta, *group.arrays)
     return pa
 
 
@@ -355,21 +369,32 @@ def _translation_groupoid_parts(pa: PartialAction) -> tuple:
     return arrows, orbits, MappingProxyType(stabilizers)
 
 
+def _subtable(pa: PartialAction, subset: Iterable[int], rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``rows`` of pa's table at the columns of the carrier points in
+    ``subset``, relabelled as indices into those points in ascending order
+    (-1 where undefined or outside them), and those points as an array."""
+    t = index_tables(pa)
+    points = sorted(subset)
+    cols = np.fromiter(map(t.index.__getitem__, points), np.intp, len(points))
+    relabel = np.full(len(t.index) + 1, -1, dtype=np.intp)  # the entry -1 reads -1
+    relabel[cols] = np.arange(len(cols))
+    return relabel[t.theta[rows][:, cols]], np.array(points, dtype=np.intp)
+
+
 def restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:
-    """Restriction of the partial action to a subset S.
+    """Restriction of the partial action to a subset S of the carrier.
 
     Domains become S intersect theta_g(X_{g^-1} intersect S); for an invariant
     S this is just X_g intersect S.  The subset need not be invariant: the
     restriction of a global action to any subset is how globalizable partial
-    actions arise in the first place.
+    actions arise in the first place.  Any restriction of a partial action is
+    one, so it is read off the parent's table without re-validation.  A point
+    of S outside the carrier raises IdentityDomainNotFull naming the least one.
     """
     S = frozenset(subset)
-    maps = {
-        g: {x: y for x, y in pa.maps[g].items() if x in S and y in S}
-        for g in pa.group.elements()
-    }
-    domains = {g: frozenset(maps[g].values()) for g in pa.group.elements()}
-    return validate(pa.group, S, domains, maps)
+    if stray := S - pa.carrier:
+        raise IdentityDomainNotFull(min(stray))
+    return _from_table(pa.group, *_subtable(pa, S))
 
 
 def restrict_and_quotient(pa: PartialAction, subset: Iterable[int]) -> tuple[PartialAction, PartialAction]:
@@ -424,6 +449,7 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     size = len(firsts)
     # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
     moved = point[t.mul[:, firsts // n], firsts % n]
+    _check_global_table(G, moved)
     envelope = _from_table(G, moved)
     embed = point[0]
     at = embed.tolist()

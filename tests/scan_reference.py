@@ -2,9 +2,10 @@
 
 Each function here is the element-by-element formulation that a table
 route replaced: the certificate verifier, the partial-action axiom checks,
-the union-find globalization, the union-find center basis, and the nested
-loop crossed-product builder with its exhaustive associativity scan.  Tests
-compare the two, witness for witness and label for label.
+the union-find globalization, the union-find center basis, the nested
+loop crossed-product builder with its exhaustive associativity scan, and the
+restrictions, strata and stabilizer subsystems built through ``validate``.
+Tests compare the two, witness for witness and label for label.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from partact.fdcstar import AlgebraError, StructureConstantStarAlgebra
-from partact.groups import FiniteGroup
+from partact.groups import FiniteGroup, Subgroup
 from partact.pactions import (
     CompositionViolation,
     GlobalizationResult,
@@ -25,8 +26,11 @@ from partact.pactions import (
     PartialAction,
     PartialActionError,
     global_action,
+    translation_groupoid,
+    validate,
 )
 from partact.rokhlin import CertificateCheck, TowerCertificate
+from partact.tuples import stabilizer_and_section
 
 CHECK_CHUNK = 1 << 22  # product-table entries per associativity chunk
 
@@ -87,6 +91,46 @@ def reference_validate(
             if lhs != doms[g] & doms[group.mul(g, h)]:
                 raise AssertionError(f"derived domain identity fails at (g={g}, h={h})")
     return pa
+
+
+def reference_restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:
+    """The restriction by filtering every map to S, re-validated."""
+    S = frozenset(subset)
+    maps = {
+        g: {x: y for x, y in pa.maps[g].items() if x in S and y in S}
+        for g in pa.group.elements()
+    }
+    domains = {g: frozenset(maps[g].values()) for g in pa.group.elements()}
+    return validate(pa.group, S, domains, maps)
+
+
+def reference_stratification(pa: PartialAction) -> dict[int, frozenset[int]]:
+    """Strata by |tau(x)|, point by point, with every arrow checked to stay
+    in its stratum."""
+    order = pa.group.order
+    strata = {k: frozenset(x for x in pa.carrier if len(pa.domain_tuple(x)) == k)
+              for k in range(1, order + 1)}
+    for g, x, y in translation_groupoid(pa).arrows:
+        if len(pa.domain_tuple(x)) != len(pa.domain_tuple(y)):
+            raise AssertionError("an arrow crosses strata; equivariance is broken")
+    if frozenset().union(*strata.values()) != pa.carrier:
+        raise AssertionError("strata do not exhaust the carrier")
+    return strata
+
+
+def reference_stabilizer_subsystem(
+    pa: PartialAction, tau: frozenset[int], X_tau: frozenset[int]
+) -> tuple[Subgroup, PartialAction]:
+    """The stabilizer's action on X_tau from the maps, re-validated and
+    checked to be global."""
+    H, _, _ = stabilizer_and_section(pa.group, tau)
+    members = H.sorted_members()
+    domains = {i: X_tau for i in range(len(members))}
+    maps = {i: {x: pa.theta(members[i], x) for x in X_tau} for i in range(len(members))}
+    subsystem = validate(H.as_group(), X_tau, domains, maps)
+    if not subsystem.is_global():
+        raise AssertionError("stabilizer subsystem is not global")
+    return H, subsystem
 
 
 def derived_towers(pa: PartialAction, cert: TowerCertificate) -> dict[int, list[dict[int, Fraction]]]:

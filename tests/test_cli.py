@@ -18,7 +18,7 @@ from partact.cli import (
     serialize_instance,
 )
 from partact.groups import build_group
-from partact.harness import _instance_payload, corpus
+from partact.harness import corpus
 from partact.pactions import global_action
 
 SWAP_PAIR_DOC = {
@@ -282,13 +282,22 @@ def test_cli_internal_failure_exit_3_dumps_the_instance(tmp_path, capsys, monkey
 
     monkeypatch.setattr(cli, "globalize", broken)
     path = _write_swap_pair(tmp_path)
+    original, labels = parse_instance_with_labels(json.dumps(SWAP_PAIR_DOC))
     for command in ("globalize", "analyze"):
         assert main([command, path]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         line, dump = err.splitlines()
         assert line == f"internal error: {type(exc).__name__}: {exc}"
-        assert json.loads(dump) == _instance_payload(parse_instance(json.dumps(SWAP_PAIR_DOC)))
+        # The dump is an instance document with the input's labels.
+        again, again_labels = parse_instance_with_labels(dump)
+        assert again_labels == labels
+        assert again.group.table == original.group.table
+        assert (again.carrier, again.domains, again.maps) == (original.carrier, original.domains, original.maps)
+        replay = tmp_path / "dump.json"
+        replay.write_text(dump)
+        assert main(["validate", str(replay)]) == 0
+        assert json.loads(capsys.readouterr().out)["instanceDigest"] == instance_digest(original)
 
 
 def test_cli_internal_failure_without_an_instance_exit_3(capsys, monkeypatch):

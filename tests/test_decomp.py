@@ -1,8 +1,10 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
+from partact import decomp, pactions
 from partact.decomp import (
     DecompositionError,
     EmptyStratum,
@@ -235,3 +237,46 @@ def test_regular_s4_on_twelve_points_decomposes_at_n12_quickly():
     # tau(x) = x S^-1 for the kept set S, so each stabilizer is a subgroup of
     # order dividing 12 and the subsystems are free global actions.
     assert all(12 % p.stabilizer.order == 0 and is_free(p.subsystem) for p in parts)
+
+
+def test_decomposition_never_validates_what_it_derives(monkeypatch):
+    """Strata, restrictions and stabilizer subsystems are read off the
+    parent's table: on an order-24 action like the benchmark's decompose
+    ops, validate is never called."""
+    draws = (random_partial_action(seed, ("symmetric", 4), 48, 0.15) for seed in range(100))
+    pa = next(p for p in draws if any(len(p.domain_tuple(x)) == 4 for x in p.carrier))
+    real, calls = pactions.validate, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pactions, "validate", counting)
+    monkeypatch.setattr(decomp, "validate", counting, raising=False)
+    strata = stratification(pa)
+    strata.extension(4)
+    parts = orbit_type_decomposition(restricted_to(pa, strata.stratum(4)), 4)
+    assert parts and calls == []
+    pactions.trivial_partial_action(pa.group, {0})  # the wrapper does count a call
+    assert len(calls) == 1
+
+
+def test_table_checks_reject_what_equivariance_rules_out(monkeypatch):
+    """The internal checks read the table: an arrow between strata, a
+    subsystem that leaves X_tau and parts that split an orbit all fail."""
+    c2, c4 = build_group(("cyclic", 2)), build_group(("cyclic", 4))
+    # theta_1(0) = 1 but theta_1 is undefined at 1: |tau(0)| = 2, |tau(1)| = 1.
+    broken = pactions._from_table(c2, np.array([[0, 1, 2], [1, -1, -1]], dtype=np.intp))
+    with pytest.raises(AssertionError, match="an arrow crosses strata"):
+        stratification(broken)
+    swap = global_action(c2, {0, 1}, {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}})
+    with pytest.raises(AssertionError, match="stabilizer subsystem is not global"):
+        decomp._stabilizer_subsystem(swap, frozenset({0, 1}), frozenset({0}))
+    # The regular C4 action on {0, 1}: tau(0) = {0, 3} and tau(1) = {0, 1}
+    # lie in one orbit, so one part holds both points.
+    regular = global_action(c4, range(4), {a: {g: c4.mul(a, g) for g in range(4)} for a in range(4)})
+    pair = restricted_to(regular, {0, 1})
+    assert [p.part for p in orbit_type_decomposition(pair, 2)] == [frozenset({0, 1})]
+    monkeypatch.setattr(decomp, "orbit_of", lambda group, tau: [tau])
+    with pytest.raises(AssertionError, match="orbit-type part is not invariant"):
+        orbit_type_decomposition(pair, 2)

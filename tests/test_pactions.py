@@ -148,6 +148,20 @@ def test_restrict_whole_carrier(swap_pair):
     assert rest.carrier == frozenset()
 
 
+def test_restricted_to_a_point_off_the_carrier_names_the_least_one(swap_pair):
+    with pytest.raises(IdentityDomainNotFull) as err:
+        restricted_to(swap_pair, {1, 9, 7})
+    assert err.value.missing == 7
+
+
+def test_restricted_to_the_empty_subset_and_the_whole_carrier(swap_pair):
+    empty = restricted_to(swap_pair, ())
+    assert empty.carrier == frozenset()
+    assert all(empty.maps[g] == {} and empty.domain(g) == frozenset() for g in (0, 1))
+    whole = restricted_to(swap_pair, swap_pair.carrier)
+    assert (whole.carrier, whole.domains, whole.maps) == (swap_pair.carrier, swap_pair.domains, swap_pair.maps)
+
+
 def test_globalize_swap_pair(swap_pair):
     res = globalize(swap_pair)
     assert res.envelope.size() == 4

@@ -16,6 +16,7 @@ from block_reference import center_rows
 from fraction_reference import is_fixed_element
 
 from partact import harness, pactions
+from partact.decomp import orbit_type_decomposition, stratification
 from partact.fdcstar import (
     AlgebraError,
     StructureConstantStarAlgebra,
@@ -42,6 +43,9 @@ from scan_reference import (
     reference_check_invariants,
     reference_crossed_product,
     reference_globalize,
+    reference_restricted_to,
+    reference_stabilizer_subsystem,
+    reference_stratification,
     reference_validate,
     reference_verify_certificate,
 )
@@ -243,6 +247,20 @@ def _raw_witnesses_agreeing(instances) -> int:
     return raw
 
 
+def _assert_owns_its_table(action: PartialAction, parent=None) -> None:
+    """The table an action was built from is the one its maps would give,
+    intp and read-only, with no reference back to the action or its parent."""
+    tables = index_tables(action)
+    rebuilt = pactions._index_tables(action.group, action.carrier, action.maps)
+    assert tables.theta.dtype == np.intp and np.array_equal(tables.theta, rebuilt.theta)
+    assert dict(tables.index) == dict(rebuilt.index)
+    assert not tables.theta.flags.writeable
+    referents = gc.get_referents(tables, *vars(tables).values())
+    assert not any(r is action or r is parent for r in referents)
+    if parent is not None:
+        assert not np.shares_memory(tables.theta, index_tables(parent).theta)
+
+
 def test_globalize_agrees_with_union_find_label_for_label(instances):
     rng = random.Random(9001)
     specs = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
@@ -252,23 +270,63 @@ def test_globalize_agrees_with_union_find_label_for_label(instances):
         new, ref = globalize(pa), reference_globalize(pa)
         assert _same_action(new.envelope, ref.envelope)
         assert list(new.embedding.items()) == list(ref.embedding.items())
-        # The envelope keeps the table it was built from: the tables its maps
-        # would give, read-only, with no reference back to the envelope.
+        # The envelope keeps the table it was built from.
         env = new.envelope
-        tables = index_tables(env)
-        rebuilt = pactions._index_tables(env.group, env.carrier, env.maps)
-        assert tables.theta.dtype == np.intp and np.array_equal(tables.theta, rebuilt.theta)
-        assert dict(tables.index) == dict(rebuilt.index)
-        assert not tables.theta.flags.writeable
-        assert not any(r is env for r in gc.get_referents(tables, *vars(tables).values()))
+        _assert_owns_its_table(env)
         assert all(list(env.maps[g]) == sorted(env.maps[g]) for g in env.group.elements())
         assert central_splitting(new) == reference_central_splitting(new)
         for action in (pa, env):
             assert translation_groupoid(action).arrows == tuple(action.arrows())
 
 
+def _same_dicts(a: PartialAction, b: PartialAction) -> bool:
+    return (
+        a.group.table == b.group.table
+        and a.carrier == b.carrier
+        and dict(a.domains) == dict(b.domains)
+        and {g: dict(m) for g, m in a.maps.items()} == {g: dict(m) for g, m in b.maps.items()}
+    )
+
+
+def test_restrictions_strata_and_subsystems_agree_with_validated_routes(instances):
+    """Restrictions, strata and stabilizer subsystems read off the parent's
+    table equal the routes through validate: on the corpus and the regular
+    actions, on random order-24 actions, and on random non-invariant subsets
+    of the regular actions.  Each derived action owns a table that matches
+    its maps (the maps iterate in ascending order, so they are compared as
+    dicts)."""
+    rng = random.Random(14)
+    specs = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
+    at_the_cap = [random_partial_action(seed, spec, 48, keep)
+                  for seed, spec in enumerate(specs) for keep in (0.15, 0.5)]
+    at_the_cap += [_regular(spec, 3) for spec in specs]
+    seen = {"non-invariant": 0, "subsystems": 0}
+    for pa in instances + at_the_cap:
+        strata = stratification(pa)
+        assert strata.strata == reference_stratification(pa)
+        points = sorted(pa.carrier)
+        subsets = [rng.sample(points, rng.randint(0, len(points))) for _ in range(2)]
+        for subset in subsets + [s for s in strata.strata.values() if s]:
+            new, ref = restricted_to(pa, subset), reference_restricted_to(pa, subset)
+            assert _same_dicts(new, ref)
+            _assert_owns_its_table(new, pa)
+            seen["non-invariant"] += any(
+                (x in new.carrier) != (y in new.carrier) for _, x, y in translation_groupoid(pa).arrows
+            )
+        for k, stratum in strata.strata.items():
+            if not stratum:
+                continue
+            layer = restricted_to(pa, stratum)
+            for part in orbit_type_decomposition(layer, k):
+                H, sub = reference_stabilizer_subsystem(layer, part.representative, part.carrier_X_tau)
+                assert part.stabilizer == H and _same_dicts(part.subsystem, sub)
+                _assert_owns_its_table(part.subsystem, layer)
+                seen["subsystems"] += 1
+    assert seen["non-invariant"] > 50 and seen["subsystems"] > 100
+
+
 def test_envelope_table_with_two_entries_swapped_is_rejected():
-    """The envelope constructor checks the axioms on its table: swapping two
+    """globalize checks the axioms on the envelope's table: swapping two
     entries of the row of some g other than the identity breaks
     theta_g theta_h = theta_gh for some h (the other rows fix that row once
     |G| >= 3), and the failure is internal."""
@@ -281,7 +339,8 @@ def test_envelope_table_with_two_entries_swapped_is_rejected():
         a, b = rng.sample(range(table.shape[1]), 2)
         table[g, [a, b]] = table[g, [b, a]]
         with pytest.raises(AssertionError, match=r"composition at \(g=\d+, h=\d+\)"):
-            pactions._from_table(env.group, table)
+            pactions._check_global_table(env.group, table)
+        pactions._check_global_table(env.group, index_tables(env).theta)
         assert _same_action(pactions._from_table(env.group, index_tables(env).theta.copy()), env)
 
 
