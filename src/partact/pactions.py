@@ -288,15 +288,16 @@ def _check_global_table(group: FiniteGroup, theta: np.ndarray) -> None:
         raise AssertionError(f"table fails composition at (g={failure[0]}, h={failure[1]})")
 
 
-def _from_table(group: FiniteGroup, theta: np.ndarray, points: Optional[np.ndarray] = None) -> PartialAction:
+def _from_table(group: FiniteGroup, theta: np.ndarray, points: np.ndarray) -> PartialAction:
     """The partial action with intp table ``theta`` (-1 where undefined) over the
-    ascending labels ``points`` (default: range), the table kept read-only as its
-    IndexTables.  Unchecked: each caller's table is valid by construction."""
+    ascending labels ``points``, the table kept read-only as its IndexTables.
+    Unchecked: each caller's table is valid by construction."""
     size = theta.shape[1]
-    labels = range(size) if points is None else points.tolist()
-    images = (theta if points is None else points[theta]).tolist()  # -1 reads a label, dropped below
+    labels = points.tolist()
+    images = points[theta].tolist()  # -1 reads a label, dropped below
     defined = theta >= 0
     theta.flags.writeable = False
+    # Total tables (envelopes) skip the mask and share X: globalize ops run measurably faster.
     if defined.all():
         maps = {g: dict(zip(labels, row)) for g, row in enumerate(images)}
     else:
@@ -450,7 +451,7 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
     moved = point[t.mul[:, firsts // n], firsts % n]
     _check_global_table(G, moved)
-    envelope = _from_table(G, moved)
+    envelope = _from_table(G, moved, np.arange(size, dtype=np.intp))
     embed = point[0]
     at = embed.tolist()
     embedding = {x: at[t.index[x]] for x in pa.carrier}
