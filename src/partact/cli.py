@@ -50,7 +50,7 @@ from .pactions import (
 )
 from .rokhlin import NonexistenceProof, TowerCertificate, rokhlin_dimension, towers_exist
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ParseError(ValueError):
@@ -259,7 +259,6 @@ def analyze(pa: PartialAction, seed: int = 0) -> dict:
         "dimension": cp.dimension,
         "blocks": list(blocks.blocks),
         "blocksCombinatorial": list(blocks.blocks),  # equal, or crossed_product_blocks raised
-        "integralityResidual": 0.0,  # kept for schema 2: both routes are exact
     }
     report["fixedPoint"] = {"blocks": list(fp.blocks)}
     report["morita"] = {

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .groups import Subgroup
-from .pactions import PartialAction, _from_table, _subtable, index_tables, restricted_to
+from .pactions import PartialAction, _subtable, index_tables, restricted_to
 from .tuples import orbit_of, stabilizer_and_section
 
 
@@ -158,10 +158,10 @@ def _stabilizer_subsystem(
     if not X_tau:
         raise EmptyStratum(tau)
     # The rows of H at the columns of X_tau: global when no entry leaves X_tau.
-    theta, points = _subtable(pa, X_tau, list(H.sorted_members()))
+    points, theta = _subtable(pa, X_tau, list(H.sorted_members()))
     if (theta < 0).any():
         raise AssertionError("stabilizer subsystem is not global")
-    return H, _from_table(H.as_group(), theta, points)
+    return H, PartialAction(H.as_group(), points, theta)
 
 
 def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:

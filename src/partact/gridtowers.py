@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .groups import build_group
-from .pactions import PartialAction, validate
+from .pactions import PartialAction, index_tables, validate
 
 F1 = Fraction
 
@@ -86,22 +86,17 @@ class GridAction:
         return self.lipschitz * self.spacing
 
     @cached_property
-    def _layout(self) -> tuple[list[int], dict[int, int], np.ndarray, np.ndarray]:
+    def _layout(self) -> tuple[list[int], Mapping[int, int], np.ndarray, np.ndarray]:
         """Sorted grid points, their positions, src[g, z], the position of
         theta_{g^-1}(z) for z in X_g (-1 off the domain), and the edges as a
         (2, |edges|) array of positions; built once, read-only, and holding no
         reference back to the action."""
-        pa = self.pa
-        points = sorted(pa.carrier)
-        index = {x: i for i, x in enumerate(points)}
-        src = np.full((pa.group.order, len(points)), -1, dtype=np.int64)
-        for g in pa.group.elements():
-            ginv = pa.group.inv(g)
-            for z in pa.domain(g):
-                src[g, index[z]] = index[pa.theta(ginv, z)]
+        t = index_tables(self.pa)
+        index = t.index
+        src = t.theta[t.inv]
         edges = np.array([[index[x] for x, _ in self.edges], [index[y] for _, y in self.edges]], dtype=np.int64)
         src.flags.writeable = edges.flags.writeable = False
-        return points, index, src, edges
+        return self.pa.points.tolist(), index, src, edges
 
 
 @dataclass(frozen=True)

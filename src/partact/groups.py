@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -328,8 +328,10 @@ def coset_decomposition(
     return sorted(blocks, key=min)
 
 
-def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """All subgroups, found as closures of generator sets (orders <= 24 only)."""
+@cache
+def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """All subgroups, found as closures of generator sets (orders <= 24 only);
+    computed once per group and shared."""
     found: set[frozenset[int]] = {frozenset({0})}
     frontier = [frozenset({0})]
     while frontier:
@@ -343,4 +345,4 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
                     found.add(bigger)
                     new.append(bigger)
         frontier = new
-    return [Subgroup(group, m) for m in sorted(found, key=lambda m: (len(m), sorted(m)))]
+    return tuple(Subgroup(group, m) for m in sorted(found, key=lambda m: (len(m), sorted(m))))

@@ -110,7 +110,7 @@ def _index_tables(group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int,
 
 
 def index_tables(pa: PartialAction) -> IndexTables:
-    """The integer tables of ``pa``, built on the first call and kept on it."""
+    """The integer tables of ``pa`` around its table, built on the first call and kept on it."""
     return pa._tables
 
 
@@ -136,15 +136,46 @@ def _composition_failure(theta: np.ndarray, mul: np.ndarray) -> Optional[tuple[i
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialAction:
-    """A partial action whose axioms hold: built by :func:`validate`, or read
-    off the integer table of one (restrictions, envelopes, subsystems)."""
+    """A partial action whose axioms hold, stored once as its integer table:
+    built by :func:`validate`, or read off the table of one (restrictions,
+    envelopes, subsystems), unchecked.
+
+    ``points`` holds the carrier labels in ascending order and ``table[g, i]``
+    the index of theta_g of ``points[i]``, -1 where theta_g is undefined; both
+    are read-only intp arrays.  ``carrier``, ``domains`` and ``maps`` are
+    read-only views built from them on first use, points in ascending order.
+    Equality is identity, as arrays do not compare as one bool.
+    """
 
     group: FiniteGroup
-    carrier: frozenset[int]
-    domains: Mapping[int, frozenset[int]]
-    maps: Mapping[int, Mapping[int, int]]
+    points: np.ndarray
+    table: np.ndarray
+
+    def __post_init__(self):
+        self.points.flags.writeable = self.table.flags.writeable = False
+
+    @cached_property
+    def carrier(self) -> frozenset[int]:
+        return frozenset(self.points.tolist())
+
+    @cached_property
+    def maps(self) -> Mapping[int, Mapping[int, int]]:
+        labels = self.points.tolist()
+        images = self.points[self.table].tolist()  # -1 reads a label, dropped below
+        defined = (self.table >= 0).tolist()
+        return MappingProxyType({
+            g: MappingProxyType(dict(compress(zip(labels, row), ok)))
+            for g, (row, ok) in enumerate(zip(images, defined))
+        })
+
+    @cached_property
+    def domains(self) -> Mapping[int, frozenset[int]]:
+        # X_g is where theta_{g^-1} is defined.
+        labels = self.points.tolist()
+        defined = (self.table[self.group.arrays[1]] >= 0).tolist()
+        return MappingProxyType({g: frozenset(compress(labels, ok)) for g, ok in enumerate(defined)})
 
     def domain(self, g: int) -> frozenset[int]:
         return self.domains[g]
@@ -162,19 +193,14 @@ class PartialAction:
         """tau(x) = set of g with x in X_g."""
         return self._domain_tuples.get(x, frozenset())
 
-    def arrows(self):
-        """Yield all arrows (g, x, theta_g(x)) with x in X_{g^-1}."""
-        for g in self.group.elements():
-            for x, y in sorted(self.maps[g].items()):
-                yield (g, x, y)
-
     def is_global(self) -> bool:
-        return all(self.domains[g] == self.carrier for g in self.group.elements())
+        return bool((self.table >= 0).all())
 
     @cached_property
     def _tables(self) -> IndexTables:
         # Like _groupoid_parts: outside the fields, with no reference to self.
-        return _index_tables(self.group, self.carrier, self.maps)
+        index = MappingProxyType(dict(zip(self.points.tolist(), range(len(self.points)))))
+        return IndexTables(index, self.table, *self.group.arrays)
 
     @cached_property
     def _domain_tuples(self) -> Mapping[int, frozenset[int]]:
@@ -185,18 +211,17 @@ class PartialAction:
 
     @cached_property
     def _groupoid_parts(self) -> tuple:
-        # Kept outside the dataclass fields, so equality and repr ignore it.
         # The parts hold no reference back to self: a cycle would keep a
         # dropped action alive until the cyclic garbage collector runs.
         return _translation_groupoid_parts(self)
 
     def size(self) -> int:
-        return len(self.carrier)
+        return len(self.points)
 
     def __repr__(self) -> str:
         return (
-            f"PartialAction({self.group.name}, |X|={len(self.carrier)}, "
-            f"domains={[len(self.domains[g]) for g in self.group.elements()]})"
+            f"PartialAction({self.group.name}, |X|={len(self.points)}, "
+            f"domains={(self.table >= 0).sum(axis=1).tolist()})"
         )
 
 
@@ -211,10 +236,11 @@ def validate(
     Raises the first violated axiom with a witness: IdentityDomainNotFull,
     NotBijective(g), InverseMismatch(g), or CompositionViolation(g, h, x).
 
-    Domains, bijections and inverses are checked map by map.  Composition
-    and the derived domain identity are then whole-array comparisons on the
-    integer table ``theta[g, i]`` (see IndexTables), taken in row blocks of
-    g; the witness is the first failing (g, h), and for composition the first
+    Domains, bijections and inverses are checked map by map.  The maps are
+    then converted once into the integer table ``theta[g, i]`` (see
+    IndexTables), which the action keeps; composition and the derived domain
+    identity are whole-array comparisons on it, taken in row blocks of g.
+    The witness is the first failing (g, h), and for composition the first
     failing x in the order of ``maps[h]``.  A key of ``domains`` or ``maps``
     that is not a group element is an error, not ignored.
     """
@@ -250,8 +276,7 @@ def validate(
             if thetas[ginv].get(y) != x:
                 raise InverseMismatch(g, x)
 
-    pa = PartialAction(group, X, doms, thetas)
-    t = index_tables(pa)
+    t = _index_tables(group, X, thetas)
     order, n = group.order, len(t.index)
     if (failure := _composition_failure(t.theta, t.mul)) is not None:
         g, h, bad = failure
@@ -268,7 +293,7 @@ def validate(
         if bad.any():
             g, h = divmod(int(np.argmax(bad.any(axis=2))), order)
             raise AssertionError(f"derived domain identity fails at (g={rows.start + g}, h={h})")
-    return pa
+    return PartialAction(group, np.fromiter(t.index, np.intp, n), t.theta)
 
 
 def global_action(group: FiniteGroup, carrier: Iterable[int], perms: Mapping[int, Mapping[int, int]]) -> PartialAction:
@@ -288,33 +313,12 @@ def _check_global_table(group: FiniteGroup, theta: np.ndarray) -> None:
         raise AssertionError(f"table fails composition at (g={failure[0]}, h={failure[1]})")
 
 
-def _from_table(group: FiniteGroup, theta: np.ndarray, points: np.ndarray) -> PartialAction:
-    """The partial action with intp table ``theta`` (-1 where undefined) over the
-    ascending labels ``points``, the table kept read-only as its IndexTables.
-    Unchecked: each caller's table is valid by construction."""
-    size = theta.shape[1]
-    labels = points.tolist()
-    images = points[theta].tolist()  # -1 reads a label, dropped below
-    defined = theta >= 0
-    theta.flags.writeable = False
-    # Total tables (envelopes) skip the mask and share X: globalize ops run measurably faster.
-    if defined.all():
-        maps = {g: dict(zip(labels, row)) for g, row in enumerate(images)}
-    else:
-        maps = {g: dict(compress(zip(labels, row), ok)) for g, (row, ok) in enumerate(zip(images, defined.tolist()))}
-    X = frozenset(labels)
-    domains = {g: X if len(m) == size else frozenset(m.values()) for g, m in maps.items()}
-    pa = PartialAction(group, X, domains, maps)
-    pa.__dict__["_tables"] = IndexTables(MappingProxyType(dict(zip(labels, range(size)))), theta, *group.arrays)
-    return pa
-
-
 def trivial_partial_action(group: FiniteGroup, carrier: Iterable[int]) -> PartialAction:
     """The trivial partial action: empty domains off the identity."""
-    X = frozenset(carrier)
-    domains = {g: (X if g == 0 else frozenset()) for g in group.elements()}
-    maps = {g: ({x: x for x in X} if g == 0 else {}) for g in group.elements()}
-    return validate(group, X, domains, maps)
+    points = np.array(sorted(carrier), dtype=np.intp)
+    table = np.full((group.order, len(points)), -1, dtype=np.intp)
+    table[0] = np.arange(len(points))
+    return PartialAction(group, points, table)
 
 
 def is_free(pa: PartialAction) -> bool:
@@ -323,12 +327,12 @@ def is_free(pa: PartialAction) -> bool:
 
 
 def freeness_witness(pa: PartialAction) -> Optional[tuple[int, int]]:
-    """A pair (g, x) with g != 1 and theta_g(x) = x, or None if free."""
-    for g in range(1, pa.group.order):  # the identity is element 0
-        for x, y in pa.maps[g].items():
-            if x == y:
-                return (g, x)
-    return None
+    """The least g != 1, then the least x, with theta_g(x) = x; None if free."""
+    fixed = pa.table[1:] == np.arange(pa.size())  # the identity is element 0
+    if not fixed.any():
+        return None
+    g, i = divmod(int(np.argmax(fixed)), pa.size())
+    return (g + 1, int(pa.points[i]))
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,7 @@ def _translation_groupoid_parts(pa: PartialAction) -> tuple:
     # orbit of x is the defined column x of the theta table, and its least
     # index names the orbit.  Orbits come out sorted by their least points.
     t = index_tables(pa)
-    points = sorted(pa.carrier)
+    points = pa.points.tolist()
     least = np.where(t.theta >= 0, t.theta, len(points)).min(axis=0).tolist()
     members: dict[int, list[int]] = {}
     for x, r in zip(points, least):
@@ -364,22 +368,22 @@ def _translation_groupoid_parts(pa: PartialAction) -> tuple:
         points[r]: Subgroup(pa.group, frozenset(np.flatnonzero(t.theta[:, r] == r).tolist()))
         for r in members
     }
-    gs, src = np.nonzero(t.theta >= 0)  # g-major, points ascending: as pa.arrows()
+    gs, src = np.nonzero(t.theta >= 0)  # g-major, points ascending
     at = points.__getitem__
     arrows = tuple(zip(gs.tolist(), map(at, src.tolist()), map(at, t.theta[gs, src].tolist())))
     return arrows, orbits, MappingProxyType(stabilizers)
 
 
 def _subtable(pa: PartialAction, subset: Iterable[int], rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``rows`` of pa's table at the columns of the carrier points in
-    ``subset``, relabelled as indices into those points in ascending order
-    (-1 where undefined or outside them), and those points as an array."""
+    """The carrier points in ``subset`` as an ascending array, and the rows
+    ``rows`` of pa's table at their columns, relabelled as indices into those
+    points (-1 where undefined or outside them)."""
     t = index_tables(pa)
     points = sorted(subset)
     cols = np.fromiter(map(t.index.__getitem__, points), np.intp, len(points))
     relabel = np.full(len(t.index) + 1, -1, dtype=np.intp)  # the entry -1 reads -1
     relabel[cols] = np.arange(len(cols))
-    return relabel[t.theta[rows][:, cols]], np.array(points, dtype=np.intp)
+    return np.array(points, dtype=np.intp), relabel[t.theta[rows][:, cols]]
 
 
 def restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:
@@ -395,7 +399,7 @@ def restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:
     S = frozenset(subset)
     if stray := S - pa.carrier:
         raise IdentityDomainNotFull(min(stray))
-    return _from_table(pa.group, *_subtable(pa, S))
+    return PartialAction(pa.group, *_subtable(pa, S))
 
 
 def restrict_and_quotient(pa: PartialAction, subset: Iterable[int]) -> tuple[PartialAction, PartialAction]:
@@ -408,9 +412,13 @@ def restrict_and_quotient(pa: PartialAction, subset: Iterable[int]) -> tuple[Par
     S = frozenset(subset)
     if not S <= pa.carrier:
         raise PartialActionError("subset is not contained in the carrier")
-    for g, x, y in pa.arrows():
-        if (x in S) != (y in S):
-            raise NotInvariant(S, (g, x, y))
+    # Each point is labelled by membership; the first arrow that changes the
+    # label, g-major with points ascending, crosses the boundary.
+    inside = np.fromiter(map(S.__contains__, pa.points.tolist()), bool, pa.size())
+    crossing = (pa.table >= 0) & (inside[pa.table] != inside)
+    if crossing.any():
+        g, i = divmod(int(np.argmax(crossing)), pa.size())
+        raise NotInvariant(S, (g, int(pa.points[i]), int(pa.points[pa.table[g, i]])))
     return restricted_to(pa, S), restricted_to(pa, pa.carrier - S)
 
 
@@ -451,7 +459,7 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
     moved = point[t.mul[:, firsts // n], firsts % n]
     _check_global_table(G, moved)
-    envelope = _from_table(G, moved, np.arange(size, dtype=np.intp))
+    envelope = PartialAction(G, np.arange(size, dtype=np.intp), moved)
     embed = point[0]
     at = embed.tolist()
     embedding = {x: at[t.index[x]] for x in pa.carrier}
@@ -501,12 +509,10 @@ def central_splitting(gr: GlobalizationResult) -> dict[int, frozenset[int]]:
 
 def minimal_partial_unitization(pa: PartialAction) -> PartialAction:
     """Adjoin a point to the identity domain only (never global when |G| > 1)."""
-    new_point = max(pa.carrier) + 1 if pa.carrier else 0
-    X = pa.carrier | {new_point}
-    domains = {g: (X if g == 0 else pa.domains[g]) for g in pa.group.elements()}
-    maps = {g: dict(pa.maps[g]) for g in pa.group.elements()}
-    maps[0][new_point] = new_point
-    return validate(pa.group, X, domains, maps)
+    n = pa.size()
+    table = np.pad(pa.table, ((0, 0), (0, 1)), constant_values=-1)  # the new point's column n
+    table[0, n] = n
+    return PartialAction(pa.group, np.append(pa.points, pa.points[-1] + 1 if n else 0), table)
 
 
 def random_partial_action(
@@ -546,11 +552,5 @@ def random_partial_action(
                 target = next(c for c in cosets if group.mul(g, rep) in c)
                 perms[g][lab] = labels[target]
         points.extend(labels.values())
-    global_action(group, points, perms)  # sanity: perms really is a G-action
-    kept = frozenset(x for x in points if rng.random() < keep_probability)
-    maps = {
-        g: {x: perms[g][x] for x in kept if perms[g][x] in kept}
-        for g in group.elements()
-    }
-    domains = {g: frozenset(maps[g].values()) for g in group.elements()}
-    return validate(group, kept, domains, maps)
+    ambient = global_action(group, points, perms)  # validated: perms really is a G-action
+    return restricted_to(ambient, [x for x in points if rng.random() < keep_probability])

@@ -131,7 +131,7 @@ def rokhlin_dimension(pa: PartialAction) -> RokhlinResult:
 
     A refutation holds at every dimension, so one call to towers_exist
     decides.  The answer is cross-checked against freeness, which
-    freeness_witness reads off the maps by a separate scan.
+    freeness_witness reads off the table by a separate scan.
     """
     outcome = towers_exist(pa, 0)
     if isinstance(outcome, TowerCertificate):

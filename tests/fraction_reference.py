@@ -133,7 +133,7 @@ def inner_product_fixed(pa, x: Mapping[int, Fraction], y: Mapping[int, Fraction]
 def is_fixed_element(pa, x: Mapping[int, Fraction]) -> bool:
     """Membership in A^alpha: constant along every groupoid arrow."""
     return all(
-        x.get(px, Fraction(0)) == x.get(py, Fraction(0)) for _, px, py in pa.arrows()
+        x.get(px, Fraction(0)) == x.get(py, Fraction(0)) for _, px, py in translation_groupoid(pa).arrows
     )
 
 

@@ -25,6 +25,7 @@ from partact.pactions import (
     NotBijective,
     PartialAction,
     PartialActionError,
+    _index_tables,
     global_action,
     translation_groupoid,
     validate,
@@ -33,6 +34,13 @@ from partact.rokhlin import CertificateCheck, TowerCertificate
 from partact.tuples import stabilizer_and_section
 
 CHECK_CHUNK = 1 << 22  # product-table entries per associativity chunk
+
+
+def unvalidated(group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int, Mapping[int, int]]) -> PartialAction:
+    """The action of ``maps`` on ``carrier``, built through the table with no
+    axiom checked: X_g is where theta_(g^-1) is defined."""
+    t = _index_tables(group, carrier, maps)
+    return PartialAction(group, np.fromiter(t.index, np.intp, len(t.index)), t.theta)
 
 
 def reference_validate(
@@ -84,7 +92,7 @@ def reference_validate(
                     if thetas[gh].get(x) != thetas[g][hx]:
                         raise CompositionViolation(g, h, x)
 
-    pa = PartialAction(group, X, doms, thetas)
+    pa = unvalidated(group, X, thetas)
     for g in group.elements():
         for h in group.elements():
             lhs = frozenset(thetas[g][x] for x in doms[group.inv(g)] & doms[h])

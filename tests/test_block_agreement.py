@@ -110,4 +110,3 @@ def test_analyze_takes_no_floating_point_eigen_step(monkeypatch):
     for pa in corpus(20260808, 20) + [_on_itself(("symmetric", 4), "conjugation")]:
         report = cli.analyze(pa)
         assert report["crossedProduct"]["blocks"] == report["crossedProduct"]["blocksCombinatorial"]
-        assert report["crossedProduct"]["integralityResidual"] == 0.0

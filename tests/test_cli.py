@@ -181,7 +181,8 @@ def test_analyze_swap_pair(swap_pair):
     assert report["freeness"]["free"] is True
     assert report["globalization"]["envelopeSize"] == 4
     assert set(report["rokhlin"]) == {"dimension", "certificate"}
-    assert report["schemaVersion"] == 2
+    assert report["schemaVersion"] == 3
+    assert "integralityResidual" not in report["crossedProduct"]
 
 
 def test_analyze_fixed_single(fixed_single):
@@ -206,6 +207,27 @@ def test_analyze_deterministic(swap_pair):
     assert analyze(swap_pair, seed=3) == analyze(swap_pair, seed=3)
 
 
+def test_analyze_does_not_depend_on_the_document_order(tmp_path, capsys):
+    """C2 fixing both points of {a, b}: the carrier and the pairs of each map
+    listed in either order make one instance, and one report.  The freeness
+    witness is the least g, then the least point, with theta_g fixing it."""
+    both = {"0": ["a", "b"], "1": ["a", "b"]}
+    docs = [
+        {"group": {"family": "cyclic", "n": 2}, "carrier": ["a", "b"], "domains": both,
+         "maps": {"0": [["a", "a"], ["b", "b"]], "1": [["a", "a"], ["b", "b"]]}},
+        {"group": {"family": "cyclic", "n": 2}, "carrier": ["b", "a"], "domains": both,
+         "maps": {"0": [["b", "b"], ["a", "a"]], "1": [["a", "a"], ["b", "b"]]}},
+    ]
+    outputs = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["freeness"]["witness"] == [1, 0]
+
+
 def _regular_s4_action():
     G = build_group(("symmetric", 4))
     pts = range(G.order)
@@ -215,8 +237,8 @@ def _regular_s4_action():
 @pytest.mark.parametrize(
     "instances, digest",
     [
-        (lambda: corpus(20260808, 100), "4cbabd17874db3c0424192cfbe864a5c7e99805932a75698a15defe108f58de3"),
-        (_regular_s4_action, "367ad595d618942a68cccbe185ef690950dfb0117a2986940ce009591963e663"),
+        (lambda: corpus(20260808, 100), "8fb1e8c2a1d34d53808955b6a15926d8f7625ba9a575ada1562fe25f29a4ef98"),
+        (_regular_s4_action, "d9776373fe5bbb03f280f52c12297fb4d13fff77709c4a9a7beaddb014345108"),
     ],
     ids=["corpus", "regular-s4"],
 )

@@ -256,7 +256,7 @@ def test_decomposition_never_validates_what_it_derives(monkeypatch):
     strata.extension(4)
     parts = orbit_type_decomposition(restricted_to(pa, strata.stratum(4)), 4)
     assert parts and calls == []
-    pactions.trivial_partial_action(pa.group, {0})  # the wrapper does count a call
+    global_action(pa.group, {0}, {g: {0: 0} for g in pa.group.elements()})  # the wrapper does count a call
     assert len(calls) == 1
 
 
@@ -265,7 +265,7 @@ def test_table_checks_reject_what_equivariance_rules_out(monkeypatch):
     subsystem that leaves X_tau and parts that split an orbit all fail."""
     c2, c4 = build_group(("cyclic", 2)), build_group(("cyclic", 4))
     # theta_1(0) = 1 but theta_1 is undefined at 1: |tau(0)| = 2, |tau(1)| = 1.
-    broken = pactions._from_table(c2, np.array([[0, 1, 2], [1, -1, -1]], dtype=np.intp), np.arange(3))
+    broken = pactions.PartialAction(c2, np.arange(3), np.array([[0, 1, 2], [1, -1, -1]], dtype=np.intp))
     with pytest.raises(AssertionError, match="an arrow crosses strata"):
         stratification(broken)
     swap = global_action(c2, {0, 1}, {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}})

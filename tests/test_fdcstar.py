@@ -15,7 +15,7 @@ from fraction_reference import (
     right_action,
     sampled_positivity,
 )
-from scan_reference import reference_check_invariants
+from scan_reference import reference_check_invariants, unvalidated
 
 import partact
 from partact.fdcstar import (
@@ -35,7 +35,6 @@ from partact.fdcstar import (
 )
 from partact.groups import FiniteGroup, all_subgroups, build_group, subgroup_closure
 from partact.pactions import (
-    PartialAction,
     global_action,
     is_free,
     random_partial_action,
@@ -184,12 +183,7 @@ def test_fixed_point_algebra_rejects_orbit_that_is_not_a_clique():
     """Built without validate: theta_1 and theta_2 link 0 - 1 - 2 in a path,
     but no arrow joins 0 and 2, as the composition law would force."""
     c3 = build_group(("cyclic", 3))
-    path = PartialAction(
-        c3,
-        frozenset({0, 1, 2}),
-        {0: frozenset({0, 1, 2}), 1: frozenset({1, 2}), 2: frozenset({0, 1})},
-        {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2}, 2: {1: 0, 2: 1}},
-    )
+    path = unvalidated(c3, {0, 1, 2}, {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2}, 2: {1: 0, 2: 1}})
     with pytest.raises(AssertionError, match="not a clique"):
         fixed_point_algebra(path)
 

@@ -177,3 +177,11 @@ def test_subgroup_as_group_reindexes():
     h = subgroup_closure(g, {2}).as_group()
     assert h.order == 3
     assert h.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def test_all_subgroups_is_computed_once_per_group():
+    """The lattice is cached by the group's value: an equal group built
+    again gets the same tuple (S4 has 30 subgroups)."""
+    subs = groups.all_subgroups(build_group(("symmetric", 4)))
+    assert type(subs) is tuple and len(subs) == 30
+    assert groups.all_subgroups(build_group(("symmetric", 4))) is subs

@@ -1,7 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partact.decomp import orbit_type_decomposition, stratification
 from partact.groups import build_group
 from partact.pactions import (
     CompositionViolation,
@@ -23,6 +27,7 @@ from partact.pactions import (
     trivial_partial_action,
     validate,
 )
+from partact.rokhlin import rokhlin_dimension
 
 GROUP_SPECS = [("cyclic", 2), ("cyclic", 3), ("cyclic", 4), "klein4", ("cyclic", 6), ("symmetric", 3)]
 
@@ -320,6 +325,77 @@ def test_central_splitting_partitions_on_corpus():
 def test_random_partial_action_always_validates(seed):
     pa = random_partial_action(seed, ("cyclic", 4), 8, 0.5)
     assert isinstance(pa, PartialAction)
+    _assert_same_table(validate(pa.group, pa.carrier, pa.domains, pa.maps), pa)
+
+
+def _assert_same_table(a: PartialAction, b: PartialAction) -> None:
+    assert a.group == b.group
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.table, b.table)
+
+
+def test_actions_built_as_tables_are_the_validated_ones(c2):
+    """Draws, trivial actions and unitizations are built as tables without
+    validate; validating their dict views gives the same table."""
+    for pa in corpus(30) + [validate(c2, set(), {0: set()}, {0: {}})]:
+        for built in (pa, trivial_partial_action(pa.group, pa.carrier), minimal_partial_unitization(pa)):
+            assert built.points.dtype == built.table.dtype == np.intp
+            assert not built.points.flags.writeable and not built.table.flags.writeable
+            _assert_same_table(validate(built.group, built.carrier, built.domains, built.maps), built)
+
+
+def test_freeness_witness_is_the_least_fixed_point(c2):
+    """The least g, then the least point, whatever order the maps list."""
+    both = {1: 1, 0: 0, 2: 2}
+    pa = validate(c2, {0, 1, 2}, {0: {0, 1, 2}, 1: {0, 1, 2}}, {0: both, 1: both})
+    assert freeness_witness(pa) == (1, 0)
+    c4 = build_group(("cyclic", 4))
+    # C4 on its two cosets of {0, 2}, labelled 5 and 3: the elements 0 and 2
+    # fix both, 1 and 3 swap them.
+    cosets = global_action(c4, {5, 3}, {g: ({5: 5, 3: 3} if g % 2 == 0 else {5: 3, 3: 5}) for g in range(4)})
+    assert freeness_witness(cosets) == (2, 3)
+
+
+def test_restrict_and_quotient_names_the_first_crossing_arrow():
+    """The witness of a non-invariant subset is the first crossing arrow with
+    g ascending, then the source point ascending."""
+    rng = random.Random(15)
+    seen = 0
+    for pa in corpus(30):
+        points = sorted(pa.carrier)
+        S = frozenset(rng.sample(points, len(points) // 2))
+        crossing = [(g, x, y) for g in pa.group.elements() for x, y in sorted(pa.maps[g].items())
+                    if (x in S) != (y in S)]
+        if not crossing:
+            assert restrict_and_quotient(pa, S)[0].carrier == S
+            continue
+        with pytest.raises(NotInvariant) as err:
+            restrict_and_quotient(pa, S)
+        assert err.value.arrow == crossing[0] and all(type(v) is int for v in err.value.arrow)
+        seen += 1
+    assert seen > 10
+
+
+def test_workload_ops_never_build_the_dict_views():
+    """A globalize op (envelope, central splitting, the envelope's Rokhlin
+    dimension) and a decompose op (strata, one layer, its orbit-type parts)
+    on order-24 actions read tables only: no envelope, layer or subsystem
+    builds ``maps``."""
+    rng = random.Random(24)
+    for spec in (("cyclic", 24), ("symmetric", 4)):
+        G = build_group(spec)
+        # Two regular orbits, restricted to a random subset: free.
+        perms = {a: {c * 24 + g: c * 24 + G.mul(a, g) for c in (0, 1) for g in range(24)} for a in range(24)}
+        pa = restricted_to(global_action(G, range(48), perms), rng.sample(range(48), 20))
+        glob = globalize(pa)
+        central_splitting(glob)
+        assert rokhlin_dimension(glob.envelope).finite
+        assert "maps" not in vars(glob.envelope) and "maps" not in vars(pa)
+    draws = (random_partial_action(seed, ("symmetric", 4), 48, 0.15) for seed in range(100))
+    pa = next(p for p in draws if any(len(p.domain_tuple(x)) == 4 for x in p.carrier))
+    layer = restricted_to(pa, stratification(pa).stratum(4))
+    parts = orbit_type_decomposition(layer, 4)
+    assert parts and "maps" not in vars(layer)
+    assert not any("maps" in vars(p.subsystem) for p in parts)
 
 
 def test_stabilizers_constant_along_orbits():

@@ -5,7 +5,6 @@ import pytest
 
 from partact.groups import build_group
 from partact.pactions import (
-    PartialAction,
     globalize,
     is_free,
     random_partial_action,
@@ -23,6 +22,7 @@ from partact.rokhlin import (
     verify_certificate,
     verify_refutation,
 )
+from scan_reference import unvalidated
 
 F = Fraction
 
@@ -82,12 +82,7 @@ def test_verify_certificate_raw_condition_catches_broken_equivariance():
     """
     c3 = build_group(("cyclic", 3))
     everything = frozenset({0, 1, 2})
-    broken = PartialAction(
-        c3,
-        everything,
-        {g: everything for g in range(3)},
-        {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2, 2: 0}, 2: {0: 1, 1: 0, 2: 2}},
-    )
+    broken = unvalidated(c3, everything, {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2, 2: 0}, 2: {0: 1, 1: 0, 2: 2}})
     check = verify_certificate(broken, TowerCertificate(0, ({0: F(1)},)))
     assert not check.ok
     assert check.witness == "raw condition (1) fails at (g=2, h=0, y=0, level 0)"

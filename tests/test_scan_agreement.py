@@ -48,6 +48,7 @@ from scan_reference import (
     reference_stratification,
     reference_validate,
     reference_verify_certificate,
+    unvalidated,
 )
 
 F = Fraction
@@ -119,6 +120,29 @@ def test_validate_agrees_with_scan_reference(instances):
     assert {"CompositionViolation", "InverseMismatch"} <= seen
 
 
+def test_dict_views_are_read_only_ascending_and_equal_the_dicts_given(instances):
+    """maps and domains are read off the table on first use: read-only, points
+    ascending, equal to the plain dicts validate was given in shuffled order,
+    and, on restrictions, to the route that filters the dicts and validates."""
+    rng = random.Random(15)
+    for pa in instances:
+        G = pa.group
+        maps = {g: dict(rng.sample(sorted(pa.maps[g].items()), len(pa.maps[g]))) for g in G.elements()}
+        domains = {g: frozenset(m.values()) for g, m in maps.items()}
+        given = validate(G, pa.carrier, domains, maps)
+        assert {g: dict(m) for g, m in given.maps.items()} == maps and dict(given.domains) == domains
+        subset = rng.sample(sorted(pa.carrier), len(pa.carrier) // 2)
+        restriction = restricted_to(given, subset)
+        assert _same_action(restriction, reference_restricted_to(given, subset))
+        for action in (given, restriction, globalize(given).envelope):
+            assert list(action.maps) == list(action.domains) == list(G.elements())
+            assert all(list(m) == sorted(m) for m in action.maps.values())
+            assert all(type(d) is frozenset for d in action.domains.values())
+            for view, key, value in ((action.maps, 0, {}), (action.maps[0], -1, -1), (action.domains, 0, frozenset())):
+                with pytest.raises(TypeError):
+                    view[key] = value
+
+
 def test_validate_names_the_first_composition_witness():
     # theta_1 = theta_2 = the swap (0 1) of C3: theta_1 theta_1 = 1 != theta_2.
     c3 = build_group(("cyclic", 3))
@@ -181,12 +205,7 @@ def test_verify_certificate_agrees_with_scan_reference(instances):
 def test_verify_certificate_agrees_on_the_unvalidated_broken_action():
     c3 = build_group(("cyclic", 3))
     everything = frozenset({0, 1, 2})
-    broken = PartialAction(
-        c3,
-        everything,
-        {g: everything for g in range(3)},
-        {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2, 2: 0}, 2: {0: 1, 1: 0, 2: 2}},
-    )
+    broken = unvalidated(c3, everything, {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2, 2: 0}, 2: {0: 1, 1: 0, 2: 2}})
     for cert in (TowerCertificate(0, ({0: F(1)},)), TowerCertificate(1, ({}, {0: F(1)}))):
         new, ref = verify_certificate(broken, cert), reference_verify_certificate(broken, cert)
         assert (new.ok, new.witness) == (ref.ok, ref.witness)
@@ -203,7 +222,7 @@ def _swapped_images(pa: PartialAction, support, rng: random.Random):
             x1, x2 = rng.sample(outside, 2)
             maps = {k: dict(pa.maps[k]) for k in pa.group.elements()}
             maps[g][x1], maps[g][x2] = maps[g][x2], maps[g][x1]
-            return PartialAction(pa.group, pa.carrier, pa.domains, maps)
+            return unvalidated(pa.group, pa.carrier, maps)
     return None
 
 
@@ -276,7 +295,8 @@ def test_globalize_agrees_with_union_find_label_for_label(instances):
         assert all(list(env.maps[g]) == sorted(env.maps[g]) for g in env.group.elements())
         assert central_splitting(new) == reference_central_splitting(new)
         for action in (pa, env):
-            assert translation_groupoid(action).arrows == tuple(action.arrows())
+            arrows = tuple((g, x, y) for g in action.group.elements() for x, y in sorted(action.maps[g].items()))
+            assert translation_groupoid(action).arrows == arrows
 
 
 def _same_dicts(a: PartialAction, b: PartialAction) -> bool:
@@ -343,8 +363,6 @@ def test_envelope_table_with_two_entries_swapped_is_rejected(monkeypatch):
     for seed, spec in enumerate(specs):
         pa = random_partial_action(seed, spec, 12, 0.5)
         env = globalize(pa).envelope
-        table = index_tables(env).theta
-        assert _same_action(pactions._from_table(env.group, table.copy(), np.arange(table.shape[1])), env)
         with monkeypatch.context() as patched:
             patched.setattr(pactions, "_check_global_table", swapping)
             with pytest.raises(AssertionError, match=r"composition at \(g=\d+, h=\d+\)"):
@@ -475,12 +493,7 @@ def test_arrow_identities_reject_every_table_the_scan_rejects(instances):
 def _c3_path() -> PartialAction:
     """Built without validate: theta_1 and theta_2 link 0 - 1 - 2 in a path,
     but no arrow joins 0 and 2, as the composition law would force."""
-    return PartialAction(
-        build_group(("cyclic", 3)),
-        frozenset({0, 1, 2}),
-        {0: frozenset({0, 1, 2}), 1: frozenset({1, 2}), 2: frozenset({0, 1})},
-        {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2}, 2: {1: 0, 2: 1}},
-    )
+    return unvalidated(build_group(("cyclic", 3)), {0, 1, 2}, {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2}, 2: {1: 0, 2: 1}})
 
 
 def test_broken_composition_is_rejected_by_both_routes():
@@ -494,7 +507,7 @@ def test_broken_composition_is_rejected_by_both_routes():
         crossed_product(path)
     swap = {0: 1, 1: 0, 2: 2}
     full = frozenset({0, 1, 2})
-    doubled = PartialAction(path.group, full, {g: full for g in range(3)}, {0: {0: 0, 1: 1, 2: 2}, 1: swap, 2: swap})
+    doubled = unvalidated(path.group, full, {0: {0: 0, 1: 1, 2: 2}, 1: swap, 2: swap})
     with pytest.raises(AlgebraError, match="not associative"):
         reference_check_invariants(reference_crossed_product(doubled))
     with pytest.raises(AlgebraError):
