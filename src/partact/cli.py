@@ -171,23 +171,26 @@ def _element(group: FiniteGroup, key: str, location: str) -> int:
 
 
 def serialize_instance(pa: PartialAction, labels: Optional[Sequence] = None) -> str:
-    """Canonical JSON serialization; parse . serialize is the identity."""
-    if labels is None:
-        labels = sorted(pa.carrier)
-    label_of = {x: labels[i] for i, x in enumerate(sorted(pa.carrier))}
+    """Canonical JSON serialization; parse . serialize is the identity.
+
+    Read off the table, ``labels[i]`` naming ``pa.points[i]``: each domain
+    lists its labels in point order, each map its pairs by ``str`` of the
+    source label (point order among equal strings).
+    """
+    labels = pa.points.tolist() if labels is None else list(labels)
+    rows = pa.table.tolist()
+    by_str = sorted(range(len(labels)), key=lambda i: str(labels[i]))
+    inv = pa.group.inverse
     doc = {
         "group": {"table": [list(row) for row in pa.group.table]},
-        "carrier": list(labels),
-        "domains": {
-            str(g): [label_of[x] for x in sorted(pa.domain(g))]
+        "carrier": labels,
+        "domains": {  # X_g is where theta_(g^-1) is defined
+            str(g): [labels[i] for i, y in enumerate(rows[inv[g]]) if y >= 0]
             for g in pa.group.elements()
         },
         "maps": {
-            str(g): sorted(
-                ([label_of[x], label_of[y]] for x, y in pa.maps[g].items()),
-                key=lambda e: str(e[0]),
-            )
-            for g in pa.group.elements()
+            str(g): [[labels[i], labels[row[i]]] for i in by_str if row[i] >= 0]
+            for g, row in enumerate(rows)
         },
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

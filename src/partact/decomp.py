@@ -49,32 +49,16 @@ def domain_tuple(pa: PartialAction, x: int) -> frozenset[int]:
 
 
 def is_n_decomposable(pa: PartialAction, n: int) -> bool:
-    """Both set-form conditions and the pointwise criterion, asserted to agree.
+    """Every point lies in exactly n domains: every column count of the table is n.
 
-    Set form: (a) the domain-tuple intersections X_tau for n-tuples tau cover
-    the carrier, and (b) X_tau meets no X_g with g outside tau.  Pointwise:
-    every point lies in exactly n domains.
+    This is the pointwise form of the set conditions ((a) the domain-tuple
+    intersections X_tau for n-tuples tau cover the carrier, and (b) X_tau
+    meets no X_g with g outside tau): x lies in X_g exactly when
+    theta_{g^-1} is defined at x, so |tau(x)| is the count of column x.
     """
     if not (1 <= n <= pa.group.order):
         raise DecompositionError(f"n must be in 1..{pa.group.order}, got {n}")
-    pointwise = all(len(pa.domain_tuple(x)) == n for x in pa.carrier)
-    # Only the n-tuples that occur as some tau(x) need checking: a point in
-    # fewer than n domains lies in no X_tau, and a point in more than n either
-    # stays uncovered or lies in an occurring X_tau together with an outside
-    # domain.  So the restricted check fails exactly when the full one does.
-    occurring = {tau for tau in map(pa.domain_tuple, pa.carrier) if len(tau) == n}
-    covered: set[int] = set()
-    intersections_clean = True
-    for tau in occurring:
-        X_tau = pa.carrier.intersection(*map(pa.domain, tau))
-        covered |= X_tau
-        for g in pa.group.elements():
-            if g not in tau and X_tau & pa.domain(g):
-                intersections_clean = False
-    set_form = covered == set(pa.carrier) and intersections_clean
-    if set_form != pointwise:
-        raise AssertionError("set-form and pointwise decomposability disagree")
-    return set_form
+    return bool(((pa.table >= 0).sum(axis=0) == n).all())
 
 
 @dataclass(frozen=True)

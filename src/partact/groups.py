@@ -103,14 +103,18 @@ class Subgroup:
         return tuple(sorted(self.members))
 
     def as_group(self) -> FiniteGroup:
-        """Reindex the subgroup as a standalone FiniteGroup (0 stays identity)."""
-        elems = self.sorted_members()
-        index = {g: i for i, g in enumerate(elems)}
-        table = tuple(
-            tuple(index[self.parent.mul(a, b)] for b in elems) for a in elems
-        )
-        inverse = tuple(index[self.parent.inv(a)] for a in elems)
-        return FiniteGroup(len(elems), table, inverse, name=f"{self.parent.name}-sub")
+        """Reindex the subgroup as a standalone FiniteGroup (0 stays identity);
+        built once per parent group and member set, and shared."""
+        return _reindexed(self.parent, self.members)
+
+
+@cache
+def _reindexed(parent: FiniteGroup, members: frozenset[int]) -> FiniteGroup:
+    elems = sorted(members)
+    index = {g: i for i, g in enumerate(elems)}
+    table = tuple(tuple(index[parent.mul(a, b)] for b in elems) for a in elems)
+    inverse = tuple(index[parent.inv(a)] for a in elems)
+    return FiniteGroup(len(elems), table, inverse, name=f"{parent.name}-sub")
 
 
 def _check_axioms(order: int, table: Sequence[Sequence[int]]) -> tuple[int, ...]:

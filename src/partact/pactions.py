@@ -337,15 +337,15 @@ def freeness_witness(pa: PartialAction) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class TranslationGroupoid:
-    """Arrows (g, x -> theta_g(x)) of a partial action, with orbits and isotropy."""
+    """The orbits of the arrows (g, x -> theta_g(x)) of a partial action, and
+    the isotropy group at the least point of each."""
 
-    arrows: tuple[tuple[int, int, int], ...]
     orbits: tuple[frozenset[int], ...]
     stabilizers: Mapping[int, Subgroup]
 
 
 def translation_groupoid(pa: PartialAction) -> TranslationGroupoid:
-    """Arrows, connected components, and orbit-representative stabilizers.
+    """Connected components and orbit-representative stabilizers.
 
     Built on the first call for ``pa`` and kept on it: a PartialAction is
     frozen, so every later caller shares the same read-only parts.
@@ -368,10 +368,7 @@ def _translation_groupoid_parts(pa: PartialAction) -> tuple:
         points[r]: Subgroup(pa.group, frozenset(np.flatnonzero(t.theta[:, r] == r).tolist()))
         for r in members
     }
-    gs, src = np.nonzero(t.theta >= 0)  # g-major, points ascending
-    at = points.__getitem__
-    arrows = tuple(zip(gs.tolist(), map(at, src.tolist()), map(at, t.theta[gs, src].tolist())))
-    return arrows, orbits, MappingProxyType(stabilizers)
+    return orbits, MappingProxyType(stabilizers)
 
 
 def _subtable(pa: PartialAction, subset: Iterable[int], rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -437,10 +434,12 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     (g, x) ~ (h, y) iff x lies in X_{g^-1 h} and theta_{h^-1 g}(x) = y, so
     the class of (g, x) is {(g k^-1, theta_k(x)) : k with x in X_{k^-1}} in closed
     form (Abadie, J. Funct. Anal. 197 (2003)).  On the integer tables each
-    pair (g, x) gets the least pair of its class, taking x in sorted order,
-    and the classes are numbered in the order of their least pairs.  The
-    envelope acts by a.[g, x] = [a g, x] and the embedding is x -> [1, x];
-    it is built from that integer table, with the global-action axioms
+    pair (g, x) gets the least pair of its class, taking x in sorted order:
+    one min over k of a (g, k, x) array, with g in row blocks, where an
+    undefined theta_k(x) reads past every pair.  The classes are numbered
+    in the order of their least pairs.  The envelope acts by
+    a.[g, x] = [a g, x] and the embedding is x -> [1, x]; it is built
+    from that integer table, with the global-action axioms
     checked on the table.  Construction invariants are asserted on it: the
     embedding is injective, domains match intersections, the envelope
     extends the action, and translates of X cover.  They fix the envelope up
@@ -449,10 +448,12 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     G = pa.group
     t = index_tables(pa)
     order, n = G.order, len(t.index)
-    least = np.arange(order * n).reshape(order, n)  # pair (g, x) as g * n + index(x)
-    for k in range(1, order):
-        member = t.mul[:, t.inv[k], None] * n + t.theta[k]  # (g k^-1, theta_k(x))
-        np.minimum(least, member, out=least, where=t.theta[k] >= 0)
+    # Pair (g, x) is g * n + index(x); k = 1 gives (g, x) itself.
+    image = np.where(t.theta >= 0, t.theta, order * n)  # (k, x) -> theta_k(x)
+    least = np.empty((order, n), dtype=np.intp)
+    for rows in row_blocks(order, order * n):
+        # (g, k, x) -> (g k^-1, theta_k(x))
+        (t.mul[rows][:, t.inv, None] * n + image).min(axis=1, out=least[rows])
     firsts, point = np.unique(least, return_inverse=True)
     point = point.reshape(order, n)
     size = len(firsts)

@@ -245,9 +245,12 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
             masses = [masses[k] + values[c] for k, c in (divmod(u, len(values)) for u in pairs.tolist())]
         # Raw condition (1): T[j, h, y] = T[j, gh, theta_g(y)] wherever
         # theta_g(y) is defined, for a block of g at a time, up to the least g found.
+        # One flat take: T[j, gh, z] is entry gh * n + z of level j.
+        flat = T.reshape(len(T), order * n)
         for rows in row_blocks(min(order, raw[0] + 1), T.size):
             defined = t.theta[rows] >= 0  # (g, y)
-            moved = T[:, t.mul[rows][:, :, None], t.theta[rows][:, None, :]]  # (level, g, h, y)
+            at = t.mul[rows][:, :, None] * n + t.theta[rows][:, None, :]  # an undefined y reads any entry
+            moved = flat.take(at, axis=1)  # (level, g, h, y)
             bad = defined[None, :, None, :] & (T[:, None] != moved)
             if bad.any():
                 b = int(np.argmax(bad.any(axis=(0, 2, 3))))

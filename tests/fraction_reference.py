@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch
 from partact.pactions import translation_groupoid
+from scan_reference import groupoid_arrows
 
 Row = list[Fraction]
 
@@ -133,7 +134,7 @@ def inner_product_fixed(pa, x: Mapping[int, Fraction], y: Mapping[int, Fraction]
 def is_fixed_element(pa, x: Mapping[int, Fraction]) -> bool:
     """Membership in A^alpha: constant along every groupoid arrow."""
     return all(
-        x.get(px, Fraction(0)) == x.get(py, Fraction(0)) for _, px, py in translation_groupoid(pa).arrows
+        x.get(px, Fraction(0)) == x.get(py, Fraction(0)) for _, px, py in groupoid_arrows(pa)
     )
 
 

@@ -3,15 +3,18 @@
 Each function here is the element-by-element formulation that a table
 route replaced: the certificate verifier, the partial-action axiom checks,
 the union-find globalization, the union-find center basis, the nested
-loop crossed-product builder with its exhaustive associativity scan, and the
-restrictions, strata and stabilizer subsystems built through ``validate``.
+loop crossed-product builder with its exhaustive associativity scan, the
+restrictions, strata and stabilizer subsystems built through ``validate``,
+the enumeration of the groupoid's arrows, the set form of
+n-decomposability, and the instance document written from the dict views.
 Tests compare the two, witness for witness and label for label.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+import json
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from partact.pactions import (
     PartialActionError,
     _index_tables,
     global_action,
-    translation_groupoid,
+    index_tables,
     validate,
 )
 from partact.rokhlin import CertificateCheck, TowerCertificate
@@ -41,6 +44,39 @@ def unvalidated(group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int, M
     axiom checked: X_g is where theta_(g^-1) is defined."""
     t = _index_tables(group, carrier, maps)
     return PartialAction(group, np.fromiter(t.index, np.intp, len(t.index)), t.theta)
+
+
+def groupoid_arrows(pa: PartialAction) -> tuple[tuple[int, int, int], ...]:
+    """Every arrow (g, x, theta_g(x)) of the translation groupoid, g-major,
+    points ascending."""
+    t = index_tables(pa)
+    points = pa.points.tolist()
+    gs, src = np.nonzero(t.theta >= 0)  # g-major, points ascending
+    at = points.__getitem__
+    return tuple(zip(gs.tolist(), map(at, src.tolist()), map(at, t.theta[gs, src].tolist())))
+
+
+def reference_serialize_instance(pa: PartialAction, labels: Optional[Sequence] = None) -> str:
+    """The canonical instance document, written by walking ``domains`` and ``maps``."""
+    if labels is None:
+        labels = sorted(pa.carrier)
+    label_of = {x: labels[i] for i, x in enumerate(sorted(pa.carrier))}
+    doc = {
+        "group": {"table": [list(row) for row in pa.group.table]},
+        "carrier": list(labels),
+        "domains": {
+            str(g): [label_of[x] for x in sorted(pa.domain(g))]
+            for g in pa.group.elements()
+        },
+        "maps": {
+            str(g): sorted(
+                ([label_of[x], label_of[y]] for x, y in pa.maps[g].items()),
+                key=lambda e: str(e[0]),
+            )
+            for g in pa.group.elements()
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def reference_validate(
@@ -118,12 +154,32 @@ def reference_stratification(pa: PartialAction) -> dict[int, frozenset[int]]:
     order = pa.group.order
     strata = {k: frozenset(x for x in pa.carrier if len(pa.domain_tuple(x)) == k)
               for k in range(1, order + 1)}
-    for g, x, y in translation_groupoid(pa).arrows:
+    for g, x, y in groupoid_arrows(pa):
         if len(pa.domain_tuple(x)) != len(pa.domain_tuple(y)):
             raise AssertionError("an arrow crosses strata; equivariance is broken")
     if frozenset().union(*strata.values()) != pa.carrier:
         raise AssertionError("strata do not exhaust the carrier")
     return strata
+
+
+def reference_is_n_decomposable(pa: PartialAction, n: int) -> bool:
+    """The set form: (a) the domain-tuple intersections X_tau for n-tuples
+    tau cover the carrier, and (b) X_tau meets no X_g with g outside tau,
+    by Python set intersections of the domains."""
+    # Only the n-tuples that occur as some tau(x) need checking: a point in
+    # fewer than n domains lies in no X_tau, and a point in more than n either
+    # stays uncovered or lies in an occurring X_tau together with an outside
+    # domain.  So the restricted check fails exactly when the full one does.
+    occurring = {tau for tau in map(pa.domain_tuple, pa.carrier) if len(tau) == n}
+    covered: set[int] = set()
+    intersections_clean = True
+    for tau in occurring:
+        X_tau = pa.carrier.intersection(*map(pa.domain, tau))
+        covered |= X_tau
+        for g in pa.group.elements():
+            if g not in tau and X_tau & pa.domain(g):
+                intersections_clean = False
+    return covered == set(pa.carrier) and intersections_clean
 
 
 def reference_stabilizer_subsystem(

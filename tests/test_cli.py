@@ -19,7 +19,8 @@ from partact.cli import (
 )
 from partact.groups import build_group
 from partact.harness import corpus
-from partact.pactions import global_action
+from partact.pactions import global_action, random_partial_action
+from scan_reference import reference_serialize_instance
 
 SWAP_PAIR_DOC = {
     "group": {"family": "cyclic", "n": 2},
@@ -162,6 +163,23 @@ def test_round_trip(swap_pair):
     # Canonical serialization is a fixpoint, so digests agree.
     assert serialize_instance(back) == text
     assert instance_digest(back) == instance_digest(swap_pair)
+
+
+def test_serialization_from_the_table_matches_the_dict_views():
+    """serialize_instance reads the table and builds no dict view; its text
+    is byte for byte the one written from the domains and maps, with the
+    default labels and with labels whose string order is not the points'."""
+    instances = corpus(20260808, 100) + [
+        random_partial_action(seed, spec, 48, 0.5)
+        for seed, spec in enumerate((("cyclic", 24), ("dihedral", 12), ("symmetric", 4)))
+    ]
+    for pa in instances:
+        text = serialize_instance(pa)
+        assert "maps" not in pa.__dict__ and "domains" not in pa.__dict__
+        assert text == reference_serialize_instance(pa)
+        assert instance_digest(pa) == hashlib.sha256(text.encode()).hexdigest()
+        labels = [f"p{x}" if x % 3 else 10 * x for x in pa.points.tolist()]
+        assert serialize_instance(pa, labels) == reference_serialize_instance(pa, labels)
 
 
 def test_round_trip_with_labels():

@@ -185,3 +185,17 @@ def test_all_subgroups_is_computed_once_per_group():
     subs = groups.all_subgroups(build_group(("symmetric", 4)))
     assert type(subs) is tuple and len(subs) == 30
     assert groups.all_subgroups(build_group(("symmetric", 4))) is subs
+
+
+def test_subgroup_as_group_is_built_once_per_parent_and_members():
+    """Equal subgroups of equal groups share one reindexed group, with the
+    same name, table and element order as a fresh reindexing."""
+    s4 = build_group(("symmetric", 4))
+    for sub in groups.all_subgroups(s4):
+        h = sub.as_group()
+        again = groups.Subgroup(build_group(("symmetric", 4)), frozenset(sub.members)).as_group()
+        assert again is h
+        elems = sorted(sub.members)
+        assert h.name == "symmetric(4)-sub" and h.order == len(elems)
+        assert h.table == tuple(tuple(elems.index(s4.mul(a, b)) for b in elems) for a in elems)
+        assert h.inverse == tuple(elems.index(s4.inv(a)) for a in elems)

@@ -16,7 +16,7 @@ from block_reference import center_rows
 from fraction_reference import is_fixed_element
 
 from partact import harness, pactions
-from partact.decomp import orbit_type_decomposition, stratification
+from partact.decomp import is_n_decomposable, orbit_type_decomposition, stratification
 from partact.fdcstar import (
     AlgebraError,
     StructureConstantStarAlgebra,
@@ -33,16 +33,17 @@ from partact.pactions import (
     index_tables,
     random_partial_action,
     restricted_to,
-    translation_groupoid,
     validate,
 )
 from partact.rokhlin import TowerCertificate, towers_exist, verify_certificate
 from scan_reference import (
+    groupoid_arrows,
     reference_center_basis,
     reference_central_splitting,
     reference_check_invariants,
     reference_crossed_product,
     reference_globalize,
+    reference_is_n_decomposable,
     reference_restricted_to,
     reference_stabilizer_subsystem,
     reference_stratification,
@@ -296,7 +297,7 @@ def test_globalize_agrees_with_union_find_label_for_label(instances):
         assert central_splitting(new) == reference_central_splitting(new)
         for action in (pa, env):
             arrows = tuple((g, x, y) for g in action.group.elements() for x, y in sorted(action.maps[g].items()))
-            assert translation_groupoid(action).arrows == arrows
+            assert groupoid_arrows(action) == arrows
 
 
 def _same_dicts(a: PartialAction, b: PartialAction) -> bool:
@@ -331,7 +332,7 @@ def test_restrictions_strata_and_subsystems_agree_with_validated_routes(instance
             assert _same_dicts(new, ref)
             _assert_owns_its_table(new, pa)
             seen["non-invariant"] += any(
-                (x in new.carrier) != (y in new.carrier) for _, x, y in translation_groupoid(pa).arrows
+                (x in new.carrier) != (y in new.carrier) for _, x, y in groupoid_arrows(pa)
             )
         for k, stratum in strata.strata.items():
             if not stratum:
@@ -343,6 +344,24 @@ def test_restrictions_strata_and_subsystems_agree_with_validated_routes(instance
                 _assert_owns_its_table(part.subsystem, layer)
                 seen["subsystems"] += 1
     assert seen["non-invariant"] > 50 and seen["subsystems"] > 100
+
+
+def test_decomposability_by_column_counts_agrees_with_the_set_form(instances):
+    """is_n_decomposable reads the column counts of the table; the set form
+    intersects the domains of each occurring tuple.  They agree at every n on
+    the corpus, the regular actions and the three decompose draws of the
+    solve-caps benchmark pool, and on every stratum of each."""
+    solve_caps = [random_partial_action(seed, spec, 48, 0.15) for seed, spec in (
+        (441792921, ("cyclic", 24)), (771246926, ("dihedral", 12)), (270688172, ("symmetric", 4)))]
+    outcomes = []
+    for pa in instances + solve_caps:
+        strata = [restricted_to(pa, s) for s in stratification(pa).strata.values() if s]
+        for layer in [pa] + strata:
+            for n in range(1, pa.group.order + 1):
+                decided = is_n_decomposable(layer, n)
+                assert decided == reference_is_n_decomposable(layer, n)
+                outcomes.append(decided)
+    assert sum(outcomes) > 200 and not all(outcomes)
 
 
 def test_envelope_table_with_two_entries_swapped_is_rejected(monkeypatch):
@@ -370,11 +389,13 @@ def test_envelope_table_with_two_entries_swapped_is_rejected(monkeypatch):
 
 
 def test_axiom_and_certificate_checks_stay_small_at_scale():
-    """A global C24 action on 4,800 points: validate and verify_certificate
-    take g in row blocks, so no (|G|, |G|, |X|) temporary (22 MB a table
-    here) is built.  Peaks measured with tracemalloc: 14 MB for validate
-    (60 MB with one block) and 3 MB for verify_certificate on top of the
-    action (28 MB with one block)."""
+    """A global C24 action on 4,800 points: validate, verify_certificate and
+    globalize take g in row blocks, so no (|G|, |G|, |X|) temporary (22 MB a
+    table here) is built.  Peaks measured with tracemalloc: 14 MB for
+    validate (60 MB with one block), 3 MB for verify_certificate on top of
+    the action (28 MB with one block), and 6.4 MB for globalize of its
+    restriction to the 4,600 points off the first of each orbit, on top of
+    that restriction (22 MB with the (g, k, x) least-pair min in one block)."""
     group = build_group(("cyclic", 24))
     copies = 200
     n = group.order * copies
@@ -390,11 +411,19 @@ def test_axiom_and_certificate_checks_stay_small_at_scale():
         held = tracemalloc.get_traced_memory()[0]
         check = verify_certificate(pa, TowerCertificate(0, ({c * 24: F(1) for c in range(copies)},)))
         verify_peak = tracemalloc.get_traced_memory()[1] - held
+        part = restricted_to(pa, [x for x in range(n) if x % 24])
+        index_tables(part)  # the point index is kept on the restriction, outside the peak
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        envelope = globalize(part).envelope
+        globalize_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert check.ok
+    assert envelope.size() == n
     assert validate_peak < 32 * 2**20
     assert verify_peak < 12 * 2**20
+    assert globalize_peak < 12 * 2**20
 
 
 def test_certificate_check_memory_does_not_grow_with_levels():
