@@ -3,7 +3,7 @@
 Finite groups are multiplication tables with 0 as the identity.  Partial
 actions are families of partial bijections between subsets of a finite
 carrier.  On top of that the package computes translation groupoids,
-globalizations, tuple-space decompositions, crossed-product block structure,
+globalizations, orbit-type decompositions, crossed-product block structure,
 and exact (rational) Rokhlin tower certificates, plus grid-discretized tower
 feasibility for two continuous model systems.
 """

@@ -227,8 +227,6 @@ def analyze(pa: PartialAction, seed: int = 0) -> dict:
     uses no randomness; ``seed`` is only echoed as ``seeds.blockStructure``."""
     gr = translation_groupoid(pa)
     strata = stratification(pa)
-    tuple_sizes = {len(pa.domain_tuple(x)) for x in pa.carrier}
-    decomposable_n = tuple_sizes.pop() if len(tuple_sizes) == 1 else None
     witness = freeness_witness(pa)
     report: dict = {
         "schemaVersion": SCHEMA_VERSION,
@@ -247,7 +245,7 @@ def analyze(pa: PartialAction, seed: int = 0) -> dict:
             "stabilizerOrders": sorted(s.order for s in gr.stabilizers.values()),
         },
         "strata": {str(k): len(strata.stratum(k)) for k in range(1, pa.group.order + 1)},
-        "decomposability": {"n": decomposable_n},
+        "decomposability": {"n": strata.decomposable_n},
     }
     rok = rokhlin_dimension(pa)
     report["rokhlin"] = {
@@ -343,9 +341,8 @@ def _cmd_decompose(args) -> int:
         "strata": {str(k): sorted(strata.stratum(k)) for k in range(1, pa.group.order + 1)},
         "parts": None,
     }
-    sizes = {len(pa.domain_tuple(x)) for x in pa.carrier}
-    if len(sizes) == 1:
-        n = sizes.pop()
+    n = strata.decomposable_n
+    if n is not None:
         parts = orbit_type_decomposition(pa, n)
         payload["parts"] = [
             {

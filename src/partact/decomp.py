@@ -4,28 +4,22 @@ Each carrier point x determines the tuple tau(x) of group elements whose
 domain contains it.  Points with |tau(x)| = n form invariant strata; an
 action where every point has |tau(x)| = n splits into orbit-type parts, each
 carrying a global action of the tuple stabilizer on the common intersection
-of its domains.
+of its domains.  Every tuple is read off the theta table as one integer key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .groups import Subgroup
-from .pactions import PartialAction, _subtable, index_tables, restricted_to
-from .tuples import orbit_of, stabilizer_and_section
+from .pactions import IndexTables, PartialAction, _subtable, index_tables, restricted_to
 
 
 class DecompositionError(ValueError):
     pass
-
-
-class PointOutOfRange(DecompositionError):
-    def __init__(self, x: int):
-        super().__init__(f"point {x} is not in the carrier")
 
 
 class NotDecomposable(DecompositionError):
@@ -39,13 +33,6 @@ class NotDecomposable(DecompositionError):
 class EmptyStratum(DecompositionError):
     def __init__(self, tau):
         super().__init__(f"no carrier point has domain tuple {sorted(tau)}")
-
-
-def domain_tuple(pa: PartialAction, x: int) -> frozenset[int]:
-    """tau(x) = {g : x in X_g}; always contains the identity."""
-    if x not in pa.carrier:
-        raise PointOutOfRange(x)
-    return pa.domain_tuple(x)
 
 
 def is_n_decomposable(pa: PartialAction, n: int) -> bool:
@@ -71,6 +58,12 @@ class Stratification:
 
     def stratum(self, k: int) -> frozenset[int]:
         return self.strata.get(k, frozenset())
+
+    @property
+    def decomposable_n(self) -> Optional[int]:
+        """The n with every point in exactly n domains: the one nonempty stratum, if only one."""
+        occupied = [k for k, points in self.strata.items() if points]
+        return occupied[0] if len(occupied) == 1 else None
 
     def extension(self, k: int) -> tuple[PartialAction, PartialAction, PartialAction]:
         """(ideal, total, quotient): the restrictions to X_{=k}, X_{<=k} and
@@ -119,28 +112,62 @@ class OrbitTypePart:
 
 
 def _require_decomposable(pa: PartialAction, n: int) -> None:
+    """Raise NotDecomposable naming the least point whose column count is not n."""
     if not is_n_decomposable(pa, n):
-        witness = next(x for x in pa.carrier if len(pa.domain_tuple(x)) != n)
-        raise NotDecomposable(n, witness, len(pa.domain_tuple(witness)))
+        count = (pa.table >= 0).sum(axis=0)
+        i = int(np.argmax(count != n))
+        raise NotDecomposable(n, int(pa.points[i]), int(count[i]))
+
+
+def _tuple_keys(t: IndexTables) -> np.ndarray:
+    """Each point's domain tuple tau(x) as one integer, with g as bit |G|-1-g.
+
+    x is in X_g where theta_{g^-1} is defined.  n-sets compare (as sorted
+    lists) in the reverse order of their keys, since the least element where
+    two differ sets the highest differing bit: the least has the largest key.
+    """
+    order = len(t.inv)
+    weights = 1 << np.arange(order - 1, -1, -1, dtype=np.intp)
+    return weights @ (t.theta[t.inv] >= 0)
+
+
+def _part_labels(theta: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The largest key on each point's groupoid orbit, the defined entries of
+    its column (orbits are cliques).  As tau(theta_g x) = g tau(x), that is
+    the key of the least tuple of the translation orbit of tau(x)."""
+    return np.where(theta >= 0, key[theta], -1).max(axis=0)
+
+
+def _stabilizer_members(t: IndexTables, key: np.ndarray, i: int) -> np.ndarray:
+    """H_tau at the point with index i of X_tau: the h with tau(theta_h x) =
+    h tau = tau.  Each such h has theta_h defined at x, as h^-1 is in H_tau,
+    inside tau."""
+    return np.flatnonzero((t.theta[:, i] >= 0) & (key[t.theta[:, i]] == key[i]))
 
 
 def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
     """The global action of the tuple stabilizer on X_tau = {x : tau(x) = tau}.
 
     The returned PartialAction has the stabilizer reindexed as its own group
-    (identity first, then ascending parent index).
+    (identity first, then ascending parent index).  A tau that is no point's
+    domain tuple, including one that is no set of group elements with the
+    identity, raises EmptyStratum.
     """
     tau = frozenset(tau)
     _require_decomposable(pa, len(tau))
-    return _stabilizer_subsystem(pa, tau, frozenset(x for x in pa.carrier if pa.domain_tuple(x) == tau))
-
-
-def _stabilizer_subsystem(
-    pa: PartialAction, tau: frozenset[int], X_tau: frozenset[int]
-) -> tuple[Subgroup, PartialAction]:
-    H, _, _ = stabilizer_and_section(pa.group, tau)
-    if not X_tau:
+    if not tau <= frozenset(pa.group.elements()):  # no shift by a non-element below
         raise EmptyStratum(tau)
+    t = index_tables(pa)
+    key = _tuple_keys(t)
+    at = np.flatnonzero(key == sum(1 << (pa.group.order - 1 - g) for g in tau))
+    if not at.size:
+        raise EmptyStratum(tau)
+    members = _stabilizer_members(t, key, int(at[0]))
+    return _stabilizer_subsystem(pa, members.tolist(), frozenset(pa.points[at].tolist()))
+
+
+def _stabilizer_subsystem(pa: PartialAction, members: Iterable[int], X_tau: frozenset[int]) -> tuple[Subgroup, PartialAction]:
+    H = Subgroup(pa.group, frozenset(members))
     # The rows of H at the columns of X_tau: global when no entry leaves X_tau.
     points, theta = _subtable(pa, X_tau, list(H.sorted_members()))
     if (theta < 0).any():
@@ -151,37 +178,31 @@ def _stabilizer_subsystem(
 def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:
     """Split an n-decomposable action into its orbit-class parts.
 
-    Only the tuples tau(x) that occur are visited.  Since
-    tau(theta_g x) = g tau(x), each part is the union of the strata of the
-    occurring tuples in one translation orbit; parts are keyed and ordered by
-    the orbit's lexicographically least tuple, which also occurs.  The parts
-    are disjoint, invariant, and cover the carrier.
+    Every point's tuple is an integer key (``_tuple_keys``) and its part
+    label is the largest key on its groupoid orbit (``_part_labels``): the
+    key of the lexicographically least tuple of the translation orbit of
+    tau(x).  Parts come in descending label order, so by least tuple, which
+    is the representative tau; X_tau is where the key equals the label.  The
+    parts are disjoint and cover the carrier by construction; they are
+    checked invariant, and each against orbit-stabilizer: the orbit of tau
+    has n / |H_tau| tuples, and every one of them occurs in the part.
     """
     _require_decomposable(pa, n)
-    by_tuple: dict[frozenset[int], set[int]] = {}
-    for x in pa.carrier:
-        by_tuple.setdefault(pa.domain_tuple(x), set()).add(x)
-    part_points: dict[frozenset[int], set[int]] = {}
-    for tau, points in by_tuple.items():
-        part_points.setdefault(orbit_of(pa.group, tau)[0], set()).update(points)
-    parts: list[OrbitTypePart] = []
-    for tau in sorted(part_points, key=sorted):
-        # The least tuple is t^-1 tau(x) for some t in tau(x), and theta_t^-1
-        # carries x to a point of it.
-        X_tau = frozenset(by_tuple.get(tau, ()))
-        H, subsystem = _stabilizer_subsystem(pa, tau, X_tau)
-        parts.append(OrbitTypePart(tau, frozenset(part_points[tau]), H, subsystem, X_tau))
-    # Each point gets the label of its part; the parts are invariant when
-    # every defined entry of the table keeps the label.
     t = index_tables(pa)
-    label = np.full(len(t.index), -1, dtype=np.intp)
-    for i, p in enumerate(parts):
-        at = np.fromiter(map(t.index.__getitem__, p.part), np.intp, len(p.part))
-        if (label[at] >= 0).any():
-            raise AssertionError("orbit-type parts overlap")
-        label[at] = i
+    key = _tuple_keys(t)
+    label = _part_labels(t.theta, key)
     if ((t.theta >= 0) & (label[t.theta] != label)).any():
         raise AssertionError("orbit-type part is not invariant")
-    if (label < 0).any():
-        raise AssertionError("orbit-type parts do not cover the carrier")
+    order = pa.group.order
+    parts: list[OrbitTypePart] = []
+    for rep in sorted(set(label.tolist()), reverse=True):
+        at = np.flatnonzero(label == rep)
+        in_tau = at[key[at] == rep]
+        members = _stabilizer_members(t, key, int(in_tau[0]))
+        if len(set(key[at].tolist())) * len(members) != n:
+            raise AssertionError("orbit-type part breaks orbit-stabilizer: |orbit of tau| * |H_tau| != n")
+        X_tau = frozenset(pa.points[in_tau].tolist())
+        H, subsystem = _stabilizer_subsystem(pa, members.tolist(), X_tau)
+        tau = frozenset(g for g in range(order) if rep >> (order - 1 - g) & 1)
+        parts.append(OrbitTypePart(tau, frozenset(pa.points[at].tolist()), H, subsystem, X_tau))
     return parts

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -359,8 +360,10 @@ def block_structure(alg: StructureConstantStarAlgebra) -> FDCStarAlgebra:
     return FDCStarAlgebra(tuple(sorted(blocks)))
 
 
+@cache
 def character_degrees(group: FiniteGroup) -> tuple[int, ...]:
-    """The irreducible character degrees of ``group``, sorted, in exact arithmetic.
+    """The irreducible character degrees of ``group``, sorted, in exact arithmetic;
+    computed once per group and shared.
 
     Burnside-Dixon over GF(p) (Dixon, Numer. Math. 10 (1967); Schneider,
     J. Symbolic Comput. 9 (1990)), with p the least prime above |H| that is
@@ -404,15 +407,12 @@ def character_degrees(group: FiniteGroup) -> tuple[int, ...]:
 def crossed_product_blocks_combinatorial(pa: PartialAction) -> FDCStarAlgebra:
     """Blocks via orbits and stabilizers, in exact arithmetic: each orbit O
     with isotropy H contributes |O| * chi(1) for every irreducible character
-    chi of H (character_degrees, computed once per stabilizer here)."""
+    chi of H (character_degrees, computed once per stabilizer group)."""
     gr = translation_groupoid(pa)
-    degrees: dict[frozenset[int], tuple[int, ...]] = {}
     blocks: list[int] = []
     for orbit in gr.orbits:
         stab = gr.stabilizers[min(orbit)]
-        if stab.members not in degrees:
-            degrees[stab.members] = character_degrees(stab.as_group())
-        blocks.extend(len(orbit) * d for d in degrees[stab.members])
+        blocks.extend(len(orbit) * d for d in character_degrees(stab.as_group()))
     return FDCStarAlgebra(tuple(sorted(blocks)))
 
 

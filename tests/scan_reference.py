@@ -34,7 +34,7 @@ from partact.pactions import (
     validate,
 )
 from partact.rokhlin import CertificateCheck, TowerCertificate
-from partact.tuples import stabilizer_and_section
+from tuple_reference import stabilizer_and_section
 
 CHECK_CHUNK = 1 << 22  # product-table entries per associativity chunk
 

