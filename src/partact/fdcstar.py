@@ -7,9 +7,10 @@ The crossed product has basis {delta_x u_g : x in X_g} with
 
 which is the specialization of the general coefficient relations to
 indicator functions (tests re-derive it from the symbolic expansion).  Each
-basis element is an arrow theta_{g^-1}(x) -> x of the translation groupoid,
-so the product and star tables are read off the integer theta table, and
-checked by O(n^2) identities on the arrows' labels, sources and targets.
+basis element is an arrow theta_{g^-1}(x) -> x of the translation groupoid.
+The product is kept as one row per composable pair of arrows, never as an
+n x n table.  The rows and the star table are read off the integer theta
+table and checked by identities on the arrows' ends, linear in the rows.
 Block structure is computed two independent, exact ways: from the tables
 alone, orbit by orbit, splitting the loop class sums into primitive central
 idempotents over GF(p); and from groupoid orbits and the character degrees
@@ -27,12 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .groups import FiniteGroup
-from .pactions import IndexTables, PartialAction, index_tables, row_blocks, translation_groupoid
+from .pactions import IndexTables, PartialAction, index_tables, translation_groupoid
 
 class AlgebraError(ValueError):
     pass
@@ -50,11 +51,11 @@ class IntegralityFailure(AlgebraError):
 class StructureConstantStarAlgebra:
     """A *-algebra presented by basis labels and monomial structure constants.
 
-    ``product[i, j]`` is the basis index of b_i b_j or -1 when the product
-    vanishes; ``star[i]`` is the basis index of b_i^*.  Both are read-only
-    ``intp`` arrays: tuples are converted on construction, and arrays are
-    frozen in place, not copied.  All coefficients are 0 or 1, which covers
-    every groupoid algebra this package builds.
+    ``product`` lists the nonzero products, one row (i, j, k) per b_i b_j = b_k
+    in strictly increasing (i, j); ``star[i]`` is the index of b_i^*.  Both
+    are read-only ``intp`` arrays of indices in [0, n): tuples are converted
+    on construction, and arrays are frozen in place, not copied.  All
+    coefficients are 0 or 1, which covers every groupoid algebra built here.
     """
 
     basis: tuple[object, ...]
@@ -63,10 +64,15 @@ class StructureConstantStarAlgebra:
 
     def __post_init__(self):
         n = len(self.basis)
-        for name, shape in (("product", (n, n)), ("star", (n,))):
+        for name, shape in (("product", (-1, 3)), ("star", (n,))):
             table = np.asarray(getattr(self, name), dtype=np.intp).reshape(shape)
+            if ((table < 0) | (table >= n)).any():
+                raise AlgebraError(f"{name} has an index outside [0, {n})")
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+        keys = self.product[:, 0] * n + self.product[:, 1]
+        if (keys[1:] <= keys[:-1]).any():
+            raise AlgebraError("product rows are not in strictly increasing (i, j)")
 
     @property
     def dimension(self) -> int:
@@ -88,9 +94,33 @@ class FDCStarAlgebra:
         return len(self.blocks)
 
 
+def _pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with a[i] = b[j], in increasing (i, j)."""
+    order = b.argsort(kind="stable")
+    ordered = b[order]
+    lo = ordered.searchsorted(a, "left")
+    size = ordered.searchsorted(a, "right") - lo
+    i = np.arange(len(a)).repeat(size)
+    return i, order[np.arange(len(i)) + (lo - size.cumsum() + size)[i]]  # a[i]'s run in ordered starts at lo[i]
+
+
+def _product_lookup(alg: StructureConstantStarAlgebra) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(i, j) -> k with b_i b_j = b_k, on index arrays; -1 where the product vanishes or i is -1."""
+    n = alg.dimension
+    keys = np.concatenate((alg.product[:, 0] * n + alg.product[:, 1], [n * n]))  # n * n: above every key
+    ks = np.concatenate((alg.product[:, 2], [-1]))
+
+    def lookup(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        want = i * n + j
+        at = keys.searchsorted(want)
+        return np.where(keys[at] == want, ks[at], -1)
+
+    return lookup
+
+
 def _arrow_ends(alg: StructureConstantStarAlgebra, t: IndexTables) -> tuple[np.ndarray, ...]:
     """Label g, target x and source theta_{g^-1}(x) of each basis element
-    (g, x), the points as indices into the sorted carrier."""
+    (g, x), the points as indices into the sorted carrier; labels must not repeat."""
     n = alg.dimension
     lab = np.fromiter((g for g, _ in alg.basis), np.intp, n)
     tgt = np.fromiter((t.index.get(x, -1) for _, x in alg.basis), np.intp, n)
@@ -100,17 +130,20 @@ def _arrow_ends(alg: StructureConstantStarAlgebra, t: IndexTables) -> tuple[np.n
         bad = src < 0
     if bad.any():
         raise AlgebraError(f"basis label {alg.basis[np.argmax(bad)]} is not an arrow")
+    if (np.bincount(lab * len(t.index) + tgt) > 1).any():
+        raise AlgebraError("crossed-product basis labels repeat")
     return lab, tgt, src
 
 
 def check_arrow_identities(alg: StructureConstantStarAlgebra, t: IndexTables) -> None:
-    """The crossed-product laws as O(n^2) identities on the basis labels.
+    """The crossed-product laws as identities on the basis labels, linear in the rows.
 
     Basis element i = (g, x) is the arrow src(i) -> tgt(i) with label
     lambda(i) = g, tgt(i) = x and src(i) = theta_{g^-1}(x); distinct labels
     give distinct (lambda, tgt).  The identities are:
 
-      * b_i b_j is defined iff src(i) = tgt(j);
+      * b_i b_j is defined iff src(i) = tgt(j): every row has it, and the
+        rows, distinct pairs, number sum_x in(x) out(x), all such pairs;
       * where it is defined, it is a basis element with label
         lambda(i) lambda(j), target tgt(i) and source src(j);
       * b_i^* has label lambda(i)^-1, target src(i) and source tgt(i).
@@ -124,26 +157,16 @@ def check_arrow_identities(alg: StructureConstantStarAlgebra, t: IndexTables) ->
     anti-homomorphism; and b_i^** has the label and target of b_i, so star
     is an involution.
     """
-    n = alg.dimension
     lab, tgt, src = _arrow_ends(alg, t)
-    if len(np.unique(lab * len(t.index) + tgt)) != n:
-        raise AlgebraError("crossed-product basis labels repeat")
-    P, S = alg.product, alg.star
-    defined = src[:, None] == tgt[None, :]
-    if not np.array_equal(P >= 0, defined):
-        i, j = np.argwhere((P >= 0) != defined)[0]
-        raise AlgebraError(f"product of basis elements ({i}, {j}) is not defined exactly when src = tgt")
-    i, j = np.nonzero(defined)
-    k = P[i, j]
-    bad = k >= n
-    if not bad.any():
-        bad = (lab[k] != t.mul[lab[i], lab[j]]) | (tgt[k] != tgt[i]) | (src[k] != src[j])
+    i, j, k = alg.product.T
+    bad = (src[i] != tgt[j]) | (lab[k] != t.mul[lab[i], lab[j]]) | (tgt[k] != tgt[i]) | (src[k] != src[j])
     if bad.any():
         at = np.argmax(bad)
         raise AlgebraError(f"product of basis elements ({i[at]}, {j[at]}) is not the composed arrow")
-    bad = (S < 0) | (S >= n)
-    if not bad.any():
-        bad = (lab[S] != t.inv[lab]) | (tgt[S] != src) | (src[S] != tgt)
+    composable = int(np.bincount(src, minlength=len(t.index)) @ np.bincount(tgt, minlength=len(t.index)))
+    if len(k) != composable:
+        raise AlgebraError(f"products are not defined exactly when src = tgt: {len(k)} rows, {composable} pairs")
+    bad = (lab[alg.star] != t.inv[lab]) | (tgt[alg.star] != src) | (src[alg.star] != tgt)
     if bad.any():
         raise AlgebraError(f"star of basis element {np.argmax(bad)} is not the inverse arrow")
 
@@ -153,72 +176,67 @@ def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
 
     Built from the theta table: the basis (g, x) with theta_{g^-1}(x)
     defined, g-major with points ascending; b_i b_j is the element
-    (lambda(i) lambda(j), tgt(i)) where src(i) = tgt(j), and b_i^* is
-    (lambda(i)^-1, src(i)).  The tables are checked by
+    (lambda(i) lambda(j), tgt(i)) where src(i) = tgt(j) and that element
+    exists, and b_i^* is (lambda(i)^-1, src(i)).  The tables are checked by
     ``check_arrow_identities``.
     """
     t = index_tables(pa)
     back = t.theta[t.inv]  # back[g, x]: theta_{g^-1}(x), -1 off X_g
     lab, tgt = np.nonzero(back >= 0)
     src = back[lab, tgt]
-    n = len(lab)
     bidx = np.full(back.shape, -1, dtype=np.intp)
-    bidx[lab, tgt] = np.arange(n)
-    product = np.full((n, n), -1, dtype=np.intp)
-    i, j = np.nonzero(src[:, None] == tgt[None, :])
-    product[i, j] = bidx[t.mul[lab[i], lab[j]], tgt[i]]
+    bidx[lab, tgt] = np.arange(len(lab))
+    i, j = _pairs(src, tgt)
+    k = bidx[t.mul[lab[i], lab[j]], tgt[i]]
     points = np.array(sorted(t.index), dtype=object)
     basis = tuple(zip(lab.tolist(), points[tgt].tolist()))
-    alg = StructureConstantStarAlgebra(basis, product, bidx[t.inv[lab], src])
+    alg = StructureConstantStarAlgebra(basis, np.array([i, j, k]).T[k >= 0], bidx[t.inv[lab], src])
     check_arrow_identities(alg, t)
     return alg
 
 
 def _center_basis(alg: StructureConstantStarAlgebra) -> tuple[np.ndarray, ...]:
-    """The center as class sums: the loops, the class of each, each class's least member, each arrow's unit.
+    """The center as class sums: the loops, the class of each element, each class's least member, each arrow's unit.
 
     Every basis element b is a groupoid arrow with unit b b*, and a loop when
     b b* = b* b.  The class of loop b is {c b c* : c an arrow out of its
     unit}, the same set from each of its members, so its least member names
-    it; classes are numbered in the order of their least members, and loop
-    ``loops[i]`` lies in class ``row[i]``.  The sum over each class is
-    central (Burnside's class sums), and for a groupoid algebra these sums
-    span the center.  Every class sum is checked central exactly, all at
-    once: z b_j and b_j z are equal multisets of basis indices, so the
-    products of the loops with b_j on either side, keyed by class, sort to
-    equal columns.
+    it; classes are numbered in the order of their least members.  Loop b
+    lies in class ``cls[b]``; ``cls`` is -1 off the loops and at index n.
+    The sum over each class is central (Burnside's class sums), and for a
+    groupoid algebra these sums span the center.  Every class sum is checked
+    central exactly, all at once: z b_j and b_j z are equal multisets of
+    basis indices, so the product rows with a loop on the left and those
+    with a loop on the right, as (class, other factor, product), sort to
+    equal lists.
     """
     n = alg.dimension
-    P, S = alg.product, alg.star
+    lookup, S = _product_lookup(alg), alg.star
     ks = np.arange(n)
-    unit, source = P[ks, S], P[S, ks]
-    bad = np.flatnonzero((unit < 0) | (P[np.clip(unit, 0, None), ks] != ks))
+    unit, source = lookup(ks, S), lookup(S, ks)
+    bad = (lookup(unit, ks) != ks).nonzero()[0]
     if len(bad):
         raise NotSemisimpleOrDegenerate(f"basis element {bad[0]} is not a groupoid arrow")
-    loops = np.flatnonzero(unit == source)
-    # Every pair (c, b) of a loop b and an arrow c out of its unit, b-major:
-    # the arrows sorted by source, loop b's run starting at first[b].
-    outs = np.argsort(source, kind="stable")
-    first = np.searchsorted(source[outs], unit[loops])
-    size = np.bincount(source, minlength=n)[unit[loops]]
-    starts = np.cumsum(size) - size
-    b = np.repeat(loops, size)
-    c = outs[np.arange(len(b)) + np.repeat(first - starts, size)]
-    cb = P[c, b]
-    conjugates = np.where(cb < 0, -1, P[cb, S[c]])
+    loops = (unit == source).nonzero()[0]
+    # Every pair (loop b, arrow c out of its unit), b-major; loop loops[a]'s run starts where ``at`` reaches a.
+    at, c = _pairs(unit[loops], source)
+    conjugates = lookup(lookup(c, loops[at]), S[c])
     if (conjugates < 0).any():
-        raise NotSemisimpleOrDegenerate(f"a conjugate of loop {b[conjugates < 0].min()} vanishes")
-    least, row = np.unique(np.minimum.reduceat(conjugates, starts), return_inverse=True)
-    # Key k (n + 1) + 1 + P[., .] keeps each class's products apart, -1 included.
-    key = (row * (n + 1) + 1)[:, None]
-    for cols in row_blocks(n, len(loops)):
-        left = np.sort(key + P[loops, cols], axis=0)
-        right = np.sort(key + P[cols][:, loops].T, axis=0)
-        if not np.array_equal(left, right):
-            k, j = np.argwhere(left != right)[0]
-            cls = min(left[k, j], right[k, j]) // (n + 1)
-            raise AssertionError(f"class sum of basis element {loops[np.argmax(row == cls)]} is not central")
-    return loops, row, least, unit
+        raise NotSemisimpleOrDegenerate(f"a conjugate of loop {loops[at[conjugates < 0]].min()} vanishes")
+    smallest = np.minimum.reduceat(conjugates, at.searchsorted(ks[:len(loops)]))  # the least of each loop's class
+    least = np.bincount(smallest, minlength=n).nonzero()[0]
+    cls = np.full(n + 1, -1)
+    cls[loops] = least.searchsorted(smallest)
+    i, j, k = alg.product.T
+    sides = []
+    for loop, other in ((i, j), (j, i)):  # the rows of z b_other, then of b_other z; (n, n, n) off the loops
+        rows = np.where(cls[loop] >= 0, [cls[loop], other, k], n)
+        sides.append(rows[:, np.lexsort(rows[::-1])])
+    left, right = sides
+    if not np.array_equal(left, right):
+        col = (left != right).any(axis=0).argmax()  # the smaller class at the first difference is not central
+        raise AssertionError(f"class sum of basis element {least[min(left[0, col], right[0, col])]} is not central")
+    return loops, cls, least, unit
 
 
 def _nullspace_mod(A: list[list[int]], lam: int, p: int) -> tuple[list[int], list[list[int]]]:
@@ -329,16 +347,11 @@ def block_structure(alg: StructureConstantStarAlgebra) -> FDCStarAlgebra:
     unit, one split per distinct constants and size within a call (equal
     orbits recur when many points share a non-abelian stabilizer).
     """
-    n = alg.dimension
-    if n == 0:
-        return FDCStarAlgebra(())
-    loops, row, least, unit = _center_basis(alg)
-    P, S = alg.product, alg.star
-    cls = np.full(n + 1, -1)  # the class of each loop; -1 elsewhere and at index -1
-    cls[loops] = row
+    loops, cls, least, unit = _center_basis(alg)
+    lookup, S = _product_lookup(alg), alg.star
     orbit = cls[unit]  # of each arrow: the class of its unit
     orbits = np.flatnonzero(np.bincount(orbit))
-    arrows, units = np.bincount(orbit)[orbits], np.bincount(row)[orbits]
+    arrows, units = np.bincount(orbit)[orbits], np.bincount(cls[loops])[orbits]
     classes = np.bincount(orbit[least], minlength=len(least))[orbits]
     h, rest = np.divmod(arrows, units**2)
     if rest.any():
@@ -351,7 +364,7 @@ def block_structure(alg: StructureConstantStarAlgebra) -> FDCStarAlgebra:
         k = len(cs)
         local = np.full(len(least) + 1, -1)
         local[cs] = np.arange(k)
-        b = local[cls[P[S[xs][:, None], xs[first]]]]  # the class of x* z, z the first of class c
+        b = local[cls[lookup(S[xs][:, None], xs[first])]]  # the class of x* z, z the first of class c
         N = np.bincount(((a[:, None] * k + np.arange(k)) * k + b).ravel(), minlength=k**3).reshape(k, k, k)
         key = (int(arrows[o]), N.tobytes())
         if key not in split:
@@ -485,11 +498,7 @@ class BimoduleReport:
         return all(self.clauses.values())
 
 
-def imprimitivity_bimodule_verify(
-    pa: PartialAction,
-    *,
-    crossed: Optional[StructureConstantStarAlgebra] = None,
-) -> BimoduleReport:
+def imprimitivity_bimodule_verify(pa: PartialAction, *, crossed: StructureConstantStarAlgebra) -> BimoduleReport:
     """Exact verification of the fixed-point / crossed-product bimodule.
 
     Checks: the domain-count function x_alpha, the column counts of the
@@ -510,56 +519,47 @@ def imprimitivity_bimodule_verify(
     Compatibility and right fullness are read off integer index tables:
     <delta_a, delta_b> is the indicator of I(a, b) = {k : tgt k = a,
     src k = b}, and delta_b . (delta_z u_h) = [z = b] delta_{src}.
-    ``crossed`` is crossed_product(pa), built here when not given.  Failures
-    are reported, not raised: the Morita statement assumes finite tower
-    dimension.
+    ``crossed`` is crossed_product(pa).  Failures are reported, not raised:
+    the Morita statement assumes finite tower dimension.
     """
     t = index_tables(pa)
-    alg = crossed_product(pa) if crossed is None else crossed
-    n, npoints = alg.dimension, len(t.index)
-    _, tgt, src = _arrow_ends(alg, t)
-    P = alg.product
+    n, npoints = crossed.dimension, len(t.index)
+    _, tgt, src = _arrow_ends(crossed, t)
+    i, j, k = crossed.product.T
 
     counts = (t.theta[t.inv] >= 0).sum(axis=0)  # x_alpha(x) = #{g : x in X_g}
-    unit_bounded = bool((counts >= 1).all())
     unit_fixed = bool(np.array_equal(counts[src], counts[tgt]))
 
     # e* = e: star permutes the basis.  e e = x_alpha e: b_k is the product
     # of exactly x_alpha(tgt k) pairs of basis elements.
     positivity = bool(
-        np.array_equal(np.sort(alg.star), np.arange(n))
-        and np.array_equal(np.bincount(P[P >= 0], minlength=n), counts[tgt])
+        np.array_equal(np.sort(crossed.star), np.arange(n))
+        and np.array_equal(np.bincount(k, minlength=n), counts[tgt])
     )
 
-    # For xi = b_j the clause <delta_a, delta_b> xi = <delta_a, delta_b . xi>
-    # over all (a, b) reads: the multiset of (tgt k, src k, k b_j) over k with
-    # k b_j != 0 equals that of (tgt m, tgt j, m) over m with src m = src j.
-    # Column j of each side's table encodes those triples, padded with -1;
-    # the tables are built and compared a block of columns at a time.
-    cells, ks = tgt * npoints + src, np.arange(n)[:, None]
-    compatibility = all(
-        np.array_equal(
-            np.sort(np.where(P[:, c] >= 0, cells[:, None] * n + P[:, c], -1), axis=0),
-            np.sort(np.where(src[:, None] == src[c], (tgt[:, None] * npoints + tgt[c]) * n + ks, -1), axis=0),
-        )
-        for c in row_blocks(n, n)
-    )
+    # For xi = b_c the clause <delta_a, delta_b> xi = <delta_a, delta_b . xi>
+    # over all (a, b) reads: the multiset of (tgt k, src k, k b_c) over k with
+    # k b_c != 0 equals that of (tgt m, tgt c, m) over m with src m = src c.
+    # Each side lists them as (c, cell, basis index); sorted, the lists are equal.
+    cells = tgt * npoints + src
+    m, c = _pairs(src, src)
+    sides = []
+    for rows in (np.array([j, cells[i], k]), np.array([c, tgt[m] * npoints + tgt[c], m])):
+        sides.append(rows[:, np.lexsort(rows[::-1])])
+    compatibility = np.array_equal(*sides)
 
     # The <delta_a, delta_b> are the indicators of the nonempty cells I(a, b).
-    # Over distinct basis arrows the cells partition the basis, so those
-    # indicators are independent and the span dimension is their count.
-    if len(set(alg.basis)) != n:
-        raise AssertionError("crossed-product basis labels repeat")
+    # Over distinct basis arrows (``_arrow_ends``) the cells partition the basis,
+    # so those indicators are independent and the span dimension is their count.
     span_dim = len(np.unique(cells))
-    right_fullness = span_dim == n
 
     return BimoduleReport(
-        unit_sum_bounded_below=unit_bounded,
+        unit_sum_bounded_below=bool((counts >= 1).all()),
         unit_sum_fixed=unit_fixed,
         positivity=positivity,
         compatibility=compatibility,
         left_fullness=unit_fixed,
-        right_fullness=right_fullness,
+        right_fullness=span_dim == n,
         span_dimension=span_dim,
         algebra_dimension=n,
     )

@@ -138,10 +138,9 @@ def rokhlin_dimension(pa: PartialAction) -> RokhlinResult:
         result = RokhlinResult(0, outcome, None)
     else:
         result = RokhlinResult(math.inf, None, outcome)
-    if result.finite != is_free(pa):
-        raise AssertionError(
-            f"Rokhlin dimension {result.dimension} contradicts freeness = {is_free(pa)}"
-        )
+    free = is_free(pa)
+    if result.finite != free:
+        raise AssertionError(f"Rokhlin dimension {result.dimension} contradicts freeness = {free}")
     return result
 
 

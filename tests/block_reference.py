@@ -22,6 +22,7 @@ from partact.fdcstar import (
     StructureConstantStarAlgebra,
     _center_basis,
 )
+from scan_reference import dense_product
 
 EIGENVALUE_SEPARATION = 1e-8
 INTEGRALITY_TOLERANCE = 1e-6
@@ -40,9 +41,9 @@ class BlockComputation:
 
 def center_rows(alg: StructureConstantStarAlgebra) -> np.ndarray:
     """The class sums as 0/1 rows over the basis, one row per class."""
-    loops, row, _, _ = _center_basis(alg)
-    Z = np.zeros((row.max() + 1, alg.dimension))
-    Z[row, loops] = 1.0
+    loops, cls, least, _ = _center_basis(alg)
+    Z = np.zeros((len(least), alg.dimension))
+    Z[cls[loops], loops] = 1.0
     return Z
 
 
@@ -59,7 +60,7 @@ def block_structure_full(
         return BlockComputation(FDCStarAlgebra(()), 0.0, 0, 0)
     Z = center_rows(alg)
     center_dim = Z.shape[0]
-    P, S = alg.product, alg.star
+    P, S = dense_product(alg), alg.star
     js, cols = np.nonzero(P >= 0)  # b_j b_i = b_{P[j, i]}
     last_failure = "no attempt made"
     for attempt in range(retries):

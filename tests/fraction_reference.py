@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch
 from partact.pactions import translation_groupoid
-from scan_reference import groupoid_arrows
+from scan_reference import dense_product, groupoid_arrows
 
 Row = list[Fraction]
 
@@ -218,7 +218,7 @@ def sampled_positivity(pa, alg) -> bool:
     integers, is PSD.
     """
     points = sorted(pa.carrier)
-    n = alg.dimension
+    n, P = alg.dimension, dense_product(alg)
     rng = random.Random(0)
     family = [{p: Fraction(1)} for p in points]
     for _ in range(2):
@@ -240,7 +240,7 @@ def sampled_positivity(pa, alg) -> bool:
         M = [[0] * n for _ in range(n)]
         for j, v in as_indices.items():
             w = int(v * scale)
-            for i, k in enumerate(alg.product[j]):
+            for i, k in enumerate(P[j]):
                 if k >= 0:
                     M[k][i] += w
         if M != [list(col) for col in zip(*M)] or not is_psd_rational(M):

@@ -4,9 +4,11 @@ Each function here is the element-by-element formulation that a table
 route replaced: the certificate verifier, the partial-action axiom checks,
 the union-find globalization, the union-find center basis, the nested
 loop crossed-product builder with its exhaustive associativity scan, the
-restrictions, strata and stabilizer subsystems built through ``validate``,
-the enumeration of the groupoid's arrows, the set form of
-n-decomposability, and the instance document written from the dict views.
+dense n x n product table they read and write (``dense_product``,
+``from_dense``), the restrictions, strata and stabilizer subsystems built
+through ``validate``, the enumeration of the groupoid's arrows, the set
+form of n-decomposability, and the instance document written from the dict
+views.
 Tests compare the two, witness for witness and label for label.
 """
 
@@ -337,11 +339,29 @@ def reference_central_splitting(gr: GlobalizationResult) -> dict[int, frozenset[
     return splitting
 
 
+def dense_product(alg: StructureConstantStarAlgebra) -> np.ndarray:
+    """The n x n product table of ``alg``: entry (i, j) is the index of
+    b_i b_j, or -1 where the product vanishes."""
+    n = alg.dimension
+    table = np.full((n, n), -1, dtype=np.intp)
+    i, j, k = alg.product.T
+    table[i, j] = k
+    return table
+
+
+def from_dense(basis: Sequence, product, star) -> StructureConstantStarAlgebra:
+    """The algebra whose n x n product table is ``product``, -1 where the
+    product vanishes: its entries that are not -1 become the product rows."""
+    table = np.asarray(product, dtype=np.intp).reshape(len(basis), len(basis))
+    i, j = np.nonzero(table != -1)
+    return StructureConstantStarAlgebra(tuple(basis), np.stack([i, j, table[i, j]], axis=1), star)
+
+
 def reference_center_basis(alg: StructureConstantStarAlgebra) -> np.ndarray:
     """Class sums of loops by union-find: loop b joined with c b c* for each
     arrow c out of its unit; rows in the order of each class's least loop."""
     n = alg.dimension
-    P, S = alg.product, alg.star
+    P, S = dense_product(alg), alg.star
     unit = [P[k][S[k]] for k in range(n)]
     source = [P[S[k]][k] for k in range(n)]
     parent = list(range(n))
@@ -380,7 +400,7 @@ def reference_crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra
             if xg == y:
                 product[i][j] = index[(G.mul(g, h), x)]
     star = [index[(G.inv(g), pa.theta(G.inv(g), x))] for (g, x) in basis]
-    return StructureConstantStarAlgebra(tuple(basis), tuple(map(tuple, product)), tuple(star))
+    return from_dense(basis, product, star)
 
 
 def reference_check_invariants(alg: StructureConstantStarAlgebra) -> None:
@@ -391,7 +411,7 @@ def reference_check_invariants(alg: StructureConstantStarAlgebra) -> None:
         return
     # Vanishing products point at an extra index n that absorbs everything.
     E = np.full((n + 1, n + 1), n, dtype=np.int16 if n < 2**15 else np.int64)
-    P = np.array(alg.product, dtype=np.int64)
+    P = dense_product(alg).astype(np.int64)
     E[:n, :n] = np.where(P >= 0, P, n)
     idx = E[:n, :n].astype(np.intp)
     rows_of = np.ascontiguousarray(E[:, :n])

@@ -127,10 +127,11 @@ def test_criterion_6_morita_bimodule():
         if not is_free(pa):
             continue
         free_count += 1
-        report = imprimitivity_bimodule_verify(pa)
+        report = imprimitivity_bimodule_verify(pa, crossed=crossed_product(pa))
         assert report.all_hold, (pa, report.clauses)
     assert free_count > 0
-    fixed_report = imprimitivity_bimodule_verify(_fixed_single())
+    fixed = _fixed_single()
+    fixed_report = imprimitivity_bimodule_verify(fixed, crossed=crossed_product(fixed))
     assert not fixed_report.right_fullness
     assert fixed_report.span_dimension == 1 and fixed_report.algebra_dimension == 2
     assert fixed_report.clauses["unit_sum"] and fixed_report.clauses["positivity"]

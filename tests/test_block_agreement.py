@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from block_reference import block_structure_full
+from scan_reference import dense_product
 
 from partact import cli, fdcstar
 from partact.fdcstar import (
@@ -86,14 +87,15 @@ def test_orbit_blocks_reject_sizes_that_are_not_whole():
     s3 = build_group(("symmetric", 3))
     pa = global_action(s3, [0], {g: {0: 0} for g in s3.elements()})
     alg = crossed_product(pa)
-    loops, row, _, _ = fdcstar._center_basis(alg)
-    S = alg.star
+    loops, cls, _, _ = fdcstar._center_basis(alg)
+    row = cls[loops]
+    P, S = dense_product(alg), alg.star
     k = row.max() + 1
     N = np.zeros((k, k, k), dtype=np.intp)
     first = loops[np.unique(row, return_index=True)[1]]
     for x, a in zip(loops, row):
         for c, z in enumerate(first):
-            N[a, c, row[alg.product[S[x], z]]] += 1
+            N[a, c, row[P[S[x], z]]] += 1
     assert sorted(fdcstar._orbit_blocks(N, int(row[0]), 6, 6)) == [1, 1, 2]
     with pytest.raises(IntegralityFailure):
         fdcstar._orbit_blocks(N, int(row[0]), 12, 6)

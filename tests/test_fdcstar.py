@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,13 @@ from fraction_reference import (
     right_action,
     sampled_positivity,
 )
-from scan_reference import reference_check_invariants, unvalidated
+from scan_reference import (
+    dense_product,
+    from_dense,
+    reference_check_invariants,
+    reference_crossed_product,
+    unvalidated,
+)
 
 import partact
 from partact import cli, fdcstar
@@ -49,7 +56,7 @@ def group_algebra(group: FiniteGroup) -> StructureConstantStarAlgebra:
     """The group algebra as a checked structure-constant *-algebra."""
     basis = tuple(group.elements())
     product = tuple(tuple(group.mul(a, b) for b in basis) for a in basis)
-    alg = StructureConstantStarAlgebra(basis, product, tuple(group.inv(a) for a in basis))
+    alg = from_dense(basis, product, tuple(group.inv(a) for a in basis))
     reference_check_invariants(alg)
     return alg
 
@@ -68,10 +75,11 @@ def test_crossed_product_rule_matches_symbolic_expansion(swap_pair):
     """The indicator specialization is re-derived from the general relations."""
     alg = crossed_product(swap_pair)
     index = {b: i for i, b in enumerate(alg.basis)}
+    P = dense_product(alg)
     for (g, x) in alg.basis:
         for (h, y) in alg.basis:
             coeff, gh = symbolic_product(swap_pair, {x: F(1)}, g, {y: F(1)}, h)
-            got = alg.product[index[(g, x)]][index[(h, y)]]
+            got = P[index[(g, x)]][index[(h, y)]]
             if not coeff:
                 assert got == -1
             else:
@@ -233,20 +241,13 @@ def test_free_morita_shadow_on_corpus():
 
 
 def test_degenerate_algebra_is_rejected():
-    from partact.fdcstar import (
-        NotSemisimpleOrDegenerate,
-        StructureConstantStarAlgebra,
-    )
+    from partact.fdcstar import NotSemisimpleOrDegenerate
 
     # Dual numbers: 1 and a self-adjoint nilpotent.  eps eps* = eps eps
     # vanishes, so eps is not a groupoid arrow, and the left regular
     # representation of any central element is defective, so the float
     # reference's clustering can never match the center dimension.
-    nil = StructureConstantStarAlgebra(
-        basis=("one", "eps"),
-        product=((0, 1), (1, -1)),
-        star=(0, 1),
-    )
+    nil = from_dense(("one", "eps"), ((0, 1), (1, -1)), (0, 1))
     reference_check_invariants(nil)
     with pytest.raises(NotSemisimpleOrDegenerate):
         block_structure(nil)
@@ -255,13 +256,13 @@ def test_degenerate_algebra_is_rejected():
 
 
 def test_bimodule_swap_pair_all_clauses(swap_pair):
-    report = imprimitivity_bimodule_verify(swap_pair)
+    report = imprimitivity_bimodule_verify(swap_pair, crossed=crossed_product(swap_pair))
     assert report.all_hold
     assert report.span_dimension == 5 and report.algebra_dimension == 5
 
 
 def test_bimodule_fixed_single_right_fullness_fails(fixed_single):
-    report = imprimitivity_bimodule_verify(fixed_single)
+    report = imprimitivity_bimodule_verify(fixed_single, crossed=crossed_product(fixed_single))
     assert report.clauses["unit_sum"]
     assert report.clauses["positivity"]
     assert report.clauses["compatibility"]
@@ -271,7 +272,7 @@ def test_bimodule_fixed_single_right_fullness_fails(fixed_single):
 
 
 def test_bimodule_idle_triple_degenerates_to_functions(idle_triple):
-    report = imprimitivity_bimodule_verify(idle_triple)
+    report = imprimitivity_bimodule_verify(idle_triple, crossed=crossed_product(idle_triple))
     assert report.all_hold
     assert report.span_dimension == 3 == report.algebra_dimension
 
@@ -305,6 +306,7 @@ def reference_bimodule_clauses(pa, alg):
 
     index = {b: i for i, b in enumerate(alg.basis)}
     points = sorted(pa.carrier)
+    P = dense_product(alg)
 
     def indexed(elt):
         return {index[k]: v for k, v in elt.items()}
@@ -313,7 +315,7 @@ def reference_bimodule_clauses(pa, alg):
         out = {}
         for i, va in a.items():
             for j, vb in b.items():
-                k = alg.product[i][j]
+                k = P[i][j]
                 if k >= 0:
                     out[k] = out.get(k, F(0)) + va * vb
         return {k: v for k, v in out.items() if v != 0}
@@ -362,14 +364,14 @@ def test_bimodule_index_tables_match_fraction_reference(swap_pair, fixed_single,
         assert report.compatibility == compatibility
         assert report.span_dimension == span
         assert report.right_fullness == (span == alg.dimension)
-        assert report == imprimitivity_bimodule_verify(pa)
+        assert report == imprimitivity_bimodule_verify(pa, crossed=reference_crossed_product(pa))
 
 
 def test_left_fullness_identity_matches_fraction_reference():
     from partact.harness import corpus
 
     for pa in corpus(20260808, 100):
-        report = imprimitivity_bimodule_verify(pa)
+        report = imprimitivity_bimodule_verify(pa, crossed=crossed_product(pa))
         assert report.left_fullness == reference_left_fullness(pa)
         assert report.left_fullness
 
@@ -385,10 +387,10 @@ def test_positivity_identity_matches_sampled_reference(swap_pair, fixed_single, 
 def test_positivity_fails_on_a_corrupted_product_entry(swap_pair):
     alg = crossed_product(swap_pair)
     for i, j in [(0, 0), (0, 1)]:  # a nonzero entry, and a vanishing one
-        product = [list(row) for row in alg.product]
+        product = dense_product(alg)
         product[i][j] = (product[i][j] + 1) % alg.dimension
-        # replace skips the crossed-product identities, which would reject the table.
-        tampered = replace(alg, product=tuple(map(tuple, product)))
+        # Built directly: crossed_product's identities would reject the table.
+        tampered = from_dense(alg.basis, product, alg.star)
         assert not imprimitivity_bimodule_verify(swap_pair, crossed=tampered).positivity
         assert not sampled_positivity(swap_pair, tampered)
 
@@ -412,26 +414,21 @@ def test_bimodule_swapped_basis_labels_break_compatibility(swap_pair):
     assert reference_bimodule_clauses(swap_pair, tampered)[0] is False
 
 
-def test_bimodule_compatibility_in_column_blocks(monkeypatch):
-    """Several column blocks give the same report as one, on the corpus and
-    on a corrupted product entry in the last block."""
-    from partact import pactions
+def test_bimodule_compatibility_sees_a_corrupted_last_column():
+    """A corrupted product in the last column b_n, where the sorted
+    (column, code) rows end, breaks compatibility."""
     from partact.harness import corpus
 
-    instances = corpus(20260808, 40)
-    whole = [imprimitivity_bimodule_verify(pa) for pa in instances]
-    alg = crossed_product(instances[0])
+    pa = corpus(20260808, 1)[0]
+    alg = crossed_product(pa)
     n = alg.dimension
-    i = int(np.flatnonzero(alg.product[:, n - 1] >= 0)[-1])
-    product = alg.product.copy()
+    product = dense_product(alg)
+    i = int(np.flatnonzero(product[:, n - 1] >= 0)[-1])
     product[i, n - 1] = (product[i, n - 1] + 1) % n
-    tampered = replace(alg, product=product)
-    tampered_whole = imprimitivity_bimodule_verify(instances[0], crossed=tampered)
-    assert not tampered_whole.compatibility
-    monkeypatch.setattr(pactions, "BLOCK_ELEMENTS", 3 * n)
-    assert len(list(pactions.row_blocks(n, n))) > 1
-    assert [imprimitivity_bimodule_verify(pa) for pa in instances] == whole
-    assert imprimitivity_bimodule_verify(instances[0], crossed=tampered) == tampered_whole
+    tampered = from_dense(alg.basis, product, alg.star)
+    assert imprimitivity_bimodule_verify(pa, crossed=alg).compatibility
+    assert not imprimitivity_bimodule_verify(pa, crossed=tampered).compatibility
+    assert reference_bimodule_clauses(pa, tampered)[0] is False
 
 
 def test_bimodule_rejects_a_basis_label_that_is_not_an_arrow(swap_pair):
@@ -453,12 +450,12 @@ def test_center_basis_of_s3_group_algebra_is_its_class_sums():
 
 def test_center_basis_rejects_a_corrupted_product_entry():
     alg = group_algebra(build_group(("symmetric", 3)))
-    product = [list(row) for row in alg.product]
+    product = dense_product(alg)
     # Entry (1, 2) is neither an identity row nor a b b* entry, so the
     # groupoid check passes and the class-sum centrality check must fail.
     assert alg.star[1] != 2 and product[1][2] != 0
     product[1][2] = (product[1][2] + 1) % 6
-    corrupted = StructureConstantStarAlgebra(alg.basis, tuple(map(tuple, product)), alg.star)
+    corrupted = from_dense(alg.basis, product, alg.star)
     with pytest.raises(AssertionError, match="not central"):
         _center_basis(corrupted)
 
@@ -473,12 +470,12 @@ def test_center_basis_checks_each_class_on_its_own():
     ident, swap = {0: 0, 1: 1}, {0: 1, 1: 0}
     sign = global_action(s3, {0, 1}, {g: swap if g in (1, 2, 5) else ident for g in s3.elements()})
     alg = crossed_product(sign)
-    product = alg.product.copy()
+    product = dense_product(alg)
     product[6, 2], product[7, 2] = product[7, 2], product[6, 2]
     loops = [i for i, (g, _) in enumerate(alg.basis) if g not in (1, 2, 5)]
     assert np.array_equal(np.sort(product[loops], axis=0), np.sort(product[:, loops].T, axis=0))
     with pytest.raises(AssertionError, match="not central") as err:
-        _center_basis(replace(alg, product=product))
+        _center_basis(from_dense(alg.basis, product, alg.star))
     named = int(str(err.value).split("basis element ")[1].split()[0])
     noncentral = [
         members for members in map(np.flatnonzero, center_rows(alg))
@@ -491,19 +488,19 @@ def test_check_invariants_streams_and_locates_a_broken_triple(monkeypatch):
     import scan_reference
 
     alg = group_algebra(build_group(("symmetric", 3)))
-    product = [list(row) for row in alg.product]
+    product = dense_product(alg)
     product[4][5] = (product[4][5] + 1) % 6
-    corrupted = StructureConstantStarAlgebra(alg.basis, tuple(map(tuple, product)), alg.star)
+    corrupted = from_dense(alg.basis, product, alg.star)
     monkeypatch.setattr(scan_reference, "CHECK_CHUNK", 1)  # one row i per chunk
     with pytest.raises(AlgebraError, match="not associative") as err:
         reference_check_invariants(corrupted)
     i, j, k = map(int, str(err.value).split("(")[1].rstrip(")").split(", "))
-    P = corrupted.product
+    P = product
     assert P[P[i][j]][k] != P[i][P[j][k]]
 
 
 def test_crossed_product_of_regular_s4_action_fits_in_memory():
-    """n = 576: the arrow identities and the center stay O(n^2) in memory."""
+    """n = 576: the arrow identities and the center stay linear in the product rows."""
     code = (
         "import resource\n"
         "from partact.groups import symmetric_group\n"
@@ -526,6 +523,23 @@ def test_crossed_product_of_regular_s4_action_fits_in_memory():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["576", "[24]", out.stdout.split()[-1]]
     assert int(out.stdout.split()[-1]) < 1024 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_analyze_memory_is_linear_in_the_carrier():
+    """The trivial S4 action on 400 points: n = 9,600 arrows in 400 orbits.
+    A dense n x n product table alone would take 737 MB; the product rows
+    take 5.5 MB.  Peak measured with tracemalloc: 40 MB for all of analyze."""
+    group = build_group(("symmetric", 4))
+    pa = global_action(group, range(400), {g: {x: x for x in range(400)} for g in group.elements()})
+    tracemalloc.start()
+    try:
+        report = cli.analyze(pa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["crossedProduct"]["dimension"] == 9600
+    assert report["crossedProduct"]["blocks"] == sorted((1, 1, 2, 3, 3) * 400)
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize(

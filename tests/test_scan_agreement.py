@@ -15,7 +15,7 @@ import pytest
 from block_reference import center_rows
 from fraction_reference import is_fixed_element
 
-from partact import harness, pactions
+from partact import fdcstar, harness, pactions
 from partact.decomp import is_n_decomposable, orbit_type_decomposition, stratification
 from partact.fdcstar import (
     AlgebraError,
@@ -37,6 +37,8 @@ from partact.pactions import (
 )
 from partact.rokhlin import TowerCertificate, towers_exist, verify_certificate
 from scan_reference import (
+    dense_product,
+    from_dense,
     groupoid_arrows,
     reference_center_basis,
     reference_central_splitting,
@@ -475,43 +477,78 @@ def test_center_basis_agrees_with_union_find():
     assert nontrivial > 10
 
 
+def _conjugation(spec):
+    group = build_group(spec)
+    return global_action(group, group.elements(), {g: {x: group.conjugate(g, x) for x in group.elements()}
+                                                    for g in group.elements()})
+
+
 def test_crossed_product_agrees_with_nested_loop_builder(instances):
-    """Basis, product and star equal the nested loop's, on the corpus, the
-    regular actions at the group cap, random order-24 restrictions and the
-    empty carrier; the reference scan accepts every table."""
+    """Basis, product rows and star equal the nested loop's, and the rows
+    spread into an n x n table give the nested loop's table, on the corpus,
+    the regular and conjugation actions at the group cap, random order-24
+    restrictions and the empty carrier; the reference scan accepts every
+    table."""
     rng = random.Random(11)
+    specs = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
     restrictions = [
-        restricted_to(_regular(spec), rng.sample(range(24), rng.randint(1, 24)))
-        for spec in (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
-        for _ in range(3)
+        restricted_to(_regular(spec), rng.sample(range(24), rng.randint(1, 24))) for spec in specs for _ in range(3)
     ]
     empty = validate(build_group(("symmetric", 3)), set(), {}, {})
-    for pa in instances + restrictions + [empty]:
+    for pa in instances + [_conjugation(spec) for spec in specs] + restrictions + [empty]:
         alg, ref = crossed_product(pa), reference_crossed_product(pa)
         assert alg.basis == ref.basis
         assert np.array_equal(alg.product, ref.product) and np.array_equal(alg.star, ref.star)
+        assert np.array_equal(dense_product(alg), dense_product(ref))
         assert not alg.product.flags.writeable and not alg.star.flags.writeable
         assert alg.product.dtype == alg.star.dtype == np.intp
         if alg.dimension <= 100:
             reference_check_invariants(alg)
-    assert crossed_product(empty).product.shape == (0, 0)
+    assert crossed_product(empty).product.shape == (0, 3)
+
+
+def test_product_rows_reject_every_tampering(instances):
+    """A dropped row, a duplicated row, two rows out of order, an extra row
+    whose factors do not compose, and a product index outside [0, n): the
+    constructor or the arrow identities raise on each."""
+    pa = next(pa for pa in instances if crossed_product(pa).dimension >= 8)
+    alg, t = crossed_product(pa), index_tables(pa)
+    rows, n = alg.product, alg.dimension
+    _, tgt, src = fdcstar._arrow_ends(alg, t)
+    i, j = next((i, j) for i in range(n) for j in range(n) if src[i] != tgt[j])
+    after = np.searchsorted(rows[:, 0] * n + rows[:, 1], i * n + j)
+    extra = np.insert(rows, after, [i, j, 0], axis=0)
+    outside = rows.copy()
+    outside[len(rows) // 2, 2] = n
+    swapped = rows.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    for tampered in (rows[1:], np.insert(rows, 3, rows[3], axis=0), swapped, extra, outside):
+        with pytest.raises(AlgebraError):
+            check_arrow_identities(StructureConstantStarAlgebra(alg.basis, tampered, alg.star), t)
+    check_arrow_identities(StructureConstantStarAlgebra(alg.basis, rows.copy(), alg.star), t)
 
 
 def test_arrow_identities_reject_every_table_the_scan_rejects(instances):
-    """Every one-entry corruption of the product and star tables of small
-    crossed products: the identities reject each table the scan rejects."""
+    """Every one-entry corruption of the dense product table and of the star
+    table of small crossed products: the identities reject each table the
+    scan rejects.  A star entry of -1 is rejected on construction."""
     rejected = 0
     for pa in [pa for pa in instances if 0 < crossed_product(pa).dimension <= 9][:4]:
         alg, t = crossed_product(pa), index_tables(pa)
         n = alg.dimension
-        for table in ("product", "star"):
-            for at in np.ndindex(getattr(alg, table).shape):
-                for value in range(-1, n):
-                    corrupted = getattr(alg, table).copy()
+        with pytest.raises(AlgebraError, match=r"star has an index outside \[0, "):
+            replace(alg, star=np.r_[-1, alg.star[1:]])
+        for table, values in (("product", dense_product(alg)), ("star", alg.star)):
+            for at in np.ndindex(values.shape):
+                for value in range(-1 if table == "product" else 0, n):
+                    corrupted = values.copy()
                     if corrupted[at] == value:
                         continue
                     corrupted[at] = value
-                    tampered = replace(alg, **{table: corrupted})
+                    if table == "product":
+                        tampered = from_dense(alg.basis, corrupted, alg.star)
+                    else:
+                        tampered = replace(alg, star=corrupted)
                     if _outcome(reference_check_invariants, tampered)[0] != "ok":
                         rejected += 1
                         with pytest.raises(AlgebraError):
@@ -549,8 +586,8 @@ def test_unit_fixed_agrees_with_fraction_reference():
     reads only the basis arrows, so the path gets an unchecked algebra."""
     path = _c3_path()
     basis = tuple((g, x) for g in range(3) for x in sorted(path.domain(g)))
-    unchecked = StructureConstantStarAlgebra(basis, np.full((7, 7), -1), np.arange(7))
-    cases = [(pa, None) for pa in harness.corpus(20260808, 100)] + [(path, unchecked)]
+    unchecked = StructureConstantStarAlgebra(basis, (), np.arange(7))
+    cases = [(pa, crossed_product(pa)) for pa in harness.corpus(20260808, 100)] + [(path, unchecked)]
     verdicts = set()
     for pa, alg in cases:
         x_alpha = {p: F(len(pa.domain_tuple(p))) for p in pa.carrier}

@@ -9,17 +9,22 @@ Two ladders of global actions:
 
 * group: the regular (g.x = gx) and conjugation (g.x = g x g^-1) actions of
   C24, D12 and S4 on themselves, at the documented group cap;
-* carrier: the trivial S4 action (every g the identity) on 25, 50 and 100
+* carrier: the trivial S4 action (every g the identity) on 25 to 800
   points, where the crossed product has 24 |X| basis arrows.
 
 Each case runs REPEATS times per checkout, alternating the checkouts, each
-time in a fresh interpreter.  A run records the wall time of
+time in a fresh interpreter that caps its own address space at
+ADDRESS_SPACE_BYTES (RLIMIT_AS), so a case that needs more memory fails
+with MemoryError instead of swapping.  A run that exits non-zero is
+recorded with its exit code and the last line of its stderr, and the
+ladder goes on.  A run records the wall time of
 ``cli.analyze``, the time spent in each of its layers (timed where ``cli``
 and ``fdcstar`` look them up; a layer that was renamed is timed under its
 former name in checkouts from before the rename; a layer found in neither
 module stops the run), the basis size n, and the process's peak RSS from
 ``getrusage`` (``ru_maxrss``, KiB on Linux).  The summary gives, per case
-and checkout, the median of each time and the largest peak RSS.
+and checkout, the median of each time and the largest peak RSS over the
+runs that finished, and the exit of the first run that did not.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ import sys
 
 REPEATS = 3
 GROUPS = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
-CARRIERS = (25, 50, 100)
+CARRIERS = (25, 50, 100, 200, 400, 800)
+ADDRESS_SPACE_BYTES = 3 * 10**9
 LAYERS = (
     "rokhlin_dimension",
     "crossed_product",
@@ -50,11 +56,12 @@ FORMER_NAMES = {"block_structure": "block_structure_full"}
 # Runs in the child: argv[1] is the case as JSON; prints one JSON line.
 CHILD = r"""
 import json, resource, sys, time
+case = json.loads(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (case["address_space"], case["address_space"]))
 from partact import cli, fdcstar
 from partact.groups import build_group
 from partact.pactions import global_action
 
-case = json.loads(sys.argv[1])
 G = build_group(tuple(case["group"]))
 if case["action"] == "trivial":
     points = range(case["points"])
@@ -108,10 +115,11 @@ def cases() -> list[dict]:
 
 def run_case(checkout: str, case: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    payload = json.dumps({**case, "layers": list(LAYERS), "former": FORMER_NAMES})
+    payload = json.dumps({**case, "layers": list(LAYERS), "former": FORMER_NAMES,
+                          "address_space": ADDRESS_SPACE_BYTES})
     proc = subprocess.run([sys.executable, "-c", CHILD, payload], capture_output=True, text=True, env=env)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {case} exited {proc.returncode}:\n{proc.stderr}")
+        return {"exit": proc.returncode, "stderr": (proc.stderr.strip().splitlines() or [""])[-1]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -137,26 +145,33 @@ def main(argv=None) -> int:
                 runs.append({"side": side, "repeat": repeat, **case, **result})
                 mine[side].append(result)
         for side, results in mine.items():
-            row = {
-                "case": name,
-                "side": side,
-                "n": results[0]["n"],
-                "analyze_s": statistics.median(r["analyze_s"] for r in results),
-                "layers_s": {layer: statistics.median(r["layers_s"][layer] for r in results)
-                             for layer in LAYERS},
-                "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
-            }
+            done = [r for r in results if "exit" not in r]
+            row = {"case": name, "side": side, "runs": len(results), "finished": len(done)}
+            if done:
+                row.update({
+                    "n": done[0]["n"],
+                    "analyze_s": statistics.median(r["analyze_s"] for r in done),
+                    "layers_s": {layer: statistics.median(r["layers_s"][layer] for r in done)
+                                 for layer in LAYERS},
+                    "peak_rss_mb": max(r["peak_rss_mb"] for r in done),
+                })
+            failed = next((r for r in results if "exit" in r), None)
+            if failed:
+                row.update(failed)
             summary.append(row)
-            print(f"{side} {name}: n {row['n']}, analyze {row['analyze_s']:.3f} s, block_structure "
-                  f"{row['layers_s']['block_structure']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB",
-                  file=sys.stderr, flush=True)
+            outcome = (f"n {row['n']}, analyze {row['analyze_s']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB"
+                       if done else "")
+            if failed:
+                outcome += f" exit {failed['exit']}: {failed['stderr']}"
+            print(f"{side} {name}: {outcome}", file=sys.stderr, flush=True)
 
     scale = {
         "description": (
             f"tools/scale_ladder.py: {REPEATS} fresh interpreters per case and checkout, "
-            f"alternating; analyze wall time, per-layer time and ru_maxrss; the summary has "
-            f"median times and the largest RSS. Machine: {os.cpu_count()} cores, "
-            f"Python {platform.python_version()}."
+            f"alternating, each with RLIMIT_AS {ADDRESS_SPACE_BYTES}; analyze wall time, per-layer "
+            f"time and ru_maxrss; the summary has median times and the largest RSS of the runs "
+            f"that finished, and the exit code and last stderr line of a run that did not. "
+            f"Machine: {os.cpu_count()} cores, Python {platform.python_version()}."
         ),
         "parent": args.parent_rev,
         "summary": summary,
