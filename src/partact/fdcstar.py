@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,6 +78,18 @@ class StructureConstantStarAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def basis_array(self) -> np.ndarray:
+        """The basis labels as one read-only (n, 2) intp array, read on first
+        use and kept; a label holding a non-integer reads as (-1, -1)."""
+        labels = np.array(self.basis).reshape(len(self.basis), 2)
+        if labels.dtype.kind not in "iu":
+            whole = lambda label: all(isinstance(v, (int, np.integer)) for v in label)
+            labels = np.array([label if whole(label) else (-1, -1) for label in self.basis]).reshape(-1, 2)
+        labels = labels.astype(np.intp)
+        labels.flags.writeable = False
+        return labels
+
 
 @dataclass(frozen=True)
 class FDCStarAlgebra:
@@ -120,17 +132,19 @@ def _product_lookup(alg: StructureConstantStarAlgebra) -> Callable[[np.ndarray, 
 
 def _arrow_ends(alg: StructureConstantStarAlgebra, t: IndexTables) -> tuple[np.ndarray, ...]:
     """Label g, target x and source theta_{g^-1}(x) of each basis element
-    (g, x), the points as indices into the sorted carrier; labels must not repeat."""
-    n = alg.dimension
-    lab = np.fromiter((g for g, _ in alg.basis), np.intp, n)
-    tgt = np.fromiter((t.index.get(x, -1) for _, x in alg.basis), np.intp, n)
+    (g, x), the points as indices into the sorted carrier; labels must not
+    repeat.  Read off ``alg.basis_array`` in one array pass."""
+    n, points = alg.dimension, np.fromiter(t.index, np.intp, len(t.index))
+    lab, x = alg.basis_array.T
+    at = points.searchsorted(x)
+    tgt = np.where(points.take(at, mode="clip") == x, at, -1) if len(points) else np.full(n, -1)
     bad = (lab < 0) | (lab >= len(t.inv)) | (tgt < 0)
     if not bad.any():
         src = t.theta[t.inv[lab], tgt]
         bad = src < 0
     if bad.any():
         raise AlgebraError(f"basis label {alg.basis[np.argmax(bad)]} is not an arrow")
-    if (np.bincount(lab * len(t.index) + tgt) > 1).any():
+    if (np.bincount(lab * len(points) + tgt) > 1).any():
         raise AlgebraError("crossed-product basis labels repeat")
     return lab, tgt, src
 
@@ -188,15 +202,17 @@ def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
     bidx[lab, tgt] = np.arange(len(lab))
     i, j = _pairs(src, tgt)
     k = bidx[t.mul[lab[i], lab[j]], tgt[i]]
-    points = np.array(sorted(t.index), dtype=object)
-    basis = tuple(zip(lab.tolist(), points[tgt].tolist()))
-    alg = StructureConstantStarAlgebra(basis, np.array([i, j, k]).T[k >= 0], bidx[t.inv[lab], src])
+    ends = np.array([lab, np.fromiter(t.index, np.intp, len(t.index))[tgt]]).T  # (g, x), points ascending
+    alg = StructureConstantStarAlgebra(tuple(map(tuple, ends.tolist())), np.array([i, j, k]).T[k >= 0], bidx[t.inv[lab], src])
+    ends.flags.writeable = False
+    vars(alg)["basis_array"] = ends  # what basis_array would read back from the labels
     check_arrow_identities(alg, t)
     return alg
 
 
-def _center_basis(alg: StructureConstantStarAlgebra) -> tuple[np.ndarray, ...]:
-    """The center as class sums: the loops, the class of each element, each class's least member, each arrow's unit.
+def _center_basis(alg: StructureConstantStarAlgebra) -> tuple:
+    """The center as class sums: the loops, the class of each element, each
+    class's least member, each arrow's unit, and the ``_product_lookup`` of ``alg``.
 
     Every basis element b is a groupoid arrow with unit b b*, and a loop when
     b b* = b* b.  The class of loop b is {c b c* : c an arrow out of its
@@ -236,7 +252,7 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> tuple[np.ndarray, ...]:
     if not np.array_equal(left, right):
         col = (left != right).any(axis=0).argmax()  # the smaller class at the first difference is not central
         raise AssertionError(f"class sum of basis element {least[min(left[0, col], right[0, col])]} is not central")
-    return loops, cls, least, unit
+    return loops, cls, least, unit, lookup
 
 
 def _nullspace_mod(A: list[list[int]], lam: int, p: int) -> tuple[list[int], list[list[int]]]:
@@ -347,8 +363,8 @@ def block_structure(alg: StructureConstantStarAlgebra) -> FDCStarAlgebra:
     unit, one split per distinct constants and size within a call (equal
     orbits recur when many points share a non-abelian stabilizer).
     """
-    loops, cls, least, unit = _center_basis(alg)
-    lookup, S = _product_lookup(alg), alg.star
+    loops, cls, least, unit, lookup = _center_basis(alg)
+    S = alg.star
     orbit = cls[unit]  # of each arrow: the class of its unit
     orbits = np.flatnonzero(np.bincount(orbit))
     arrows, units = np.bincount(orbit)[orbits], np.bincount(cls[loops])[orbits]
@@ -358,8 +374,11 @@ def block_structure(alg: StructureConstantStarAlgebra) -> FDCStarAlgebra:
         raise IntegralityFailure(f"orbits of {arrows.tolist()} arrows on {units.tolist()} units")
     blocks = [int(units[o]) for o in np.flatnonzero(classes == h) for _ in range(classes[o])]
     split: dict[tuple[int, bytes], list[int]] = {}
+    by_unit = loops[unit[loops].argsort(kind="stable")]  # the loops in runs of one unit, each run ascending
+    runs = unit[by_unit]
+    starts, ends = runs.searchsorted(least[orbits]), runs.searchsorted(least[orbits], "right")
     for o in np.flatnonzero(classes != h):
-        xs = loops[unit[loops] == least[orbits[o]]]  # the loops at the orbit's least unit
+        xs = by_unit[starts[o]:ends[o]]  # the loops at the orbit's least unit
         cs, first, a = np.unique(cls[xs], return_index=True, return_inverse=True)
         k = len(cs)
         local = np.full(len(least) + 1, -1)

@@ -4,6 +4,9 @@ Elements are dense indices ``0..order-1`` with ``0`` the identity.  Named
 families fix a canonical ordering so that all downstream reports are
 reproducible: cyclic groups list residues, dihedral groups list rotations
 then reflections, symmetric groups list permutations lexicographically.
+The axioms, subgroup closures, the subgroup lattice and cosets are read off
+the ``mul`` array as whole-array operations; the element-by-element loops
+they replaced are kept in ``tests/group_reference.py``.
 """
 
 from __future__ import annotations
@@ -110,35 +113,35 @@ class Subgroup:
 
 @cache
 def _reindexed(parent: FiniteGroup, members: frozenset[int]) -> FiniteGroup:
-    elems = sorted(members)
-    index = {g: i for i, g in enumerate(elems)}
-    table = tuple(tuple(index[parent.mul(a, b)] for b in elems) for a in elems)
-    inverse = tuple(index[parent.inv(a)] for a in elems)
-    return FiniteGroup(len(elems), table, inverse, name=f"{parent.name}-sub")
+    mul, inv = parent.arrays
+    elems = np.array(sorted(members), dtype=np.intp)
+    index = np.zeros(parent.order, dtype=np.intp)
+    index[elems] = np.arange(len(elems))
+    table = tuple(map(tuple, index[mul[np.ix_(elems, elems)]].tolist()))
+    return FiniteGroup(len(elems), table, tuple(index[inv[elems]].tolist()), name=f"{parent.name}-sub")
 
 
 def _check_axioms(order: int, table: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Validate group axioms and return the inverse table."""
-    for a in range(order):
-        if table[0][a] != a or table[a][0] != a:
-            raise NoIdentity(a)
-    inverse = []
-    for a in range(order):
-        inv_a = None
-        for b in range(order):
-            if table[a][b] == 0 and table[b][a] == 0:
-                inv_a = b
-                break
-        if inv_a is None:
-            raise NoInverse(a)
-        inverse.append(inv_a)
-    for a in range(order):
-        for b in range(order):
-            tab = table[a][b]
-            for c in range(order):
-                if table[tab][c] != table[a][table[b][c]]:
-                    raise NonAssociative(a, b, c)
-    return tuple(inverse)
+    """Validate group axioms as whole-array comparisons on the table and return the inverse table.
+
+    The checks run in the order identity, inverses, associativity, and each
+    failure names its lexicographically first witness: the least element at
+    which 0 is not a two-sided identity, the least element with no two-sided
+    inverse, the least triple (a, b, c) with (ab)c != a(bc).  An element's
+    inverse is its least two-sided inverse.  At the order cap the
+    associativity check compares two arrays of 24^3 = 13,824 entries.
+    """
+    mul, every = np.array(table, dtype=np.intp), np.arange(order)
+    bad = (mul[0] != every) | (mul[:, 0] != every)
+    if bad.any():
+        raise NoIdentity(int(bad.argmax()))
+    two_sided = (mul == 0) & (mul.T == 0)  # [a, b]: b is a two-sided inverse of a
+    if not (found := two_sided.any(axis=1)).all():
+        raise NoInverse(int(found.argmin()))
+    bad = mul[mul] != mul[:, mul]  # [a, b, c]: (ab)c != a(bc)
+    if bad.any():
+        raise NonAssociative(*map(int, np.unravel_index(bad.argmax(), bad.shape)))
+    return tuple(two_sided.argmax(axis=1).tolist())
 
 
 def _check_order_cap(order: int, max_order: int, order_text: str = "") -> None:
@@ -169,6 +172,7 @@ def group_from_table(
     return FiniteGroup(order, tab, inverse, name=name)
 
 
+@cache
 def cyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Cyclic group of order n; element i is the residue i."""
     if n < 1:
@@ -178,12 +182,14 @@ def cyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     return group_from_table(table, name=f"cyclic({n})", max_order=max_order)
 
 
+@cache
 def klein_four_group(max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Klein four-group; all non-identity elements are self-inverse."""
     table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     return group_from_table(table, name="klein4", max_order=max_order)
 
 
+@cache
 def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r^k first, then reflections s*r^k."""
     if n < 1:
@@ -210,6 +216,7 @@ def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     return group_from_table(table, name=f"dihedral({n})", max_order=max_order)
 
 
+@cache
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Symmetric group on n letters; permutations ordered lexicographically.
 
@@ -260,39 +267,48 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     return group_from_table(spec, max_order=max_order)
 
 
+def _close(group: FiniteGroup, masks: np.ndarray) -> np.ndarray:
+    """Each row of the bool array ``masks`` (member sets holding 0) closed
+    under products on the ``mul`` array, all rows at once.
+
+    A round replaces S by S S: c is in S S iff a^-1 c is in S for some a in
+    S.  S S contains S, and a finite set closed under products is a
+    subgroup, so the rounds stop at the generated subgroup, after about
+    log2 |G| + 1 of them (a word of length 2^k is a product in round k).
+    """
+    mul, inv = group.arrays
+    quotient = mul[inv]  # [a, c]: a^-1 c
+    while not np.array_equal(grown := (masks[:, :, None] & masks[:, quotient]).any(axis=1), masks):
+        masks = grown
+    return masks
+
+
+def _members(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def subgroup_closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of ``group`` containing ``seed``."""
-    members = {0}
-    frontier = []
-    for s in seed:
-        if not (0 <= s < group.order):
-            raise ElementOutOfRange(s, group.order)
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    frontier = list(members)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for c in (group.mul(a, b), group.mul(b, a), group.inv(a)):
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-        frontier = new
-    return Subgroup(group, frozenset(members))
+    """Smallest subgroup of ``group`` containing ``seed``; the first seed
+    element outside the group raises ElementOutOfRange."""
+    elems = np.array(list(seed))
+    bad = (elems < 0) | (elems >= group.order)
+    if bad.any():
+        raise ElementOutOfRange(int(elems[bad.argmax()]), group.order)
+    mask = np.zeros((1, group.order), dtype=bool)
+    mask[0, 0] = True
+    mask[0, elems.astype(np.intp)] = True
+    return Subgroup(group, _members(_close(group, mask)[0]))
 
 
 def is_subgroup(group: FiniteGroup, members: frozenset[int]) -> bool:
-    if 0 not in members:
+    """True iff ``members`` lies in the group, holds 0 and is closed under
+    products, read off the ``mul`` array (closure gives the inverses)."""
+    elems = np.array(sorted(members), dtype=np.intp)
+    if not len(elems) or elems[0] != 0 or elems[-1] >= group.order:
         return False
-    for a in members:
-        if group.inv(a) not in members:
-            return False
-        for b in members:
-            if group.mul(a, b) not in members:
-                return False
-    return True
+    inside = np.zeros(group.order, dtype=bool)
+    inside[elems] = True
+    return bool(inside[group.arrays[0][np.ix_(elems, elems)]].all())
 
 
 def subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
@@ -306,47 +322,63 @@ def subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     return Subgroup(group, mset | {0})
 
 
+def _least_in_cosets(mul: np.ndarray, masks: np.ndarray, side: str = "left") -> np.ndarray:
+    """[s, g]: the least member of the coset g H_s (left) or H_s g (right) of
+    each member set ``masks[s]``, one min over the table."""
+    products = mul if side == "left" else mul.T  # [g, h]: gh, or hg
+    return np.where(masks[:, None, :], products, len(mul)).min(axis=2)
+
+
+def coset_labels(group: FiniteGroup, sub: Subgroup, side: str = "left") -> np.ndarray:
+    """The least member of each element's left (gH) or right (Hg) coset of
+    ``sub``, one min over the table; two elements share a coset iff they
+    share this label."""
+    if sub.parent != group or not is_subgroup(group, sub.members):
+        raise NotASubgroup("given Subgroup does not belong to this group")
+    if side not in ("left", "right"):
+        raise GroupError(f"side must be 'left' or 'right', got {side!r}")
+    mask = np.zeros((1, group.order), dtype=bool)
+    mask[0, sorted(sub.members)] = True
+    return _least_in_cosets(group.arrays[0], mask, side)[0]
+
+
 def coset_decomposition(
     group: FiniteGroup, sub: Subgroup, side: str = "left"
 ) -> list[frozenset[int]]:
     """Partition of the group into left (gH) or right (Hg) cosets of ``sub``.
 
+    Each element's coset is named by its least member (``coset_labels``).
     Blocks are ordered by their least element, so the block containing 0
     (which is ``sub`` itself) comes first.
     """
-    if sub.parent != group or not is_subgroup(group, sub.members):
-        raise NotASubgroup("given Subgroup does not belong to this group")
-    if side not in ("left", "right"):
-        raise GroupError(f"side must be 'left' or 'right', got {side!r}")
-    seen: set[int] = set()
-    blocks: list[frozenset[int]] = []
-    for g in group.elements():
-        if g in seen:
-            continue
-        if side == "left":
-            block = frozenset(group.mul(g, h) for h in sub.members)
-        else:
-            block = frozenset(group.mul(h, g) for h in sub.members)
-        seen |= block
-        blocks.append(block)
-    return sorted(blocks, key=min)
+    labels = coset_labels(group, sub, side)
+    return [_members(labels == least) for least in np.flatnonzero(labels == np.arange(group.order))]
 
 
 @cache
 def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All subgroups, found as closures of generator sets (orders <= 24 only);
-    computed once per group and shared."""
-    found: set[frozenset[int]] = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        new = []
-        for members in frontier:
-            for g in group.elements():
-                if g in members:
-                    continue
-                bigger = subgroup_closure(group, members | {g}).members
-                if bigger not in found:
-                    found.add(bigger)
-                    new.append(bigger)
-        frontier = new
-    return tuple(Subgroup(group, m) for m in sorted(found, key=lambda m: (len(m), sorted(m))))
+    """All subgroups by coset joins, ordered by (order, sorted members);
+    computed once per group and shared.
+
+    Every subgroup is reached from the trivial one by joins <H, g>, and
+    <H, g> = <H, gh> for every h in H, so each subgroup H found is joined
+    once per left coset gH other than H, at the coset's least member.  The
+    joins of one round are closed all at once on the ``mul`` array
+    (``_close``); the rounds stop when a round finds no new subgroup.
+    """
+    mul, n = group.arrays[0], group.order
+    frontier = np.zeros((1, n), dtype=bool)
+    frontier[0, 0] = True
+    found = {frontier[0].tobytes(): frontier[0]}
+    while len(frontier):
+        least = _least_in_cosets(mul, frontier)
+        sub, rep = np.nonzero((least == np.arange(n)) & ~frontier)  # each coset's least member, off H
+        joins = frontier[sub]
+        joins[np.arange(len(rep)), rep] = True
+        fresh = {}
+        for mask in _close(group, joins):
+            if (key := mask.tobytes()) not in found:
+                found[key] = fresh[key] = mask
+        frontier = np.array(list(fresh.values()), dtype=bool).reshape(-1, n)
+    lattice = sorted(map(_members, found.values()), key=lambda m: (len(m), sorted(m)))
+    return tuple(Subgroup(group, m) for m in lattice)

@@ -26,7 +26,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     build_group,
-    coset_decomposition,
+    coset_labels,
 )
 
 
@@ -528,7 +528,11 @@ def random_partial_action(
     Builds a global G-set of the requested size out of coset orbits G/H for
     random subgroups H, keeps each point independently with the given
     probability, and restricts: domains become X and sigma_g(X) intersected.
-    Deterministic in the seed.
+    Deterministic in the seed.  Each coset gH is named by its least member
+    (``coset_labels``), and the orbit's points are its cosets in the order
+    of those labels, so g sends the point of coset i to the coset holding
+    g times its least member, read off the ``mul`` array at once.  The
+    ambient table is checked to be a global action before restriction.
     """
     if not (0.0 <= keep_probability <= 1.0):
         raise PartialActionError(f"keep probability must be in [0, 1], got {keep_probability}")
@@ -536,22 +540,17 @@ def random_partial_action(
         raise PartialActionError(f"ambient size must be >= 0, got {ambient_size}")
     rng = random.Random(seed)
     group = build_group(group_spec, max_order=max_order)
-    subs = all_subgroups(group)
-    points: list[int] = []
-    perms: dict[int, dict[int, int]] = {g: {} for g in group.elements()}
-    next_label = 0
-    while len(points) < ambient_size:
-        room = ambient_size - len(points)
+    mul, subs = group.arrays[0], all_subgroups(group)
+    orbits = [np.empty((group.order, 0), dtype=np.intp)]  # each coset orbit's columns of the table
+    size = 0
+    while size < ambient_size:
+        room = ambient_size - size
         candidates = [s for s in subs if group.order // s.order <= room]
-        sub = rng.choice(candidates)
-        cosets = coset_decomposition(group, sub, "left")
-        labels = {cos: next_label + i for i, cos in enumerate(cosets)}
-        next_label += len(cosets)
-        for g in group.elements():
-            for cos, lab in labels.items():
-                rep = min(cos)
-                target = next(c for c in cosets if group.mul(g, rep) in c)
-                perms[g][lab] = labels[target]
-        points.extend(labels.values())
-    ambient = global_action(group, points, perms)  # validated: perms really is a G-action
-    return restricted_to(ambient, [x for x in points if rng.random() < keep_probability])
+        least = coset_labels(group, rng.choice(candidates))
+        reps = np.flatnonzero(least == np.arange(group.order))  # the cosets gH, by least member
+        orbits.append(size + reps.searchsorted(least)[mul[:, reps]])  # [g, i]: the coset holding g reps[i]
+        size += len(reps)
+    table = np.hstack(orbits)
+    _check_global_table(group, table)  # the cosets carry a G-action
+    ambient = PartialAction(group, np.arange(size), table)
+    return restricted_to(ambient, [x for x in range(size) if rng.random() < keep_probability])

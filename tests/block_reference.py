@@ -41,7 +41,7 @@ class BlockComputation:
 
 def center_rows(alg: StructureConstantStarAlgebra) -> np.ndarray:
     """The class sums as 0/1 rows over the basis, one row per class."""
-    loops, cls, least, _ = _center_basis(alg)
+    loops, cls, least, *_ = _center_basis(alg)
     Z = np.zeros((len(least), alg.dimension))
     Z[cls[loops], loops] = 1.0
     return Z

@@ -87,7 +87,7 @@ def test_orbit_blocks_reject_sizes_that_are_not_whole():
     s3 = build_group(("symmetric", 3))
     pa = global_action(s3, [0], {g: {0: 0} for g in s3.elements()})
     alg = crossed_product(pa)
-    loops, cls, _, _ = fdcstar._center_basis(alg)
+    loops, cls, *_ = fdcstar._center_basis(alg)
     row = cls[loops]
     P, S = dense_product(alg), alg.star
     k = row.max() + 1

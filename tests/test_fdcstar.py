@@ -434,11 +434,24 @@ def test_bimodule_compatibility_sees_a_corrupted_last_column():
 def test_bimodule_rejects_a_basis_label_that_is_not_an_arrow(swap_pair):
     alg = crossed_product(swap_pair)
     assert 2 not in swap_pair.domain(1)
-    # Not in X_1; a label below 0 or past |G|; a point off the carrier.
-    for label in ((1, 2), (-1, 0), (swap_pair.group.order, 0), (0, "z")):
+    # Not in X_1; a label below 0 or past |G|; a point off the carrier; a
+    # string that reads as a carrier point only when parsed.
+    for label in ((1, 2), (-1, 0), (swap_pair.group.order, 0), (0, "z"), (0, "0")):
         tampered = replace(alg, basis=alg.basis[:3] + (label,) + alg.basis[4:])
         with pytest.raises(AlgebraError, match=re.escape(f"basis label {label} is not an arrow")):
             imprimitivity_bimodule_verify(swap_pair, crossed=tampered)
+
+
+def test_crossed_product_basis_array_is_its_labels_read_back():
+    """crossed_product keeps the integer basis it built; a copy of the
+    algebra reads the same array back from its labels."""
+    from partact.harness import corpus
+
+    for pa in corpus(20260808, 30):
+        alg = crossed_product(pa)
+        again = StructureConstantStarAlgebra(alg.basis, alg.product, alg.star).basis_array
+        assert np.array_equal(alg.basis_array, again) and again.shape == (alg.dimension, 2)
+        assert not alg.basis_array.flags.writeable
 
 
 def test_center_basis_of_s3_group_algebra_is_its_class_sums():
