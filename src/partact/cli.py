@@ -38,7 +38,6 @@ from .fdcstar import (
     morita_equivalent,
 )
 from .groups import FiniteGroup, GroupError, build_group
-from .harness import run_all_checks
 from .pactions import (
     PartialAction,
     PartialActionError,
@@ -147,7 +146,10 @@ def parse_instance_with_labels(text: str):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError("map entries must be [source, target] pairs", f"maps.{g_str}")
             src, tgt = entry
-            mapping[point(src, f"maps.{g_str}")] = point(tgt, f"maps.{g_str}")
+            x = point(src, f"maps.{g_str}")
+            if x in mapping:
+                raise ParseError(f"source label {src!r} is listed twice", f"maps.{g_str}")
+            mapping[x] = point(tgt, f"maps.{g_str}")
         maps[g] = mapping
     try:
         pa = validate(group, range(len(labels)), domains, maps)
@@ -432,6 +434,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .harness import run_all_checks
+
     reports = run_all_checks(args.seed, count=args.count)
     _emit([r.to_payload() for r in reports])
     return 0 if all(r.passed for r in reports) else 1

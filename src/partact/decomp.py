@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .groups import Subgroup
-from .pactions import IndexTables, PartialAction, _subtable, index_tables, restricted_to
+from .pactions import PartialAction, _subtable, restricted_to
 
 
 class DecompositionError(ValueError):
@@ -81,13 +81,12 @@ class Stratification:
 def stratification(pa: PartialAction) -> Stratification:
     """Filtration of the carrier by the number of domains through each point:
     |tau(x)| counts the g with theta_g defined at x, a column count of the table."""
-    t = index_tables(pa)
-    defined = t.theta >= 0
+    defined = pa.table >= 0
     count = defined.sum(axis=0)
-    if (defined & (count[t.theta] != count)).any():
+    if (defined & (count[pa.table] != count)).any():
         raise AssertionError("an arrow crosses strata; equivariance is broken")
     by_count: dict[int, list[int]] = {}
-    for x, k in zip(t.index, count.tolist()):
+    for x, k in zip(pa.points.tolist(), count.tolist()):
         by_count.setdefault(k, []).append(x)
     strata = {k: frozenset(by_count.get(k, ())) for k in range(1, pa.group.order + 1)}
     if frozenset().union(*strata.values()) != pa.carrier:
@@ -119,16 +118,16 @@ def _require_decomposable(pa: PartialAction, n: int) -> None:
         raise NotDecomposable(n, int(pa.points[i]), int(count[i]))
 
 
-def _tuple_keys(t: IndexTables) -> np.ndarray:
+def _tuple_keys(pa: PartialAction) -> np.ndarray:
     """Each point's domain tuple tau(x) as one integer, with g as bit |G|-1-g.
 
     x is in X_g where theta_{g^-1} is defined.  n-sets compare (as sorted
     lists) in the reverse order of their keys, since the least element where
     two differ sets the highest differing bit: the least has the largest key.
     """
-    order = len(t.inv)
+    order = pa.group.order
     weights = 1 << np.arange(order - 1, -1, -1, dtype=np.intp)
-    return weights @ (t.theta[t.inv] >= 0)
+    return weights @ (pa.table[pa.group.arrays[1]] >= 0)
 
 
 def _part_labels(theta: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -138,11 +137,11 @@ def _part_labels(theta: np.ndarray, key: np.ndarray) -> np.ndarray:
     return np.where(theta >= 0, key[theta], -1).max(axis=0)
 
 
-def _stabilizer_members(t: IndexTables, key: np.ndarray, i: int) -> np.ndarray:
+def _stabilizer_members(theta: np.ndarray, key: np.ndarray, i: int) -> np.ndarray:
     """H_tau at the point with index i of X_tau: the h with tau(theta_h x) =
     h tau = tau.  Each such h has theta_h defined at x, as h^-1 is in H_tau,
     inside tau."""
-    return np.flatnonzero((t.theta[:, i] >= 0) & (key[t.theta[:, i]] == key[i]))
+    return np.flatnonzero((theta[:, i] >= 0) & (key[theta[:, i]] == key[i]))
 
 
 def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
@@ -157,12 +156,11 @@ def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
     _require_decomposable(pa, len(tau))
     if not tau <= frozenset(pa.group.elements()):  # no shift by a non-element below
         raise EmptyStratum(tau)
-    t = index_tables(pa)
-    key = _tuple_keys(t)
+    key = _tuple_keys(pa)
     at = np.flatnonzero(key == sum(1 << (pa.group.order - 1 - g) for g in tau))
     if not at.size:
         raise EmptyStratum(tau)
-    members = _stabilizer_members(t, key, int(at[0]))
+    members = _stabilizer_members(pa.table, key, int(at[0]))
     return _stabilizer_subsystem(pa, members.tolist(), frozenset(pa.points[at].tolist()))
 
 
@@ -188,17 +186,16 @@ def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:
     has n / |H_tau| tuples, and every one of them occurs in the part.
     """
     _require_decomposable(pa, n)
-    t = index_tables(pa)
-    key = _tuple_keys(t)
-    label = _part_labels(t.theta, key)
-    if ((t.theta >= 0) & (label[t.theta] != label)).any():
+    key = _tuple_keys(pa)
+    label = _part_labels(pa.table, key)
+    if ((pa.table >= 0) & (label[pa.table] != label)).any():
         raise AssertionError("orbit-type part is not invariant")
     order = pa.group.order
     parts: list[OrbitTypePart] = []
     for rep in sorted(set(label.tolist()), reverse=True):
         at = np.flatnonzero(label == rep)
         in_tau = at[key[at] == rep]
-        members = _stabilizer_members(t, key, int(in_tau[0]))
+        members = _stabilizer_members(pa.table, key, int(in_tau[0]))
         if len(set(key[at].tolist())) * len(members) != n:
             raise AssertionError("orbit-type part breaks orbit-stabilizer: |orbit of tau| * |H_tau| != n")
         X_tau = frozenset(pa.points[in_tau].tolist())

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import FiniteGroup
-from .pactions import IndexTables, PartialAction, index_tables, translation_groupoid
+from .pactions import PartialAction, translation_groupoid
 
 class AlgebraError(ValueError):
     pass
@@ -130,17 +130,18 @@ def _product_lookup(alg: StructureConstantStarAlgebra) -> Callable[[np.ndarray, 
     return lookup
 
 
-def _arrow_ends(alg: StructureConstantStarAlgebra, t: IndexTables) -> tuple[np.ndarray, ...]:
+def _arrow_ends(alg: StructureConstantStarAlgebra, pa: PartialAction) -> tuple[np.ndarray, ...]:
     """Label g, target x and source theta_{g^-1}(x) of each basis element
-    (g, x), the points as indices into the sorted carrier; labels must not
-    repeat.  Read off ``alg.basis_array`` in one array pass."""
-    n, points = alg.dimension, np.fromiter(t.index, np.intp, len(t.index))
+    (g, x) of a crossed product of ``pa``, the points as indices into its
+    sorted carrier; labels must not repeat.  Read off ``alg.basis_array`` in
+    one array pass."""
+    n, points, inv = alg.dimension, pa.points, pa.group.arrays[1]
     lab, x = alg.basis_array.T
     at = points.searchsorted(x)
     tgt = np.where(points.take(at, mode="clip") == x, at, -1) if len(points) else np.full(n, -1)
-    bad = (lab < 0) | (lab >= len(t.inv)) | (tgt < 0)
+    bad = (lab < 0) | (lab >= len(inv)) | (tgt < 0)
     if not bad.any():
-        src = t.theta[t.inv[lab], tgt]
+        src = pa.table[inv[lab], tgt]
         bad = src < 0
     if bad.any():
         raise AlgebraError(f"basis label {alg.basis[np.argmax(bad)]} is not an arrow")
@@ -149,8 +150,8 @@ def _arrow_ends(alg: StructureConstantStarAlgebra, t: IndexTables) -> tuple[np.n
     return lab, tgt, src
 
 
-def check_arrow_identities(alg: StructureConstantStarAlgebra, t: IndexTables) -> None:
-    """The crossed-product laws as identities on the basis labels, linear in the rows.
+def check_arrow_identities(alg: StructureConstantStarAlgebra, pa: PartialAction) -> None:
+    """The crossed-product laws for ``alg`` over ``pa`` as identities on the basis labels, linear in the rows.
 
     Basis element i = (g, x) is the arrow src(i) -> tgt(i) with label
     lambda(i) = g, tgt(i) = x and src(i) = theta_{g^-1}(x); distinct labels
@@ -171,16 +172,17 @@ def check_arrow_identities(alg: StructureConstantStarAlgebra, t: IndexTables) ->
     anti-homomorphism; and b_i^** has the label and target of b_i, so star
     is an involution.
     """
-    lab, tgt, src = _arrow_ends(alg, t)
+    lab, tgt, src = _arrow_ends(alg, pa)
+    mul, inv = pa.group.arrays
     i, j, k = alg.product.T
-    bad = (src[i] != tgt[j]) | (lab[k] != t.mul[lab[i], lab[j]]) | (tgt[k] != tgt[i]) | (src[k] != src[j])
+    bad = (src[i] != tgt[j]) | (lab[k] != mul[lab[i], lab[j]]) | (tgt[k] != tgt[i]) | (src[k] != src[j])
     if bad.any():
         at = np.argmax(bad)
         raise AlgebraError(f"product of basis elements ({i[at]}, {j[at]}) is not the composed arrow")
-    composable = int(np.bincount(src, minlength=len(t.index)) @ np.bincount(tgt, minlength=len(t.index)))
+    composable = int(np.bincount(src, minlength=pa.size()) @ np.bincount(tgt, minlength=pa.size()))
     if len(k) != composable:
         raise AlgebraError(f"products are not defined exactly when src = tgt: {len(k)} rows, {composable} pairs")
-    bad = (lab[alg.star] != t.inv[lab]) | (tgt[alg.star] != src) | (src[alg.star] != tgt)
+    bad = (lab[alg.star] != inv[lab]) | (tgt[alg.star] != src) | (src[alg.star] != tgt)
     if bad.any():
         raise AlgebraError(f"star of basis element {np.argmax(bad)} is not the inverse arrow")
 
@@ -194,19 +196,19 @@ def crossed_product(pa: PartialAction) -> StructureConstantStarAlgebra:
     exists, and b_i^* is (lambda(i)^-1, src(i)).  The tables are checked by
     ``check_arrow_identities``.
     """
-    t = index_tables(pa)
-    back = t.theta[t.inv]  # back[g, x]: theta_{g^-1}(x), -1 off X_g
+    mul, inv = pa.group.arrays
+    back = pa.table[inv]  # back[g, x]: theta_{g^-1}(x), -1 off X_g
     lab, tgt = np.nonzero(back >= 0)
     src = back[lab, tgt]
     bidx = np.full(back.shape, -1, dtype=np.intp)
     bidx[lab, tgt] = np.arange(len(lab))
     i, j = _pairs(src, tgt)
-    k = bidx[t.mul[lab[i], lab[j]], tgt[i]]
-    ends = np.array([lab, np.fromiter(t.index, np.intp, len(t.index))[tgt]]).T  # (g, x), points ascending
-    alg = StructureConstantStarAlgebra(tuple(map(tuple, ends.tolist())), np.array([i, j, k]).T[k >= 0], bidx[t.inv[lab], src])
+    k = bidx[mul[lab[i], lab[j]], tgt[i]]
+    ends = np.array([lab, pa.points[tgt]]).T  # (g, x), points ascending
+    alg = StructureConstantStarAlgebra(tuple(map(tuple, ends.tolist())), np.array([i, j, k]).T[k >= 0], bidx[inv[lab], src])
     ends.flags.writeable = False
     vars(alg)["basis_array"] = ends  # what basis_array would read back from the labels
-    check_arrow_identities(alg, t)
+    check_arrow_identities(alg, pa)
     return alg
 
 
@@ -541,12 +543,11 @@ def imprimitivity_bimodule_verify(pa: PartialAction, *, crossed: StructureConsta
     ``crossed`` is crossed_product(pa).  Failures are reported, not raised:
     the Morita statement assumes finite tower dimension.
     """
-    t = index_tables(pa)
-    n, npoints = crossed.dimension, len(t.index)
-    _, tgt, src = _arrow_ends(crossed, t)
+    n, npoints = crossed.dimension, pa.size()
+    _, tgt, src = _arrow_ends(crossed, pa)
     i, j, k = crossed.product.T
 
-    counts = (t.theta[t.inv] >= 0).sum(axis=0)  # x_alpha(x) = #{g : x in X_g}
+    counts = (pa.table >= 0).sum(axis=0)  # x_alpha(x) = #{g : x in X_g}
     unit_fixed = bool(np.array_equal(counts[src], counts[tgt]))
 
     # e* = e: star permutes the basis.  e e = x_alpha e: b_k is the product

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .groups import build_group
-from .pactions import PartialAction, index_tables, validate
+from .pactions import PartialAction, validate
 
 F1 = Fraction
 
@@ -91,12 +91,12 @@ class GridAction:
         theta_{g^-1}(z) for z in X_g (-1 off the domain), and the edges as a
         (2, |edges|) array of positions; built once, read-only, and holding no
         reference back to the action."""
-        t = index_tables(self.pa)
-        index = t.index
-        src = t.theta[t.inv]
+        pa = self.pa
+        index = pa.index
+        src = pa.table[pa.group.arrays[1]]
         edges = np.array([[index[x] for x, _ in self.edges], [index[y] for _, y in self.edges]], dtype=np.int64)
         src.flags.writeable = edges.flags.writeable = False
-        return self.pa.points.tolist(), index, src, edges
+        return pa.points.tolist(), index, src, edges
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ information, never as a counterexample.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable
 
+from .cli import serialize_instance
 from .decomp import orbit_type_decomposition, stratification
 from .fdcstar import (
     crossed_product,
@@ -72,15 +74,8 @@ class CheckReport:
 
 
 def _instance_payload(pa: PartialAction) -> dict:
-    return {
-        "groupTable": [list(row) for row in pa.group.table],
-        "carrier": sorted(pa.carrier),
-        "domains": {str(g): sorted(pa.domain(g)) for g in pa.group.elements()},
-        "maps": {
-            str(g): sorted([x, y] for x, y in pa.maps[g].items())
-            for g in pa.group.elements()
-        },
-    }
+    """The instance document of ``pa``, which ``partact analyze`` reads back."""
+    return json.loads(serialize_instance(pa))
 
 
 def _dim_str(value) -> str:

@@ -7,7 +7,9 @@ identity on the whole carrier and ``theta_g . theta_h`` contained in
 dictionary ``alpha_g(f) = f . theta_{g^-1}`` on ``X_g``.
 
 Carrier points are integers but need not be contiguous, so restrictions keep
-their original labels.
+their original labels.  Each action is stored once, as its integer table
+over the sorted carrier; every module reads that table, the carrier array,
+the label index and the group's arrays directly.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -79,41 +81,6 @@ class NotInvariant(PartialActionError):
 BLOCK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class IndexTables:
-    """A partial action as integer arrays over its sorted carrier.
-
-    ``index[x]`` is the rank of the point x in the sorted carrier.
-    ``theta[g, i]`` is the index of theta_g of the point with index i, or -1
-    where theta_g is undefined; a column of -1 appended to a table makes an
-    undefined index read as undefined again.  ``mul`` and ``inv`` are the
-    group's read-only tables, shared by every action of the group.
-    """
-
-    index: Mapping[int, int]
-    theta: np.ndarray
-    mul: np.ndarray
-    inv: np.ndarray
-
-
-def _index_tables(group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int, Mapping[int, int]]) -> IndexTables:
-    index = {x: i for i, x in enumerate(sorted(carrier))}
-    at = index.__getitem__
-    elements = group.elements()
-    sizes = [len(maps[g]) for g in elements]
-    total = sum(sizes)
-    src = np.fromiter(map(at, chain.from_iterable(maps[g].keys() for g in elements)), np.intp, total)
-    dst = np.fromiter(map(at, chain.from_iterable(maps[g].values() for g in elements)), np.intp, total)
-    theta = np.full((group.order, len(index)), -1, dtype=np.intp)
-    theta[np.repeat(np.arange(group.order), sizes), src] = dst
-    return IndexTables(MappingProxyType(index), theta, *group.arrays)
-
-
-def index_tables(pa: PartialAction) -> IndexTables:
-    """The integer tables of ``pa`` around its table, built on the first call and kept on it."""
-    return pa._tables
-
-
 def row_blocks(order: int, width: int) -> Iterable[slice]:
     """Consecutive slices of range(order) (group elements or tower levels),
     BLOCK_ELEMENTS // width rows each (at least one)."""
@@ -144,8 +111,9 @@ class PartialAction:
 
     ``points`` holds the carrier labels in ascending order and ``table[g, i]``
     the index of theta_g of ``points[i]``, -1 where theta_g is undefined; both
-    are read-only intp arrays.  ``carrier``, ``domains`` and ``maps`` are
-    read-only views built from them on first use, points in ascending order.
+    are read-only intp arrays.  ``carrier``, ``domains``, ``maps`` and
+    ``index`` (label -> column) are read-only views built from them on first
+    use, points in ascending order.
     Equality is identity, as arrays do not compare as one bool.
     """
 
@@ -197,17 +165,15 @@ class PartialAction:
         return bool((self.table >= 0).all())
 
     @cached_property
-    def _tables(self) -> IndexTables:
-        # Like _groupoid_parts: outside the fields, with no reference to self.
-        index = MappingProxyType(dict(zip(self.points.tolist(), range(len(self.points)))))
-        return IndexTables(index, self.table, *self.group.arrays)
+    def index(self) -> Mapping[int, int]:
+        """The column of each carrier label in ``points`` and ``table``, read-only."""
+        return MappingProxyType(dict(zip(self.points.tolist(), range(len(self.points)))))
 
     @cached_property
     def _domain_tuples(self) -> Mapping[int, frozenset[int]]:
         # x is in X_g where theta_{g^-1}(x) is defined; no reference to self.
-        t = self._tables
-        defined = (t.theta[t.inv] >= 0).T
-        return {x: frozenset(np.flatnonzero(defined[i]).tolist()) for x, i in t.index.items()}
+        defined = (self.table[self.group.arrays[1]] >= 0).T
+        return {x: frozenset(np.flatnonzero(row).tolist()) for x, row in zip(self.points.tolist(), defined)}
 
     @cached_property
     def _groupoid_parts(self) -> tuple:
@@ -233,67 +199,92 @@ def validate(
 ) -> PartialAction:
     """Check all partial-action axioms and return the validated value.
 
-    Raises the first violated axiom with a witness: IdentityDomainNotFull,
-    NotBijective(g), InverseMismatch(g), or CompositionViolation(g, h, x).
+    Raises the first violated axiom with a witness: a non-carrier domain
+    point, IdentityDomainNotFull, theta_1 not the identity, NotBijective(g),
+    InverseMismatch(g, x), or CompositionViolation(g, h, x).
 
-    Domains, bijections and inverses are checked map by map.  The maps are
-    then converted once into the integer table ``theta[g, i]`` (see
-    IndexTables), which the action keeps; composition and the derived domain
-    identity are whole-array comparisons on it, taken in row blocks of g.
-    The witness is the first failing (g, h), and for composition the first
-    failing x in the order of ``maps[h]``.  A key of ``domains`` or ``maps``
-    that is not a group element is an error, not ignored.
+    The caller's dicts are converted once into arrays over the sorted
+    carrier: the domain mask ``dom[g, i]``, where a domain point off the
+    carrier is an error as it is read, and the table ``theta[g, i]``, with a
+    column n for sources outside the carrier, where a non-carrier target
+    reads n.  Every axiom is checked on those arrays: the sources and images
+    of each theta_g against the mask (one bincount for all images),
+    theta_(g^-1) theta_g = 1 as one gather, and composition and the derived
+    domain identity as whole-array comparisons in row blocks of g.  The
+    witness is the first failing g (then h), and the first failing x in the
+    order of ``maps[g]`` (``maps[h]`` for composition).  A key of
+    ``domains`` or ``maps`` that is not a group element is an error, not
+    ignored.
     """
     for name, keyed in (("domains", domains), ("maps", maps)):
         if stray := set(keyed).difference(group.elements()):
             raise PartialActionError(f"{name} key {next(k for k in keyed if k in stray)!r} is not a group element")
-    X = frozenset(carrier)
-    doms: dict[int, frozenset[int]] = {}
-    thetas: dict[int, dict[int, int]] = {}
-    for g in group.elements():
-        dom = frozenset(domains.get(g, ()))
-        if not dom <= X:
-            raise PartialActionError(f"domain of g={g} contains non-carrier point {min(dom - X)}")
-        doms[g] = dom
-        thetas[g] = {int(x): int(y) for x, y in maps.get(g, {}).items()}
+    points = np.array(sorted(frozenset(carrier)), dtype=np.intp)
+    order, n = group.order, len(points)
+    mul, inv = group.arrays
+    index = dict(zip(points.tolist(), range(n)))
 
-    if doms[0] != X:
-        raise IdentityDomainNotFull(min(X - doms[0]))
-    if any(thetas[0].get(x, x) != x for x in X):
+    def entries(rows: list) -> tuple[np.ndarray, np.ndarray]:
+        """The g and the column of each label in rows[g], g ascending; column n
+        for a label that is not a carrier point."""
+        sizes = list(map(len, rows))
+        cols = np.fromiter(map(index.get, chain.from_iterable(rows), repeat(n)), np.intp, sum(sizes))
+        return np.repeat(np.arange(order), sizes), cols
+
+    dom = np.zeros((order, n + 1), dtype=bool)  # dom[g, i]: point i lies in X_g; column n stays False
+    listed = [domains.get(g, ()) for g in group.elements()]
+    listed = [d if isinstance(d, Collection) else list(d) for d in listed]  # read a one-shot iterable once
+    g_of, cols = entries(listed)
+    if (cols == n).any():
+        g = int(g_of[np.argmax(cols == n)])
+        stray = min(x for x in listed[g] if x not in index)
+        raise PartialActionError(f"domain of g={g} contains non-carrier point {stray}")
+    dom[g_of, cols] = True
+    given = [maps.get(g, {}) for g in group.elements()]
+    g_of, src = entries(given)
+    theta = np.full((order, n + 1), -1, dtype=np.intp)
+    theta[g_of, src] = entries([m.values() for m in given])[1]
+
+    if not dom[0, :n].all():
+        raise IdentityDomainNotFull(int(points[np.argmin(dom[0, :n])]))
+    if theta[0, n] >= 0 or ((theta[0, :n] >= 0) & (theta[0, :n] != np.arange(n))).any():
         raise PartialActionError("theta_1 must be the identity map")
-    thetas[0] = {x: x for x in X}
+    theta[0, :n] = np.arange(n)
 
-    for g in group.elements():
-        if thetas[g].keys() != doms[group.inv(g)]:
+    # theta_g is a bijection X_(g^-1) -> X_g: it is defined exactly on
+    # X_(g^-1), at no point off the carrier, and hits each point of X_g once
+    # and no other point.
+    defined = theta[:, :n] >= 0
+    hits = np.bincount((np.arange(order)[:, None] * (n + 1) + theta[:, :n])[defined], minlength=order * (n + 1))
+    bad_source = (theta[:, n] >= 0) | (defined != dom[inv, :n]).any(axis=1)
+    bad = bad_source | (hits.reshape(order, n + 1) != dom).any(axis=1)
+    if bad.any():
+        g = int(np.argmax(bad))
+        if bad_source[g]:
             raise NotBijective(g, "source set is not X_(g^-1)")
-        values = list(thetas[g].values())
-        if set(values) != doms[g] or len(set(values)) != len(values):
-            raise NotBijective(g, "image is not X_g or map is not injective")
+        raise NotBijective(g, "image is not X_g or map is not injective")
 
-    for g in group.elements():
-        ginv = group.inv(g)
-        for x, y in thetas[g].items():
-            if thetas[ginv].get(y) != x:
-                raise InverseMismatch(g, x)
+    table = theta[:, :n].copy()
+    bad = defined & (theta[inv[:, None], table] != np.arange(n))  # theta_(g^-1)(theta_g(x)) = x
+    if bad.any():
+        g = int(np.argmax(bad.any(axis=1)))
+        raise InverseMismatch(g, int(next(x for x in maps[g] if bad[g, index[x]])))
 
-    t = _index_tables(group, X, thetas)
-    order, n = group.order, len(t.index)
-    if (failure := _composition_failure(t.theta, t.mul)) is not None:
+    if (failure := _composition_failure(table, mul)) is not None:
         g, h, bad = failure
-        raise CompositionViolation(g, h, next(x for x in thetas[h] if bad[t.index[x]]))
+        raise CompositionViolation(g, h, int(next(x for x in maps[h] if bad[index[x]])))
 
     # Standard consequence, read pointwise: z lies in theta_g(X_{g^-1} & X_h)
     # iff z is in X_g and theta_{g^-1}(z) is in X_h.  It must equal
-    # X_g & X_{gh}; a violation here would indicate an internal bug.
-    dom = np.zeros((order, n + 1), dtype=bool)  # dom[g, i]: point i lies in X_g; column n is False
-    dom[:, :n] = t.theta[t.inv] >= 0
+    # X_g & X_{gh}; a violation here would indicate an internal bug.  dom is
+    # where theta_(g^-1) is defined.
     for rows in row_blocks(order, order * n):
-        lhs = dom[:, t.theta[t.inv[rows]]].swapaxes(0, 1)  # (g, h, z)
-        bad = dom[rows, None, :n] & (lhs != dom[t.mul[rows], :n])
+        lhs = dom[:, table[inv[rows]]].swapaxes(0, 1)  # (g, h, z)
+        bad = dom[rows, None, :n] & (lhs != dom[mul[rows], :n])
         if bad.any():
             g, h = divmod(int(np.argmax(bad.any(axis=2))), order)
             raise AssertionError(f"derived domain identity fails at (g={rows.start + g}, h={h})")
-    return PartialAction(group, np.fromiter(t.index, np.intp, n), t.theta)
+    return PartialAction(group, points, table)
 
 
 def global_action(group: FiniteGroup, carrier: Iterable[int], perms: Mapping[int, Mapping[int, int]]) -> PartialAction:
@@ -357,30 +348,28 @@ def _translation_groupoid_parts(pa: PartialAction) -> tuple:
     # theta_h theta_g lies inside theta_hg, so every orbit is a clique: the
     # orbit of x is the defined column x of the theta table, and its least
     # index names the orbit.  Orbits come out sorted by their least points.
-    t = index_tables(pa)
     points = pa.points.tolist()
-    least = np.where(t.theta >= 0, t.theta, len(points)).min(axis=0).tolist()
+    least = np.where(pa.table >= 0, pa.table, len(points)).min(axis=0).tolist()
     members: dict[int, list[int]] = {}
     for x, r in zip(points, least):
         members.setdefault(r, []).append(x)
     orbits = tuple(frozenset(m) for m in members.values())
     stabilizers = {
-        points[r]: Subgroup(pa.group, frozenset(np.flatnonzero(t.theta[:, r] == r).tolist()))
+        points[r]: Subgroup(pa.group, frozenset(np.flatnonzero(pa.table[:, r] == r).tolist()))
         for r in members
     }
     return orbits, MappingProxyType(stabilizers)
 
 
 def _subtable(pa: PartialAction, subset: Iterable[int], rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """The carrier points in ``subset`` as an ascending array, and the rows
-    ``rows`` of pa's table at their columns, relabelled as indices into those
-    points (-1 where undefined or outside them)."""
-    t = index_tables(pa)
-    points = sorted(subset)
-    cols = np.fromiter(map(t.index.__getitem__, points), np.intp, len(points))
-    relabel = np.full(len(t.index) + 1, -1, dtype=np.intp)  # the entry -1 reads -1
+    """The points of ``subset``, carrier points all, as an ascending array,
+    and the rows ``rows`` of pa's table at their columns, relabelled as
+    indices into those points (-1 where undefined or outside them)."""
+    points = np.array(sorted(subset), dtype=np.intp)
+    cols = pa.points.searchsorted(points)
+    relabel = np.full(pa.size() + 1, -1, dtype=np.intp)  # the entry -1 reads -1
     relabel[cols] = np.arange(len(cols))
-    return np.array(points, dtype=np.intp), relabel[t.theta[rows][:, cols]]
+    return points, relabel[pa.table[rows][:, cols]]
 
 
 def restricted_to(pa: PartialAction, subset: Iterable[int]) -> PartialAction:
@@ -446,24 +435,24 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     to equivariant isomorphism (uniqueness of the globalization).
     """
     G = pa.group
-    t = index_tables(pa)
-    order, n = G.order, len(t.index)
+    mul, inv = G.arrays
+    order, n = G.order, pa.size()
     # Pair (g, x) is g * n + index(x); k = 1 gives (g, x) itself.
-    image = np.where(t.theta >= 0, t.theta, order * n)  # (k, x) -> theta_k(x)
+    image = np.where(pa.table >= 0, pa.table, order * n)  # (k, x) -> theta_k(x)
     least = np.empty((order, n), dtype=np.intp)
     for rows in row_blocks(order, order * n):
         # (g, k, x) -> (g k^-1, theta_k(x))
-        (t.mul[rows][:, t.inv, None] * n + image).min(axis=1, out=least[rows])
+        (mul[rows][:, inv, None] * n + image).min(axis=1, out=least[rows])
     firsts, point = np.unique(least, return_inverse=True)
     point = point.reshape(order, n)
     size = len(firsts)
     # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
-    moved = point[t.mul[:, firsts // n], firsts % n]
+    moved = point[mul[:, firsts // n], firsts % n]
     _check_global_table(G, moved)
     envelope = PartialAction(G, np.arange(size, dtype=np.intp), moved)
     embed = point[0]
-    at = embed.tolist()
-    embedding = {x: at[t.index[x]] for x in pa.carrier}
+    at, index = embed.tolist(), pa.index
+    embedding = {x: at[index[x]] for x in pa.carrier}
 
     in_emb = np.zeros(size, dtype=bool)
     in_emb[embed] = True
@@ -472,9 +461,9 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     translated = moved[:, embed]  # [g, i]: sigma_g of the embedded point i
     # emb(X_g) = emb & sigma_g(emb) holds iff sigma_{g^-1} takes emb(z) into emb
     # exactly for z in X_g.  Extension is read where theta_g is defined.
-    domain_bad = (in_emb[translated[t.inv]] != (t.theta[t.inv] >= 0)).any(axis=1)
-    defined = t.theta >= 0
-    extend_bad = (defined & (translated != embed[t.theta])).any(axis=1)
+    defined = pa.table >= 0
+    domain_bad = (in_emb[translated[inv]] != defined[inv]).any(axis=1)
+    extend_bad = (defined & (translated != embed[pa.table])).any(axis=1)
     for g in np.flatnonzero(domain_bad | extend_bad)[:1].tolist():
         if domain_bad[g]:
             raise AssertionError(f"envelope domain condition fails at g={g}")
@@ -494,7 +483,7 @@ def central_splitting(gr: GlobalizationResult) -> dict[int, frozenset[int]]:
     and p_g holds the embedded points e with sigma_g(e) claimed by g.  The
     partition depends on the enumeration order; existence does not.
     """
-    theta = index_tables(gr.envelope).theta
+    theta = gr.envelope.table
     order, size = theta.shape
     emb = np.fromiter(gr.embedding.values(), np.intp, len(gr.embedding))
     translated = theta[:, emb]  # [g, i]: sigma_g of the embedded point i

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .pactions import PartialAction, index_tables, is_free, row_blocks, translation_groupoid
+from .pactions import PartialAction, is_free, row_blocks, translation_groupoid
 
 
 class PreconditionViolated(ValueError):
@@ -216,8 +216,8 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
                 return CertificateCheck(False, f"level {j} assigns mass to non-carrier point {x}")
             if not (0 <= v <= 1):
                 return CertificateCheck(False, f"level {j} value at {x} is outside [0, 1]")
-    t = index_tables(pa)
-    order, n = pa.group.order, len(t.index)
+    index, (mul, inv) = pa.index, pa.group.arrays
+    order, n = pa.group.order, pa.size()
     # A level without mass gives zero towers, which pass (C2) and (1) and add
     # nothing to (C3); only the other levels enter the tables.
     live = [j for j in range(levels) if any(cert.levels[j].values())]
@@ -229,13 +229,13 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
         first = np.zeros((block.stop - block.start, n + 1), dtype=np.intp)  # column n: off X_g
         for row, j in enumerate(live[block]):
             for x, v in cert.levels[j].items():
-                first[row, t.index[x]] = code[v]
-        T = first[:, t.theta[t.inv]]  # (level in block, g, z)
+                first[row, index[x]] = code[v]
+        T = first[:, pa.table[inv]]  # (level in block, g, z)
         # (C2) per-level orthogonality.
         crowded = (T > 0).sum(axis=1) > 1
         for row in np.flatnonzero(crowded.any(axis=1)).tolist():
-            x = next(x for x in pa.carrier if crowded[row, t.index[x]])
-            positive = np.flatnonzero(T[row, :, t.index[x]]).tolist()
+            x = next(x for x in pa.carrier if crowded[row, index[x]])
+            positive = np.flatnonzero(T[row, :, index[x]]).tolist()
             return CertificateCheck(False, f"orthogonality fails at point {x}, level {live[block][row]}: towers {positive}")
         # (C3) partition of unity: after (C2) each level holds at most one
         # positive code per point, so a point's mass is fixed by its codes.
@@ -247,22 +247,22 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
         # One flat take: T[j, gh, z] is entry gh * n + z of level j.
         flat = T.reshape(len(T), order * n)
         for rows in row_blocks(min(order, raw[0] + 1), T.size):
-            defined = t.theta[rows] >= 0  # (g, y)
-            at = t.mul[rows][:, :, None] * n + t.theta[rows][:, None, :]  # an undefined y reads any entry
+            defined = pa.table[rows] >= 0  # (g, y)
+            at = mul[rows][:, :, None] * n + pa.table[rows][:, None, :]  # an undefined y reads any entry
             moved = flat.take(at, axis=1)  # (level, g, h, y)
             bad = defined[None, :, None, :] & (T[:, None] != moved)
             if bad.any():
                 b = int(np.argmax(bad.any(axis=(0, 2, 3))))
                 g = rows.start + b
                 pos, y = next((pos, y) for pos, y in enumerate(pa.domain(pa.group.inv(g)))
-                              if bad[:, b, :, t.index[y]].any())
-                h, row = np.argwhere(bad[:, b, :, t.index[y]].T)[0].tolist()
+                              if bad[:, b, :, index[y]].any())
+                h, row = np.argwhere(bad[:, b, :, index[y]].T)[0].tolist()
                 raw = min(raw, (g, pos, h, block.start + row, y))
                 break
     short = np.array([m != 1 for m in masses], dtype=bool)[key]  # by point index
     if short.any():
-        x = next(x for x in pa.carrier if short[t.index[x]])
-        return CertificateCheck(False, f"tower masses sum to {masses[key[t.index[x]]]} != 1 at point {x}")
+        x = next(x for x in pa.carrier if short[index[x]])
+        return CertificateCheck(False, f"tower masses sum to {masses[key[index[x]]]} != 1 at point {x}")
     if raw[0] < order:
         g, _, h, row, y = raw
         return CertificateCheck(False, f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {live[row]})")

@@ -30,9 +30,7 @@ from partact.pactions import (
     NotBijective,
     PartialAction,
     PartialActionError,
-    _index_tables,
     global_action,
-    index_tables,
     validate,
 )
 from partact.rokhlin import CertificateCheck, TowerCertificate
@@ -41,21 +39,33 @@ from tuple_reference import stabilizer_and_section
 CHECK_CHUNK = 1 << 22  # product-table entries per associativity chunk
 
 
+def table_of(
+    group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int, Mapping[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The carrier as an ascending array and the table ``theta[g, i]`` of
+    ``maps`` over it, -1 where undefined, entry by entry; nothing is checked."""
+    points = sorted(carrier)
+    index = {x: i for i, x in enumerate(points)}
+    theta = np.full((group.order, len(points)), -1, dtype=np.intp)
+    for g, mapping in maps.items():
+        for x, y in mapping.items():
+            theta[g, index[x]] = index[y]
+    return np.array(points, dtype=np.intp), theta
+
+
 def unvalidated(group: FiniteGroup, carrier: Iterable[int], maps: Mapping[int, Mapping[int, int]]) -> PartialAction:
     """The action of ``maps`` on ``carrier``, built through the table with no
     axiom checked: X_g is where theta_(g^-1) is defined."""
-    t = _index_tables(group, carrier, maps)
-    return PartialAction(group, np.fromiter(t.index, np.intp, len(t.index)), t.theta)
+    return PartialAction(group, *table_of(group, carrier, maps))
 
 
 def groupoid_arrows(pa: PartialAction) -> tuple[tuple[int, int, int], ...]:
     """Every arrow (g, x, theta_g(x)) of the translation groupoid, g-major,
     points ascending."""
-    t = index_tables(pa)
     points = pa.points.tolist()
-    gs, src = np.nonzero(t.theta >= 0)  # g-major, points ascending
+    gs, src = np.nonzero(pa.table >= 0)  # g-major, points ascending
     at = points.__getitem__
-    return tuple(zip(gs.tolist(), map(at, src.tolist()), map(at, t.theta[gs, src].tolist())))
+    return tuple(zip(gs.tolist(), map(at, src.tolist()), map(at, pa.table[gs, src].tolist())))
 
 
 def reference_serialize_instance(pa: PartialAction, labels: Optional[Sequence] = None) -> str:
@@ -89,6 +99,10 @@ def reference_validate(
 ) -> PartialAction:
     """Every axiom point by point; the composition and derived-domain scans
     run over all (g, h) pairs."""
+    for name, keyed in (("domains", domains), ("maps", maps)):
+        for k in keyed:
+            if k not in range(group.order):
+                raise PartialActionError(f"{name} key {k!r} is not a group element")
     X = frozenset(carrier)
     doms: dict[int, frozenset[int]] = {}
     thetas: dict[int, dict[int, int]] = {}
@@ -103,7 +117,7 @@ def reference_validate(
     if doms[0] != X:
         missing = sorted(X - doms[0])
         raise IdentityDomainNotFull(missing[0] if missing else -1)
-    if any(thetas[0].get(x, x) != x for x in X):
+    if any(thetas[0].get(x, x) != x for x in X) or not thetas[0].keys() <= X:
         raise PartialActionError("theta_1 must be the identity map")
     thetas[0] = {x: x for x in X}
 

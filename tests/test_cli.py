@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partact import cli
+from partact import cli, harness
 from partact.cli import (
     ParseError,
     ValidationError,
@@ -61,6 +61,15 @@ def test_parse_malformed_pair_has_location():
     with pytest.raises(ParseError) as err:
         parse_instance(json.dumps(doc))
     assert "maps.1" in str(err.value)
+
+
+def test_parse_rejects_a_source_label_listed_twice(tmp_path, capsys):
+    doc = dict(SWAP_PAIR_DOC, maps={"0": SWAP_PAIR_DOC["maps"]["0"], "1": [["a", "a"], ["b", "a"], ["a", "b"]]})
+    with pytest.raises(ParseError, match="source label 'a' is listed twice") as err:
+        parse_instance(json.dumps(doc))
+    assert err.value.location == "maps.1"
+    assert main(["validate", _write_swap_pair(tmp_path, doc)]) == 1
+    assert "listed twice (at maps.1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -344,7 +353,7 @@ def test_cli_internal_failure_without_an_instance_exit_3(capsys, monkeypatch):
     def broken(seed, count):
         raise AssertionError("check suite broke")
 
-    monkeypatch.setattr(cli, "run_all_checks", broken)
+    monkeypatch.setattr(harness, "run_all_checks", broken)  # _cmd_check imports it when run
     assert main(["check", "--count", "1"]) == 3
     assert capsys.readouterr().err == "internal error: AssertionError: check suite broke\n"
 

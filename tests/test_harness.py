@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 from partact.harness import (
@@ -94,3 +96,22 @@ def test_check_morita_builds_one_crossed_product_per_instance(monkeypatch):
     monkeypatch.setattr(harness, "crossed_product", counted)
     assert check_morita(5, count=12).passed
     assert len(built) == 12
+
+
+def test_failure_records_replay_through_the_cli(monkeypatch, tmp_path, capsys):
+    """A forced failure's instance is an instance document: ``partact analyze``
+    reads it, and it parses back, with its labels, to the failing instance."""
+    from partact import harness
+    from partact.cli import instance_digest, main, parse_instance_with_labels, serialize_instance
+    from partact.pactions import is_free
+
+    monkeypatch.setattr(harness, "is_free", lambda pa: not is_free(pa))
+    report = check_free_iff_finite(23, count=3)
+    assert len(report.failures) == 3
+    for pa, failure in zip(corpus(23, 3), report.failures):
+        path = tmp_path / "failure.json"
+        path.write_text(json.dumps(failure["instance"]))
+        assert main(["analyze", str(path)]) == 0
+        capsys.readouterr()
+        again, labels = parse_instance_with_labels(path.read_text())
+        assert hashlib.sha256(serialize_instance(again, labels).encode()).hexdigest() == instance_digest(pa)

@@ -93,6 +93,19 @@ def test_validate_requires_full_identity_domain(c2):
         validate(c2, {0, 1}, {0: {0}, 1: set()}, {0: {0: 0}, 1: {}})
 
 
+def test_validate_reads_each_domain_once(c2):
+    """Domains may be one-shot iterators, also when one holds points off the carrier."""
+    pa = validate(c2, {0, 1}, {g: iter((0, 1)) for g in (0, 1)}, {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}})
+    assert pa.domains == {0: {0, 1}, 1: {0, 1}}
+    with pytest.raises(PartialActionError, match="^domain of g=1 contains non-carrier point 7$"):
+        validate(c2, {0, 1}, {0: iter((0, 1)), 1: iter((9, 0, 7))}, {0: {0: 0, 1: 1}, 1: {}})
+
+
+def test_validate_rejects_an_identity_entry_off_the_carrier(c2):
+    with pytest.raises(PartialActionError, match="^theta_1 must be the identity map$"):
+        validate(c2, {0, 1}, {0: {0, 1}, 1: set()}, {0: {0: 0, 1: 1, 5: 7}, 1: {}})
+
+
 def test_freeness(swap_pair, fixed_single, idle_triple):
     assert is_free(swap_pair)
     assert freeness_witness(fixed_single) == (1, 0)

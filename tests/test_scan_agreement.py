@@ -6,6 +6,7 @@ failure names the first witness of the old scan order.
 
 import gc
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -30,7 +31,6 @@ from partact.pactions import (
     central_splitting,
     global_action,
     globalize,
-    index_tables,
     random_partial_action,
     restricted_to,
     validate,
@@ -51,6 +51,7 @@ from scan_reference import (
     reference_stratification,
     reference_validate,
     reference_verify_certificate,
+    table_of,
     unvalidated,
 )
 
@@ -103,24 +104,89 @@ def _tampered_maps(pa: PartialAction, rng: random.Random):
     return pa.carrier, pa.domains, maps
 
 
+def _broken_inputs(pa: PartialAction, rng: random.Random):
+    """Copies of pa's domains and maps, each broken in one way: domain points
+    off the carrier, points missing from X_1, theta_1 moving a point or
+    defined off the carrier, a theta_g with a missing or non-carrier source,
+    a repeated or non-carrier image, and a key that is no group element."""
+    G, points = pa.group, sorted(pa.carrier)
+    if not points:
+        return
+    off, x = points[-1] + 1, rng.choice(points)
+
+    def copies():
+        return {g: set(pa.domains[g]) for g in G.elements()}, {g: dict(pa.maps[g]) for g in G.elements()}
+
+    domains, maps = copies()
+    for g in rng.sample(range(G.order), min(2, G.order)):
+        domains[g] |= {off + 1, off}
+    yield domains, maps
+    domains, maps = copies()
+    domains[0] -= set(rng.sample(points, min(2, len(points))))
+    yield domains, maps
+    for y in (rng.choice([p for p in points if p != x] or [off]), off):
+        domains, maps = copies()
+        maps[0][x] = y
+        yield domains, maps
+    domains, maps = copies()
+    maps[0][off] = off
+    yield domains, maps
+    for g in [g for g in G.elements() if g and pa.maps[g]]:
+        sources = sorted(pa.maps[g])
+        domains, maps = copies()
+        del maps[g][rng.choice(sources)]
+        yield domains, maps
+        domains, maps = copies()
+        maps[g][off] = rng.choice(points)
+        yield domains, maps
+        domains, maps = copies()
+        maps[g][rng.choice(sources)] = off
+        yield domains, maps
+        if len(sources) >= 2:
+            domains, maps = copies()
+            x1, x2 = rng.sample(sources, 2)
+            maps[g][x1] = maps[g][x2]
+            yield domains, maps
+    domains, maps = copies()
+    domains[G.order] = set()
+    yield domains, maps
+    domains, maps = copies()
+    maps[-1] = {}
+    yield domains, maps
+
+
 def test_validate_agrees_with_scan_reference(instances):
     rng = random.Random(8)
     seen = set()
     for pa in instances:
         assert _same_action(validate(pa.group, pa.carrier, pa.domains, pa.maps),
                             reference_validate(pa.group, pa.carrier, pa.domains, pa.maps))
-        for _ in range(4):
-            data = _tampered_maps(pa, rng)
+        tampered = [_tampered_maps(pa, rng) for _ in range(4)]
+        tampered += [(pa.carrier, *data) for data in _broken_inputs(pa, rng)]
+        for data in tampered:
             if data is None:
                 continue
             new, ref = _outcome(validate, pa.group, *data), _outcome(reference_validate, pa.group, *data)
             assert new[0] == ref[0]
             if new[0] == "ok":
                 assert _same_action(new[1], ref[1])
+                seen.add("ok")
             else:
                 assert new[1] == ref[1]
-            seen.add(new[0].__name__ if new[0] != "ok" else "ok")
-    assert {"CompositionViolation", "InverseMismatch"} <= seen
+                seen.add(re.sub(r"\d+", "#", new[1]))
+    bijection = "theta_# is not a bijection X_(g^-#) -> X_g: "
+    assert seen >= {
+        "ok",
+        "domain of g=# contains non-carrier point #",
+        "identity domain must be the whole carrier; missing point #",
+        "theta_# must be the identity map",
+        bijection + "source set is not X_(g^-#)",
+        bijection + "image is not X_g or map is not injective",
+        "theta_(inv #) is not the inverse of theta_# at point #",
+        "composition axiom fails for (g=#, h=#) at point #: theta_g(theta_h(x)) is defined but disagrees with theta_(gh)",
+        "domains key # is not a group element",
+        "maps key -# is not a group element",
+    }
 
 
 def test_dict_views_are_read_only_ascending_and_equal_the_dicts_given(instances):
@@ -272,15 +338,14 @@ def _raw_witnesses_agreeing(instances) -> int:
 def _assert_owns_its_table(action: PartialAction, parent=None) -> None:
     """The table an action was built from is the one its maps would give,
     intp and read-only, with no reference back to the action or its parent."""
-    tables = index_tables(action)
-    rebuilt = pactions._index_tables(action.group, action.carrier, action.maps)
-    assert tables.theta.dtype == np.intp and np.array_equal(tables.theta, rebuilt.theta)
-    assert dict(tables.index) == dict(rebuilt.index)
-    assert not tables.theta.flags.writeable
-    referents = gc.get_referents(tables, *vars(tables).values())
+    points, rebuilt = table_of(action.group, action.carrier, action.maps)
+    assert action.table.dtype == np.intp and np.array_equal(action.table, rebuilt)
+    assert dict(action.index) == {x: i for i, x in enumerate(points.tolist())}
+    assert not action.table.flags.writeable
+    referents = gc.get_referents(action.table, action.points, action.index)
     assert not any(r is action or r is parent for r in referents)
     if parent is not None:
-        assert not np.shares_memory(tables.theta, index_tables(parent).theta)
+        assert not np.shares_memory(action.table, parent.table)
 
 
 def test_globalize_agrees_with_union_find_label_for_label(instances):
@@ -414,7 +479,7 @@ def test_axiom_and_certificate_checks_stay_small_at_scale():
         check = verify_certificate(pa, TowerCertificate(0, ({c * 24: F(1) for c in range(copies)},)))
         verify_peak = tracemalloc.get_traced_memory()[1] - held
         part = restricted_to(pa, [x for x in range(n) if x % 24])
-        index_tables(part)  # the point index is kept on the restriction, outside the peak
+        part.index  # the point index is kept on the restriction, outside the peak
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         envelope = globalize(part).envelope
@@ -512,9 +577,9 @@ def test_product_rows_reject_every_tampering(instances):
     whose factors do not compose, and a product index outside [0, n): the
     constructor or the arrow identities raise on each."""
     pa = next(pa for pa in instances if crossed_product(pa).dimension >= 8)
-    alg, t = crossed_product(pa), index_tables(pa)
+    alg = crossed_product(pa)
     rows, n = alg.product, alg.dimension
-    _, tgt, src = fdcstar._arrow_ends(alg, t)
+    _, tgt, src = fdcstar._arrow_ends(alg, pa)
     i, j = next((i, j) for i in range(n) for j in range(n) if src[i] != tgt[j])
     after = np.searchsorted(rows[:, 0] * n + rows[:, 1], i * n + j)
     extra = np.insert(rows, after, [i, j, 0], axis=0)
@@ -524,8 +589,8 @@ def test_product_rows_reject_every_tampering(instances):
     swapped[[1, 2]] = swapped[[2, 1]]
     for tampered in (rows[1:], np.insert(rows, 3, rows[3], axis=0), swapped, extra, outside):
         with pytest.raises(AlgebraError):
-            check_arrow_identities(StructureConstantStarAlgebra(alg.basis, tampered, alg.star), t)
-    check_arrow_identities(StructureConstantStarAlgebra(alg.basis, rows.copy(), alg.star), t)
+            check_arrow_identities(StructureConstantStarAlgebra(alg.basis, tampered, alg.star), pa)
+    check_arrow_identities(StructureConstantStarAlgebra(alg.basis, rows.copy(), alg.star), pa)
 
 
 def test_arrow_identities_reject_every_table_the_scan_rejects(instances):
@@ -534,7 +599,7 @@ def test_arrow_identities_reject_every_table_the_scan_rejects(instances):
     scan rejects.  A star entry of -1 is rejected on construction."""
     rejected = 0
     for pa in [pa for pa in instances if 0 < crossed_product(pa).dimension <= 9][:4]:
-        alg, t = crossed_product(pa), index_tables(pa)
+        alg = crossed_product(pa)
         n = alg.dimension
         with pytest.raises(AlgebraError, match=r"star has an index outside \[0, "):
             replace(alg, star=np.r_[-1, alg.star[1:]])
@@ -552,7 +617,7 @@ def test_arrow_identities_reject_every_table_the_scan_rejects(instances):
                     if _outcome(reference_check_invariants, tampered)[0] != "ok":
                         rejected += 1
                         with pytest.raises(AlgebraError):
-                            check_arrow_identities(tampered, t)
+                            check_arrow_identities(tampered, pa)
     assert rejected > 100
 
 
