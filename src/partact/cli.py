@@ -135,7 +135,10 @@ def parse_instance_with_labels(text: str):
         g = _element(group, g_str, "domains")
         if not isinstance(lst, list):
             raise ParseError("a domain must be a list of labels", f"domains.{g_str}")
-        domains[g] = {point(lbl, f"domains.{g_str}") for lbl in lst}
+        domain = {point(lbl, f"domains.{g_str}") for lbl in lst}
+        if len(domain) != len(lst):
+            raise ParseError("a domain lists a label twice", f"domains.{g_str}")
+        domains[g] = domain
     maps = {}
     for g_str, pairs in doc["maps"].items():
         g = _element(group, g_str, "maps")

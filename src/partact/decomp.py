@@ -118,16 +118,28 @@ def _require_decomposable(pa: PartialAction, n: int) -> None:
         raise NotDecomposable(n, int(pa.points[i]), int(count[i]))
 
 
-def _tuple_keys(pa: PartialAction) -> np.ndarray:
-    """Each point's domain tuple tau(x) as one integer, with g as bit |G|-1-g.
+def _tuple_keys(pa: PartialAction) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's domain tuple tau(x) as a row of the domain matrix
+    rows[i, g] (x_i is in X_g where theta_{g^-1} is defined), and as one
+    integer key that orders the rows as they compare from g = 0 on.
 
-    x is in X_g where theta_{g^-1} is defined.  n-sets compare (as sorted
-    lists) in the reverse order of their keys, since the least element where
-    two differ sets the highest differing bit: the least has the largest key.
+    The key is a word of bits, g as bit 61 - g, for g < 62; each further
+    block of 62 elements is a word of its own, and the key becomes the rank
+    of the pair (key, word), so no shift leaves 64 bits at any group order.
+    n-sets compare (as sorted lists) in the reverse order of their keys,
+    since the least element where two differ is in the larger row: the least
+    has the largest key.
     """
-    order = pa.group.order
-    weights = 1 << np.arange(order - 1, -1, -1, dtype=np.intp)
-    return weights @ (pa.table[pa.group.arrays[1]] >= 0)
+    member = pa.table[pa.group.arrays[1]] >= 0
+    blocks = [member[start : start + 62] for start in range(0, len(member), 62)]
+    weights = 1 << np.arange(61, -1, -1, dtype=np.intp)
+    key = weights[: len(blocks[0])] @ blocks[0]
+    for block in blocks[1:]:
+        word = weights[: len(block)] @ block
+        order = np.lexsort((word, key))
+        pairs = np.stack([key, word])[:, order]
+        key[order] = np.r_[0, (pairs[:, 1:] != pairs[:, :-1]).any(axis=0).cumsum()]
+    return member.T, key
 
 
 def _part_labels(theta: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -156,8 +168,8 @@ def global_subsystem(pa: PartialAction, tau) -> tuple[Subgroup, PartialAction]:
     _require_decomposable(pa, len(tau))
     if not tau <= frozenset(pa.group.elements()):  # no shift by a non-element below
         raise EmptyStratum(tau)
-    key = _tuple_keys(pa)
-    at = np.flatnonzero(key == sum(1 << (pa.group.order - 1 - g) for g in tau))
+    rows, key = _tuple_keys(pa)
+    at = np.flatnonzero((rows == np.isin(np.arange(pa.group.order), list(tau))).all(axis=1))
     if not at.size:
         raise EmptyStratum(tau)
     members = _stabilizer_members(pa.table, key, int(at[0]))
@@ -186,11 +198,10 @@ def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:
     has n / |H_tau| tuples, and every one of them occurs in the part.
     """
     _require_decomposable(pa, n)
-    key = _tuple_keys(pa)
+    rows, key = _tuple_keys(pa)
     label = _part_labels(pa.table, key)
     if ((pa.table >= 0) & (label[pa.table] != label)).any():
         raise AssertionError("orbit-type part is not invariant")
-    order = pa.group.order
     parts: list[OrbitTypePart] = []
     for rep in sorted(set(label.tolist()), reverse=True):
         at = np.flatnonzero(label == rep)
@@ -200,6 +211,6 @@ def orbit_type_decomposition(pa: PartialAction, n: int) -> list[OrbitTypePart]:
             raise AssertionError("orbit-type part breaks orbit-stabilizer: |orbit of tau| * |H_tau| != n")
         X_tau = frozenset(pa.points[in_tau].tolist())
         H, subsystem = _stabilizer_subsystem(pa, members.tolist(), X_tau)
-        tau = frozenset(g for g in range(order) if rep >> (order - 1 - g) & 1)
+        tau = frozenset(np.flatnonzero(rows[in_tau[0]]).tolist())
         parts.append(OrbitTypePart(tau, frozenset(pa.points[at].tolist()), H, subsystem, X_tau))
     return parts

@@ -426,20 +426,6 @@ def punctured_circle_pair_global(m: int):
     return ga, NumericTowers(0, values)
 
 
-def embed_certificate(pa: PartialAction, levels: Sequence[Mapping[int, Fraction]]):
-    """View a finite partial action as a geometry-free grid instance.
-
-    Each point is its own chain component, so the Lipschitz band is vacuous;
-    witnesses are the indicator basis together with the constant 1.
-    """
-    coords = {x: F1(i) for i, x in enumerate(sorted(pa.carrier))}
-    ga = GridAction(pa, coords, (), F1(1), F1(1))
-    towers = derived_numeric_towers(ga, levels)
-    witnesses = [{x: F1(1)} for x in sorted(pa.carrier)]
-    witnesses.append({x: F1(1) for x in pa.carrier})
-    return ga, towers, witnesses
-
-
 # ---------------------------------------------------------------------------
 # Alternating-projection search.
 # ---------------------------------------------------------------------------
@@ -487,6 +473,10 @@ def search_towers(
     flat index plans, cut to the chunk's rows whenever restarts leave it,
     read each gather with one ``take``.  Winners are first largest values,
     found without ``argmax``; every float sum keeps its operands and order.
+
+    Sweeps stop once the frozen polish phase returns a chunk, bit for bit, to
+    its values from two sweeps back: from then on the chunk swaps its two
+    states, and the residual checks, early stops and results are unchanged.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -642,31 +632,48 @@ def search_towers(
         incoming value; the polish phase freezes the winners it starts with
         and zeroes the rest.  A polishing restart whose float residual stops
         falling leaves the chunk with its values at that sweep.
+
+        With the winners frozen, a polish sweep is one fixed map F on the
+        values.  Once a polish sweep returns the chunk, bit for bit, to its
+        values two sweeps back, F swaps that state and the one between, so
+        the chunk swaps two buffers instead of sweeping (``twin`` holds the
+        other state).
         """
         total_sweeps = sweeps + polish_sweeps
         final: list = [None] * len(v)
         ran = [total_sweeps] * len(v)
         active = np.arange(len(v))
         last = np.full(len(v), np.inf)
-        polish_damp = None
+        polish_damp = back = twin = None
         buf, v, plan = load(v)
         for it in range(total_sweeps):
             R = len(v)
             polishing = it >= sweeps
-            damp = polish_damp
-            if damp is None:
-                damp = damping(buf, R, 0.0 if polishing else 0.35)
+            if twin is not None:
+                (buf, v), twin = twin, (buf, v)
+            else:
+                damp = polish_damp
+                if damp is None:
+                    damp = damping(buf, R, 0.0 if polishing else 0.35)
+                    if polishing:
+                        polish_damp = damp
                 if polishing:
-                    polish_damp = damp
-            v *= damp
-            # Sum-to-one rows (simultaneous Kaczmarz step).
-            delta = (1.0 - towers(buf, plan).sum(axis=(1, 2))) / row_size
-            step = np.bincount(chunk_rows[: R * len(row_z)], weights=delta.take(delta_plan[: R * len(row_z)]), minlength=R * P)
-            v += step.reshape(R, 1, P)
-            # Hard constraints: box and caps (cap <= 1), Lipschitz band.
-            np.maximum(v, 0.0, out=v)
-            np.minimum(v, cap, out=v)
-            lipschitz_project(buf, v)
+                    before = v.copy()
+                v *= damp
+                # Sum-to-one rows (simultaneous Kaczmarz step).
+                delta = (1.0 - towers(buf, plan).sum(axis=(1, 2))) / row_size
+                step = np.bincount(chunk_rows[: R * len(row_z)], weights=delta.take(delta_plan[: R * len(row_z)]), minlength=R * P)
+                v += step.reshape(R, 1, P)
+                # Hard constraints: box and caps (cap <= 1), Lipschitz band.
+                np.maximum(v, 0.0, out=v)
+                np.minimum(v, cap, out=v)
+                lipschitz_project(buf, v)
+                if polishing:
+                    # back is the state before the previous polish sweep, so
+                    # v == back means F(F(back)) == back.
+                    if back is not None and np.array_equal(v, back):
+                        twin = load(before)[:2]
+                    back = before
             if it % 25 == 24 or it == total_sweeps - 1:
                 fr = float_residual(buf, plan)
                 done = fr >= last - 1e-14
@@ -678,6 +685,10 @@ def search_towers(
                     if not len(active):
                         break
                     buf, v, plan = load(v[keep])
+                    if twin is not None:
+                        twin = load(twin[1][keep])[:2]
+                    elif back is not None:
+                        back = back[keep]
                 last = fr
         for k, v_k in zip(active, v):
             final[k] = v_k

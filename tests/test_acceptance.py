@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from block_reference import block_structure_full
+from lift_reference import orthogonal_lifts
 from scan_reference import groupoid_arrows
 
 from partact.fdcstar import (
@@ -39,7 +40,6 @@ from partact.pactions import (
 )
 from partact.rokhlin import (
     TowerCertificate,
-    orthogonal_lifts,
     rokhlin_dimension,
     towers_exist,
     verify_certificate,

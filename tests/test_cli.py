@@ -72,6 +72,16 @@ def test_parse_rejects_a_source_label_listed_twice(tmp_path, capsys):
     assert "listed twice (at maps.1)" in capsys.readouterr().err
 
 
+def test_parse_rejects_a_domain_label_listed_twice(tmp_path, capsys):
+    # The repeat would otherwise vanish in the domain's set and still validate.
+    doc = dict(SWAP_PAIR_DOC, domains={"0": ["a", "b", "c"], "1": ["a", "b", "a"]})
+    with pytest.raises(ParseError, match="a domain lists a label twice") as err:
+        parse_instance(json.dumps(doc))
+    assert err.value.location == "domains.1"
+    assert main(["validate", _write_swap_pair(tmp_path, doc)]) == 1
+    assert "lists a label twice (at domains.1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value, location",
     [

@@ -26,7 +26,7 @@ from partact.pactions import (
     trivial_partial_action,
     validate,
 )
-from tuple_reference import tuple_space
+from tuple_reference import orbit_of, stabilizer_and_section, tuple_space
 
 
 def test_domain_tuple_swap_pair(swap_pair):
@@ -260,6 +260,47 @@ def test_decomposition_matches_tuple_space_reference(spec):
         compared += len(parts)
         nontrivial += sum(p.stabilizer.order > 1 for p in parts)
     assert compared >= 20 and nontrivial >= 1
+
+
+def _closed_form_parts(pa, n):
+    """The orbit-type parts from each point's own tuple, with no tuple space:
+    the representative is the least tuple of the closed-form orbit and the
+    stabilizer is read off it, so this reaches group orders where the
+    n-tuple space cannot be enumerated."""
+    by_rep = {}
+    for x in sorted(pa.carrier):
+        tau = pa.domain_tuple(x)
+        assert len(tau) == n
+        by_rep.setdefault(orbit_of(pa.group, tau)[0], []).append(x)
+    parts = []
+    for rep in sorted(by_rep, key=sorted):
+        points = frozenset(by_rep[rep])
+        stabilizer = stabilizer_and_section(pa.group, rep)[0].members
+        X_tau = frozenset(x for x in points if pa.domain_tuple(x) == rep)
+        parts.append((rep, points, stabilizer, X_tau))
+    return parts
+
+
+@pytest.mark.parametrize("order", [64, 70])
+def test_decomposition_matches_the_closed_form_reference_above_order_63(order):
+    """Domain tuples of more than 63 elements do not fit one machine word."""
+    group = build_group(("cyclic", order), max_order=order)
+    regular = pactions.PartialAction(group, np.arange(order), group.arrays[0].copy())
+    half = restricted_to(regular, range(0, order, 2))
+    # Kept on all points but 0, tau(x) is every element but x: the tuples
+    # without 62 and without 63 differ only past the first 62 elements.
+    all_but_one = restricted_to(regular, range(1, order))
+    draws = [random_partial_action(seed, ("cyclic", order), 40, 0.5, max_order=order) for seed in (46, 47)]
+    compared = 0
+    for layer, k in [(half, order // 2), (all_but_one, order - 1), *_strata_layers(draws)]:
+        parts = orbit_type_decomposition(layer, k)
+        got = [(p.representative, p.part, p.stabilizer.members, p.carrier_X_tau) for p in parts]
+        assert got == _closed_form_parts(layer, k)
+        for rep, _, stabilizer, X_tau in got:
+            H, sub = global_subsystem(layer, rep)
+            assert H.members == stabilizer and sub.carrier == X_tau
+        compared += len(parts)
+    assert compared >= 4
 
 
 def test_regular_s4_on_twelve_points_decomposes_at_n12_quickly():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from embed_reference import embed_certificate
 from fraction_reference import reference_residual
 
 from partact.gridtowers import (
@@ -12,7 +13,6 @@ from partact.gridtowers import (
     NumericTowers,
     OddGrid,
     check_admissible,
-    embed_certificate,
     interval_half_shift,
     punctured_circle_pair,
     punctured_circle_pair_global,

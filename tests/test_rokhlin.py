@@ -14,14 +14,13 @@ from partact.pactions import (
 )
 from partact.rokhlin import (
     NonexistenceProof,
-    PreconditionViolated,
     TowerCertificate,
-    orthogonal_lifts,
     rokhlin_dimension,
     towers_exist,
     verify_certificate,
     verify_refutation,
 )
+from lift_reference import PreconditionViolated, orthogonal_lifts
 from scan_reference import unvalidated
 
 F = Fraction

@@ -7,12 +7,14 @@ same best residual, the same trace and the same towers, value for value.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from embed_reference import embed_certificate
 from sweep_reference import reference_search_towers
 
+from partact import gridtowers
 from partact.gridtowers import (
     RESTART_CHUNK,
-    embed_certificate,
     interval_half_shift,
     punctured_circle_pair,
     punctured_circle_pair_global,
@@ -31,6 +33,25 @@ def _assert_agree(ga, family, eps, d, **kwargs):
     assert (res, got) == (ref_res, want)
     assert towers.d == ref_towers.d and towers.values == ref_towers.values
     return got
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The sweeps ``search_towers`` computes, one entry each: a sweep makes
+    the module's one ``np.bincount`` call, and a swap of the two states of a
+    polish cycle makes none."""
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, *args, **kwargs):
+            calls.append(None)
+            return np.bincount(*args, **kwargs)
+
+    monkeypatch.setattr(gridtowers, "np", CountingNumpy())
+    return calls
 
 
 @pytest.mark.parametrize("m", [32, 128])
@@ -87,3 +108,47 @@ def test_sweep_agrees_on_embedded_partial_actions(spec):
 def test_sweep_agrees_with_a_band_on_python_ints():
     ga, family, _ = punctured_circle_pair(32, lipschitz=F(3**40 - 1, 3**40))
     _assert_agree(ga, family, F(0), 0, seed=4, restarts=2, sweeps=20, polish_sweeps=30)
+
+
+def test_sweep_agrees_when_restarts_leave_a_cycling_chunk(swept):
+    # All sixteen restarts cycle long before the first early-stop check, then
+    # leave at two checks: the rows that stay are reloaded in both states.
+    ga, family, _ = punctured_circle_pair(128)
+    trace = _assert_agree(ga, family, F(0), 0, seed=20260808, lipschitz=8, restarts=RESTART_CHUNK)
+    assert {row[3] for row in trace} == {275, 300}
+    assert len(swept) < 275
+
+
+def test_sweep_agrees_when_a_chunk_cycles_after_restarts_left(swept):
+    # The second chunk does not cycle until fifteen of its restarts have left
+    # at sweep 275; the values two sweeps back are cut to the last one.
+    ga, family, _ = punctured_circle_pair(128)
+    trace = _assert_agree(ga, family, F(0), 1, seed=20260809, lipschitz=8, restarts=2 * RESTART_CHUNK)
+    assert [row[3] for row in trace[RESTART_CHUNK:]].count(300) == 1
+    # The first chunk cycles at sweep 219 and the second at sweep 276, past
+    # the leave at 275 but before its last restart leaves at 300.
+    assert len(swept) == 219 + 276
+
+
+def test_sweep_agrees_when_the_polish_never_cycles(swept):
+    ga, family, _ = punctured_circle_pair(128)
+    trace = _assert_agree(ga, family, F(1, 1000), 1, seed=20260808, lipschitz=8, restarts=RESTART_CHUNK)
+    assert len(trace) < RESTART_CHUNK  # stopped at eps
+    assert len(swept) == 275  # every sweep up to the early stop was computed
+
+
+@pytest.mark.parametrize("polish_sweeps, computed", [(2, 162), (3, 163), (4, 163), (5, 163)])
+def test_sweep_agrees_when_the_cycle_meets_the_last_sweeps(swept, polish_sweeps, computed):
+    # The cycle shows at the third polish sweep: after the last sweep, at the
+    # last sweep, or with the final check on the swapped state.
+    ga, family, _ = punctured_circle_pair(128)
+    trace = _assert_agree(ga, family, F(0), 0, seed=20261007, lipschitz=8, restarts=4, polish_sweeps=polish_sweeps)
+    assert {row[3] for row in trace} == {160 + polish_sweeps}
+    assert len(swept) == computed
+
+
+def test_sweep_agrees_when_the_polish_starts_at_once(swept):
+    ga, family, _ = punctured_circle_pair(128)
+    trace = _assert_agree(ga, family, F(0), 0, seed=3, lipschitz=8, restarts=2, sweeps=0, polish_sweeps=150)
+    assert {row[3] for row in trace} == {125, 150}
+    assert len(swept) < 125
