@@ -570,8 +570,10 @@ def imprimitivity_bimodule_verify(pa: PartialAction, *, crossed: StructureConsta
 
     # The <delta_a, delta_b> are the indicators of the nonempty cells I(a, b).
     # Over distinct basis arrows (``_arrow_ends``) the cells partition the basis,
-    # so those indicators are independent and the span dimension is their count.
-    span_dim = len(np.unique(cells))
+    # so those indicators are independent and the span dimension is their count
+    # (counted on a sort: np.unique without outputs would import numpy.ma).
+    cells = np.sort(cells)
+    span_dim = len(cells) and 1 + int(np.count_nonzero(cells[1:] != cells[:-1]))
 
     return BimoduleReport(
         unit_sum_bounded_below=bool((counts >= 1).all()),

@@ -71,12 +71,13 @@ class GridAction:
     lipschitz: Fraction
 
     def __post_init__(self):
+        edges = set(self.edges)
         for g in self.pa.group.elements():
             dom = self.pa.domain(self.pa.group.inv(g))
             for x, y in self.edges:
                 if x in dom and y in dom:
                     fx, fy = self.pa.theta(g, x), self.pa.theta(g, y)
-                    if fx != fy and (fx, fy) not in self.edges and (fy, fx) not in self.edges:
+                    if fx != fy and (fx, fy) not in edges and (fy, fx) not in edges:
                         raise GridError(
                             f"theta_{g} does not preserve adjacency at edge ({x}, {y})"
                         )
@@ -98,32 +99,83 @@ class GridAction:
         src.flags.writeable = edges.flags.writeable = False
         return pa.points.tolist(), index, src, edges
 
+    @cached_property
+    def _plans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What the search reads of the chain geometry, built once, read-only
+        and holding no reference back to the action: the chain windows, the
+        ends of each point in them, and the capped sources.
 
-@dataclass(frozen=True)
+        Chains and cycles are maximal runs of adjacent points.  Each gets one
+        row of ``windows[0]`` (a cycle tripled, so its middle third sees both
+        ways round), padded with P; ``windows[1]`` holds the rows reversed.
+        Point p sits at flat position ends[0, p] of the forward rows and
+        ends[1, p] of the reversed ones.  A capped source is the position
+        src[g, z] of a domain point z adjacent to a point off X_g: the band
+        caps the identity-level value there.
+        """
+        points, index, src, (ex, ey) = self._layout
+        P = len(points)
+        adj: dict[int, set[int]] = {x: set() for x in points}
+        for x, y in self.edges:
+            adj[x].add(y)
+            adj[y].add(x)
+        chains: list[tuple[np.ndarray, bool]] = []
+        seen: set[int] = set()
+
+        def walk(start: int) -> np.ndarray:
+            chain = [start]
+            seen.add(start)
+            while nxt := [y for y in adj[chain[-1]] if y not in seen]:
+                chain.append(nxt[0])
+                seen.add(nxt[0])
+            return np.array([index[p] for p in chain], dtype=np.int64)
+
+        for x in points:
+            if x not in seen and len(adj[x]) <= 1:
+                chains.append((walk(x), False))
+        for x in points:
+            if x not in seen:
+                chains.append((walk(x), True))
+        width = max(((3 if cyclic else 1) * len(ci) for ci, cyclic in chains), default=0)
+        windows = np.full((2, len(chains), width), P, dtype=np.int64)
+        ends = np.empty((2, P), dtype=np.int64)
+        for r, (ci, cyclic) in enumerate(chains):
+            window = np.concatenate([ci, ci, ci]) if cyclic else ci
+            windows[0, r, : len(window)] = window
+            at = (len(ci) if cyclic else 0) + np.arange(len(ci))
+            ends[:, ci] = r * width + at, (len(chains) + r + 1) * width - 1 - at
+        windows[1] = windows[0, :, ::-1]
+
+        inside = src >= 0
+        gs, es = np.nonzero(inside[:, ex] != inside[:, ey])
+        capped = src[gs, np.where(inside[gs, ex[es]], ex[es], ey[es])]
+        windows.flags.writeable = ends.flags.writeable = capped.flags.writeable = False
+        return windows, ends, capped
+
+
+@dataclass(frozen=True, eq=False)
 class NumericTowers:
-    """Tower values per (group element, level) at every grid point."""
+    """Tower values as one read-only integer table over a scale.
 
-    d: int
-    values: Mapping[tuple[int, int], Mapping[int, Fraction]]
+    f_{g,j}(x_i) = table[g, j, i] / scale at the sorted grid points x_i,
+    with i = index[x] (the action's ``_layout`` index).  The dtype is the
+    one ``_int_dtype`` picks: int64, or Python ints past 2^62.  The search
+    returns the table it scored; the models build theirs directly.
+    """
+
+    table: np.ndarray
+    scale: int
+    index: Mapping[int, int]
+
+    def __post_init__(self):
+        self.table.flags.writeable = False
+
+    @property
+    def d(self) -> int:
+        return self.table.shape[1] - 1
 
     def value(self, g: int, j: int, x: int) -> Fraction:
-        return self.values.get((g, j), {}).get(x, F1(0))
-
-
-def derived_numeric_towers(ga: GridAction, levels: Sequence[Mapping[int, Fraction]]) -> NumericTowers:
-    """Towers induced by identity-level functions: f_g = f_1 . theta_{g^-1}."""
-    pa = ga.pa
-    values: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for g in pa.group.elements():
-        ginv = pa.group.inv(g)
-        for j, level in enumerate(levels):
-            tower = {}
-            for z in pa.domain(g):
-                v = level.get(pa.theta(ginv, z), F1(0))
-                if v:
-                    tower[z] = v
-            values[(g, j)] = tower
-    return NumericTowers(len(levels) - 1, values)
+        return F1(int(self.table[g, j, self.index[x]]), self.scale)
 
 
 def _int_dtype(bound: int):
@@ -139,34 +191,26 @@ def _over_band(T: np.ndarray, scale: int, band: Fraction, ex: np.ndarray, ey: np
 def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray, int]:
     """Domains, [0, 1] bounds, and the Lipschitz band; raises on violation.
 
-    Returns the values as integers over their common denominator D_t: the
-    array T[g, j, i] = D_t * f_{g,j}(x_i) over the sorted grid points x_i,
-    and D_t.
+    Domain and bound violations come first, the first in (g, j, i) order
+    named (mass off the domain before leaving [0, 1]); then the first band
+    violation in (g, j, edge) order.  Returns the table T[g, j, i] = D_t *
+    f_{g,j}(x_i), in a dtype wide enough for the band check, and D_t.
     """
-    pa = ga.pa
-    _, index, _, (ex, ey) = ga._layout
-    entries = []
-    for (g, j), tower in towers.values.items():
-        if g not in pa.group.elements() or not (0 <= j <= towers.d):
-            raise ShapeMismatch(f"tower index ({g}, {j}) does not fit the action")
-        dom = pa.domain(g)
-        for x, v in tower.items():
-            if x not in pa.carrier:
-                raise ShapeMismatch(f"tower ({g}, {j}) uses unknown grid point {x}")
-            num, den = v.numerator, v.denominator
-            if x not in dom and num:
-                raise GridError(f"tower ({g}, {j}) has mass off its domain at {x}")
-            if not (0 <= num <= den):
-                raise GridError(f"tower ({g}, {j}) leaves [0, 1] at {x}")
-            if num:
-                entries.append((g, j, index[x], num, den))
-    scale = math.lcm(*{e[4] for e in entries})
+    points, _, src, (ex, ey) = ga._layout
+    T, scale = towers.table, towers.scale
+    if T.ndim != 3 or T.shape[0] != len(src) or T.shape[2] != len(points):
+        raise ShapeMismatch(
+            f"a tower table of shape {T.shape} does not fit the action: need ({len(src)}, levels, {len(points)})"
+        )
     band = ga.band
-    dtype = _int_dtype(scale * max(abs(band.numerator), band.denominator))
-    T = np.zeros((pa.group.order, towers.d + 1, len(index)), dtype=dtype)
-    if entries:
-        gs, js, xs, nums, dens = zip(*entries)
-        T[gs, js, xs] = [n * (scale // q) for n, q in zip(nums, dens)]
+    T = T.astype(_int_dtype(scale * max(abs(band.numerator), band.denominator)), copy=False)
+    off = (T != 0) & (src < 0)[:, None, :]
+    bad = off | (T < 0) | (T > scale)
+    if bad.any():
+        g, j, i = np.unravel_index(np.argmax(bad), bad.shape)
+        if off[g, j, i]:
+            raise GridError(f"tower ({g}, {j}) has mass off its domain at {points[i]}")
+        raise GridError(f"tower ({g}, {j}) leaves [0, 1] at {points[i]}")
     over = _over_band(T, scale, band, ex, ey)
     if over.any():
         g, j, e = np.unravel_index(np.argmax(over), over.shape)
@@ -295,13 +339,15 @@ def interval_half_shift(delta, m: int):
 
     f_d = {k: _piecewise_f_delta(coords[k], delta) for k in points}
     e_d = {k: _piecewise_e_delta(coords[k], delta) for k in points}
-    values = {
-        (1, 0): {k: e_d[k] for k in U if k < cut and e_d[k]},
-        (0, 0): {k: e_d[k] for k in points if k > cut and e_d[k]},
-        (1, 1): {k: f_d[k] - e_d[k] for k in U if k < cut and f_d[k] != e_d[k]},
-        (0, 1): {k: f_d[k] - e_d[k] for k in points if k >= cut and f_d[k] != e_d[k]},
-    }
-    towers = NumericTowers(1, values)
+    # Levels e and f - e over the points in order; the lower half (k < cut)
+    # goes to the shift's tower, the rest, the cut included, to the identity's.
+    levels = [[e_d[k] for k in points], [f_d[k] - e_d[k] for k in points]]
+    scale = math.lcm(*(v.denominator for level in levels for v in level))
+    ints = np.array(
+        [[v.numerator * (scale // v.denominator) for v in level] for level in levels], dtype=_int_dtype(scale)
+    )
+    lower = np.array(points) < cut
+    towers = NumericTowers(np.stack([ints * ~lower, ints * lower]), scale, ga._layout[1])
     witnesses = [f_d, e_d]
     return ga, towers, witnesses
 
@@ -419,11 +465,9 @@ def punctured_circle_pair_global(m: int):
     )
     edges = tuple((min(x, y), max(x, y)) for x, y in edges)
     ga = GridAction(pa, coords, edges, h, F1(8))
-    values = {
-        (1, 0): {k: F1(1) for k in range(m)},
-        (0, 0): {k: F1(1) for k in range(m, 2 * m)},
-    }
-    return ga, NumericTowers(0, values)
+    table = np.zeros((2, 1, 2 * m), dtype=np.int64)
+    table[1, 0, :m] = table[0, 0, m:] = 1
+    return ga, NumericTowers(table, 1, ga._layout[1])
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +535,7 @@ def search_towers(
     eps = F1(eps)
     exact_band = slope * ga.spacing
     band = float(exact_band)
-    pa = ga.pa
-    G = pa.group
+    G = ga.pa.group
     points, index, src, (ex, ey) = ga._layout
     P = len(points)
     levels = d + 1
@@ -509,53 +552,9 @@ def search_towers(
     delta_plan = (np.arange(C)[:, None] * P + row_z).ravel()
     chunk_rows = (np.arange(C)[:, None] * P + src[row_g, row_z]).ravel()
 
-    # Chains and cycles: maximal runs of adjacent points.
-    adj = {x: set() for x in points}
-    for x, y in ga.edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    chain_idx: list[tuple[np.ndarray, bool]] = []
-    seen: set[int] = set()
-
-    def walk(start: int) -> list[int]:
-        chain = [start]
-        seen.add(start)
-        while True:
-            nxt = [y for y in adj[chain[-1]] if y not in seen]
-            if not nxt:
-                return chain
-            chain.append(nxt[0])
-            seen.add(nxt[0])
-
-    for x in points:
-        if x not in seen and len(adj[x]) <= 1:
-            chain_idx.append((np.array([index[p] for p in walk(x)], dtype=np.int64), False))
-    for x in points:
-        if x not in seen:
-            chain_idx.append((np.array([index[p] for p in walk(x)], dtype=np.int64), True))
-    # One padded row per chain (a cycle tripled, so its middle third sees
-    # both ways round), then each row reversed; padding reads +inf.  Point p
-    # sits at ends[0, p] in the forward rows and ends[1, p] in the reversed.
-    width = max(((3 if cyclic else 1) * len(ci) for ci, cyclic in chain_idx), default=0)
-    windows = np.full((2, len(chain_idx), width), P, dtype=np.int64)
-    ends = np.empty((2, P), dtype=np.int64)
-    for r, (ci, cyclic) in enumerate(chain_idx):
-        window = np.concatenate([ci, ci, ci]) if cyclic else ci
-        windows[0, r, : len(window)] = window
-        at = (len(ci) if cyclic else 0) + np.arange(len(ci))
-        ends[:, ci] = r * width + at, (len(chain_idx) + r + 1) * width - 1 - at
-    windows[1] = windows[0, :, ::-1]
-
-    # Derived-support caps: a domain point adjacent to an off-domain point
-    # forces the corresponding identity-level value under the band.
+    windows, ends, capped = ga._plans
     cap = np.ones(P)
-    for g in G.elements():
-        if g == 0:
-            continue
-        dom = pa.domain(g)
-        for z in dom:
-            if any(n not in dom for n in adj[z]):
-                cap[src[g, index[z]]] = min(cap[src[g, index[z]]], band)
+    cap[capped] = min(1.0, band)
 
     # Integer over integer division rounds correctly, so this is max_a |float(a(z))|.
     exact_residual = ResidualFormula(ga, witnesses)
@@ -563,7 +562,7 @@ def search_towers(
 
     # The lower envelope's forward pass is a prefix minimum of vals - steps
     # on the rows, its backward pass one of vals + steps on the reversed rows.
-    steps = band * np.arange(width)
+    steps = band * np.arange(windows.shape[2])
     signed_steps = np.stack([-steps, steps[::-1]])[:, None, :]
 
     # Plans into the buffer [+inf, 0.0, -1.0, v]: incoming values per (level,
@@ -674,10 +673,12 @@ def search_towers(
                     if back is not None and np.array_equal(v, back):
                         twin = load(before)[:2]
                     back = before
-            if it % 25 == 24 or it == total_sweeps - 1:
+            # Every 25th sweep a polishing restart whose float residual did
+            # not fall leaves; a check is read only by the next one.
+            if it % 25 == 24 and it > sweeps + 75:
                 fr = float_residual(buf, plan)
                 done = fr >= last - 1e-14
-                if polishing and it > sweeps + 100 and done.any():
+                if it > sweeps + 100 and done.any():
                     for k, v_k in zip(active[done], v[done]):
                         final[k], ran[k] = v_k, it + 1
                     keep = ~done
@@ -701,8 +702,6 @@ def search_towers(
     int_dtype = _int_dtype(denom + abs(exact_step))
     exact_cap = np.full(P, denom, dtype=int_dtype)
     exact_cap[cap < 1.0] = exact_step
-    model_band = ga.band
-    check_dtype = _int_dtype(denom * max(abs(model_band.numerator), model_band.denominator))
 
     def floor_cap_repair(v: np.ndarray) -> np.ndarray:
         """Exact-rational candidate over denom: floor to a dyadic grid, then repair.
@@ -722,15 +721,8 @@ def search_towers(
             if np.array_equal(f, before):
                 return f
 
-    def to_towers(f: np.ndarray) -> NumericTowers:
-        level_maps = [
-            {points[i]: F1(int(f[j, i]), denom) for i in np.flatnonzero(f[j] > 0)}
-            for j in range(levels)
-        ]
-        return derived_numeric_towers(ga, level_maps)
-
     best_res: Optional[Fraction] = None
-    best_f: Optional[np.ndarray] = None
+    best: Optional[NumericTowers] = None
     rng_master = np.random.default_rng(seed)
     anchor_step = max(1, P // 16)
     xs = np.linspace(0, 1, P)
@@ -750,20 +742,16 @@ def search_towers(
                 v_r = v_r[0]
             f = floor_cap_repair(np.clip(np.minimum(v_r, cap[None, :]), 0.0, 1.0))
             # The candidate's towers f_g = f . theta_{g^-1} as a table over denom.
-            T = np.where(in_mask[:, None, :], f[:, src_clip].swapaxes(0, 1), 0).astype(check_dtype, copy=False)
-            if (T < 0).any() or (T > denom).any() or _over_band(T, denom, model_band, ex, ey).any():
-                check_admissible(ga, to_towers(f))  # raises, naming the violation
-                raise AssertionError("integer and Fraction admissibility checks disagree")
-            res = exact_residual(T, denom)
+            candidate = NumericTowers(np.where(in_mask[:, None, :], f[:, src_clip].swapaxes(0, 1), 0), denom, index)
+            res = exact_residual(*check_admissible(ga, candidate))
             if best_res is None or res < best_res:
-                best_res, best_f = res, f
+                best_res, best = res, candidate
             if trace is not None:
                 trace.append((restart, float(res), float(best_res), sweeps_run))
             if best_res <= eps:
                 break
         if best_res <= eps:
             break
-    assert best_f is not None and best_res is not None
-    best_towers = to_towers(best_f)
-    assert exact_residual(*check_admissible(ga, best_towers)) == best_res
-    return best_towers, best_res
+    assert best is not None and best_res is not None
+    assert exact_residual(*check_admissible(ga, best)) == best_res
+    return best, best_res

@@ -11,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from partact.gridtowers import GridAction, derived_numeric_towers
+from fraction_reference import as_table, derived_towers
+
+from partact.gridtowers import GridAction
 from partact.pactions import PartialAction
 
 F1 = Fraction
@@ -25,7 +27,7 @@ def embed_certificate(pa: PartialAction, levels: Sequence[Mapping[int, Fraction]
     """
     coords = {x: F1(i) for i, x in enumerate(sorted(pa.carrier))}
     ga = GridAction(pa, coords, (), F1(1), F1(1))
-    towers = derived_numeric_towers(ga, levels)
+    towers = as_table(ga, derived_towers(ga, levels))
     witnesses = [{x: F1(1)} for x in sorted(pa.carrier)]
     witnesses.append({x: F1(1) for x in pa.carrier})
     return ga, towers, witnesses

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
-from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch
+import numpy as np
+
+from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch, _int_dtype
 from partact.pactions import translation_groupoid
 from scan_reference import dense_product, groupoid_arrows
 
@@ -48,8 +51,79 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(rref(matrix)[1])
 
 
-def reference_check_admissible(ga: GridAction, towers: NumericTowers) -> None:
+# ---------------------------------------------------------------------------
+# Grid towers as Fraction dicts, the form ``NumericTowers`` held before it
+# became one integer table, with the conversions both ways.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DictTowers:
+    """Tower values per (group element, level) at every grid point."""
+
+    d: int
+    values: Mapping[tuple[int, int], Mapping[int, Fraction]]
+
+    def value(self, g: int, j: int, x: int) -> Fraction:
+        return self.values.get((g, j), {}).get(x, Fraction(0))
+
+
+Towers = Union[DictTowers, NumericTowers]
+
+
+def derived_towers(ga: GridAction, levels: Sequence[Mapping[int, Fraction]]) -> DictTowers:
+    """Towers induced by identity-level functions: f_g = f_1 . theta_{g^-1}."""
+    pa = ga.pa
+    values: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for g in pa.group.elements():
+        ginv = pa.group.inv(g)
+        for j, level in enumerate(levels):
+            tower = {}
+            for z in pa.domain(g):
+                v = level.get(pa.theta(ginv, z), Fraction(0))
+                if v:
+                    tower[z] = v
+            values[(g, j)] = tower
+    return DictTowers(len(levels) - 1, values)
+
+
+def as_dicts(towers: Towers) -> DictTowers:
+    """The nonzero values of a table, per (g, j) for every g and j."""
+    if isinstance(towers, DictTowers):
+        return towers
+    table, scale = towers.table, towers.scale
+    points = sorted(towers.index, key=towers.index.get)
+    return DictTowers(towers.d, {
+        (g, j): {points[i]: Fraction(int(table[g, j, i]), scale) for i in np.flatnonzero(table[g, j])}
+        for g in range(table.shape[0])
+        for j in range(table.shape[1])
+    })
+
+
+def as_table(ga: GridAction, towers: DictTowers) -> NumericTowers:
+    """The table of dict towers over the lcm of their denominators.
+
+    A table has no entry for an index or a point the action lacks, so those
+    raise here, with the messages the dict-form check gave them.
+    """
+    pa = ga.pa
+    index = ga._layout[1]
+    scale = math.lcm(*(v.denominator for tower in towers.values.values() for v in tower.values()))
+    table = np.zeros((pa.group.order, towers.d + 1, len(index)), dtype=object)
+    for (g, j), tower in towers.values.items():
+        if g not in pa.group.elements() or not (0 <= j <= towers.d):
+            raise ShapeMismatch(f"tower index ({g}, {j}) does not fit the action")
+        for x, v in tower.items():
+            if x not in index:
+                raise ShapeMismatch(f"tower ({g}, {j}) uses unknown grid point {x}")
+            table[g, j, index[x]] = v.numerator * (scale // v.denominator)
+    top = max((abs(v) for v in table.flat), default=0)
+    return NumericTowers(table.astype(_int_dtype(top + scale)), scale, index)
+
+
+def reference_check_admissible(ga: GridAction, towers: Towers) -> None:
     """Domains, [0, 1] bounds and the Lipschitz band, checked on Fractions."""
+    towers = as_dicts(towers)
     pa = ga.pa
     band = ga.band
     for (g, j), tower in towers.values.items():
@@ -72,9 +146,10 @@ def reference_check_admissible(ga: GridAction, towers: NumericTowers) -> None:
 
 
 def reference_residual(
-    ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[int, Fraction]]
+    ga: GridAction, towers: Towers, witnesses: Sequence[Mapping[int, Fraction]]
 ) -> Fraction:
     """The three witnessed tower conditions, term by term on Fractions."""
+    towers = as_dicts(towers)
     reference_check_admissible(ga, towers)
     pa = ga.pa
     G = pa.group

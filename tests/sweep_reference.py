@@ -15,16 +15,15 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from fraction_reference import DictTowers, as_table, derived_towers
 
 from partact.gridtowers import (
     RESTART_CHUNK,
     GridAction,
-    NumericTowers,
     ResidualFormula,
     _int_dtype,
     _over_band,
     check_admissible,
-    derived_numeric_towers,
     residual,
 )
 
@@ -57,7 +56,7 @@ def reference_search_towers(
     sweeps: int = 160,
     polish_sweeps: int = 1400,
     trace: Optional[list] = None,
-) -> tuple[NumericTowers, Fraction]:
+) -> tuple[DictTowers, Fraction]:
     """Best admissible towers found by alternating projections.
 
     Unknowns are the identity-level functions (equivariance then holds by
@@ -274,12 +273,12 @@ def reference_search_towers(
             if np.array_equal(f, before):
                 return f
 
-    def to_towers(f: np.ndarray) -> NumericTowers:
+    def to_towers(f: np.ndarray) -> DictTowers:
         level_maps = [
             {points[i]: F1(int(f[j, i]), denom) for i in np.flatnonzero(f[j] > 0)}
             for j in range(levels)
         ]
-        return derived_numeric_towers(ga, level_maps)
+        return derived_towers(ga, level_maps)
 
     best_res: Optional[Fraction] = None
     best_f: Optional[np.ndarray] = None
@@ -302,7 +301,7 @@ def reference_search_towers(
             # The candidate's towers f_g = f . theta_{g^-1} as a table over denom.
             T = gather(f).astype(check_dtype, copy=False)
             if (T < 0).any() or (T > denom).any() or _over_band(T, denom, model_band, ex, ey).any():
-                check_admissible(ga, to_towers(f))  # raises, naming the violation
+                check_admissible(ga, as_table(ga, to_towers(f)))  # raises, naming the violation
                 raise AssertionError("integer and Fraction admissibility checks disagree")
             res = exact_residual(T, denom)
             if best_res is None or res < best_res:
@@ -315,5 +314,5 @@ def reference_search_towers(
             break
     assert best_f is not None and best_res is not None
     best_towers = to_towers(best_f)
-    assert residual(ga, best_towers, witnesses) == best_res
+    assert residual(ga, as_table(ga, best_towers), witnesses) == best_res
     return best_towers, best_res

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -387,6 +391,8 @@ def test_cli_usage_error_exit_2():
         (["grid", "circle-pair", "--restarts", "0"], "argument --restarts: must be an integer >= 1"),
         (["grid", "circle-pair", "--restarts", "-1"], "argument --restarts: must be an integer >= 1"),
         (["grid", "circle-pair", "--lipschitz", "-1"], "argument --lipschitz: must be an integer >= 0"),
+        (["check", "--count", "-3"], "argument --count: must be an integer >= 1"),
+        (["check", "--count", "0"], "argument --count: must be an integer >= 1"),
     ],
 )
 def test_cli_bad_arguments_are_usage_errors(tmp_path, capsys, argv, message):
@@ -444,6 +450,52 @@ def test_cli_decompose_parts(tmp_path, capsys):
         ],
         "decomposableN": 2,
     }
+
+
+@pytest.mark.parametrize("model", ["interval", "circle-pair", "circle-pair-global"])
+def test_grid_size_cap_is_checked_before_building(monkeypatch, capsys, model):
+    """Above MAX_GRID_M the grid command is a usage error before any model
+    is built (the builders fail if called), and it allocates nothing sizable;
+    at the cap the model is built."""
+    from partact import gridtowers
+
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    for name in ("interval_half_shift", "punctured_circle_pair", "punctured_circle_pair_global"):
+        monkeypatch.setattr(gridtowers, name, build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", model, "--m", "4000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2 and peak < 2**20
+    assert f"argument --m: must be at most {cli.MAX_GRID_M}, got 4000000" in capsys.readouterr().err
+    with pytest.raises(Built):
+        main(["grid", model, "--m", str(cli.MAX_GRID_M)])
+
+
+def test_analyze_leaves_numpy_ma_unimported(tmp_path):
+    """A one-shot analyze never imports numpy.ma (about 10-30 ms to import),
+    here on the swap pair and the first corpus instances."""
+    code = (
+        "import sys\n"
+        "from partact import cli, harness\n"
+        f"assert cli.main(['analyze', {_write_swap_pair(tmp_path)!r}]) == 0\n"
+        "for pa in harness.corpus(0, 20):\n"
+        "    cli.analyze(pa)\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip() == "False"
 
 
 def test_cli_grid_interval(capsys):

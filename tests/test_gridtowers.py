@@ -2,15 +2,15 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from embed_reference import embed_certificate
-from fraction_reference import reference_residual
+from fraction_reference import DictTowers, as_dicts, as_table, derived_towers, reference_residual
 
 from partact.gridtowers import (
     BadDelta,
     GridError,
     GridTooCoarse,
-    NumericTowers,
     OddGrid,
     check_admissible,
     interval_half_shift,
@@ -83,7 +83,7 @@ def test_circle_pair_global_projections_residual_zero():
 
 def test_all_zero_towers_fail_partition():
     ga, _, family = interval_half_shift(F(1, 8), 16)
-    zero = NumericTowers(0, {(0, 0): {}, (1, 0): {}})
+    zero = as_table(ga, DictTowers(0, {(0, 0): {}, (1, 0): {}}))
     one = {k: F(1) for k in ga.pa.carrier}
     assert residual(ga, zero, [one]) == 1
 
@@ -92,9 +92,11 @@ def test_shape_mismatch_for_unknown_points():
     from partact.gridtowers import ShapeMismatch
 
     ga, _, family = interval_half_shift(F(1, 8), 16)
-    bad = NumericTowers(0, {(0, 0): {999: F(1)}})
-    with pytest.raises(ShapeMismatch):
-        residual(ga, bad, family)
+    with pytest.raises(ShapeMismatch, match="unknown grid point 999"):
+        as_table(ga, DictTowers(0, {(0, 0): {999: F(1)}}))
+    ga32, _, _ = interval_half_shift(F(1, 8), 32)
+    with pytest.raises(ShapeMismatch, match=r"shape \(2, 2, 32\) does not fit the action: need \(2, levels, 16\)"):
+        residual(ga, interval_half_shift(F(1, 8), 32)[1], family)
 
 
 def test_embedded_exact_certificate_residual_zero(swap_pair):
@@ -105,9 +107,9 @@ def test_embedded_exact_certificate_residual_zero(swap_pair):
 
 def test_truncating_a_level_hurts():
     ga, towers, family = interval_half_shift(F(1, 8), 32)
-    truncated = NumericTowers(
-        0, {(g, 0): towers.values[(g, 0)] for g in (0, 1)}
-    )
+    truncated = as_table(ga, DictTowers(
+        0, {(g, 0): as_dicts(towers).values[(g, 0)] for g in (0, 1)}
+    ))
     assert residual(ga, truncated, family) >= residual(ga, towers, family)
 
 
@@ -124,12 +126,32 @@ def test_layout_is_built_once_read_only_and_without_a_back_reference():
     assert not any(ref is ga for part in layout for ref in gc.get_referents(part))
 
 
+def test_plans_are_built_once_and_repeat_the_search():
+    """The search's chain and cap plans are built once per action, read-only
+    and without a back reference; a second search on the same action and one
+    on a fresh model give the same towers, best residual and trace."""
+    import gc
+
+    ga, family, _ = punctured_circle_pair(32)
+    runs = []
+    for model in (ga, ga, punctured_circle_pair(32)[0]):
+        got: list = []
+        towers, res = search_towers(model, family, F(0), 1, seed=9, trace=got, **_SMALL_SWEEPS)
+        runs.append((res, got, towers.scale, towers.table.tolist()))
+    assert runs[0] == runs[1] == runs[2]
+    plans = ga._plans
+    search_towers(ga, family, F(0), 0, restarts=1, sweeps=5, polish_sweeps=5)
+    assert ga._plans is plans
+    assert not any(part.flags.writeable for part in plans)
+    assert not any(ref is ga for part in plans for ref in gc.get_referents(part))
+
+
 def test_search_reproducible_small():
     ga, _, family = interval_half_shift(F(1, 8), 16)
     t1, r1 = search_towers(ga, family, F(1, 100), 1, seed=5, restarts=3, sweeps=40, polish_sweeps=150)
     t2, r2 = search_towers(ga, family, F(1, 100), 1, seed=5, restarts=3, sweeps=40, polish_sweeps=150)
     assert r1 == r2
-    assert t1.values == t2.values
+    assert t1.scale == t2.scale and np.array_equal(t1.table, t2.table)
 
 
 def test_search_interval_d1_reaches_low_residual():
@@ -193,6 +215,51 @@ def test_search_rejects_negative_model_band_and_accepts_zero():
 
 
 # ---------------------------------------------------------------------------
+# The tower table against the Fraction dict form.
+# ---------------------------------------------------------------------------
+
+
+def _assert_is_the_derived_dict_form(ga, towers):
+    """The table of a search is the dict form its identity levels induce,
+    f_g = f_1 . theta_{g^-1}, value for value; it is read-only."""
+    got = as_dicts(towers)
+    want = derived_towers(ga, [got.values[(0, j)] for j in range(towers.d + 1)])
+    assert got == want
+    assert not towers.table.flags.writeable
+
+
+def _assert_values(ga, towers, values):
+    assert as_dicts(towers).values == values
+    assert all(
+        towers.value(g, j, x) == values.get((g, j), {}).get(x, 0)
+        for g in ga.pa.group.elements() for j in range(towers.d + 1) for x in ga.pa.carrier
+    )
+
+
+def test_model_tables_match_the_dict_form():
+    for delta, m in ((F(1, 10), 64), (F(1, 8), 32)):
+        ga, towers, (f_d, e_d) = interval_half_shift(delta, m)
+        cut, U = m // 2, ga.pa.domain(1)
+        values = {
+            (0, 0): {k: e_d[k] for k in ga.pa.carrier if k > cut and e_d[k]},
+            (0, 1): {k: f_d[k] - e_d[k] for k in ga.pa.carrier if k >= cut and f_d[k] != e_d[k]},
+            (1, 0): {k: e_d[k] for k in U if k < cut and e_d[k]},
+            (1, 1): {k: f_d[k] - e_d[k] for k in U if k < cut and f_d[k] != e_d[k]},
+        }
+        _assert_values(ga, towers, values)
+        family = [f_d, e_d]
+        assert residual(ga, towers, family) == residual(ga, as_table(ga, DictTowers(1, values)), family)
+    ga, towers = punctured_circle_pair_global(32)
+    values = {(0, 0): {k: F(1) for k in range(32, 64)}, (1, 0): {k: F(1) for k in range(32)}}
+    _assert_values(ga, towers, values)
+    circle, family, _ = punctured_circle_pair(32)
+    for d in (0, 1):
+        towers, res = search_towers(circle, family, F(0), d, seed=d, restarts=2, sweeps=30, polish_sweeps=60)
+        _assert_is_the_derived_dict_form(circle, towers)
+        assert res == reference_residual(circle, towers, family)
+
+
+# ---------------------------------------------------------------------------
 # The integer residual against the Fraction reference.
 # ---------------------------------------------------------------------------
 
@@ -219,7 +286,7 @@ def _random_towers(ga, d, rng, top=F(1)):
             values[(g, j)] = {
                 x: min(_random_fraction(rng, 0, 1), top) for x in sorted(pa.domain(g))
             }
-    return NumericTowers(d, values)
+    return DictTowers(d, values)
 
 
 def _random_witnesses(ga, rng, count=2):
@@ -255,7 +322,7 @@ def test_residual_matches_reference_on_random_towers():
         else:
             ga, towers = interval, _random_towers(interval, d, rng)
         witnesses = _random_witnesses(ga, rng, count=1 + trial % 3)
-        got = residual(ga, towers, witnesses)
+        got = residual(ga, as_table(ga, towers), witnesses)
         assert got == reference_residual(ga, towers, witnesses)
         nonzero += got > 0
     assert nonzero == 24
@@ -269,21 +336,27 @@ def test_residual_matches_reference_on_the_object_path():
     towers = _random_towers(ga, 1, rng)
     towers.values[(0, 0)][1] = F(3**24 + 1, 3**25)
     towers.values[(1, 1)][2] = F(7**19 + 2, 7**20)
-    _, scale = check_admissible(ga, towers)
+    _, scale = check_admissible(ga, as_table(ga, towers))
     assert scale * scale >= 2**62
-    assert residual(ga, towers, family) == reference_residual(ga, towers, family)
+    assert residual(ga, as_table(ga, towers), family) == reference_residual(ga, towers, family)
 
 
 def _tampered(ga, towers, key, x, value):
-    values = {k: dict(v) for k, v in towers.values.items()}
+    values = {k: dict(v) for k, v in as_dicts(towers).values.items()}
     values.setdefault(key, {})[x] = value
-    return NumericTowers(towers.d, values)
+    return DictTowers(towers.d, values)
+
+
+def _on_table(fn, ga, towers, *args):
+    """fn on the table of dict towers; a shape the table cannot hold fails
+    in the conversion."""
+    return fn(ga, as_table(ga, towers), *args)
 
 
 def test_tampered_towers_fail_like_the_reference():
     ga, towers, family = interval_half_shift(F(1, 8), 32)
     circle, circle_family, _ = punctured_circle_pair(32)
-    flat = NumericTowers(0, {(0, 0): {x: F(1, 4) for x in circle.pa.carrier}})
+    flat = DictTowers(0, {(0, 0): {x: F(1, 4) for x in circle.pa.carrier}})
     cases = [
         (ga, _tampered(ga, towers, (1, 0), 16, F(1, 3)), family, "has mass off its domain at 16"),
         (ga, _tampered(ga, towers, (0, 1), 5, F(4, 3)), family, "leaves [0, 1] at 5"),
@@ -296,15 +369,15 @@ def test_tampered_towers_fail_like_the_reference():
          "tower (1, 0) violates the Lipschitz band on edge (19, 20)"),
     ]
     for ga_, bad, fam, message in cases:
-        got = _outcome(residual, ga_, bad, fam)
+        got = _outcome(_on_table, residual, ga_, bad, fam)
         assert got == _outcome(reference_residual, ga_, bad, fam)
         assert message in got[1]
-        assert _outcome(check_admissible, ga_, bad) == got
+        assert _outcome(_on_table, check_admissible, ga_, bad) == got
     # Many violations at once: the first one found is the reference's.
     rng = random.Random(3)
     for d in (0, 1):
         noisy = _random_towers(circle, d, rng)
-        got = _outcome(residual, circle, noisy, circle_family)
+        got = _outcome(_on_table, residual, circle, noisy, circle_family)
         assert got == _outcome(reference_residual, circle, noisy, circle_family)
         assert "violates the Lipschitz band" in got[1]
 
@@ -315,7 +388,7 @@ def test_tampered_towers_fail_like_the_reference():
 
 
 def _digest(towers):
-    items = sorted((k, sorted(v.items())) for k, v in towers.values.items())
+    items = sorted((k, sorted(v.items())) for k, v in as_dicts(towers).values.items())
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
@@ -350,6 +423,7 @@ def test_search_is_pinned_on_the_circle_pair(d, seed, best, trace, digest):
     got: list = []
     towers, res = search_towers(ga, family, F(0), d, seed=seed, trace=got, **_SMALL_SWEEPS)
     assert (res, got, _digest(towers)) == (best, trace, digest)
+    _assert_is_the_derived_dict_form(ga, towers)
 
 
 _CHUNK_EDGE_SWEEPS = {"sweeps": 60, "polish_sweeps": 300}
@@ -382,6 +456,7 @@ def test_search_is_pinned_at_the_chunk_edges(seed, restarts, eps, best, trace, d
     got: list = []
     towers, res = search_towers(ga, family, eps, 0, seed=seed, restarts=restarts, trace=got, **_CHUNK_EDGE_SWEEPS)
     assert (res, got, _digest(towers)) == (best, trace, digest)
+    _assert_is_the_derived_dict_form(ga, towers)
 
 
 def test_search_is_pinned_on_cycles_and_the_interval():
@@ -391,16 +466,19 @@ def test_search_is_pinned_on_cycles_and_the_interval():
     got: list = []
     towers, res = search_towers(ga, family, F(0), 0, seed=3, restarts=2, sweeps=30, polish_sweeps=60, trace=got)
     assert res == F(147245985351, 549755813888) and _digest(towers) == "40d9041b255cb23d"
+    _assert_is_the_derived_dict_form(ga, towers)
     assert got == [(0, 0.34058475494384766, 0.34058475494384766, 90),
                    (1, 0.2678388870681374, 0.2678388870681374, 90)]
     got = []
     towers, res = search_towers(ga, family, F(0), 1, seed=3, restarts=2, sweeps=30, polish_sweeps=60, trace=got)
     assert (res, _digest(towers)) == (_LEVEL_ONE, "ca75c688e6670ccc")
+    _assert_is_the_derived_dict_form(ga, towers)
     assert [row[3] for row in got] == [90, 90]
     ga, _, family = interval_half_shift(F(1, 8), 16)
     got = []
     towers, res = search_towers(ga, family, F(0), 1, seed=5, restarts=3, sweeps=40, polish_sweeps=150, trace=got)
     assert (res, _digest(towers)) == (_LEVEL_ONE, "d8063de93e512f54")
+    _assert_is_the_derived_dict_form(ga, towers)
     assert [row[3] for row in got] == [150, 150, 150]
 
 
@@ -412,3 +490,4 @@ def test_search_is_pinned_with_a_band_on_python_ints():
     assert res == F(36952207353586480822941969822067360000, 147808829414345923316083210206383297601)
     assert got == [(0, 0.25, 0.25, 50), (1, 0.25, 0.25, 50)]
     assert _digest(towers) == "d5da8d306043ffba"
+    _assert_is_the_derived_dict_form(ga, towers)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from embed_reference import embed_certificate
+from fraction_reference import as_dicts
 from sweep_reference import reference_search_towers
 
 from partact import gridtowers
@@ -31,7 +32,7 @@ def _assert_agree(ga, family, eps, d, **kwargs):
     towers, res = search_towers(ga, family, eps, d, trace=got, **kwargs)
     ref_towers, ref_res = reference_search_towers(ga, family, eps, d, trace=want, **kwargs)
     assert (res, got) == (ref_res, want)
-    assert towers.d == ref_towers.d and towers.values == ref_towers.values
+    assert towers.d == ref_towers.d and as_dicts(towers).values == ref_towers.values
     return got
 
 
