@@ -94,7 +94,6 @@ def test_shape_mismatch_for_unknown_points():
     ga, _, family = interval_half_shift(F(1, 8), 16)
     with pytest.raises(ShapeMismatch, match="unknown grid point 999"):
         as_table(ga, DictTowers(0, {(0, 0): {999: F(1)}}))
-    ga32, _, _ = interval_half_shift(F(1, 8), 32)
     with pytest.raises(ShapeMismatch, match=r"shape \(2, 2, 32\) does not fit the action: need \(2, levels, 16\)"):
         residual(ga, interval_half_shift(F(1, 8), 32)[1], family)
 
@@ -359,6 +358,7 @@ def test_tampered_towers_fail_like_the_reference():
     flat = DictTowers(0, {(0, 0): {x: F(1, 4) for x in circle.pa.carrier}})
     cases = [
         (ga, _tampered(ga, towers, (1, 0), 16, F(1, 3)), family, "has mass off its domain at 16"),
+        (ga, _tampered(ga, towers, (1, 1), 32, F(3, 2)), family, "has mass off its domain at 32"),
         (ga, _tampered(ga, towers, (0, 1), 5, F(4, 3)), family, "leaves [0, 1] at 5"),
         (ga, _tampered(ga, towers, (0, 0), 7, F(-1, 5)), family, "leaves [0, 1] at 7"),
         (ga, _tampered(ga, towers, (1, 1), 999, F(1, 2)), family, "unknown grid point 999"),
