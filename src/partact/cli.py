@@ -54,6 +54,10 @@ SCHEMA_VERSION = 3
 # At the cap, one default circle-pair search (d = 0, 100 restarts) takes
 # 21-27 s at 121 MB peak RSS on a 2-core machine, under a 3 GB RLIMIT_AS.
 MAX_GRID_M = 8192
+# Largest tower dimension `partact grid` takes, checked with --m.  At the grid
+# cap a search of 16 restarts at d = 8 takes 55 s at 434 MB peak RSS (about
+# 35 MB a level); d = 200 ran out of a 3 GB RLIMIT_AS.  The paper needs d <= 1.
+MAX_GRID_D = 8
 
 
 class ParseError(ValueError):
@@ -380,6 +384,8 @@ def _cmd_grid(args) -> int:
 
     if args.m > MAX_GRID_M:
         args.usage_error(f"argument --m: must be at most {MAX_GRID_M}, got {args.m}")
+    if args.d > MAX_GRID_D:
+        args.usage_error(f"argument --d: must be at most {MAX_GRID_D}, got {args.d}")
     try:
         if args.model == "interval":
             model = interval_half_shift(args.delta, args.m)
@@ -500,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=["interval", "circle-pair", "circle-pair-global"])
     p.add_argument("--m", type=int, default=128, help=f"grid size, at most {MAX_GRID_M}")
     p.add_argument("--delta", type=_rational, default=Fraction(1, 8), help="for the interval model, e.g. 1/8")
-    p.add_argument("--d", type=_at_least(0), default=0)
+    p.add_argument("--d", type=_at_least(0), default=0, help=f"tower dimension, at most {MAX_GRID_D}")
     p.add_argument("--lipschitz", type=_at_least(0), default=8)
     p.add_argument("--eps", type=_rational, default=Fraction(0), help="early-stop residual target, e.g. 1/1000")
     p.add_argument("--restarts", type=_at_least(1), default=100)

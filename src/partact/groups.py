@@ -4,9 +4,10 @@ Elements are dense indices ``0..order-1`` with ``0`` the identity.  Named
 families fix a canonical ordering so that all downstream reports are
 reproducible: cyclic groups list residues, dihedral groups list rotations
 then reflections, symmetric groups list permutations lexicographically.
-The axioms, subgroup closures, the subgroup lattice and cosets are read off
-the ``mul`` array as whole-array operations; the element-by-element loops
-they replaced are kept in ``tests/group_reference.py``.
+The axioms, subgroup closures, a generating set, the subgroup lattice and
+cosets are read off the ``mul`` array as whole-array operations; the
+element-by-element loops they replaced are kept in
+``tests/group_reference.py``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,18 @@ class FiniteGroup:
         mul, inv = np.array(self.table, dtype=np.intp), np.array(self.inverse, dtype=np.intp)
         mul.flags.writeable = inv.flags.writeable = False
         return mul, inv
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, built once: the least element outside the subgroup
+        generated so far, until that is the group; each at least doubles it, so
+        at most log2 |G|, ascending (C24: (1,), D12: (1, 12), S4: (1, 2, 6))."""
+        gens, mask = [], np.eye(1, self.order, dtype=bool)  # the trivial subgroup
+        while not mask.all():
+            gens.append(int(mask[0].argmin()))
+            mask[0, gens[-1]] = True
+            mask = _close(self, mask)
+        return tuple(gens)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -196,21 +209,11 @@ def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         raise GroupError(f"dihedral parameter must be >= 1, got {n}")
     _check_order_cap(2 * n, max_order)
 
-    def encode(flip: int, k: int) -> int:
-        return flip * n + k % n
-
     def mul(a: int, b: int) -> int:
-        fa, ka = divmod(a, n)
-        fb, kb = divmod(b, n)
+        (fa, ka), (fb, kb) = divmod(a, n), divmod(b, n)
         # r^a r^b = r^{a+b};  r^a (s r^b) = s r^{b-a};  (s r^a) r^b = s r^{a+b};
         # (s r^a)(s r^b) = r^{b-a}.
-        if fa == 0 and fb == 0:
-            return encode(0, ka + kb)
-        if fa == 0 and fb == 1:
-            return encode(1, kb - ka)
-        if fa == 1 and fb == 0:
-            return encode(1, ka + kb)
-        return encode(0, kb - ka)
+        return (fa ^ fb) * n + (kb - ka if fb else kb + ka) % n
 
     table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
     return group_from_table(table, name=f"dihedral({n})", max_order=max_order)

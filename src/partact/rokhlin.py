@@ -19,8 +19,8 @@ orbit:
 The Rokhlin dimension is therefore 0 or infinity.  Certificates carry exact
 rational values and are re-verified both in the derived form (C2-C3) and
 against the raw tower conditions with indicator witnesses at epsilon = 0,
-which carry equivariance (C1);
-refutations are re-verified arrow by arrow against the maps.
+which carry equivariance (C1), read at each point's one positive tower
+per level; refutations are re-verified arrow by arrow against the maps.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class TowerCertificate:
     d: int
     levels: tuple[Mapping[int, Fraction], ...]
 
-    def level(self, j: int) -> Mapping[int, Fraction]:
-        return self.levels[j]
-
     def value(self, j: int, x: int) -> Fraction:
         return self.levels[j].get(x, Fraction(0))
 
@@ -65,15 +62,11 @@ SearchOutcome = Union[TowerCertificate, NonexistenceProof]
 
 
 def _parallel_pair(pa: PartialAction, y: int) -> Optional[tuple[int, int, int]]:
-    """The first (y, g, h) with g < h and theta_g(y) = theta_h(y), if any."""
+    """The first (y, g, h), by h, with g < h and theta_g(y) = theta_h(y), if any."""
     first: dict[int, int] = {}
-    for h in pa.group.elements():
-        z = pa.maps[h].get(y)
-        if z is None:
-            continue
-        if z in first:
+    for h, z in enumerate(pa.table[:, pa.index[y]].tolist()):
+        if z >= 0 and first.setdefault(z, h) != h:
             return (y, first[z], h)
-        first[z] = h
     return None
 
 
@@ -195,9 +188,13 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
     The towers are integer tables T[j, g, z] = code of f_1^(j)(theta_{g^-1} z)
     on X_g, 0 elsewhere, where equal values share a code and 0 has code 0;
     they lie inside the domains by construction.  Levels with mass are taken
-    in row blocks, so memory does not grow with their number.  (C2) and (1)
-    are whole-array comparisons of codes, (1) in row blocks of g, and (C3)
-    keeps one running Fraction mass per distinct sequence of codes.  A
+    in row blocks, so memory does not grow with their number.  (C2) is a
+    whole-array comparison of codes, and (C3) keeps one running Fraction
+    mass per distinct sequence of codes.  Once (C2) holds, column
+    T[j, :, z] has at most one positive code top[j, z], at g = at[j, z];
+    (1) at (g, y) compares column y with column z = theta_g(y) shifted by
+    g, so it holds iff top[j, y] = top[j, z] and, when positive,
+    at[j, z] = g at[j, y]: one (level, g, y) comparison per block.  A
     failure names the witness a point-by-point scan would meet first: checks
     in the order above, (C2) by level then point, (C3) by point, and (1) by
     g, y, h, level (the least over level blocks), with points taken in the
@@ -233,26 +230,24 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
             return CertificateCheck(False, f"orthogonality fails at point {x}, level {live[block][row]}: towers {positive}")
         # (C3) partition of unity: after (C2) each level holds at most one
         # positive code per point, so a point's mass is fixed by its codes.
-        for top in T.max(axis=1):
+        tops = T.max(axis=1)  # (level, z): the one positive code of column z, or 0
+        for top in tops:
             pairs, key = np.unique(key * len(values) + top, return_inverse=True)
             masses = [masses[k] + values[c] for k, c in (divmod(u, len(values)) for u in pairs.tolist())]
-        # Raw condition (1): T[j, h, y] = T[j, gh, theta_g(y)] wherever
-        # theta_g(y) is defined, for a block of g at a time, up to the least g found.
-        # One flat take: T[j, gh, z] is entry gh * n + z of level j.
-        flat = T.reshape(len(T), order * n)
-        for rows in row_blocks(min(order, raw[0] + 1), T.size):
-            defined = pa.table[rows] >= 0  # (g, y)
-            at = mul[rows][:, :, None] * n + pa.table[rows][:, None, :]  # an undefined y reads any entry
-            moved = flat.take(at, axis=1)  # (level, g, h, y)
-            bad = defined[None, :, None, :] & (T[:, None] != moved)
-            if bad.any():
-                b = int(np.argmax(bad.any(axis=(0, 2, 3))))
-                g = rows.start + b
-                pos, y = next((pos, y) for pos, y in enumerate(pa.domain(pa.group.inv(g)))
-                              if bad[:, b, :, index[y]].any())
-                h, row = np.argwhere(bad[:, b, :, index[y]].T)[0].tolist()
-                raw = min(raw, (g, pos, h, block.start + row, y))
-                break
+        # Raw condition (1) on one-sparse columns, where z = theta_g(y) is defined.
+        at, z = T.argmax(axis=1), pa.table  # z: (g, y), -1 reads any entry
+        bad = (z >= 0) & ((tops[:, None] != tops[:, z])
+                          | ((tops[:, None] > 0) & (at[:, z] != mul[:, at].swapaxes(0, 1))))
+        if bad.any():
+            g = int(np.argmax(bad.any(axis=(0, 2))))
+            pos, y = next((pos, y) for pos, y in enumerate(pa.domain(pa.group.inv(g)))
+                          if bad[:, g, index[y]].any())
+            i, k = index[y], z[g, index[y]]
+            # The failing h are where a side holds its positive code: at[j, y] and g^-1 at[j, z].
+            sides = ((at[:, i], tops[:, i]), (mul[inv[g], at[:, k]], tops[:, k]))
+            h = np.min([np.where(t > 0, a, order) for a, t in sides], axis=0)  # by level
+            row = min(np.flatnonzero(bad[:, g, i]).tolist(), key=lambda r: (h[r], r))
+            raw = min(raw, (g, pos, int(h[row]), block.start + row, y))
     short = np.array([m != 1 for m in masses], dtype=bool)[key]  # by point index
     if short.any():
         x = next(x for x in pa.carrier if short[index[x]])

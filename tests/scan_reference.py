@@ -1,7 +1,9 @@
 """Plain Python scans for the integer-table checks in ``src/``.
 
 Each function here is the element-by-element formulation that a table
-route replaced: the certificate verifier, the partial-action axiom checks,
+route replaced: the certificate verifier (tower by tower, and with raw
+condition (1) read densely over every h), the partial-action axiom checks,
+the all-pairs composition check of a global table,
 the union-find globalization, the union-find center basis, the nested
 loop crossed-product builder with its exhaustive associativity scan, the
 dense n x n product table they read and write (``dense_product``,
@@ -31,6 +33,7 @@ from partact.pactions import (
     PartialAction,
     PartialActionError,
     global_action,
+    row_blocks,
     validate,
 )
 from partact.rokhlin import CertificateCheck, TowerCertificate
@@ -272,6 +275,85 @@ def reference_verify_certificate(pa: PartialAction, cert: TowerCertificate) -> C
                             f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {j})",
                         )
     return CertificateCheck(True, None)
+
+
+def dense_verify_certificate(pa: PartialAction, cert: TowerCertificate) -> CertificateCheck:
+    """The certificate check with raw condition (1) read densely: for a
+    block of g at a time, T[j, h, y] is compared with T[j, gh, theta_g(y)]
+    for every h, one (level, g, h, y) array per block.  The supports, (C2)
+    and (C3) are read as in ``rokhlin.verify_certificate``, with the same
+    witnesses in the same order."""
+    levels = cert.d + 1
+    for j in range(levels):
+        for x, v in cert.levels[j].items():
+            if x not in pa.carrier:
+                return CertificateCheck(False, f"level {j} assigns mass to non-carrier point {x}")
+            if not (0 <= v <= 1):
+                return CertificateCheck(False, f"level {j} value at {x} is outside [0, 1]")
+    index, (mul, inv) = pa.index, pa.group.arrays
+    order, n = pa.group.order, pa.size()
+    # A level without mass gives zero towers, which pass (C2) and (1) and add
+    # nothing to (C3); only the other levels enter the tables.
+    live = [j for j in range(levels) if any(cert.levels[j].values())]
+    values = [0] + sorted({v for j in live for v in cert.levels[j].values() if v})
+    code = {v: r for r, v in enumerate(values)}
+    key, masses = np.zeros(n, dtype=np.intp), [Fraction(0)]  # (C3): equal keys, equal codes so far
+    raw = (order,)  # least witness of (1) so far: (g, position of y, h, level, y)
+    for block in row_blocks(len(live), order * n):
+        first = np.zeros((block.stop - block.start, n + 1), dtype=np.intp)  # column n: off X_g
+        for row, j in enumerate(live[block]):
+            for x, v in cert.levels[j].items():
+                first[row, index[x]] = code[v]
+        T = first[:, pa.table[inv]]  # (level in block, g, z)
+        # (C2) per-level orthogonality.
+        crowded = (T > 0).sum(axis=1) > 1
+        for row in np.flatnonzero(crowded.any(axis=1)).tolist():
+            x = next(x for x in pa.carrier if crowded[row, index[x]])
+            positive = np.flatnonzero(T[row, :, index[x]]).tolist()
+            return CertificateCheck(False, f"orthogonality fails at point {x}, level {live[block][row]}: towers {positive}")
+        # (C3) partition of unity: after (C2) each level holds at most one
+        # positive code per point, so a point's mass is fixed by its codes.
+        for top in T.max(axis=1):
+            pairs, key = np.unique(key * len(values) + top, return_inverse=True)
+            masses = [masses[k] + values[c] for k, c in (divmod(u, len(values)) for u in pairs.tolist())]
+        # Raw condition (1): T[j, h, y] = T[j, gh, theta_g(y)] wherever
+        # theta_g(y) is defined, for a block of g at a time, up to the least g found.
+        # One flat take: T[j, gh, z] is entry gh * n + z of level j.
+        flat = T.reshape(len(T), order * n)
+        for rows in row_blocks(min(order, raw[0] + 1), T.size):
+            defined = pa.table[rows] >= 0  # (g, y)
+            at = mul[rows][:, :, None] * n + pa.table[rows][:, None, :]  # an undefined y reads any entry
+            moved = flat.take(at, axis=1)  # (level, g, h, y)
+            bad = defined[None, :, None, :] & (T[:, None] != moved)
+            if bad.any():
+                b = int(np.argmax(bad.any(axis=(0, 2, 3))))
+                g = rows.start + b
+                pos, y = next((pos, y) for pos, y in enumerate(pa.domain(pa.group.inv(g)))
+                              if bad[:, b, :, index[y]].any())
+                h, row = np.argwhere(bad[:, b, :, index[y]].T)[0].tolist()
+                raw = min(raw, (g, pos, h, block.start + row, y))
+                break
+    short = np.array([m != 1 for m in masses], dtype=bool)[key]  # by point index
+    if short.any():
+        x = next(x for x in pa.carrier if short[index[x]])
+        return CertificateCheck(False, f"tower masses sum to {masses[key[index[x]]]} != 1 at point {x}")
+    if raw[0] < order:
+        g, _, h, row, y = raw
+        return CertificateCheck(False, f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {live[row]})")
+    return CertificateCheck(True, None)
+
+
+def reference_check_global_table(group: FiniteGroup, theta: np.ndarray) -> None:
+    """Raise AssertionError unless ``theta`` is total on range(size) with the
+    identity at row 0 and theta_g theta_h = theta_gh for every pair (g, h),
+    pair by pair, naming the first failing pair."""
+    size = theta.shape[1]
+    if not (((theta >= 0) & (theta < size)).all() and np.array_equal(theta[0], np.arange(size))):
+        raise AssertionError("table is not total on its points with the identity at row 0")
+    for g in group.elements():
+        for h in group.elements():
+            if not np.array_equal(theta[g][theta[h]], theta[group.mul(g, h)]):
+                raise AssertionError(f"table fails composition at (g={g}, h={h})")
 
 
 def reference_globalize(pa: PartialAction) -> GlobalizationResult:

@@ -480,6 +480,28 @@ def test_grid_size_cap_is_checked_before_building(monkeypatch, capsys, model):
         main(["grid", model, "--m", str(cli.MAX_GRID_M)])
 
 
+@pytest.mark.parametrize("model", ["interval", "circle-pair", "circle-pair-global"])
+def test_grid_dimension_cap_is_checked_before_building(monkeypatch, capsys, model):
+    """Above MAX_GRID_D the grid command is a usage error before any model
+    is built (the builders fail if called); at the cap the model is built."""
+    from partact import gridtowers
+
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    for name in ("interval_half_shift", "punctured_circle_pair", "punctured_circle_pair_global"):
+        monkeypatch.setattr(gridtowers, name, build)
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", model, "--d", "200"])
+    assert exc.value.code == 2
+    assert f"argument --d: must be at most {cli.MAX_GRID_D}, got 200" in capsys.readouterr().err
+    with pytest.raises(Built):
+        main(["grid", model, "--d", str(cli.MAX_GRID_D)])
+
+
 def test_analyze_leaves_numpy_ma_unimported(tmp_path):
     """A one-shot analyze never imports numpy.ma (about 10-30 ms to import),
     here on the swap pair and the first corpus instances."""

@@ -199,3 +199,43 @@ def test_subgroup_as_group_is_built_once_per_parent_and_members():
         assert h.name == "symmetric(4)-sub" and h.order == len(elems)
         assert h.table == tuple(tuple(elems.index(s4.mul(a, b)) for b in elems) for a in elems)
         assert h.inverse == tuple(elems.index(s4.inv(a)) for a in elems)
+
+
+NAMED = (
+    [("cyclic", n) for n in range(1, 25)]
+    + [("dihedral", n) for n in range(1, 13)]
+    + [("symmetric", n) for n in range(1, 5)]
+    + ["klein4"]
+)
+ABOVE_THE_CAP = (("cyclic", 48), ("dihedral", 24), ("cyclic", 60), ("dihedral", 30),
+                 ("symmetric", 5), ("dihedral", 60), ("cyclic", 120))
+
+
+@pytest.mark.parametrize("spec", NAMED + list(ABOVE_THE_CAP))
+def test_generators_are_greedy_and_generate(spec):
+    """Each generator is the least element outside the subgroup the earlier
+    ones generate, so each at least doubles it: at most log2 |G| of them,
+    and together they generate the group."""
+    g = build_group(spec, max_order=120)
+    gens = g.generators
+    assert subgroup_closure(g, gens).order == g.order
+    for k, s in enumerate(gens):
+        before = subgroup_closure(g, gens[:k]).members
+        assert s == min(set(g.elements()) - before)
+    assert 2 ** len(gens) <= g.order
+    assert g.generators is gens  # built once per group
+
+
+def test_generators_of_the_groups_at_the_cap():
+    assert build_group(("cyclic", 24)).generators == (1,)
+    assert build_group(("dihedral", 12)).generators == (1, 12)
+    assert build_group(("symmetric", 4)).generators == (1, 2, 6)
+    assert build_group(("cyclic", 1)).generators == ()
+
+
+def test_generators_are_read_only():
+    g = build_group(("symmetric", 4))
+    assert isinstance(g.generators, tuple)
+    with pytest.raises(AttributeError):
+        g.generators = (1,)
+    assert g.generators == (1, 2, 6)

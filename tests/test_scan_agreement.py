@@ -25,7 +25,7 @@ from partact.fdcstar import (
     crossed_product,
     imprimitivity_bimodule_verify,
 )
-from partact.groups import build_group
+from partact.groups import build_group, coset_labels, subgroup_closure
 from partact.pactions import (
     PartialAction,
     central_splitting,
@@ -38,10 +38,12 @@ from partact.pactions import (
 from partact.rokhlin import TowerCertificate, towers_exist, verify_certificate
 from scan_reference import (
     dense_product,
+    dense_verify_certificate,
     from_dense,
     groupoid_arrows,
     reference_center_basis,
     reference_central_splitting,
+    reference_check_global_table,
     reference_check_invariants,
     reference_crossed_product,
     reference_globalize,
@@ -65,8 +67,8 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
-def _regular(spec, copies=1):
-    group = build_group(spec)
+def _regular(spec, copies=1, max_order=24):
+    group = build_group(spec, max_order=max_order)
     m = group.order
     perms = {
         a: {c * m + g: c * m + group.mul(a, g) for c in range(copies) for g in group.elements()}
@@ -453,6 +455,93 @@ def test_envelope_table_with_two_entries_swapped_is_rejected(monkeypatch):
             patched.setattr(pactions, "_check_global_table", swapping)
             with pytest.raises(AssertionError, match=r"composition at \(g=\d+, h=\d+\)"):
                 globalize(pa)
+
+
+def test_verify_certificate_agrees_with_the_dense_check_above_the_cap():
+    """At orders 48 to 120 the one-sparse reading of raw condition (1) names
+    the dense check's witness when only equivariance breaks, with one level
+    and with the orbits split over two."""
+    rng = random.Random(23)
+    raw = 0
+    for spec in (("cyclic", 48), ("dihedral", 24), ("symmetric", 5), ("dihedral", 60), ("cyclic", 120)):
+        pa = _regular(spec, 2, max_order=120)
+        cert = towers_exist(pa, 0)
+        level = sorted(cert.levels[0].items())
+        for c in (cert, TowerCertificate(1, (dict(level[::2]), dict(level[1::2])))):
+            assert verify_certificate(pa, c).ok and dense_verify_certificate(pa, c).ok
+        for _ in range(3):
+            broken = _swapped_images(pa, cert.levels[0], rng)
+            for c in (cert, TowerCertificate(1, (dict(level[::2]), dict(level[1::2])))):
+                new, ref = verify_certificate(broken, c), dense_verify_certificate(broken, c)
+                assert (new.ok, new.witness) == (ref.ok, ref.witness)
+                raw += (new.witness or "").startswith("raw condition (1)")
+    assert raw == 30
+
+
+def _global_tables() -> list:
+    """(group, table) pairs of global actions: regular actions up to order
+    120 and envelopes of random partial actions at the cap."""
+    out = []
+    for spec in (("cyclic", 1), "klein4", ("cyclic", 24), ("dihedral", 12), ("symmetric", 4),
+                 ("cyclic", 48), ("dihedral", 24), ("symmetric", 5), ("dihedral", 60)):
+        group = build_group(spec, max_order=120)
+        out.append((group, np.array(group.arrays[0])))  # the regular action
+    for seed, spec in enumerate((("cyclic", 24), ("dihedral", 12), ("symmetric", 4))):
+        env = globalize(random_partial_action(seed, spec, 30, 0.5)).envelope
+        out.append((env.group, np.array(env.table)))
+    return out
+
+
+def test_global_table_check_on_generators_agrees_with_every_pair():
+    """On tampered total tables (one entry changed, two entries of a row
+    swapped, one row copied over another) the generator check rejects
+    exactly the tables the all-pairs reference rejects, with the same
+    message when totality or the identity row fails, and otherwise names
+    a generator as h."""
+    rng = random.Random(2023)
+    verdicts = []
+    for group, table in _global_tables():
+        pactions._check_global_table(group, table)
+        reference_check_global_table(group, table)
+        order, size = table.shape
+        for _ in range(12):
+            for kind in ("entry", "swap", "row"):
+                t = table.copy()
+                g = rng.randrange(order)
+                if kind == "entry" and size > 1:
+                    x = rng.randrange(size)
+                    t[g, x] = (t[g, x] + rng.randrange(1, size)) % size
+                elif kind == "swap" and size > 1:
+                    a, b = rng.sample(range(size), 2)
+                    t[g, [a, b]] = t[g, [b, a]]
+                elif kind == "row" and order > 1:
+                    t[g] = t[rng.choice([h for h in range(order) if h != g])]
+                new, ref = _outcome(pactions._check_global_table, group, t), _outcome(reference_check_global_table, group, t)
+                assert new[0] == ref[0]
+                if "composition" in str(new[1]):
+                    h = int(re.search(r"h=(\d+)", new[1]).group(1))
+                    assert h in group.generators
+                else:
+                    assert new == ref
+                verdicts.append(new[0])
+    assert verdicts.count(AssertionError) > 250 and "ok" in verdicts
+
+
+def test_global_table_check_reaches_the_last_generator():
+    """theta'_g = theta_{sigma(g)} on the regular action, where sigma(r k) = k
+    for k in the subgroup K the generators other than the last generate and
+    r the least member of r K: theta'_g theta'_s = theta'_gs for every s in
+    K, but the table is not an action, so only the last generator fails."""
+    for spec in (("dihedral", 12), ("symmetric", 4), ("dihedral", 24), ("symmetric", 5)):
+        group = build_group(spec, max_order=120)
+        mul, inv = group.arrays
+        rest = subgroup_closure(group, group.generators[:-1])
+        r = coset_labels(group, rest)
+        table = mul[mul[inv[r], np.arange(group.order)]]
+        with pytest.raises(AssertionError, match="composition"):
+            reference_check_global_table(group, table)
+        with pytest.raises(AssertionError, match=rf"composition at \(g=\d+, h={group.generators[-1]}\)"):
+            pactions._check_global_table(group, table)
 
 
 def test_axiom_and_certificate_checks_stay_small_at_scale():

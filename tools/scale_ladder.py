@@ -5,12 +5,16 @@ commit beside it:
 
     python3 tools/scale_ladder.py --label 12 --parent ../parent --parent-rev a0b1bd4
 
-Two ladders of global actions:
+Three ladders:
 
 * group: the regular (g.x = gx) and conjugation (g.x = g x g^-1) actions of
   C24, D12 and S4 on themselves, at the documented group cap;
 * carrier: the trivial S4 action (every g the identity) on 25 to 800
-  points, where the crossed product has 24 |X| basis arrows.
+  points, where the crossed product has 24 |X| basis arrows;
+* order: C48, D24, S5, D60 and C120 above the cap (built with
+  ``max_order``), each with its regular action and with the trivial
+  partial action (empty domains off the identity) on 100 and 200 points,
+  whose envelope has |G| |X| points.
 
 Each case runs REPEATS times per checkout, alternating the checkouts, each
 time in a fresh interpreter that caps its own address space at
@@ -40,6 +44,8 @@ import sys
 REPEATS = 3
 GROUPS = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
 CARRIERS = (25, 50, 100, 200, 400, 800)
+ORDERS = (("cyclic", 48), ("dihedral", 24), ("symmetric", 5), ("dihedral", 60), ("cyclic", 120))
+PARTIAL_POINTS = (100, 200)
 ADDRESS_SPACE_BYTES = 3 * 10**9
 LAYERS = (
     "rokhlin_dimension",
@@ -60,17 +66,20 @@ case = json.loads(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (case["address_space"], case["address_space"]))
 from partact import cli, fdcstar
 from partact.groups import build_group
-from partact.pactions import global_action
+from partact.pactions import global_action, trivial_partial_action
 
-G = build_group(tuple(case["group"]))
-if case["action"] == "trivial":
-    points = range(case["points"])
-    perms = {g: {x: x for x in points} for g in G.elements()}
+G = build_group(tuple(case["group"]), max_order=case.get("max_order", 24))
+if case["action"] == "trivial partial":
+    pa = trivial_partial_action(G, range(case["points"]))
 else:
-    points = G.elements()
-    move = G.mul if case["action"] == "regular" else G.conjugate
-    perms = {g: {x: move(g, x) for x in points} for g in G.elements()}
-pa = global_action(G, points, perms)
+    if case["action"] == "trivial":
+        points = range(case["points"])
+        perms = {g: {x: x for x in points} for g in G.elements()}
+    else:
+        points = G.elements()
+        move = G.mul if case["action"] == "regular" else G.conjugate
+        perms = {g: {x: move(g, x) for x in points} for g in G.elements()}
+    pa = global_action(G, points, perms)
 
 layers = {}
 def timed(name, fn):
@@ -110,6 +119,10 @@ def cases() -> list[dict]:
         for action in ("regular", "conjugation")
     ]
     out += [{"ladder": "carrier", "group": ["symmetric", 4], "action": "trivial", "points": k} for k in CARRIERS]
+    for spec in ORDERS:
+        order = {"ladder": "order", "group": list(spec), "max_order": 120}
+        out.append({**order, "action": "regular"})
+        out += [{**order, "action": "trivial partial", "points": k} for k in PARTIAL_POINTS]
     return out
 
 
