@@ -54,10 +54,13 @@ SCHEMA_VERSION = 3
 # At the cap, one default circle-pair search (d = 0, 100 restarts) takes
 # 21-27 s at 121 MB peak RSS on a 2-core machine, under a 3 GB RLIMIT_AS.
 MAX_GRID_M = 8192
-# Largest tower dimension `partact grid` takes, checked with --m.  At the grid
-# cap a search of 16 restarts at d = 8 takes 55 s at 434 MB peak RSS (about
-# 35 MB a level); d = 200 ran out of a 3 GB RLIMIT_AS.  The paper needs d <= 1.
-MAX_GRID_D = 8
+# Largest tower dimension `partact grid` and `partact towers` take, checked
+# before any model is built or instance read.  At the grid cap a search of 16
+# restarts at d = 8 takes 55 s at 434 MB peak RSS (about 35 MB a level);
+# d = 200 ran out of a 3 GB RLIMIT_AS.  The exact answer of `towers` is the
+# same at every d, so a larger d would only print more empty levels.  The
+# paper needs d <= 1.
+MAX_D = 8
 
 
 class ParseError(ValueError):
@@ -322,6 +325,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_towers(args) -> int:
+    _check_d(args)
     pa = _read_instance(args)
     outcome = towers_exist(pa, args.d)
     if isinstance(outcome, TowerCertificate):
@@ -371,6 +375,11 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _check_d(args) -> None:
+    if args.d > MAX_D:
+        args.usage_error(f"argument --d: must be at most {MAX_D}, got {args.d}")
+
+
 def _cmd_grid(args) -> int:
     from .gridtowers import (
         GridError,
@@ -384,8 +393,7 @@ def _cmd_grid(args) -> int:
 
     if args.m > MAX_GRID_M:
         args.usage_error(f"argument --m: must be at most {MAX_GRID_M}, got {args.m}")
-    if args.d > MAX_GRID_D:
-        args.usage_error(f"argument --d: must be at most {MAX_GRID_D}, got {args.d}")
+    _check_d(args)
     try:
         if args.model == "interval":
             model = interval_half_shift(args.delta, args.m)
@@ -409,7 +417,7 @@ def _cmd_grid(args) -> int:
         }
     elif args.model == "circle-pair-global":
         ga, towers = model
-        family = [{k: Fraction(1) for k in ga.pa.carrier}]
+        family = [{k: Fraction(1) for k in ga.pa.points.tolist()}]
         payload = {
             "model": "circle-pair-global",
             "m": args.m,
@@ -491,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("towers", help="Exact tower search at a fixed dimension.")
     p.add_argument("instance")
-    p.add_argument("--d", type=_at_least(0), required=True)
-    p.set_defaults(fn=_cmd_towers)
+    p.add_argument("--d", type=_at_least(0), required=True, help=f"tower dimension, at most {MAX_D}")
+    p.set_defaults(fn=_cmd_towers, usage_error=p.error)
 
     p = sub.add_parser("globalize", help="Enveloping action and central splitting.")
     p.add_argument("instance")
@@ -506,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=["interval", "circle-pair", "circle-pair-global"])
     p.add_argument("--m", type=int, default=128, help=f"grid size, at most {MAX_GRID_M}")
     p.add_argument("--delta", type=_rational, default=Fraction(1, 8), help="for the interval model, e.g. 1/8")
-    p.add_argument("--d", type=_at_least(0), default=0, help=f"tower dimension, at most {MAX_GRID_D}")
+    p.add_argument("--d", type=_at_least(0), default=0, help=f"tower dimension, at most {MAX_D}")
     p.add_argument("--lipschitz", type=_at_least(0), default=8)
     p.add_argument("--eps", type=_rational, default=Fraction(0), help="early-stop residual target, e.g. 1/1000")
     p.add_argument("--restarts", type=_at_least(1), default=100)

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .groups import build_group
-from .pactions import PartialAction, validate
+from .pactions import PartialAction, restricted_to, validate
 
 F1 = Fraction
 
@@ -71,16 +71,21 @@ class GridAction:
     lipschitz: Fraction
 
     def __post_init__(self):
-        edges = set(self.edges)
-        for g in self.pa.group.elements():
-            dom = self.pa.domain(self.pa.group.inv(g))
-            for x, y in self.edges:
-                if x in dom and y in dom:
-                    fx, fy = self.pa.theta(g, x), self.pa.theta(g, y)
-                    if fx != fy and (fx, fy) not in edges and (fy, fx) not in edges:
-                        raise GridError(
-                            f"theta_{g} does not preserve adjacency at edge ({x}, {y})"
-                        )
+        # theta_g takes an edge inside X_{g^-1} to an edge (or to one point);
+        # the first failure is named, g-major, then in edge order.  Edges are
+        # looked up by a sorted key (np.isin would import numpy.ma).
+        table = self.pa.table
+        _, _, _, (ex, ey) = self._layout
+        n = table.shape[1]
+        keys = np.sort(np.minimum(ex, ey) * n + np.maximum(ex, ey))
+        lo, hi = np.minimum(table[:, ex], table[:, ey]), np.maximum(table[:, ex], table[:, ey])
+        image = lo * n + hi
+        found = keys[np.minimum(keys.searchsorted(image), len(keys) - 1)] == image
+        bad = (lo >= 0) & (lo != hi) & ~found
+        if bad.any():
+            g, e = divmod(int(np.argmax(bad)), len(self.edges))
+            x, y = self.edges[e]
+            raise GridError(f"theta_{g} does not preserve adjacency at edge ({x}, {y})")
 
     @property
     def band(self) -> Fraction:
@@ -91,11 +96,15 @@ class GridAction:
         """Sorted grid points, their positions, src[g, z], the position of
         theta_{g^-1}(z) for z in X_g (-1 off the domain), and the edges as a
         (2, |edges|) array of positions; built once, read-only, and holding no
-        reference back to the action."""
+        reference back to the action.  An edge with a point off the carrier
+        is a GridError."""
         pa = self.pa
         index = pa.index
         src = pa.table[pa.group.arrays[1]]
-        edges = np.array([[index[x] for x, _ in self.edges], [index[y] for _, y in self.edges]], dtype=np.int64)
+        edges = np.array([[index.get(x, -1) for x, _ in self.edges], [index.get(y, -1) for _, y in self.edges]], dtype=np.int64)
+        if (edges < 0).any():
+            x, y = self.edges[int(np.argmax((edges < 0).any(axis=0)))]
+            raise GridError(f"edge ({x}, {y}) has a point off the carrier")
         src.flags.writeable = edges.flags.writeable = False
         return pa.points.tolist(), index, src, edges
 
@@ -282,25 +291,11 @@ class ResidualFormula:
 # ---------------------------------------------------------------------------
 
 
-def _piecewise_f_delta(t: Fraction, delta: Fraction) -> Fraction:
-    return F1(1) if t >= delta else t / delta
-
-
-def _piecewise_e_delta(t: Fraction, delta: Fraction) -> Fraction:
-    """The plateau function on the split interval, vanishing at 0, 1, 2."""
-    if t <= 0 or t == 1 or t >= 2:
-        return F1(0)
-    if t < delta:
-        return t / delta
-    if t <= 1 - delta:
-        return F1(1)
-    if t < 1:
-        return (1 - t) / delta
-    if t < 1 + delta:
-        return (t - 1) / delta
-    if t <= 2 - delta:
-        return F1(1)
-    return (2 - t) / delta
+def _plateau(t: Fraction, zeros: Sequence, width: Fraction) -> Fraction:
+    """min(1, distance from t to the nearest zero / width): 0 at every zero,
+    linear within width of one, 1 everywhere else."""
+    gap = min(abs(t - z) for z in zeros)
+    return F1(1) if gap >= width else gap / width
 
 
 def interval_half_shift(delta, m: int):
@@ -314,7 +309,8 @@ def interval_half_shift(delta, m: int):
     point's unit mass assigned to the identity tower (both halves vanish
     there, and the partition of unity must still hold at the cut).  The
     Lipschitz bound is vacuous (1/spacing): the displayed towers jump at the
-    cut by construction.
+    cut by construction.  The family is the plateau pair f (zero at 0) and
+    e (zeros at 0, 1 and 2), both of width delta.
     """
     delta = F1(delta)
     if not (0 < delta < F1(1, 4)):
@@ -337,8 +333,8 @@ def interval_half_shift(delta, m: int):
     edges = tuple((k, k + 1) for k in range(1, m))
     ga = GridAction(pa, coords, edges, h, F1(1, 1) / h)
 
-    f_d = {k: _piecewise_f_delta(coords[k], delta) for k in points}
-    e_d = {k: _piecewise_e_delta(coords[k], delta) for k in points}
+    f_d = {k: _plateau(coords[k], (0,), delta) for k in points}
+    e_d = {k: _plateau(coords[k], (0, 1, 2), delta) for k in points}
     # Levels e and f - e over the points in order; the lower half (k < cut)
     # goes to the shift's tower, the rest, the cut included, to the identity's.
     levels = [[e_d[k] for k in points], [f_d[k] - e_d[k] for k in points]]
@@ -356,95 +352,31 @@ def witness_bound(ga: GridAction, family: Sequence[Mapping[int, Fraction]], delt
     """The tolerance the plateau pair implies on this grid.
 
     Recomputes max of ||e a - a|| over the family members supported in the
-    shift domain and ||f a - a|| over the whole family, with f and e the
-    plateau pair at the given delta.
+    shift domain X_1 and ||f a - a|| over the whole family, with f and e the
+    plateau pair at the given delta (as in ``interval_half_shift``).
     """
     delta = F1(delta)
-    pa = ga.pa
-    f_d = {k: _piecewise_f_delta(ga.coords[k], delta) for k in pa.carrier}
-    e_d = {k: _piecewise_e_delta(ga.coords[k], delta) for k in pa.carrier}
+    points, _, src, _ = ga._layout
+    pairs = [(_plateau(ga.coords[k], (0,), delta), _plateau(ga.coords[k], (0, 1, 2), delta)) for k in points]
+    outside = (src[1] < 0).tolist()
     bound = F1(0)
-    dom = pa.domain(1)
     for a in family:
-        in_domain_ideal = all(p in dom or a.get(p, F1(0)) == 0 for p in pa.carrier)
-        for k in pa.carrier:
-            av = a.get(k, F1(0))
-            bound = max(bound, abs(f_d[k] * av - av))
+        values = [a.get(k, F1(0)) for k in points]
+        in_domain_ideal = not any(v for v, out in zip(values, outside) if out)
+        for (f, e), av in zip(pairs, values):
+            bound = max(bound, abs(f * av - av))
             if in_domain_ideal:
-                bound = max(bound, abs(e_d[k] * av - av))
+                bound = max(bound, abs(e * av - av))
     return bound
-
-
-def _ramp(t: Fraction, eps: Fraction, flats: Sequence[tuple[Fraction, Fraction]], zeros: Sequence[Fraction]) -> Fraction:
-    for lo, hi in flats:
-        if lo <= t <= hi:
-            return F1(1)
-    best = F1(0)
-    for z in zeros:
-        v = 1 - abs(t - z) / eps
-        if v > best:
-            best = v
-    return max(best, F1(0))
-
-
-def punctured_circle_pair(m: int, lipschitz=8):
-    """Two interval copies swapped with a half-shift: the obstruction model.
-
-    The circle with one point removed is modelled as an open chain of m - 1
-    points per copy at coordinates 2k/m; the non-identity element shifts by
-    one (mod 2) and swaps the copies.  Returns (GridAction, witness family,
-    3/16): the witnesses are the plateau functions that are 1 on the inner
-    interval(s) and linear otherwise, duplicated on both copies.
-    """
-    if m < 16:
-        raise GridTooCoarse(m, 16)
-    if m % 2 != 0:
-        raise OddGrid(m)
-    group = build_group(("cyclic", 2))
-    h = F1(2, m)
-    eps = F1(3, 16)
-    half = m // 2
-    points = [k for k in range(1, m)] + [m + k for k in range(1, m)]
-    coords = {k: (k if k < m else k - m) * h for k in points}
-    copy_of = {k: (0 if k < m else 1) for k in points}
-    cut0, cut1 = half, m + half
-    U = [k for k in points if k not in (cut0, cut1)]
-
-    def shift(k: int) -> int:
-        base, offset = (k - m, m) if k >= m else (k, 0)
-        target = base + half if base < half else base - half
-        return target + (0 if offset else m)
-
-    pa = validate(
-        group,
-        points,
-        {0: set(points), 1: set(U)},
-        {0: {k: k for k in points}, 1: {k: shift(k) for k in U}},
-    )
-    edges = tuple((k, k + 1) for k in range(1, m - 1)) + tuple(
-        (m + k, m + k + 1) for k in range(1, m - 1)
-    )
-    ga = GridAction(pa, coords, edges, h, F1(lipschitz))
-
-    def a_func(t: Fraction) -> Fraction:
-        return _ramp(t, eps, [(eps, 2 - eps)], [F1(0), F1(2)]) if 0 < t < 2 else F1(0)
-
-    def b_func(t: Fraction) -> Fraction:
-        if not (0 < t < 2) or t == 1:
-            return F1(0)
-        return _ramp(t, eps, [(eps, 1 - eps), (1 + eps, 2 - eps)], [F1(0), F1(1), F1(2)])
-
-    a = {k: a_func(coords[k]) for k in points}
-    b = {k: b_func(coords[k]) for k in points}
-    witnesses = [a, b]
-    return ga, witnesses, eps
 
 
 def punctured_circle_pair_global(m: int):
     """The globalized model: two full circles, swap-and-shift.
 
-    Returns (GridAction, NumericTowers) where the towers are the two copy
-    indicators; they witness dimension zero with residual 0.
+    Points k = 0..m-1 and m..2m-1 are the two copies, at coordinates
+    2 (k mod m)/m; the non-identity element shifts by one (mod 2) and swaps
+    the copies.  Returns (GridAction, NumericTowers) where the towers are the
+    two copy indicators; they witness dimension zero with residual 0.
     """
     if m % 2 != 0 or m <= 0:
         raise OddGrid(m)
@@ -468,6 +400,44 @@ def punctured_circle_pair_global(m: int):
     table = np.zeros((2, 1, 2 * m), dtype=np.int64)
     table[1, 0, :m] = table[0, 0, m:] = 1
     return ga, NumericTowers(table, 1, ga._layout[1])
+
+
+def _ramp(t: Fraction, zeros: Sequence, eps: Fraction) -> Fraction:
+    """1 at least eps from every zero, else 1 - _plateau(t, zeros, eps)."""
+    p = _plateau(t, zeros, eps)
+    return p if p == 1 else 1 - p
+
+
+def punctured_circle_pair(m: int, lipschitz=8):
+    """Two interval copies swapped with a half-shift: the obstruction model.
+
+    The restriction of ``punctured_circle_pair_global(m)`` to its points off
+    the two punctures 0 and m, with the global coordinates and the edges
+    between kept points: each copy is an open chain of m - 1 points at
+    coordinates 2k/m, and the shift is undefined at the two cut points m/2
+    and 3m/2, whose images are the punctures.  Returns (GridAction, witness
+    family, 3/16).
+
+    The witnesses a (zeros 0 and 2) and b (zeros 0, 1 and 2) are 1 at least
+    eps = 3/16 from every zero and 1 - plateau within eps of one: 1 at the
+    zero, falling linearly towards 0 as the distance nears eps, and 1 again
+    from there on.  So at m = 32, a(1/16) = 2/3, a(1/8) = 1/3 and
+    a(3/16) = 1.  b is 0 at the cut points t = 1, where b(15/16) = 2/3, so
+    b jumps at the cut.
+    """
+    if m < 16:
+        raise GridTooCoarse(m, 16)
+    if m % 2 != 0:
+        raise OddGrid(m)
+    whole, _ = punctured_circle_pair_global(m)
+    points = [k for k in whole.pa.points.tolist() if k % m]
+    coords = {k: whole.coords[k] for k in points}
+    edges = tuple((x, y) for x, y in whole.edges if x % m and y % m)
+    ga = GridAction(restricted_to(whole.pa, points), coords, edges, whole.spacing, F1(lipschitz))
+    eps = F1(3, 16)
+    a = {k: _ramp(t, (0, 2), eps) for k, t in coords.items()}
+    b = {k: F1(0) if t == 1 else _ramp(t, (0, 1, 2), eps) for k, t in coords.items()}
+    return ga, [a, b], eps
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -183,6 +183,65 @@ def reference_residual(
                             if gap:
                                 worst = max(worst, gap * wit)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# The grid models' witness functions as the piecewise formulas that one
+# plateau function replaced, and the per-edge adjacency check of GridAction
+# on the dict views.
+# ---------------------------------------------------------------------------
+
+
+def piecewise_f_delta(t: Fraction, delta: Fraction) -> Fraction:
+    return Fraction(1) if t >= delta else t / delta
+
+
+def piecewise_e_delta(t: Fraction, delta: Fraction) -> Fraction:
+    """The plateau function on the split interval, vanishing at 0, 1, 2."""
+    if t <= 0 or t == 1 or t >= 2:
+        return Fraction(0)
+    if t < delta:
+        return t / delta
+    if t <= 1 - delta:
+        return Fraction(1)
+    if t < 1:
+        return (1 - t) / delta
+    if t < 1 + delta:
+        return (t - 1) / delta
+    if t <= 2 - delta:
+        return Fraction(1)
+    return (2 - t) / delta
+
+
+def reference_ramp(t: Fraction, eps: Fraction, flats, zeros) -> Fraction:
+    for lo, hi in flats:
+        if lo <= t <= hi:
+            return Fraction(1)
+    return max([Fraction(0)] + [1 - abs(t - z) / eps for z in zeros])
+
+
+def reference_circle_witnesses(t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """The values (a(t), b(t)) of the circle pair's two witnesses."""
+    if not (0 < t < 2):
+        return Fraction(0), Fraction(0)
+    a = reference_ramp(t, eps, [(eps, 2 - eps)], [0, 2])
+    b = Fraction(0) if t == 1 else reference_ramp(t, eps, [(eps, 1 - eps), (1 + eps, 2 - eps)], [0, 1, 2])
+    return a, b
+
+
+def reference_adjacency_failure(pa, edges: Sequence[tuple[int, int]]) -> Optional[str]:
+    """GridAction's message for the first edge (x, y) inside X_{g^-1} whose
+    image under theta_g is two points that are not an edge, g first; None if
+    every theta_g preserves adjacency."""
+    listed = set(edges)
+    for g in pa.group.elements():
+        dom = pa.domain(pa.group.inv(g))
+        for x, y in edges:
+            if x in dom and y in dom:
+                fx, fy = pa.theta(g, x), pa.theta(g, y)
+                if fx != fy and (fx, fy) not in listed and (fy, fx) not in listed:
+                    return f"theta_{g} does not preserve adjacency at edge ({x}, {y})"
+    return None
 
 
 # ---------------------------------------------------------------------------

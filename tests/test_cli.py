@@ -323,6 +323,27 @@ def test_cli_towers_nonexistence(tmp_path, capsys):
     assert out["nonexistence"] == {"orbit": [0], "parallelArrows": [[0, 0, 1]]}
 
 
+def test_towers_dimension_cap_is_checked_before_reading(monkeypatch, capsys, tmp_path):
+    """Above MAX_D `towers` is a usage error before the instance is read (a
+    missing file would be exit 1) or any tower is built (towers_exist fails
+    if called), even at a d that would run out of memory; at the cap it runs."""
+
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(cli, "towers_exist", build)
+    for d in (cli.MAX_D + 1, 100000000):
+        with pytest.raises(SystemExit) as exc:
+            main(["towers", "--d", str(d), str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        assert f"argument --d: must be at most {cli.MAX_D}, got {d}" in capsys.readouterr().err
+    with pytest.raises(Built):
+        main(["towers", "--d", str(cli.MAX_D), _write_swap_pair(tmp_path)])
+
+
 def test_cli_bad_instance_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{")
@@ -482,7 +503,7 @@ def test_grid_size_cap_is_checked_before_building(monkeypatch, capsys, model):
 
 @pytest.mark.parametrize("model", ["interval", "circle-pair", "circle-pair-global"])
 def test_grid_dimension_cap_is_checked_before_building(monkeypatch, capsys, model):
-    """Above MAX_GRID_D the grid command is a usage error before any model
+    """Above MAX_D the grid command is a usage error before any model
     is built (the builders fail if called); at the cap the model is built."""
     from partact import gridtowers
 
@@ -497,9 +518,9 @@ def test_grid_dimension_cap_is_checked_before_building(monkeypatch, capsys, mode
     with pytest.raises(SystemExit) as exc:
         main(["grid", model, "--d", "200"])
     assert exc.value.code == 2
-    assert f"argument --d: must be at most {cli.MAX_GRID_D}, got 200" in capsys.readouterr().err
+    assert f"argument --d: must be at most {cli.MAX_D}, got 200" in capsys.readouterr().err
     with pytest.raises(Built):
-        main(["grid", model, "--d", str(cli.MAX_GRID_D)])
+        main(["grid", model, "--d", str(cli.MAX_D)])
 
 
 def test_analyze_leaves_numpy_ma_unimported(tmp_path):

@@ -5,10 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from embed_reference import embed_certificate
-from fraction_reference import DictTowers, as_dicts, as_table, derived_towers, reference_residual
+from fraction_reference import (
+    DictTowers,
+    as_dicts,
+    as_table,
+    derived_towers,
+    piecewise_e_delta,
+    piecewise_f_delta,
+    reference_adjacency_failure,
+    reference_circle_witnesses,
+    reference_residual,
+)
 
+from partact import cli
 from partact.gridtowers import (
     BadDelta,
+    GridAction,
     GridError,
     GridTooCoarse,
     OddGrid,
@@ -18,10 +30,11 @@ from partact.gridtowers import (
     punctured_circle_pair_global,
     residual,
     search_towers,
+    _plateau,
     witness_bound,
 )
 from partact.groups import build_group
-from partact.pactions import trivial_partial_action
+from partact.pactions import PartialAction, global_action, trivial_partial_action
 from partact.rokhlin import towers_exist
 
 F = Fraction
@@ -68,6 +81,134 @@ def test_circle_pair_witnesses():
     assert all(a[k] == 1 for k in inner)
     assert b[64] == 0 and b[128 + 64] == 0
     assert len(ga.pa.carrier) == 2 * 127
+
+
+@pytest.mark.parametrize("m", [16, 32, 128, 1024])
+def test_circle_pair_is_its_closed_form(m):
+    """The restriction of the global model off its punctures 0 and m: the
+    carrier, X_1 without the two cut points, the swap-shift, the chains and
+    the coordinates, read off the table."""
+    ga, _, _ = punctured_circle_pair(m)
+    half = m // 2
+    carrier = [k for k in range(1, 2 * m) if k != m]
+    shift = {k: m + (k + half) % m if k < m else (k - m + half) % m for k in carrier}
+    points, table = ga.pa.points.tolist(), ga.pa.table.tolist()
+    assert points == carrier
+    assert table[0] == list(range(len(carrier)))
+    assert [x for x, i in zip(points, table[1]) if i >= 0] == [k for k in carrier if k not in (half, m + half)]
+    assert {x: points[i] for x, i in zip(points, table[1]) if i >= 0} == {
+        k: shift[k] for k in carrier if k not in (half, m + half)
+    }
+    assert ga.edges == tuple((k, k + 1) for k in range(1, m - 1)) + tuple((m + k, m + k + 1) for k in range(1, m - 1))
+    assert ga.coords == {k: F(2 * (k % m), m) for k in carrier}
+    assert (ga.spacing, ga.lipschitz) == (F(2, m), 8)
+
+
+def test_plateau_is_the_piecewise_witnesses():
+    """Every witness, on every grid point, is the exact Fraction of the
+    piecewise formula it replaced: f and e of the interval model (and of
+    witness_bound), and a and b of the circle pair."""
+    deltas = (F(1, 10), F(1, 8), F(3, 16), F(1, 5), F(7, 29))
+    for m in (16, 32, 64, 128, 1000):
+        grid = [F(2 * k, m) for k in range(1, m + 1)]
+        for delta in deltas:
+            assert [_plateau(t, (0,), delta) for t in grid] == [piecewise_f_delta(t, delta) for t in grid]
+            assert [_plateau(t, (0, 1, 2), delta) for t in grid] == [piecewise_e_delta(t, delta) for t in grid]
+        _, _, (f_d, e_d) = interval_half_shift(deltas[m % 5], m)
+        assert f_d == {k: piecewise_f_delta(t, deltas[m % 5]) for k, t in enumerate(grid, 1)}
+        assert e_d == {k: piecewise_e_delta(t, deltas[m % 5]) for k, t in enumerate(grid, 1)}
+        ga, (a, b), eps = punctured_circle_pair(m)
+        assert [(a[k], b[k]) for k in ga.coords] == [reference_circle_witnesses(t, eps) for t in ga.coords.values()]
+
+
+def test_circle_pair_witnesses_at_m_32():
+    """Within eps of each zero the witnesses are 1 - plateau, and b is 0 at the cut."""
+    ga, (a, b), _ = punctured_circle_pair(32)
+    at = {t: k for k, t in ga.coords.items() if k < 32}
+    assert [a[at[t]] for t in (F(1, 16), F(1, 8), F(3, 16))] == [F(2, 3), F(1, 3), 1]
+    assert (b[at[F(15, 16)]], b[at[F(1)]]) == (F(2, 3), 0)
+
+
+def _rotation_cycle(edges):
+    """C8 rotating an 8-point cycle, with the given edges."""
+    group = build_group(("cyclic", 8))
+    pa = global_action(group, range(8), {g: {x: (x + g) % 8 for x in range(8)} for g in range(8)})
+    return pa, tuple(edges)
+
+
+def test_adjacency_check_names_the_first_element_then_edge():
+    """Least g first, then edge order, as the per-edge loop on the dict views
+    found it: with (0, 1) missing, theta_1 breaks only the last edge (0, 7),
+    while theta_7 already breaks the first edge (1, 2)."""
+    cycle = [(k, k + 1) for k in range(7)] + [(0, 7)]
+    for missing, message in (
+        ([(0, 1)], "theta_1 does not preserve adjacency at edge (0, 7)"),
+        ([(0, 1), (3, 4)], "theta_1 does not preserve adjacency at edge (2, 3)"),
+        ([(5, 6)], "theta_1 does not preserve adjacency at edge (4, 5)"),
+    ):
+        pa, edges = _rotation_cycle(e for e in cycle if e not in missing)
+        with pytest.raises(GridError) as exc:
+            GridAction(pa, {x: F(x) for x in range(8)}, edges, F(1), F(1))
+        assert str(exc.value) == message == reference_adjacency_failure(pa, edges)
+    pa, edges = _rotation_cycle(cycle)
+    GridAction(pa, {x: F(x) for x in range(8)}, edges, F(1), F(1))
+    assert reference_adjacency_failure(pa, edges) is None
+
+
+def test_adjacency_check_agrees_with_the_reference_on_tampered_chains():
+    """Dropping or adding edges on the global circle model: the check
+    fails exactly when the per-edge loop does, with its message."""
+    whole, _ = punctured_circle_pair_global(16)
+    rng = random.Random(7)
+    failures = 0
+    for trial in range(40):
+        edges = [e for e in whole.edges if rng.random() > 0.03 * (trial % 3)]
+        edges += [(x, y) for x, y in ((rng.randrange(32), rng.randrange(32)) for _ in range(trial % 3)) if x < y]
+        want = reference_adjacency_failure(whole.pa, edges)
+        try:
+            GridAction(whole.pa, whole.coords, tuple(edges), whole.spacing, whole.lipschitz)
+            got = None
+        except GridError as exc:
+            got = str(exc)
+        assert got == want
+        failures += want is not None
+    assert 0 < failures < 40
+
+
+def test_an_edge_off_the_carrier_fails_at_construction():
+    ga, _, _ = punctured_circle_pair(16)
+    with pytest.raises(GridError, match=r"edge \(15, 16\) has a point off the carrier"):
+        GridAction(ga.pa, ga.coords, ga.edges[:3] + ((15, 16),) + ga.edges[3:], ga.spacing, ga.lipschitz)
+
+
+class _ViewRead(Exception):
+    pass
+
+
+def test_the_grid_layer_reads_only_the_table(monkeypatch, capsys):
+    """With the maps and domains views made to raise, the three models build,
+    and residual, witness_bound, a short search and `partact grid` run."""
+
+    def view(self):
+        raise _ViewRead
+
+    for name in ("maps", "domains"):
+        monkeypatch.setattr(PartialAction, name, property(view))
+    interval, towers, family = interval_half_shift(F(1, 8), 32)
+    circle, circle_family, _ = punctured_circle_pair(32)
+    whole, whole_towers = punctured_circle_pair_global(32)
+    whole_family = [{k: F(1) for k in whole.pa.points.tolist()}]
+    assert residual(interval, towers, family) == residual(*interval_half_shift(F(1, 8), 32))
+    assert residual(whole, whole_towers, whole_family) == 0
+    for ga, fam in ((interval, family), (circle, circle_family), (whole, whole_family)):
+        witness_bound(ga, fam, F(1, 8))
+        found, res = search_towers(ga, fam, F(0), 0, restarts=1, sweeps=5, polish_sweeps=5)
+        assert residual(ga, found, fam) == res
+    for model in ("interval", "circle-pair", "circle-pair-global"):
+        assert cli.main(["grid", model, "--m", "32", "--restarts", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(_ViewRead):
+        circle.pa.domain(1)
 
 
 def test_circle_pair_too_coarse():

@@ -115,3 +115,33 @@ def test_failure_records_replay_through_the_cli(monkeypatch, tmp_path, capsys):
         capsys.readouterr()
         again, labels = parse_instance_with_labels(path.read_text())
         assert hashlib.sha256(serialize_instance(again, labels).encode()).hexdigest() == instance_digest(pa)
+
+
+def test_a_freeness_contradiction_is_recorded_not_raised(monkeypatch, tmp_path, capsys):
+    """With towers_exist made to certify the non-free instances,
+    rokhlin_dimension returns the certificate and check_free_iff_finite
+    records each contradiction; its instance replays through `partact
+    analyze`, which reports the true answer once the solver is restored."""
+    from partact import rokhlin
+    from partact.cli import main
+    from partact.pactions import freeness_witness
+    from partact.rokhlin import TowerCertificate
+
+    towers_exist = rokhlin.towers_exist
+
+    def certify(pa, d):
+        if freeness_witness(pa) is None:
+            return towers_exist(pa, d)
+        return TowerCertificate(d, tuple({} for _ in range(d + 1)))
+
+    monkeypatch.setattr(rokhlin, "towers_exist", certify)
+    report = check_free_iff_finite(23, count=15)
+    non_free = [pa for pa in corpus(23, 15) if freeness_witness(pa) is not None]
+    assert non_free and len(report.failures) == len(non_free)
+    assert all((f["lhs"], f["rhs"]) == ("free=False", "0") for f in report.failures)
+    monkeypatch.undo()
+    path = tmp_path / "failure.json"
+    path.write_text(json.dumps(report.failures[0]["instance"]))
+    assert main(["analyze", str(path)]) == 0
+    replayed = json.loads(capsys.readouterr().out)
+    assert replayed["freeness"]["free"] is False and replayed["rokhlin"]["dimension"] == "infinity"
