@@ -21,6 +21,7 @@ analyze`` reads back).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -381,32 +382,26 @@ def _check_d(args) -> None:
 
 
 def _cmd_grid(args) -> int:
-    from .gridtowers import (
-        GridError,
-        interval_half_shift,
-        punctured_circle_pair,
-        punctured_circle_pair_global,
-        residual,
-        search_towers,
-        witness_bound,
-    )
+    import numpy as np
+
+    from . import gridtowers as gt
 
     if args.m > MAX_GRID_M:
         args.usage_error(f"argument --m: must be at most {MAX_GRID_M}, got {args.m}")
     _check_d(args)
     try:
         if args.model == "interval":
-            model = interval_half_shift(args.delta, args.m)
+            model = gt.interval_half_shift(args.delta, args.m)
         elif args.model == "circle-pair-global":
-            model = punctured_circle_pair_global(args.m)
+            model = gt.punctured_circle_pair_global(args.m)
         else:
-            model = punctured_circle_pair(args.m, lipschitz=args.lipschitz)
-    except GridError as err:  # a grid or delta the model cannot take
+            model = gt.punctured_circle_pair(args.m, lipschitz=args.lipschitz)
+    except gt.GridError as err:  # a grid or delta the model cannot take
         args.usage_error(str(err))
     if args.model == "interval":
         ga, towers, family = model
-        res = residual(ga, towers, family)
-        bound = witness_bound(ga, family, args.delta)
+        res = gt.residual(ga, towers, family)
+        bound = gt.witness_bound(ga, family, args.delta)
         payload = {
             "model": "interval",
             "m": args.m,
@@ -417,25 +412,24 @@ def _cmd_grid(args) -> int:
         }
     elif args.model == "circle-pair-global":
         ga, towers = model
-        family = [{k: Fraction(1) for k in ga.pa.points.tolist()}]
+        family = gt.WitnessFamily(np.ones((1, len(ga.pa.points)), dtype=np.int64), 1)
         payload = {
             "model": "circle-pair-global",
             "m": args.m,
-            "projectionResidual": _frac_str(residual(ga, towers, family)),
+            "projectionResidual": _frac_str(gt.residual(ga, towers, family)),
         }
     else:
         ga, family, _ = model
         trace: list = []
-        towers, best = search_towers(
-            ga,
-            family,
-            args.eps,
-            args.d,
-            lipschitz=args.lipschitz,
-            seed=args.seed,
-            restarts=args.restarts,
-            trace=trace,
-        )
+        # Open the trace file first: a path that cannot be written fails before the search.
+        with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
+            towers, best = gt.search_towers(
+                ga, family, args.eps, args.d, lipschitz=args.lipschitz, seed=args.seed, restarts=args.restarts, trace=trace
+            )
+            if fh is not None:
+                fh.write("restart\tresidual\tbest\tsweeps\n")
+                for restart, res_f, best_f, ran in trace:
+                    fh.write(f"{restart}\t{res_f:.9g}\t{best_f:.9g}\t{ran}\n")
         payload = {
             "model": "circle-pair",
             "m": args.m,
@@ -447,10 +441,6 @@ def _cmd_grid(args) -> int:
             "bestResidualFloat": float(best),
         }
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write("restart\tresidual\tbest\tsweeps\n")
-                for restart, res_f, best_f, ran in trace:
-                    fh.write(f"{restart}\t{res_f:.9g}\t{best_f:.9g}\t{ran}\n")
             payload["traceFile"] = args.trace
     _emit(payload)
     return 0
@@ -518,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lipschitz", type=_at_least(0), default=8)
     p.add_argument("--eps", type=_rational, default=Fraction(0), help="early-stop residual target, e.g. 1/1000")
     p.add_argument("--restarts", type=_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trace", type=str, default=None, help="write a tab-separated residual trace")
     p.set_defaults(fn=_cmd_grid, usage_error=p.error)
 

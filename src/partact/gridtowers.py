@@ -55,22 +55,29 @@ class GridTooCoarse(GridError):
         super().__init__(f"grid with m = {m} is too coarse; need m >= {minimum}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridAction:
     """A partial action on grid points with 1-D geometry.
 
-    ``edges`` are adjacency pairs within chain components; ``spacing`` is the
-    uniform grid step and ``lipschitz`` the slope bound for admissible tower
-    functions (values may change by at most lipschitz * spacing per edge).
+    ``positions`` holds each point's coordinate in units of ``spacing``, in
+    ``pa.points`` order (a read-only int64 array); ``edges`` are adjacency
+    pairs within chain components; ``spacing`` is the uniform grid step and
+    ``lipschitz`` the slope bound for admissible tower functions (values may
+    change by at most lipschitz * spacing per edge).
     """
 
     pa: PartialAction
-    coords: Mapping[int, Fraction]
+    positions: np.ndarray
     edges: tuple[tuple[int, int], ...]
     spacing: Fraction
     lipschitz: Fraction
 
     def __post_init__(self):
+        positions = np.array(self.positions, dtype=np.int64)
+        if positions.shape != self.pa.points.shape:
+            raise ShapeMismatch(f"positions of shape {positions.shape} do not fit the action: need {self.pa.points.shape}")
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
         # theta_g takes an edge inside X_{g^-1} to an edge (or to one point);
         # the first failure is named, g-major, then in edge order.  Edges are
         # looked up by a sorted key (np.isin would import numpy.ma).
@@ -187,6 +194,28 @@ class NumericTowers:
         return F1(int(self.table[g, j, self.index[x]]), self.scale)
 
 
+@dataclass(frozen=True, eq=False)
+class WitnessFamily:
+    """A witness family as one read-only integer table over a scale.
+
+    Member a takes the value table[a, i] / scale at the grid point
+    ``pa.points[i]``.  The dtype is int64, or Python ints past 2^62.
+    """
+
+    table: np.ndarray
+    scale: int
+
+    def __post_init__(self):
+        self.table.flags.writeable = False
+
+    def fit(self, ga: GridAction) -> np.ndarray:
+        """The table, once its shape is checked against the action's points."""
+        W, P = self.table, len(ga.pa.points)
+        if W.ndim != 2 or W.shape[1] != P:
+            raise ShapeMismatch(f"a witness table of shape {W.shape} does not fit the action: need (members, {P})")
+        return W
+
+
 def _int_dtype(bound: int):
     """int64 while every intermediate stays below the bound < 2^62, else Python ints."""
     return np.int64 if bound < 1 << 62 else object
@@ -228,7 +257,7 @@ def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray,
     return T, scale
 
 
-def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[int, Fraction]]) -> Fraction:
+def residual(ga: GridAction, towers: NumericTowers, witnesses: WitnessFamily) -> Fraction:
     """Worst witnessed violation of the tower conditions, exactly.
 
     Conditions: (1) equivariance against witnesses x in the domain
@@ -241,7 +270,7 @@ def residual(ga: GridAction, towers: NumericTowers, witnesses: Sequence[Mapping[
     is |f_h(y) - f_gh(z)| wmax(y) wmax(z) at z = theta_g(y), (2) the product
     of the two largest f_g(z) at one level times wmax(z), and (3)
     |sum f(z) - 1| wmax(z).  All three are evaluated on integers over the
-    common denominators D_t of the towers and D_w of the family.
+    scales D_t of the towers and D_w of the family.
     """
     return ResidualFormula(ga, witnesses)(*check_admissible(ga, towers))
 
@@ -252,25 +281,23 @@ class ResidualFormula:
     built once, on construction: wmax as integers over D_w, and the arrows
     z = theta_g(y) with the products g h."""
 
-    def __init__(self, ga: GridAction, witnesses: Sequence[Mapping[int, Fraction]]):
-        _, index, src, _ = ga._layout
-        self.wscale = math.lcm(*{v.denominator for a in witnesses for x, v in a.items() if x in index})
-        wmax = [0] * len(index)
-        for a in witnesses:
-            for x, v in a.items():
-                i = index.get(x)
-                if i is not None:
-                    wmax[i] = max(wmax[i], abs(v.numerator) * (self.wscale // v.denominator))
-        self.wmax = wmax
-        self.top = max(max(wmax, default=0), 1)
+    def __init__(self, ga: GridAction, witnesses: WitnessFamily):
+        _, _, src, _ = ga._layout
+        self.wscale = witnesses.scale
+        self.wmax = np.abs(witnesses.fit(ga)).max(axis=0, initial=0)
+        self.top = max(int(self.wmax.max(initial=0)), 1)
         gs, self.zs = np.nonzero(src >= 0)
         self.ys = src[gs, self.zs]
         self.ghs = np.array(ga.pa.group.table, dtype=np.int64)[gs].T  # (h, arrow): the element g h
 
+    def float_wmax(self) -> np.ndarray:
+        """max_a |float(a(z))|, each an int / int division, which rounds correctly."""
+        return (self.wmax.astype(object) / self.wscale).astype(np.float64)
+
     def __call__(self, T: np.ndarray, scale: int) -> Fraction:
         wscale, ys, zs = self.wscale, self.ys, self.zs
         dtype = _int_dtype(scale * self.top * max(scale, self.top, T.shape[0] * T.shape[1] + 1))
-        T, W = T.astype(dtype, copy=False), np.array(self.wmax, dtype=dtype)
+        T, W = T.astype(dtype, copy=False), self.wmax.astype(dtype)
         partition = (np.abs(T.sum(axis=(0, 1)) - scale) * W).max(initial=0)
         orthogonality = 0
         if T.shape[0] >= 2:
@@ -291,11 +318,16 @@ class ResidualFormula:
 # ---------------------------------------------------------------------------
 
 
-def _plateau(t: Fraction, zeros: Sequence, width: Fraction) -> Fraction:
-    """min(1, distance from t to the nearest zero / width): 0 at every zero,
-    linear within width of one, 1 everywhere else."""
-    gap = min(abs(t - z) for z in zeros)
-    return F1(1) if gap >= width else gap / width
+def _plateau(at: np.ndarray, zero_sets: Sequence[Sequence[int]], unit: Fraction, width: Fraction):
+    """min(1, distance from at to the nearest zero * unit / width), one row per
+    set of zeros, at integer points at and zeros, as integers over the
+    denominator of unit / width: 0 at every zero, linear within width of one,
+    1 everywhere else.  Returns the (sets, points) table and its scale."""
+    dist = np.stack([np.abs(np.subtract.outer(np.array(z, dtype=at.dtype), at)).min(axis=0) for z in zero_sets])
+    ratio = unit / width
+    a, b = ratio.numerator, ratio.denominator
+    dist = dist.astype(_int_dtype(max(b, a * int(dist.max(initial=0)))))
+    return np.minimum(dist * a, b).astype(_int_dtype(b)), b
 
 
 def interval_half_shift(delta, m: int):
@@ -303,7 +335,7 @@ def interval_half_shift(delta, m: int):
 
     Grid points k = 1..m at coordinates 2k/m model the half-open interval
     (0, 2]; the non-identity element shifts by one between the two open
-    halves.  Returns (GridAction, NumericTowers, witness family) where the
+    halves.  Returns (GridAction, NumericTowers, WitnessFamily) where the
     towers follow the displayed plateau construction: level zero carries the
     plateau function on each half, level one the remainder, with the cut
     point's unit mass assigned to the identity tower (both halves vanish
@@ -315,59 +347,49 @@ def interval_half_shift(delta, m: int):
     delta = F1(delta)
     if not (0 < delta < F1(1, 4)):
         raise BadDelta(delta)
-    if m % 2 != 0 or m <= 0:
+    if m < 2:
+        raise GridTooCoarse(m, 2)
+    if m % 2 != 0:
         raise OddGrid(m)
     group = build_group(("cyclic", 2))
     h = F1(2, m)
     points = list(range(1, m + 1))
-    coords = {k: k * h for k in points}
     cut, end = m // 2, m
     U = [k for k in points if k not in (cut, end)]
     theta = {k: (k + cut if k < cut else k - cut) for k in U}
-    pa = validate(
-        group,
-        points,
-        {0: set(points), 1: set(U)},
-        {0: {k: k for k in points}, 1: theta},
-    )
+    pa = validate(group, points, {0: set(points), 1: set(U)}, {0: {k: k for k in points}, 1: theta})
     edges = tuple((k, k + 1) for k in range(1, m))
-    ga = GridAction(pa, coords, edges, h, F1(1, 1) / h)
+    ga = GridAction(pa, np.arange(1, m + 1), edges, h, F1(1, 1) / h)
 
-    f_d = {k: _plateau(coords[k], (0,), delta) for k in points}
-    e_d = {k: _plateau(coords[k], (0, 1, 2), delta) for k in points}
+    family, scale = _plateau(ga.positions, [(0,), (0, cut, end)], h, delta)
+    f, e = family
     # Levels e and f - e over the points in order; the lower half (k < cut)
     # goes to the shift's tower, the rest, the cut included, to the identity's.
-    levels = [[e_d[k] for k in points], [f_d[k] - e_d[k] for k in points]]
-    scale = math.lcm(*(v.denominator for level in levels for v in level))
-    ints = np.array(
-        [[v.numerator * (scale // v.denominator) for v in level] for level in levels], dtype=_int_dtype(scale)
-    )
-    lower = np.array(points) < cut
-    towers = NumericTowers(np.stack([ints * ~lower, ints * lower]), scale, ga._layout[1])
-    witnesses = [f_d, e_d]
-    return ga, towers, witnesses
+    levels = np.stack([e, f - e])
+    lower = ga.positions < cut
+    towers = NumericTowers(np.stack([levels * ~lower, levels * lower]), scale, ga._layout[1])
+    return ga, towers, WitnessFamily(family, scale)
 
 
-def witness_bound(ga: GridAction, family: Sequence[Mapping[int, Fraction]], delta) -> Fraction:
+def witness_bound(ga: GridAction, family: WitnessFamily, delta) -> Fraction:
     """The tolerance the plateau pair implies on this grid.
 
     Recomputes max of ||e a - a|| over the family members supported in the
     shift domain X_1 and ||f a - a|| over the whole family, with f and e the
-    plateau pair at the given delta (as in ``interval_half_shift``).
+    plateau pair at the given delta (as in ``interval_half_shift``).  With
+    spacing p/q, the coordinates are the positions times p in units of 1/q,
+    so the zeros 0, 1 and 2 are whole too.
     """
-    delta = F1(delta)
-    points, _, src, _ = ga._layout
-    pairs = [(_plateau(ga.coords[k], (0,), delta), _plateau(ga.coords[k], (0, 1, 2), delta)) for k in points]
-    outside = (src[1] < 0).tolist()
-    bound = F1(0)
-    for a in family:
-        values = [a.get(k, F1(0)) for k in points]
-        in_domain_ideal = not any(v for v, out in zip(values, outside) if out)
-        for (f, e), av in zip(pairs, values):
-            bound = max(bound, abs(f * av - av))
-            if in_domain_ideal:
-                bound = max(bound, abs(e * av - av))
-    return bound
+    _, _, src, _ = ga._layout
+    p, q = ga.spacing.numerator, ga.spacing.denominator
+    at = ga.positions.astype(_int_dtype(p * int(np.abs(ga.positions).max(initial=0)) + 2 * q)) * p
+    (f, e), scale = _plateau(at, [(0,), (0, q, 2 * q)], F1(1, q), F1(delta))
+    W = np.abs(family.fit(ga))
+    W = W.astype(_int_dtype(int(W.max(initial=0)) * scale), copy=False)
+    # |f a - a| = |a| (1 - f) for every member, |e a - a| for those vanishing off X_1.
+    ideal = ~W[:, src[1] < 0].any(axis=1)
+    worst = max((W * (scale - f)).max(initial=0), (W[ideal] * (scale - e)).max(initial=0))
+    return F1(int(worst), scale * family.scale)
 
 
 def punctured_circle_pair_global(m: int):
@@ -378,45 +400,32 @@ def punctured_circle_pair_global(m: int):
     the copies.  Returns (GridAction, NumericTowers) where the towers are the
     two copy indicators; they witness dimension zero with residual 0.
     """
-    if m % 2 != 0 or m <= 0:
+    if m < 2:
+        raise GridTooCoarse(m, 2)
+    if m % 2 != 0:
         raise OddGrid(m)
     group = build_group(("cyclic", 2))
     h = F1(2, m)
-    half = m // 2
-    points = list(range(m)) + list(range(m, 2 * m))
-    coords = {k: (k % m) * h for k in points}
-
-    def shift(k: int) -> int:
-        base, offset = k % m, (k // m) * m
-        return (base + half) % m + (m - offset)
-
-    perms = {0: {k: k for k in points}, 1: {k: shift(k) for k in points}}
-    pa = validate(group, points, {0: set(points), 1: set(points)}, perms)
-    edges = tuple((k, (k + 1) % m) for k in range(m)) + tuple(
-        (m + k, m + (k + 1) % m) for k in range(m)
-    )
-    edges = tuple((min(x, y), max(x, y)) for x, y in edges)
-    ga = GridAction(pa, coords, edges, h, F1(8))
+    points = list(range(2 * m))
+    # The shift moves k by m/2 round its circle and swaps the circles.
+    shift = {k: (k + m // 2) % m + m - k // m * m for k in points}
+    pa = validate(group, points, {0: set(points), 1: set(points)}, {0: {k: k for k in points}, 1: shift})
+    edges = tuple((c + min(k, (k + 1) % m), c + max(k, (k + 1) % m)) for c in (0, m) for k in range(m))
+    ga = GridAction(pa, np.arange(2 * m) % m, edges, h, F1(8))
     table = np.zeros((2, 1, 2 * m), dtype=np.int64)
     table[1, 0, :m] = table[0, 0, m:] = 1
     return ga, NumericTowers(table, 1, ga._layout[1])
-
-
-def _ramp(t: Fraction, zeros: Sequence, eps: Fraction) -> Fraction:
-    """1 at least eps from every zero, else 1 - _plateau(t, zeros, eps)."""
-    p = _plateau(t, zeros, eps)
-    return p if p == 1 else 1 - p
 
 
 def punctured_circle_pair(m: int, lipschitz=8):
     """Two interval copies swapped with a half-shift: the obstruction model.
 
     The restriction of ``punctured_circle_pair_global(m)`` to its points off
-    the two punctures 0 and m, with the global coordinates and the edges
+    the two punctures 0 and m, with the global positions and the edges
     between kept points: each copy is an open chain of m - 1 points at
     coordinates 2k/m, and the shift is undefined at the two cut points m/2
-    and 3m/2, whose images are the punctures.  Returns (GridAction, witness
-    family, 3/16).
+    and 3m/2, whose images are the punctures.  Returns (GridAction,
+    WitnessFamily, 3/16).
 
     The witnesses a (zeros 0 and 2) and b (zeros 0, 1 and 2) are 1 at least
     eps = 3/16 from every zero and 1 - plateau within eps of one: 1 at the
@@ -427,17 +436,16 @@ def punctured_circle_pair(m: int, lipschitz=8):
     """
     if m < 16:
         raise GridTooCoarse(m, 16)
-    if m % 2 != 0:
-        raise OddGrid(m)
-    whole, _ = punctured_circle_pair_global(m)
-    points = [k for k in whole.pa.points.tolist() if k % m]
-    coords = {k: whole.coords[k] for k in points}
+    whole, _ = punctured_circle_pair_global(m)  # an odd m is an OddGrid here
+    keep = whole.pa.points % m != 0
     edges = tuple((x, y) for x, y in whole.edges if x % m and y % m)
-    ga = GridAction(restricted_to(whole.pa, points), coords, edges, whole.spacing, F1(lipschitz))
+    pa = restricted_to(whole.pa, whole.pa.points[keep].tolist())
+    ga = GridAction(pa, whole.positions[keep], edges, whole.spacing, F1(lipschitz))
     eps = F1(3, 16)
-    a = {k: _ramp(t, (0, 2), eps) for k, t in coords.items()}
-    b = {k: F1(0) if t == 1 else _ramp(t, (0, 1, 2), eps) for k, t in coords.items()}
-    return ga, [a, b], eps
+    W, scale = _plateau(ga.positions, [(0, m), (0, m // 2, m)], ga.spacing, eps)
+    W = np.where(W < scale, scale - W, W)
+    W[1, ga.positions == m // 2] = 0
+    return ga, WitnessFamily(W, scale), eps
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +461,7 @@ RESTART_CHUNK = 16
 
 def search_towers(
     ga: GridAction,
-    witnesses: Sequence[Mapping[int, Fraction]],
+    witnesses: WitnessFamily,
     eps,
     d: int,
     lipschitz=None,
@@ -494,6 +502,8 @@ def search_towers(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     slope = F1(lipschitz) if lipschitz is not None else ga.lipschitz
     if slope < 0:
         raise ValueError(f"lipschitz must be >= 0, got {slope}")
@@ -526,9 +536,8 @@ def search_towers(
     cap = np.ones(P)
     cap[capped] = min(1.0, band)
 
-    # Integer over integer division rounds correctly, so this is max_a |float(a(z))|.
     exact_residual = ResidualFormula(ga, witnesses)
-    wmax = np.array([w / exact_residual.wscale for w in exact_residual.wmax])
+    wmax = exact_residual.float_wmax()
 
     # The lower envelope's forward pass is a prefix minimum of vals - steps
     # on the rows, its backward pass one of vals + steps on the reversed rows.

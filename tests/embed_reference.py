@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from fraction_reference import as_table, derived_towers
+from fraction_reference import as_family, as_table, derived_towers
 
 from partact.gridtowers import GridAction
 from partact.pactions import PartialAction
@@ -25,9 +25,8 @@ def embed_certificate(pa: PartialAction, levels: Sequence[Mapping[int, Fraction]
     Each point is its own chain component, so the Lipschitz band is vacuous;
     witnesses are the indicator basis together with the constant 1.
     """
-    coords = {x: F1(i) for i, x in enumerate(sorted(pa.carrier))}
-    ga = GridAction(pa, coords, (), F1(1), F1(1))
+    ga = GridAction(pa, range(len(pa.points)), (), F1(1), F1(1))
     towers = as_table(ga, derived_towers(ga, levels))
     witnesses = [{x: F1(1)} for x in sorted(pa.carrier)]
     witnesses.append({x: F1(1) for x in pa.carrier})
-    return ga, towers, witnesses
+    return ga, towers, as_family(ga, witnesses)

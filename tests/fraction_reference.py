@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch, _int_dtype
+from partact.gridtowers import GridAction, GridError, NumericTowers, ShapeMismatch, WitnessFamily, _int_dtype
 from partact.pactions import translation_groupoid
 from scan_reference import dense_product, groupoid_arrows
 
@@ -121,6 +121,67 @@ def as_table(ga: GridAction, towers: DictTowers) -> NumericTowers:
     return NumericTowers(table.astype(_int_dtype(top + scale)), scale, index)
 
 
+# ---------------------------------------------------------------------------
+# Witness families and coordinates as Fraction dicts, the form the grid
+# models built before ``WitnessFamily`` and ``GridAction.positions``, with the
+# conversions both ways.
+# ---------------------------------------------------------------------------
+
+Witnesses = Union[WitnessFamily, Sequence[Mapping[int, Fraction]]]
+
+
+def coords(ga: GridAction) -> dict[int, Fraction]:
+    """Each grid point's coordinate, its position times the spacing."""
+    return {x: p * ga.spacing for x, p in zip(ga.pa.points.tolist(), ga.positions.tolist())}
+
+
+def as_family(ga: GridAction, family: Witnesses) -> WitnessFamily:
+    """The table of dict witnesses over the lcm of their denominators on the
+    carrier; keys off the carrier are dropped, as the dict-form residual
+    ignored them."""
+    if isinstance(family, WitnessFamily):
+        return family
+    points = ga.pa.points.tolist()
+    values = [[Fraction(a.get(x, 0)) for x in points] for a in family]
+    scale = math.lcm(*(v.denominator for row in values for v in row))
+    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in values]
+    top = max((abs(v) for row in ints for v in row), default=0)
+    return WitnessFamily(np.array(ints, dtype=_int_dtype(top + scale)).reshape(len(ints), len(points)), scale)
+
+
+def as_witness_dicts(ga: GridAction, family: Witnesses) -> list[dict[int, Fraction]]:
+    """Every member's value at every grid point, zeros included."""
+    if not isinstance(family, WitnessFamily):
+        return [dict(a) for a in family]
+    points = ga.pa.points.tolist()
+    return [{x: Fraction(int(v), family.scale) for x, v in zip(points, row)} for row in family.table]
+
+
+def reference_plateau(t: Fraction, zeros: Sequence, width: Fraction) -> Fraction:
+    """min(1, distance from t to the nearest zero / width) on Fractions."""
+    gap = min(abs(t - z) for z in zeros)
+    return Fraction(1) if gap >= width else gap / width
+
+
+def reference_witness_bound(ga: GridAction, family: Witnesses, delta) -> Fraction:
+    """``witness_bound`` point by point on Fractions: max of |f a - a| over
+    the family and |e a - a| over the members vanishing off X_1."""
+    delta = Fraction(delta)
+    points = ga.pa.points.tolist()
+    at = coords(ga)
+    outside = [x not in ga.pa.domain(1) for x in points]
+    bound = Fraction(0)
+    for a in as_witness_dicts(ga, family):
+        values = [a.get(k, Fraction(0)) for k in points]
+        in_domain_ideal = not any(v for v, out in zip(values, outside) if out)
+        for k, av in zip(points, values):
+            f, e = reference_plateau(at[k], (0,), delta), reference_plateau(at[k], (0, 1, 2), delta)
+            bound = max(bound, abs(f * av - av))
+            if in_domain_ideal:
+                bound = max(bound, abs(e * av - av))
+    return bound
+
+
 def reference_check_admissible(ga: GridAction, towers: Towers) -> None:
     """Domains, [0, 1] bounds and the Lipschitz band, checked on Fractions."""
     towers = as_dicts(towers)
@@ -145,11 +206,10 @@ def reference_check_admissible(ga: GridAction, towers: Towers) -> None:
                     )
 
 
-def reference_residual(
-    ga: GridAction, towers: Towers, witnesses: Sequence[Mapping[int, Fraction]]
-) -> Fraction:
+def reference_residual(ga: GridAction, towers: Towers, witnesses: Witnesses) -> Fraction:
     """The three witnessed tower conditions, term by term on Fractions."""
     towers = as_dicts(towers)
+    witnesses = as_witness_dicts(ga, witnesses)
     reference_check_admissible(ga, towers)
     pa = ga.pa
     G = pa.group

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from fraction_reference import DictTowers, as_table, derived_towers
+from fraction_reference import DictTowers, Witnesses, as_family, as_table, as_witness_dicts, derived_towers
 
 from partact.gridtowers import (
     RESTART_CHUNK,
@@ -47,7 +47,7 @@ def _layout(ga: GridAction) -> tuple[list[int], dict[int, int], np.ndarray, np.n
 
 def reference_search_towers(
     ga: GridAction,
-    witnesses: Sequence[Mapping[int, Fraction]],
+    witnesses: Witnesses,
     eps,
     d: int,
     lipschitz=None,
@@ -156,9 +156,10 @@ def reference_search_towers(
                 cap[src[g, index[z]]] = min(cap[src[g, index[z]]], band)
 
     wmax = np.zeros(P)
-    for w in witnesses:
+    for w in as_witness_dicts(ga, witnesses):
         for x, v in w.items():
-            wmax[index[x]] = max(wmax[index[x]], abs(float(v)))
+            if x in index:
+                wmax[index[x]] = max(wmax[index[x]], abs(float(v)))
 
     steps = band * np.arange(width)
 
@@ -253,6 +254,7 @@ def reference_search_towers(
     exact_cap[cap < 1.0] = exact_step
     model_band = ga.band
     check_dtype = _int_dtype(denom * max(abs(model_band.numerator), model_band.denominator))
+    witnesses = as_family(ga, witnesses)
     exact_residual = ResidualFormula(ga, witnesses)
 
     def floor_cap_repair(v: np.ndarray) -> np.ndarray:

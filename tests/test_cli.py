@@ -414,6 +414,9 @@ def test_cli_usage_error_exit_2():
         (["grid", "circle-pair", "--lipschitz", "-1"], "argument --lipschitz: must be an integer >= 0"),
         (["check", "--count", "-3"], "argument --count: must be an integer >= 1"),
         (["check", "--count", "0"], "argument --count: must be an integer >= 1"),
+        (["grid", "interval", "--m", "0"], "grid with m = 0 is too coarse; need m >= 2"),
+        (["grid", "circle-pair-global", "--m", "-2"], "grid with m = -2 is too coarse; need m >= 2"),
+        (["grid", "circle-pair", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
     ],
 )
 def test_cli_bad_arguments_are_usage_errors(tmp_path, capsys, argv, message):
@@ -564,6 +567,20 @@ def test_cli_grid_circle_search_with_trace(tmp_path, capsys):
     assert lines[0].split("\t") == ["restart", "residual", "best", "sweeps"]
     assert len(lines) >= 2
     assert all(0 < int(line.split("\t")[3]) <= 160 + 1400 for line in lines[1:])
+
+
+def test_cli_grid_trace_path_fails_before_the_search(tmp_path, monkeypatch, capsys):
+    """A trace path that cannot be opened is exit 1 before any search runs."""
+    from partact import gridtowers
+
+    def search(*args, **kwargs):
+        raise AssertionError("search_towers ran")
+
+    monkeypatch.setattr(gridtowers, "search_towers", search)
+    missing = tmp_path / "missing" / "trace.tsv"
+    assert main(["grid", "circle-pair", "--m", "32", "--restarts", "1", "--trace", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(missing) in captured.err
 
 
 def test_cli_check_small(capsys):

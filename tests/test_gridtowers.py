@@ -8,13 +8,18 @@ from embed_reference import embed_certificate
 from fraction_reference import (
     DictTowers,
     as_dicts,
+    as_family,
     as_table,
+    as_witness_dicts,
+    coords,
     derived_towers,
     piecewise_e_delta,
     piecewise_f_delta,
     reference_adjacency_failure,
     reference_circle_witnesses,
+    reference_plateau,
     reference_residual,
+    reference_witness_bound,
 )
 
 from partact import cli
@@ -24,13 +29,15 @@ from partact.gridtowers import (
     GridError,
     GridTooCoarse,
     OddGrid,
+    ResidualFormula,
+    ShapeMismatch,
+    WitnessFamily,
     check_admissible,
     interval_half_shift,
     punctured_circle_pair,
     punctured_circle_pair_global,
     residual,
     search_towers,
-    _plateau,
     witness_bound,
 )
 from partact.groups import build_group
@@ -61,6 +68,12 @@ def test_interval_bad_parameters():
         interval_half_shift(F(1, 2), 64)
     with pytest.raises(OddGrid):
         interval_half_shift(F(1, 8), 63)
+    # 0 and -2 are even, but no grid: too coarse before the parity check.
+    for m in (0, -2, -3):
+        with pytest.raises(GridTooCoarse, match=f"m = {m} is too coarse; need m >= 2"):
+            interval_half_shift(F(1, 8), m)
+        with pytest.raises(GridTooCoarse, match=f"m = {m} is too coarse; need m >= 2"):
+            punctured_circle_pair_global(m)
 
 
 def test_interval_partition_holds_at_cut():
@@ -75,9 +88,9 @@ def test_interval_partition_holds_at_cut():
 def test_circle_pair_witnesses():
     ga, family, eps = punctured_circle_pair(128)
     assert eps == F(3, 16)
-    a, b = family
-    h = F(2, 128)
-    inner = [k for k in ga.pa.carrier if F(3, 16) <= ga.coords[k] <= 2 - F(3, 16)]
+    a, b = as_witness_dicts(ga, family)
+    at = coords(ga)
+    inner = [k for k in ga.pa.carrier if F(3, 16) <= at[k] <= 2 - F(3, 16)]
     assert all(a[k] == 1 for k in inner)
     assert b[64] == 0 and b[128 + 64] == 0
     assert len(ga.pa.carrier) == 2 * 127
@@ -100,31 +113,45 @@ def test_circle_pair_is_its_closed_form(m):
         k: shift[k] for k in carrier if k not in (half, m + half)
     }
     assert ga.edges == tuple((k, k + 1) for k in range(1, m - 1)) + tuple((m + k, m + k + 1) for k in range(1, m - 1))
-    assert ga.coords == {k: F(2 * (k % m), m) for k in carrier}
+    assert ga.positions.tolist() == [k % m for k in carrier] and not ga.positions.flags.writeable
+    assert coords(ga) == {k: F(2 * (k % m), m) for k in carrier}
     assert (ga.spacing, ga.lipschitz) == (F(2, m), 8)
 
 
+def _fractions(row, scale):
+    return [F(int(v), scale) for v in row]
+
+
 def test_plateau_is_the_piecewise_witnesses():
-    """Every witness, on every grid point, is the exact Fraction of the
-    piecewise formula it replaced: f and e of the interval model (and of
-    witness_bound), and a and b of the circle pair."""
-    deltas = (F(1, 10), F(1, 8), F(3, 16), F(1, 5), F(7, 29))
-    for m in (16, 32, 64, 128, 1000):
+    """Every witness table, at every grid point, is the piecewise formula the
+    dict form was built from: f and e of the interval model, with its towers
+    e and f - e over the same scale, and a and b of the circle pair; and the
+    Fraction plateau of ``reference_witness_bound`` is the same formula."""
+    deltas = (F(1, 8), F(1, 7), F(3, 13), F(1, 5), F(2, 9))
+    for m in [*range(2, 402, 2), 8192]:
         grid = [F(2 * k, m) for k in range(1, m + 1)]
         for delta in deltas:
-            assert [_plateau(t, (0,), delta) for t in grid] == [piecewise_f_delta(t, delta) for t in grid]
-            assert [_plateau(t, (0, 1, 2), delta) for t in grid] == [piecewise_e_delta(t, delta) for t in grid]
-        _, _, (f_d, e_d) = interval_half_shift(deltas[m % 5], m)
-        assert f_d == {k: piecewise_f_delta(t, deltas[m % 5]) for k, t in enumerate(grid, 1)}
-        assert e_d == {k: piecewise_e_delta(t, deltas[m % 5]) for k, t in enumerate(grid, 1)}
-        ga, (a, b), eps = punctured_circle_pair(m)
-        assert [(a[k], b[k]) for k in ga.coords] == [reference_circle_witnesses(t, eps) for t in ga.coords.values()]
+            ga, towers, family = interval_half_shift(delta, m)
+            f, e = family.table
+            assert _fractions(f, family.scale) == [piecewise_f_delta(t, delta) for t in grid]
+            assert _fractions(e, family.scale) == [piecewise_e_delta(t, delta) for t in grid]
+            assert towers.scale == family.scale
+            assert towers.table.sum(axis=0).tolist() == [e.tolist(), (f - e).tolist()]
+            if m in (64, 400, 8192):
+                assert [reference_plateau(t, (0,), delta) for t in grid] == _fractions(f, family.scale)
+                assert [reference_plateau(t, (0, 1, 2), delta) for t in grid] == _fractions(e, family.scale)
+        if m >= 16:
+            ga, family, eps = punctured_circle_pair(m)
+            a, b = (_fractions(row, family.scale) for row in family.table)
+            assert list(zip(a, b)) == [reference_circle_witnesses(t, eps) for t in coords(ga).values()]
+            assert not family.table.flags.writeable
 
 
 def test_circle_pair_witnesses_at_m_32():
     """Within eps of each zero the witnesses are 1 - plateau, and b is 0 at the cut."""
-    ga, (a, b), _ = punctured_circle_pair(32)
-    at = {t: k for k, t in ga.coords.items() if k < 32}
+    ga, family, _ = punctured_circle_pair(32)
+    a, b = as_witness_dicts(ga, family)
+    at = {t: k for k, t in coords(ga).items() if k < 32}
     assert [a[at[t]] for t in (F(1, 16), F(1, 8), F(3, 16))] == [F(2, 3), F(1, 3), 1]
     assert (b[at[F(15, 16)]], b[at[F(1)]]) == (F(2, 3), 0)
 
@@ -148,10 +175,10 @@ def test_adjacency_check_names_the_first_element_then_edge():
     ):
         pa, edges = _rotation_cycle(e for e in cycle if e not in missing)
         with pytest.raises(GridError) as exc:
-            GridAction(pa, {x: F(x) for x in range(8)}, edges, F(1), F(1))
+            GridAction(pa, range(8), edges, F(1), F(1))
         assert str(exc.value) == message == reference_adjacency_failure(pa, edges)
     pa, edges = _rotation_cycle(cycle)
-    GridAction(pa, {x: F(x) for x in range(8)}, edges, F(1), F(1))
+    GridAction(pa, range(8), edges, F(1), F(1))
     assert reference_adjacency_failure(pa, edges) is None
 
 
@@ -166,7 +193,7 @@ def test_adjacency_check_agrees_with_the_reference_on_tampered_chains():
         edges += [(x, y) for x, y in ((rng.randrange(32), rng.randrange(32)) for _ in range(trial % 3)) if x < y]
         want = reference_adjacency_failure(whole.pa, edges)
         try:
-            GridAction(whole.pa, whole.coords, tuple(edges), whole.spacing, whole.lipschitz)
+            GridAction(whole.pa, whole.positions, tuple(edges), whole.spacing, whole.lipschitz)
             got = None
         except GridError as exc:
             got = str(exc)
@@ -178,7 +205,7 @@ def test_adjacency_check_agrees_with_the_reference_on_tampered_chains():
 def test_an_edge_off_the_carrier_fails_at_construction():
     ga, _, _ = punctured_circle_pair(16)
     with pytest.raises(GridError, match=r"edge \(15, 16\) has a point off the carrier"):
-        GridAction(ga.pa, ga.coords, ga.edges[:3] + ((15, 16),) + ga.edges[3:], ga.spacing, ga.lipschitz)
+        GridAction(ga.pa, ga.positions, ga.edges[:3] + ((15, 16),) + ga.edges[3:], ga.spacing, ga.lipschitz)
 
 
 class _ViewRead(Exception):
@@ -197,7 +224,7 @@ def test_the_grid_layer_reads_only_the_table(monkeypatch, capsys):
     interval, towers, family = interval_half_shift(F(1, 8), 32)
     circle, circle_family, _ = punctured_circle_pair(32)
     whole, whole_towers = punctured_circle_pair_global(32)
-    whole_family = [{k: F(1) for k in whole.pa.points.tolist()}]
+    whole_family = WitnessFamily(np.ones((1, len(whole.pa.points)), dtype=np.int64), 1)
     assert residual(interval, towers, family) == residual(*interval_half_shift(F(1, 8), 32))
     assert residual(whole, whole_towers, whole_family) == 0
     for ga, fam in ((interval, family), (circle, circle_family), (whole, whole_family)):
@@ -218,7 +245,7 @@ def test_circle_pair_too_coarse():
 
 def test_circle_pair_global_projections_residual_zero():
     ga, towers = punctured_circle_pair_global(32)
-    family = [{k: F(1) for k in ga.pa.carrier}]
+    family = as_family(ga, [{k: F(1) for k in ga.pa.carrier}])
     assert residual(ga, towers, family) == 0
 
 
@@ -226,7 +253,7 @@ def test_all_zero_towers_fail_partition():
     ga, _, family = interval_half_shift(F(1, 8), 16)
     zero = as_table(ga, DictTowers(0, {(0, 0): {}, (1, 0): {}}))
     one = {k: F(1) for k in ga.pa.carrier}
-    assert residual(ga, zero, [one]) == 1
+    assert residual(ga, zero, as_family(ga, [one])) == 1
 
 
 def test_shape_mismatch_for_unknown_points():
@@ -322,6 +349,7 @@ def test_search_on_an_empty_carrier():
         ({"restarts": 0}, "restarts must be >= 1"),
         ({"restarts": -1}, "restarts must be >= 1"),
         ({"lipschitz": -3}, "lipschitz must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_search_rejects_no_restarts_and_negative_band(kwargs, message):
@@ -378,7 +406,8 @@ def _assert_values(ga, towers, values):
 
 def test_model_tables_match_the_dict_form():
     for delta, m in ((F(1, 10), 64), (F(1, 8), 32)):
-        ga, towers, (f_d, e_d) = interval_half_shift(delta, m)
+        ga, towers, family = interval_half_shift(delta, m)
+        f_d, e_d = as_witness_dicts(ga, family)
         cut, U = m // 2, ga.pa.domain(1)
         values = {
             (0, 0): {k: e_d[k] for k in ga.pa.carrier if k > cut and e_d[k]},
@@ -387,7 +416,6 @@ def test_model_tables_match_the_dict_form():
             (1, 1): {k: f_d[k] - e_d[k] for k in U if k < cut and f_d[k] != e_d[k]},
         }
         _assert_values(ga, towers, values)
-        family = [f_d, e_d]
         assert residual(ga, towers, family) == residual(ga, as_table(ga, DictTowers(1, values)), family)
     ga, towers = punctured_circle_pair_global(32)
     values = {(0, 0): {k: F(1) for k in range(32, 64)}, (1, 0): {k: F(1) for k in range(32)}}
@@ -443,7 +471,7 @@ def test_residual_matches_reference_on_the_models(swap_pair):
     assert residual(*interval_half_shift(F(1, 10), 64)) == F(15, 64)
     ga, towers = punctured_circle_pair_global(32)
     for family in ([{k: F(1) for k in ga.pa.carrier}], [{k: F(k % 7, 3) for k in ga.pa.carrier}]):
-        assert residual(ga, towers, family) == reference_residual(ga, towers, family)
+        assert residual(ga, towers, as_family(ga, family)) == reference_residual(ga, towers, family)
     for d in (0, 1):
         cert = towers_exist(swap_pair, d)
         ga, towers, family = embed_certificate(swap_pair, cert.levels)
@@ -462,7 +490,7 @@ def test_residual_matches_reference_on_random_towers():
         else:
             ga, towers = interval, _random_towers(interval, d, rng)
         witnesses = _random_witnesses(ga, rng, count=1 + trial % 3)
-        got = residual(ga, as_table(ga, towers), witnesses)
+        got = residual(ga, as_table(ga, towers), as_family(ga, witnesses))
         assert got == reference_residual(ga, towers, witnesses)
         nonzero += got > 0
     assert nonzero == 24
@@ -479,6 +507,90 @@ def test_residual_matches_reference_on_the_object_path():
     _, scale = check_admissible(ga, as_table(ga, towers))
     assert scale * scale >= 2**62
     assert residual(ga, as_table(ga, towers), family) == reference_residual(ga, towers, family)
+
+
+# ---------------------------------------------------------------------------
+# Positions and witness tables against the Fraction dict form.
+# ---------------------------------------------------------------------------
+
+
+def test_positions_of_the_wrong_length_are_refused():
+    ga, _, _ = punctured_circle_pair(16)
+    for positions in (ga.positions[:-1], np.zeros((2, len(ga.positions)), dtype=np.int64)):
+        with pytest.raises(ShapeMismatch, match=r"positions of shape .* do not fit the action: need \(30,\)"):
+            GridAction(ga.pa, positions, ga.edges, ga.spacing, ga.lipschitz)
+    # The action keeps its own read-only copy.
+    positions = ga.positions.copy()
+    copy = GridAction(ga.pa, positions, ga.edges, ga.spacing, ga.lipschitz)
+    positions[0] = 99
+    assert copy.positions.tolist() == ga.positions.tolist() and not copy.positions.flags.writeable
+
+
+def test_a_witness_table_of_the_wrong_shape_is_refused():
+    ga, towers, family = interval_half_shift(F(1, 8), 16)
+    for table in (family.table[:, :-1], family.table[0]):
+        bad = WitnessFamily(table.copy(), family.scale)
+        calls = (
+            lambda: residual(ga, towers, bad),
+            lambda: witness_bound(ga, bad, F(1, 8)),
+            lambda: search_towers(ga, bad, F(0), 0, restarts=1),
+        )
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match=r"a witness table of shape .* need \(members, 16\)"):
+                call()
+
+
+def test_witness_bound_matches_the_reference():
+    """On the three models, on random families (some members vanishing off
+    X_1, some keys off the carrier) and on a grid whose spacing is 2/3."""
+    rng = random.Random(13)
+    models = [interval_half_shift(delta, m)[::2] for delta, m in ((F(1, 8), 64), (F(2, 9), 30), (F(1, 5), 2))]
+    circle, circle_family, _ = punctured_circle_pair(32)
+    whole, _ = punctured_circle_pair_global(32)
+    models += [(circle, circle_family), (whole, as_family(whole, [{k: F(1) for k in whole.pa.carrier}]))]
+    skewed = GridAction(models[0][0].pa, [rng.randint(-5, 10) for _ in range(64)], (), F(2, 3), F(1))
+    wide = GridAction(models[0][0].pa, [rng.randint(-2**40, 2**40) for _ in range(64)], (), F(3**30, 7), F(1))
+    models += [(skewed, models[0][1]), (wide, models[0][1])]
+    positive = 0
+    for ga, family in models:
+        dicts = [_random_witnesses(ga, rng, count=2) for _ in range(3)]
+        dicts[1] = [{x: v for x, v in a.items() if x in ga.pa.domain(1)} for a in dicts[1]]
+        dicts[2] = [{**a, -7: F(5), 10**6: F(1, 3)} for a in dicts[2]]
+        for fam in (family, *dicts):
+            for delta in (F(1, 8), F(1, 7), F(3, 13)):
+                got = witness_bound(ga, as_family(ga, fam), delta)
+                assert got == reference_witness_bound(ga, fam, delta)
+                positive += got > 0
+    assert positive >= 40
+
+
+def test_dict_keys_off_the_carrier_are_ignored():
+    ga, towers, family = interval_half_shift(F(1, 8), 64)
+    dicts = as_witness_dicts(ga, family)
+    assert as_witness_dicts(ga, as_family(ga, dicts)) == dicts
+    extra = [{**a, 999: F(7), -4: F(1, 3), 0: F(2)} for a in dicts]
+    table = as_family(ga, extra)
+    assert table.scale == family.scale and np.array_equal(table.table, family.table)
+    assert residual(ga, towers, table) == reference_residual(ga, towers, extra) == residual(ga, towers, family)
+    assert witness_bound(ga, table, F(1, 8)) == reference_witness_bound(ga, extra, F(1, 8)) == F(1, 4)
+
+
+def test_float_wmax_rounds_correctly_past_2_53():
+    """The search's wmax is max_a |float(a(z))| at every scale; past 2^53 a
+    float64 cast of the integers would round twice."""
+    ga, _, _ = punctured_circle_pair(16)
+    rng = random.Random(17)
+    for scale in (12, 3**35, 3**45):
+        rows = [[rng.randrange(-scale, scale + 1) for _ in ga.pa.points] for _ in range(2)]
+        table = np.array(rows, dtype=object if scale > 2**62 else np.int64)
+        got = ResidualFormula(ga, WitnessFamily(table, scale)).float_wmax()
+        assert got.tolist() == [max(abs(float(F(v, scale))) for v in column) for column in zip(*rows)]
+        if scale == 3**35:
+            assert (np.abs(table).max(axis=0).astype(np.float64) / scale != got).any()
+        # The exact residual reads the same table, on Python ints past 2^62.
+        flat = as_table(ga, DictTowers(0, {(0, 0): {x: F(1, 4) for x in ga.pa.carrier}}))
+        family = WitnessFamily(table, scale)
+        assert residual(ga, flat, family) == reference_residual(ga, flat, family) > 0
 
 
 def _tampered(ga, towers, key, x, value):
@@ -603,7 +715,7 @@ def test_search_is_pinned_at_the_chunk_edges(seed, restarts, eps, best, trace, d
 def test_search_is_pinned_on_cycles_and_the_interval():
     # The global model's chains are cycles; the interval's band is vacuous.
     ga, _ = punctured_circle_pair_global(32)
-    family = [{k: F(1) for k in ga.pa.carrier}, {k: F(1, 3) for k in range(40)}]
+    family = as_family(ga, [{k: F(1) for k in ga.pa.carrier}, {k: F(1, 3) for k in range(40)}])
     got: list = []
     towers, res = search_towers(ga, family, F(0), 0, seed=3, restarts=2, sweeps=30, polish_sweeps=60, trace=got)
     assert res == F(147245985351, 549755813888) and _digest(towers) == "40d9041b255cb23d"

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from embed_reference import embed_certificate
-from fraction_reference import as_dicts
+from fraction_reference import as_dicts, as_family
 from sweep_reference import reference_search_towers
 
 from partact import gridtowers
@@ -88,7 +88,7 @@ def test_sweep_agrees_with_an_early_stop_inside_a_chunk():
 
 def test_sweep_agrees_on_cycles_and_the_interval():
     ga, _ = punctured_circle_pair_global(32)
-    family = [{k: F(1) for k in ga.pa.carrier}, {k: F(1, 3) for k in range(40)}]
+    family = as_family(ga, [{k: F(1) for k in ga.pa.carrier}, {k: F(1, 3) for k in range(40)}])
     for d in (0, 1):
         _assert_agree(ga, family, F(0), d, seed=3, restarts=2, sweeps=30, polish_sweeps=60)
     ga, _, family = interval_half_shift(F(1, 8), 16)
