@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,38 +60,50 @@ class GridAction:
     """A partial action on grid points with 1-D geometry.
 
     ``positions`` holds each point's coordinate in units of ``spacing``, in
-    ``pa.points`` order (a read-only int64 array); ``edges`` are adjacency
-    pairs within chain components; ``spacing`` is the uniform grid step and
-    ``lipschitz`` the slope bound for admissible tower functions (values may
-    change by at most lipschitz * spacing per edge).
+    ``pa.points`` order (a read-only int64 array); ``edges`` holds the
+    adjacency pairs within chain components as a read-only (2, E) int64
+    array of indices into ``pa.points``; ``spacing`` is the uniform grid step
+    and ``lipschitz`` the slope bound for admissible tower functions (values
+    may change by at most lipschitz * spacing per edge).  ``src[g, z]``,
+    derived and read-only, is the index of theta_{g^-1}(z) for z in X_g and
+    -1 off the domain.
     """
 
     pa: PartialAction
     positions: np.ndarray
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     spacing: Fraction
     lipschitz: Fraction
 
     def __post_init__(self):
+        P = len(self.pa.points)
         positions = np.array(self.positions, dtype=np.int64)
         if positions.shape != self.pa.points.shape:
             raise ShapeMismatch(f"positions of shape {positions.shape} do not fit the action: need {self.pa.points.shape}")
-        positions.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
+        edges = np.array(self.edges, dtype=np.int64)
+        if edges.ndim != 2 or len(edges) != 2:
+            raise ShapeMismatch(f"edges of shape {edges.shape} do not fit the action: need (2, edges)")
+        off = ((edges < 0) | (edges >= P)).any(axis=0)
+        if off.any():
+            e = int(np.argmax(off))
+            x, y = edges[:, e].tolist()
+            raise GridError(f"edge {e}, ({x}, {y}), has a point off the carrier: need indices in [0, {P})")
+        src = self.pa.table[self.pa.group.arrays[1]]
+        for name, array in (("positions", positions), ("edges", edges), ("src", src)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         # theta_g takes an edge inside X_{g^-1} to an edge (or to one point);
         # the first failure is named, g-major, then in edge order.  Edges are
         # looked up by a sorted key (np.isin would import numpy.ma).
-        table = self.pa.table
-        _, _, _, (ex, ey) = self._layout
-        n = table.shape[1]
-        keys = np.sort(np.minimum(ex, ey) * n + np.maximum(ex, ey))
+        table, (ex, ey) = self.pa.table, edges
+        keys = np.sort(np.minimum(ex, ey) * P + np.maximum(ex, ey))
         lo, hi = np.minimum(table[:, ex], table[:, ey]), np.maximum(table[:, ex], table[:, ey])
-        image = lo * n + hi
+        image = lo * P + hi
         found = keys[np.minimum(keys.searchsorted(image), len(keys) - 1)] == image
         bad = (lo >= 0) & (lo != hi) & ~found
         if bad.any():
-            g, e = divmod(int(np.argmax(bad)), len(self.edges))
-            x, y = self.edges[e]
+            g, e = divmod(int(np.argmax(bad)), edges.shape[1])
+            x, y = self.pa.points[edges[:, e]].tolist()
             raise GridError(f"theta_{g} does not preserve adjacency at edge ({x}, {y})")
 
     @property
@@ -99,59 +111,43 @@ class GridAction:
         return self.lipschitz * self.spacing
 
     @cached_property
-    def _layout(self) -> tuple[list[int], Mapping[int, int], np.ndarray, np.ndarray]:
-        """Sorted grid points, their positions, src[g, z], the position of
-        theta_{g^-1}(z) for z in X_g (-1 off the domain), and the edges as a
-        (2, |edges|) array of positions; built once, read-only, and holding no
-        reference back to the action.  An edge with a point off the carrier
-        is a GridError."""
-        pa = self.pa
-        index = pa.index
-        src = pa.table[pa.group.arrays[1]]
-        edges = np.array([[index.get(x, -1) for x, _ in self.edges], [index.get(y, -1) for _, y in self.edges]], dtype=np.int64)
-        if (edges < 0).any():
-            x, y = self.edges[int(np.argmax((edges < 0).any(axis=0)))]
-            raise GridError(f"edge ({x}, {y}) has a point off the carrier")
-        src.flags.writeable = edges.flags.writeable = False
-        return pa.points.tolist(), index, src, edges
-
-    @cached_property
     def _plans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """What the search reads of the chain geometry, built once, read-only
         and holding no reference back to the action: the chain windows, the
         ends of each point in them, and the capped sources.
 
-        Chains and cycles are maximal runs of adjacent points.  Each gets one
-        row of ``windows[0]`` (a cycle tripled, so its middle third sees both
-        ways round), padded with P; ``windows[1]`` holds the rows reversed.
-        Point p sits at flat position ends[0, p] of the forward rows and
-        ends[1, p] of the reversed ones.  A capped source is the position
-        src[g, z] of a domain point z adjacent to a point off X_g: the band
-        caps the identity-level value there.
+        Chains and cycles are maximal runs of adjacent points, walked from a
+        point to its least unvisited neighbour: an open chain from its end
+        of least index, a cycle from its least point towards the smaller of
+        its two neighbours.  Each gets one row of ``windows[0]`` (a cycle
+        tripled, so its middle third sees both ways round), padded with P;
+        ``windows[1]`` holds the rows reversed.  Point p sits at flat position
+        ends[0, p] of the forward rows and ends[1, p] of the reversed ones.  A
+        capped source is the index src[g, z] of a domain point z adjacent to
+        a point off X_g: the band caps the identity-level value there.
         """
-        points, index, src, (ex, ey) = self._layout
-        P = len(points)
-        adj: dict[int, set[int]] = {x: set() for x in points}
-        for x, y in self.edges:
-            adj[x].add(y)
-            adj[y].add(x)
-        chains: list[tuple[np.ndarray, bool]] = []
-        seen: set[int] = set()
+        src, (ex, ey), P = self.src, self.edges, len(self.pa.points)
+        # Neighbours of p, distinct and ascending: nbr[first[p] : first[p + 1]].
+        arcs = np.sort(np.concatenate([ex * P + ey, ey * P + ex]))
+        tail, head = np.divmod(arcs[np.diff(arcs, prepend=-1) != 0], P)
+        first, nbr = tail.searchsorted(np.arange(P + 1)).tolist(), head.tolist()
+        seen = [False] * P
 
-        def walk(start: int) -> np.ndarray:
-            chain = [start]
-            seen.add(start)
-            while nxt := [y for y in adj[chain[-1]] if y not in seen]:
-                chain.append(nxt[0])
-                seen.add(nxt[0])
-            return np.array([index[p] for p in chain], dtype=np.int64)
+        def walk(p: int) -> np.ndarray:
+            # Each step appends at most one point, so the loop reads the
+            # chain's last point until a step appends none.
+            chain = [p]
+            seen[p] = True
+            for p in chain:
+                for q in nbr[first[p] : first[p + 1]]:
+                    if not seen[q]:
+                        chain.append(q)
+                        seen[q] = True
+                        break
+            return np.array(chain, dtype=np.int64)
 
-        for x in points:
-            if x not in seen and len(adj[x]) <= 1:
-                chains.append((walk(x), False))
-        for x in points:
-            if x not in seen:
-                chains.append((walk(x), True))
+        chains = [(walk(p), False) for p in range(P) if not seen[p] and first[p + 1] - first[p] <= 1]
+        chains += [(walk(p), True) for p in range(P) if not seen[p]]
         width = max(((3 if cyclic else 1) * len(ci) for ci, cyclic in chains), default=0)
         windows = np.full((2, len(chains), width), P, dtype=np.int64)
         ends = np.empty((2, P), dtype=np.int64)
@@ -173,15 +169,14 @@ class GridAction:
 class NumericTowers:
     """Tower values as one read-only integer table over a scale.
 
-    f_{g,j}(x_i) = table[g, j, i] / scale at the sorted grid points x_i,
-    with i = index[x] (the action's ``_layout`` index).  The dtype is the
-    one ``_int_dtype`` picks: int64, or Python ints past 2^62.  The search
-    returns the table it scored; the models build theirs directly.
+    f_{g,j} takes the value table[g, j, i] / scale at the grid point
+    ``pa.points[i]``.  The dtype is the one ``_int_dtype`` picks: int64, or
+    Python ints past 2^62.  The search returns the table it scored; the
+    models build theirs directly.
     """
 
     table: np.ndarray
     scale: int
-    index: Mapping[int, int]
 
     def __post_init__(self):
         self.table.flags.writeable = False
@@ -189,9 +184,6 @@ class NumericTowers:
     @property
     def d(self) -> int:
         return self.table.shape[1] - 1
-
-    def value(self, g: int, j: int, x: int) -> Fraction:
-        return F1(int(self.table[g, j, self.index[x]]), self.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +226,7 @@ def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray,
     violation in (g, j, edge) order.  Returns the table T[g, j, i] = D_t *
     f_{g,j}(x_i), in a dtype wide enough for the band check, and D_t.
     """
-    points, _, src, (ex, ey) = ga._layout
+    points, src = ga.pa.points, ga.src
     T, scale = towers.table, towers.scale
     if T.ndim != 3 or T.shape[0] != len(src) or T.shape[2] != len(points):
         raise ShapeMismatch(
@@ -249,10 +241,10 @@ def check_admissible(ga: GridAction, towers: NumericTowers) -> tuple[np.ndarray,
         if off[g, j, i]:
             raise GridError(f"tower ({g}, {j}) has mass off its domain at {points[i]}")
         raise GridError(f"tower ({g}, {j}) leaves [0, 1] at {points[i]}")
-    over = _over_band(T, scale, band, ex, ey)
+    over = _over_band(T, scale, band, *ga.edges)
     if over.any():
         g, j, e = np.unravel_index(np.argmax(over), over.shape)
-        x, y = ga.edges[e]
+        x, y = points[ga.edges[:, e]].tolist()
         raise GridError(f"tower ({g}, {j}) violates the Lipschitz band on edge ({x}, {y})")
     return T, scale
 
@@ -282,13 +274,12 @@ class ResidualFormula:
     z = theta_g(y) with the products g h."""
 
     def __init__(self, ga: GridAction, witnesses: WitnessFamily):
-        _, _, src, _ = ga._layout
         self.wscale = witnesses.scale
         self.wmax = np.abs(witnesses.fit(ga)).max(axis=0, initial=0)
         self.top = max(int(self.wmax.max(initial=0)), 1)
-        gs, self.zs = np.nonzero(src >= 0)
-        self.ys = src[gs, self.zs]
-        self.ghs = np.array(ga.pa.group.table, dtype=np.int64)[gs].T  # (h, arrow): the element g h
+        gs, self.zs = np.nonzero(ga.src >= 0)
+        self.ys = ga.src[gs, self.zs]
+        self.ghs = ga.pa.group.arrays[0][gs].T  # (h, arrow): the element g h
 
     def float_wmax(self) -> np.ndarray:
         """max_a |float(a(z))|, each an int / int division, which rounds correctly."""
@@ -358,8 +349,7 @@ def interval_half_shift(delta, m: int):
     U = [k for k in points if k not in (cut, end)]
     theta = {k: (k + cut if k < cut else k - cut) for k in U}
     pa = validate(group, points, {0: set(points), 1: set(U)}, {0: {k: k for k in points}, 1: theta})
-    edges = tuple((k, k + 1) for k in range(1, m))
-    ga = GridAction(pa, np.arange(1, m + 1), edges, h, F1(1, 1) / h)
+    ga = GridAction(pa, np.arange(1, m + 1), np.stack([np.arange(m - 1), np.arange(1, m)]), h, F1(1, 1) / h)
 
     family, scale = _plateau(ga.positions, [(0,), (0, cut, end)], h, delta)
     f, e = family
@@ -367,7 +357,7 @@ def interval_half_shift(delta, m: int):
     # goes to the shift's tower, the rest, the cut included, to the identity's.
     levels = np.stack([e, f - e])
     lower = ga.positions < cut
-    towers = NumericTowers(np.stack([levels * ~lower, levels * lower]), scale, ga._layout[1])
+    towers = NumericTowers(np.stack([levels * ~lower, levels * lower]), scale)
     return ga, towers, WitnessFamily(family, scale)
 
 
@@ -378,16 +368,19 @@ def witness_bound(ga: GridAction, family: WitnessFamily, delta) -> Fraction:
     shift domain X_1 and ||f a - a|| over the whole family, with f and e the
     plateau pair at the given delta (as in ``interval_half_shift``).  With
     spacing p/q, the coordinates are the positions times p in units of 1/q,
-    so the zeros 0, 1 and 2 are whole too.
+    so the zeros 0, 1 and 2 are whole too.  The shift domain is that of the
+    non-identity element of a two-element group; any other group is a
+    GridError.
     """
-    _, _, src, _ = ga._layout
+    if ga.pa.group.order != 2:
+        raise GridError(f"the plateau-pair bound needs a group of order 2, got order {ga.pa.group.order}")
     p, q = ga.spacing.numerator, ga.spacing.denominator
     at = ga.positions.astype(_int_dtype(p * int(np.abs(ga.positions).max(initial=0)) + 2 * q)) * p
     (f, e), scale = _plateau(at, [(0,), (0, q, 2 * q)], F1(1, q), F1(delta))
     W = np.abs(family.fit(ga))
     W = W.astype(_int_dtype(int(W.max(initial=0)) * scale), copy=False)
     # |f a - a| = |a| (1 - f) for every member, |e a - a| for those vanishing off X_1.
-    ideal = ~W[:, src[1] < 0].any(axis=1)
+    ideal = ~W[:, ga.src[1] < 0].any(axis=1)
     worst = max((W * (scale - f)).max(initial=0), (W[ideal] * (scale - e)).max(initial=0))
     return F1(int(worst), scale * family.scale)
 
@@ -410,11 +403,12 @@ def punctured_circle_pair_global(m: int):
     # The shift moves k by m/2 round its circle and swaps the circles.
     shift = {k: (k + m // 2) % m + m - k // m * m for k in points}
     pa = validate(group, points, {0: set(points), 1: set(points)}, {0: {k: k for k in points}, 1: shift})
-    edges = tuple((c + min(k, (k + 1) % m), c + max(k, (k + 1) % m)) for c in (0, m) for k in range(m))
-    ga = GridAction(pa, np.arange(2 * m) % m, edges, h, F1(8))
+    # Each point is joined to the next one round its circle, the lesser first.
+    k = np.arange(2 * m)
+    ga = GridAction(pa, k % m, np.sort([k, k - k % m + (k + 1) % m], axis=0), h, F1(8))
     table = np.zeros((2, 1, 2 * m), dtype=np.int64)
     table[1, 0, :m] = table[0, 0, m:] = 1
-    return ga, NumericTowers(table, 1, ga._layout[1])
+    return ga, NumericTowers(table, 1)
 
 
 def punctured_circle_pair(m: int, lipschitz=8):
@@ -438,7 +432,7 @@ def punctured_circle_pair(m: int, lipschitz=8):
         raise GridTooCoarse(m, 16)
     whole, _ = punctured_circle_pair_global(m)  # an odd m is an OddGrid here
     keep = whole.pa.points % m != 0
-    edges = tuple((x, y) for x, y in whole.edges if x % m and y % m)
+    edges = (np.cumsum(keep) - 1)[whole.edges[:, keep[whole.edges].all(axis=0)]]
     pa = restricted_to(whole.pa, whole.pa.points[keep].tolist())
     ga = GridAction(pa, whole.positions[keep], edges, whole.spacing, F1(lipschitz))
     eps = F1(3, 16)
@@ -504,6 +498,8 @@ def search_towers(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     slope = F1(lipschitz) if lipschitz is not None else ga.lipschitz
     if slope < 0:
         raise ValueError(f"lipschitz must be >= 0, got {slope}")
@@ -516,8 +512,7 @@ def search_towers(
     exact_band = slope * ga.spacing
     band = float(exact_band)
     G = ga.pa.group
-    points, index, src, (ex, ey) = ga._layout
-    P = len(points)
+    src, (ex, ey), P = ga.src, ga.edges, len(ga.pa.points)
     levels = d + 1
     in_mask = src >= 0
     src_clip = np.clip(src, 0, None)
@@ -721,7 +716,7 @@ def search_towers(
                 v_r = v_r[0]
             f = floor_cap_repair(np.clip(np.minimum(v_r, cap[None, :]), 0.0, 1.0))
             # The candidate's towers f_g = f . theta_{g^-1} as a table over denom.
-            candidate = NumericTowers(np.where(in_mask[:, None, :], f[:, src_clip].swapaxes(0, 1), 0), denom, index)
+            candidate = NumericTowers(np.where(in_mask[:, None, :], f[:, src_clip].swapaxes(0, 1), 0), denom)
             res = exact_residual(*check_admissible(ga, candidate))
             if best_res is None or res < best_res:
                 best_res, best = res, candidate

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
 from fraction_reference import as_family, as_table, derived_towers
 
 from partact.gridtowers import GridAction
@@ -25,7 +26,7 @@ def embed_certificate(pa: PartialAction, levels: Sequence[Mapping[int, Fraction]
     Each point is its own chain component, so the Lipschitz band is vacuous;
     witnesses are the indicator basis together with the constant 1.
     """
-    ga = GridAction(pa, range(len(pa.points)), (), F1(1), F1(1))
+    ga = GridAction(pa, range(len(pa.points)), np.empty((2, 0), dtype=np.int64), F1(1), F1(1))
     towers = as_table(ga, derived_towers(ga, levels))
     witnesses = [{x: F1(1)} for x in sorted(pa.carrier)]
     witnesses.append({x: F1(1) for x in pa.carrier})

@@ -87,17 +87,32 @@ def derived_towers(ga: GridAction, levels: Sequence[Mapping[int, Fraction]]) -> 
     return DictTowers(len(levels) - 1, values)
 
 
-def as_dicts(towers: Towers) -> DictTowers:
+def as_dicts(ga: GridAction, towers: Towers) -> DictTowers:
     """The nonzero values of a table, per (g, j) for every g and j."""
     if isinstance(towers, DictTowers):
         return towers
     table, scale = towers.table, towers.scale
-    points = sorted(towers.index, key=towers.index.get)
+    points = ga.pa.points.tolist()
     return DictTowers(towers.d, {
         (g, j): {points[i]: Fraction(int(table[g, j, i]), scale) for i in np.flatnonzero(table[g, j])}
         for g in range(table.shape[0])
         for j in range(table.shape[1])
     })
+
+
+def value(ga: GridAction, towers: NumericTowers, g: int, j: int, x: int) -> Fraction:
+    """f_{g,j}(x) of a table, at the grid point labelled x."""
+    return Fraction(int(towers.table[g, j, ga.pa.index[x]]), towers.scale)
+
+
+def edge_labels(ga: GridAction) -> list[tuple[int, int]]:
+    """The action's edges as pairs of point labels, in edge order."""
+    return [(x, y) for x, y in ga.pa.points[ga.edges].T.tolist()]
+
+
+def edge_indices(pa, edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Edges given as pairs of point labels, as the (2, E) index array of a GridAction."""
+    return np.array([[pa.index[x] for x, _ in edges], [pa.index[y] for _, y in edges]], dtype=np.int64).reshape(2, -1)
 
 
 def as_table(ga: GridAction, towers: DictTowers) -> NumericTowers:
@@ -107,7 +122,7 @@ def as_table(ga: GridAction, towers: DictTowers) -> NumericTowers:
     raise here, with the messages the dict-form check gave them.
     """
     pa = ga.pa
-    index = ga._layout[1]
+    index = pa.index
     scale = math.lcm(*(v.denominator for tower in towers.values.values() for v in tower.values()))
     table = np.zeros((pa.group.order, towers.d + 1, len(index)), dtype=object)
     for (g, j), tower in towers.values.items():
@@ -118,7 +133,7 @@ def as_table(ga: GridAction, towers: DictTowers) -> NumericTowers:
                 raise ShapeMismatch(f"tower ({g}, {j}) uses unknown grid point {x}")
             table[g, j, index[x]] = v.numerator * (scale // v.denominator)
     top = max((abs(v) for v in table.flat), default=0)
-    return NumericTowers(table.astype(_int_dtype(top + scale)), scale, index)
+    return NumericTowers(table.astype(_int_dtype(top + scale)), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +199,7 @@ def reference_witness_bound(ga: GridAction, family: Witnesses, delta) -> Fractio
 
 def reference_check_admissible(ga: GridAction, towers: Towers) -> None:
     """Domains, [0, 1] bounds and the Lipschitz band, checked on Fractions."""
-    towers = as_dicts(towers)
+    towers = as_dicts(ga, towers)
     pa = ga.pa
     band = ga.band
     for (g, j), tower in towers.values.items():
@@ -199,7 +214,7 @@ def reference_check_admissible(ga: GridAction, towers: Towers) -> None:
                 raise GridError(f"tower ({g}, {j}) leaves [0, 1] at {x}")
     for g in pa.group.elements():
         for j in range(towers.d + 1):
-            for x, y in ga.edges:
+            for x, y in edge_labels(ga):
                 if abs(towers.value(g, j, x) - towers.value(g, j, y)) > band:
                     raise GridError(
                         f"tower ({g}, {j}) violates the Lipschitz band on edge ({x}, {y})"
@@ -208,7 +223,7 @@ def reference_check_admissible(ga: GridAction, towers: Towers) -> None:
 
 def reference_residual(ga: GridAction, towers: Towers, witnesses: Witnesses) -> Fraction:
     """The three witnessed tower conditions, term by term on Fractions."""
-    towers = as_dicts(towers)
+    towers = as_dicts(ga, towers)
     witnesses = as_witness_dicts(ga, witnesses)
     reference_check_admissible(ga, towers)
     pa = ga.pa

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from fraction_reference import DictTowers, Witnesses, as_family, as_table, as_witness_dicts, derived_towers
+from fraction_reference import DictTowers, Witnesses, as_family, as_table, as_witness_dicts, derived_towers, edge_labels
 
 from partact.gridtowers import (
     RESTART_CHUNK,
@@ -31,8 +31,8 @@ F1 = Fraction
 
 
 def _layout(ga: GridAction) -> tuple[list[int], dict[int, int], np.ndarray, np.ndarray]:
-    """Sorted grid points, their positions, src[g, z] (-1 off the domain) and
-    the edges as a (2, |edges|) array of positions."""
+    """Sorted grid points, their indices, src[g, z] (-1 off the domain) and
+    the edges as a (2, |edges|) array of indices, rebuilt from the labels."""
     pa = ga.pa
     points = sorted(pa.carrier)
     index = {x: i for i, x in enumerate(points)}
@@ -41,8 +41,47 @@ def _layout(ga: GridAction) -> tuple[list[int], dict[int, int], np.ndarray, np.n
         ginv = pa.group.inv(g)
         for z in pa.domain(g):
             src[g, index[z]] = index[pa.theta(ginv, z)]
-    edges = np.array([[index[x] for x, _ in ga.edges], [index[y] for _, y in ga.edges]], dtype=np.int64)
+    labels = edge_labels(ga)
+    edges = np.array([[index[x] for x, _ in labels], [index[y] for _, y in labels]], dtype=np.int64).reshape(2, -1)
     return points, index, src, edges
+
+
+def _adjacency(ga: GridAction) -> dict[int, set[int]]:
+    """The neighbours of each point label, as a set."""
+    adj: dict[int, set[int]] = {x: set() for x in sorted(ga.pa.carrier)}
+    for x, y in edge_labels(ga):
+        adj[x].add(y)
+        adj[y].add(x)
+    return adj
+
+
+def reference_chains(ga: GridAction) -> list[tuple[np.ndarray, bool]]:
+    """Chains and cycles, maximal runs of adjacent points, as index arrays
+    with whether each is a cycle.  They are walked on labels through a dict
+    of sets, each step to the first unseen neighbour in set order, so a
+    cycle runs whichever way set order takes it."""
+    points, index, _, _ = _layout(ga)
+    adj = _adjacency(ga)
+    chains: list[tuple[np.ndarray, bool]] = []
+    seen: set[int] = set()
+
+    def walk(start: int) -> np.ndarray:
+        chain = [start]
+        seen.add(start)
+        while True:
+            nxt = [y for y in adj[chain[-1]] if y not in seen]
+            if not nxt:
+                return np.array([index[p] for p in chain], dtype=np.int64)
+            chain.append(nxt[0])
+            seen.add(nxt[0])
+
+    for x in points:
+        if x not in seen and len(adj[x]) <= 1:
+            chains.append((walk(x), False))
+    for x in points:
+        if x not in seen:
+            chains.append((walk(x), True))
+    return chains
 
 
 def reference_search_towers(
@@ -106,30 +145,8 @@ def reference_search_towers(
     # The same arrows z -> src[g, z], offset by (restart, level) row.
     arrow_dest = np.arange(RESTART_CHUNK * levels)[:, None] * P + row_src
 
-    # Chains and cycles: maximal runs of adjacent points.
-    adj = {x: set() for x in points}
-    for x, y in ga.edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    chain_idx: list[tuple[np.ndarray, bool]] = []
-    seen: set[int] = set()
-
-    def walk(start: int) -> list[int]:
-        chain = [start]
-        seen.add(start)
-        while True:
-            nxt = [y for y in adj[chain[-1]] if y not in seen]
-            if not nxt:
-                return chain
-            chain.append(nxt[0])
-            seen.add(nxt[0])
-
-    for x in points:
-        if x not in seen and len(adj[x]) <= 1:
-            chain_idx.append((np.array([index[p] for p in walk(x)], dtype=np.int64), False))
-    for x in points:
-        if x not in seen:
-            chain_idx.append((np.array([index[p] for p in walk(x)], dtype=np.int64), True))
+    adj = _adjacency(ga)
+    chain_idx = reference_chains(ga)
     # One padded row per chain (a cycle tripled, so its middle third sees
     # both ways round); padding reads column P, which holds +inf.
     width = max(((3 if cyclic else 1) * len(ci) for ci, cyclic in chain_idx), default=0)

@@ -13,6 +13,8 @@ from fraction_reference import (
     as_witness_dicts,
     coords,
     derived_towers,
+    edge_indices,
+    edge_labels,
     piecewise_e_delta,
     piecewise_f_delta,
     reference_adjacency_failure,
@@ -20,6 +22,7 @@ from fraction_reference import (
     reference_plateau,
     reference_residual,
     reference_witness_bound,
+    value,
 )
 
 from partact import cli
@@ -80,7 +83,7 @@ def test_interval_partition_holds_at_cut():
     ga, towers, _ = interval_half_shift(F(1, 8), 64)
     cut = 32
     total = sum(
-        towers.value(g, j, cut) for g in (0, 1) for j in (0, 1)
+        value(ga, towers, g, j, cut) for g in (0, 1) for j in (0, 1)
     )
     assert total == 1
 
@@ -112,7 +115,8 @@ def test_circle_pair_is_its_closed_form(m):
     assert {x: points[i] for x, i in zip(points, table[1]) if i >= 0} == {
         k: shift[k] for k in carrier if k not in (half, m + half)
     }
-    assert ga.edges == tuple((k, k + 1) for k in range(1, m - 1)) + tuple((m + k, m + k + 1) for k in range(1, m - 1))
+    assert edge_labels(ga) == [(k, k + 1) for k in range(1, m - 1)] + [(m + k, m + k + 1) for k in range(1, m - 1)]
+    assert ga.edges.dtype == np.int64 and not ga.edges.flags.writeable
     assert ga.positions.tolist() == [k % m for k in carrier] and not ga.positions.flags.writeable
     assert coords(ga) == {k: F(2 * (k % m), m) for k in carrier}
     assert (ga.spacing, ga.lipschitz) == (F(2, m), 8)
@@ -175,10 +179,10 @@ def test_adjacency_check_names_the_first_element_then_edge():
     ):
         pa, edges = _rotation_cycle(e for e in cycle if e not in missing)
         with pytest.raises(GridError) as exc:
-            GridAction(pa, range(8), edges, F(1), F(1))
+            GridAction(pa, range(8), edge_indices(pa, edges), F(1), F(1))
         assert str(exc.value) == message == reference_adjacency_failure(pa, edges)
     pa, edges = _rotation_cycle(cycle)
-    GridAction(pa, range(8), edges, F(1), F(1))
+    GridAction(pa, range(8), edge_indices(pa, edges), F(1), F(1))
     assert reference_adjacency_failure(pa, edges) is None
 
 
@@ -189,11 +193,11 @@ def test_adjacency_check_agrees_with_the_reference_on_tampered_chains():
     rng = random.Random(7)
     failures = 0
     for trial in range(40):
-        edges = [e for e in whole.edges if rng.random() > 0.03 * (trial % 3)]
+        edges = [e for e in edge_labels(whole) if rng.random() > 0.03 * (trial % 3)]
         edges += [(x, y) for x, y in ((rng.randrange(32), rng.randrange(32)) for _ in range(trial % 3)) if x < y]
         want = reference_adjacency_failure(whole.pa, edges)
         try:
-            GridAction(whole.pa, whole.positions, tuple(edges), whole.spacing, whole.lipschitz)
+            GridAction(whole.pa, whole.positions, edge_indices(whole.pa, edges), whole.spacing, whole.lipschitz)
             got = None
         except GridError as exc:
             got = str(exc)
@@ -204,8 +208,10 @@ def test_adjacency_check_agrees_with_the_reference_on_tampered_chains():
 
 def test_an_edge_off_the_carrier_fails_at_construction():
     ga, _, _ = punctured_circle_pair(16)
-    with pytest.raises(GridError, match=r"edge \(15, 16\) has a point off the carrier"):
-        GridAction(ga.pa, ga.positions, ga.edges[:3] + ((15, 16),) + ga.edges[3:], ga.spacing, ga.lipschitz)
+    for x, y in ((14, 30), (-1, 0)):
+        edges = np.insert(ga.edges, 3, [x, y], axis=1)
+        with pytest.raises(GridError, match=rf"edge 3, \({x}, {y}\), has a point off the carrier: need indices in \[0, 30\)"):
+            GridAction(ga.pa, ga.positions, edges, ga.spacing, ga.lipschitz)
 
 
 class _ViewRead(Exception):
@@ -275,22 +281,29 @@ def test_embedded_exact_certificate_residual_zero(swap_pair):
 def test_truncating_a_level_hurts():
     ga, towers, family = interval_half_shift(F(1, 8), 32)
     truncated = as_table(ga, DictTowers(
-        0, {(g, 0): as_dicts(towers).values[(g, 0)] for g in (0, 1)}
+        0, {(g, 0): as_dicts(ga, towers).values[(g, 0)] for g in (0, 1)}
     ))
     assert residual(ga, truncated, family) >= residual(ga, towers, family)
 
 
-def test_layout_is_built_once_read_only_and_without_a_back_reference():
+def test_src_and_edges_are_built_once_read_only_and_without_a_back_reference():
+    """src[g, z] is the index of theta_{g^-1}(z), -1 off X_g; it and the
+    edges stay the same arrays through a search."""
     import gc
 
     ga, family, _ = punctured_circle_pair(32)
-    layout = ga._layout
+    src, edges = ga.src, ga.edges
     towers, res = search_towers(ga, family, F(0), 0, restarts=1, sweeps=5, polish_sweeps=5)
     assert residual(ga, towers, family) == res
-    assert ga._layout is layout
-    points, index, src, edges = layout
+    assert ga.src is src and ga.edges is edges
     assert not src.flags.writeable and not edges.flags.writeable
-    assert not any(ref is ga for part in layout for ref in gc.get_referents(part))
+    assert not any(ref is ga for part in (src, edges) for ref in gc.get_referents(part))
+    pa = ga.pa
+    points = pa.points.tolist()
+    assert src.tolist() == [
+        [pa.index[pa.theta(pa.group.inv(g), z)] if z in pa.domain(g) else -1 for z in points]
+        for g in pa.group.elements()
+    ]
 
 
 def test_plans_are_built_once_and_repeat_the_search():
@@ -350,12 +363,16 @@ def test_search_on_an_empty_carrier():
         ({"restarts": -1}, "restarts must be >= 1"),
         ({"lipschitz": -3}, "lipschitz must be >= 0"),
         ({"seed": -1}, "seed must be >= 0"),
+        # d = -1 gave a zero-level table as the best towers, and d = -2 a
+        # numpy error about negative dimensions.
+        ({"d": -1}, "d must be >= 0, got -1"),
+        ({"d": -2}, "d must be >= 0, got -2"),
     ],
 )
 def test_search_rejects_no_restarts_and_negative_band(kwargs, message):
     ga, family, _ = punctured_circle_pair(32)
     with pytest.raises(ValueError, match=message):
-        search_towers(ga, family, F(0), 0, **kwargs)
+        search_towers(ga, family, F(0), **{"d": 0, **kwargs})
 
 
 def test_search_rejects_a_slope_above_the_model():
@@ -390,16 +407,16 @@ def test_search_rejects_negative_model_band_and_accepts_zero():
 def _assert_is_the_derived_dict_form(ga, towers):
     """The table of a search is the dict form its identity levels induce,
     f_g = f_1 . theta_{g^-1}, value for value; it is read-only."""
-    got = as_dicts(towers)
+    got = as_dicts(ga, towers)
     want = derived_towers(ga, [got.values[(0, j)] for j in range(towers.d + 1)])
     assert got == want
     assert not towers.table.flags.writeable
 
 
 def _assert_values(ga, towers, values):
-    assert as_dicts(towers).values == values
+    assert as_dicts(ga, towers).values == values
     assert all(
-        towers.value(g, j, x) == values.get((g, j), {}).get(x, 0)
+        value(ga, towers, g, j, x) == values.get((g, j), {}).get(x, 0)
         for g in ga.pa.group.elements() for j in range(towers.d + 1) for x in ga.pa.carrier
     )
 
@@ -526,6 +543,21 @@ def test_positions_of_the_wrong_length_are_refused():
     assert copy.positions.tolist() == ga.positions.tolist() and not copy.positions.flags.writeable
 
 
+def test_edge_arrays_of_the_wrong_shape_are_refused():
+    """(E, 2), 1-D and 3-D arrays are refused, not reshaped."""
+    ga, _, _ = punctured_circle_pair(16)
+    E = ga.edges.shape[1]
+    for edges in (ga.edges.T, ga.edges[0], ga.edges.ravel(), ga.edges[None]):
+        with pytest.raises(ShapeMismatch, match=r"edges of shape .* do not fit the action: need \(2, edges\)"):
+            GridAction(ga.pa, ga.positions, edges, ga.spacing, ga.lipschitz)
+    # The action keeps its own read-only copy.
+    edges = ga.edges.copy()
+    copy = GridAction(ga.pa, ga.positions, edges, ga.spacing, ga.lipschitz)
+    edges[:, 0] = 5, 6
+    assert copy.edges.tolist() == ga.edges.tolist() and not copy.edges.flags.writeable
+    assert copy.edges.dtype == np.int64 and copy.edges.shape == (2, E)
+
+
 def test_a_witness_table_of_the_wrong_shape_is_refused():
     ga, towers, family = interval_half_shift(F(1, 8), 16)
     for table in (family.table[:, :-1], family.table[0]):
@@ -548,8 +580,9 @@ def test_witness_bound_matches_the_reference():
     circle, circle_family, _ = punctured_circle_pair(32)
     whole, _ = punctured_circle_pair_global(32)
     models += [(circle, circle_family), (whole, as_family(whole, [{k: F(1) for k in whole.pa.carrier}]))]
-    skewed = GridAction(models[0][0].pa, [rng.randint(-5, 10) for _ in range(64)], (), F(2, 3), F(1))
-    wide = GridAction(models[0][0].pa, [rng.randint(-2**40, 2**40) for _ in range(64)], (), F(3**30, 7), F(1))
+    no_edges = np.empty((2, 0), dtype=np.int64)
+    skewed = GridAction(models[0][0].pa, [rng.randint(-5, 10) for _ in range(64)], no_edges, F(2, 3), F(1))
+    wide = GridAction(models[0][0].pa, [rng.randint(-2**40, 2**40) for _ in range(64)], no_edges, F(3**30, 7), F(1))
     models += [(skewed, models[0][1]), (wide, models[0][1])]
     positive = 0
     for ga, family in models:
@@ -562,6 +595,18 @@ def test_witness_bound_matches_the_reference():
                 assert got == reference_witness_bound(ga, fam, delta)
                 positive += got > 0
     assert positive >= 40
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_witness_bound_needs_a_group_of_order_2(order):
+    """On C1 the bound read a shift domain that is not there (an IndexError),
+    and on C3 it took element 1's domain for the shift's."""
+    group = build_group(("cyclic", order))
+    pa = global_action(group, range(6), {g: {x: (x + 2 * g) % 6 for x in range(6)} for g in range(order)})
+    ga = GridAction(pa, range(6), np.empty((2, 0), dtype=np.int64), F(1, 3), F(1))
+    family = WitnessFamily(np.ones((1, 6), dtype=np.int64), 1)
+    with pytest.raises(GridError, match=f"needs a group of order 2, got order {order}"):
+        witness_bound(ga, family, F(1, 8))
 
 
 def test_dict_keys_off_the_carrier_are_ignored():
@@ -594,7 +639,7 @@ def test_float_wmax_rounds_correctly_past_2_53():
 
 
 def _tampered(ga, towers, key, x, value):
-    values = {k: dict(v) for k, v in as_dicts(towers).values.items()}
+    values = {k: dict(v) for k, v in as_dicts(ga, towers).values.items()}
     values.setdefault(key, {})[x] = value
     return DictTowers(towers.d, values)
 
@@ -640,8 +685,8 @@ def test_tampered_towers_fail_like_the_reference():
 # ---------------------------------------------------------------------------
 
 
-def _digest(towers):
-    items = sorted((k, sorted(v.items())) for k, v in as_dicts(towers).values.items())
+def _digest(ga, towers):
+    items = sorted((k, sorted(v.items())) for k, v in as_dicts(ga, towers).values.items())
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
@@ -675,7 +720,7 @@ def test_search_is_pinned_on_the_circle_pair(d, seed, best, trace, digest):
     ga, family, _ = punctured_circle_pair(32)
     got: list = []
     towers, res = search_towers(ga, family, F(0), d, seed=seed, trace=got, **_SMALL_SWEEPS)
-    assert (res, got, _digest(towers)) == (best, trace, digest)
+    assert (res, got, _digest(ga, towers)) == (best, trace, digest)
     _assert_is_the_derived_dict_form(ga, towers)
 
 
@@ -708,7 +753,7 @@ def test_search_is_pinned_at_the_chunk_edges(seed, restarts, eps, best, trace, d
     ga, family, _ = punctured_circle_pair(32)
     got: list = []
     towers, res = search_towers(ga, family, eps, 0, seed=seed, restarts=restarts, trace=got, **_CHUNK_EDGE_SWEEPS)
-    assert (res, got, _digest(towers)) == (best, trace, digest)
+    assert (res, got, _digest(ga, towers)) == (best, trace, digest)
     _assert_is_the_derived_dict_form(ga, towers)
 
 
@@ -718,19 +763,19 @@ def test_search_is_pinned_on_cycles_and_the_interval():
     family = as_family(ga, [{k: F(1) for k in ga.pa.carrier}, {k: F(1, 3) for k in range(40)}])
     got: list = []
     towers, res = search_towers(ga, family, F(0), 0, seed=3, restarts=2, sweeps=30, polish_sweeps=60, trace=got)
-    assert res == F(147245985351, 549755813888) and _digest(towers) == "40d9041b255cb23d"
+    assert res == F(147245985351, 549755813888) and _digest(ga, towers) == "40d9041b255cb23d"
     _assert_is_the_derived_dict_form(ga, towers)
     assert got == [(0, 0.34058475494384766, 0.34058475494384766, 90),
                    (1, 0.2678388870681374, 0.2678388870681374, 90)]
     got = []
     towers, res = search_towers(ga, family, F(0), 1, seed=3, restarts=2, sweeps=30, polish_sweeps=60, trace=got)
-    assert (res, _digest(towers)) == (_LEVEL_ONE, "ca75c688e6670ccc")
+    assert (res, _digest(ga, towers)) == (_LEVEL_ONE, "ca75c688e6670ccc")
     _assert_is_the_derived_dict_form(ga, towers)
     assert [row[3] for row in got] == [90, 90]
     ga, _, family = interval_half_shift(F(1, 8), 16)
     got = []
     towers, res = search_towers(ga, family, F(0), 1, seed=5, restarts=3, sweeps=40, polish_sweeps=150, trace=got)
-    assert (res, _digest(towers)) == (_LEVEL_ONE, "d8063de93e512f54")
+    assert (res, _digest(ga, towers)) == (_LEVEL_ONE, "d8063de93e512f54")
     _assert_is_the_derived_dict_form(ga, towers)
     assert [row[3] for row in got] == [150, 150, 150]
 
@@ -742,5 +787,5 @@ def test_search_is_pinned_with_a_band_on_python_ints():
     towers, res = search_towers(ga, family, F(0), 0, seed=4, restarts=2, sweeps=20, polish_sweeps=30, trace=got)
     assert res == F(36952207353586480822941969822067360000, 147808829414345923316083210206383297601)
     assert got == [(0, 0.25, 0.25, 50), (1, 0.25, 0.25, 50)]
-    assert _digest(towers) == "d5da8d306043ffba"
+    assert _digest(ga, towers) == "d5da8d306043ffba"
     _assert_is_the_derived_dict_form(ga, towers)

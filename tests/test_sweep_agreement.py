@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from embed_reference import embed_certificate
 from fraction_reference import as_dicts, as_family
-from sweep_reference import reference_search_towers
+from sweep_reference import reference_chains, reference_search_towers
 
 from partact import gridtowers
 from partact.gridtowers import (
@@ -32,7 +32,7 @@ def _assert_agree(ga, family, eps, d, **kwargs):
     towers, res = search_towers(ga, family, eps, d, trace=got, **kwargs)
     ref_towers, ref_res = reference_search_towers(ga, family, eps, d, trace=want, **kwargs)
     assert (res, got) == (ref_res, want)
-    assert towers.d == ref_towers.d and as_dicts(towers).values == ref_towers.values
+    assert towers.d == ref_towers.d and as_dicts(ga, towers).values == ref_towers.values
     return got
 
 
@@ -93,6 +93,50 @@ def test_sweep_agrees_on_cycles_and_the_interval():
         _assert_agree(ga, family, F(0), d, seed=3, restarts=2, sweeps=30, polish_sweeps=60)
     ga, _, family = interval_half_shift(F(1, 8), 16)
     _assert_agree(ga, family, F(0), 1, seed=5, restarts=3, sweeps=40, polish_sweeps=150)
+
+
+@pytest.mark.parametrize("m", [6, 66])
+@pytest.mark.parametrize("d", [0, 1])
+def test_sweep_agrees_where_the_set_walk_runs_a_cycle_backwards(m, d):
+    # The reference walks the global model's second circle backwards at
+    # m = 6 and its first circle backwards at m = 66.
+    ga, _ = punctured_circle_pair_global(m)
+    family = as_family(ga, [{k: F(1) for k in ga.pa.carrier}, {k: F(1, 3) for k in range(m + m // 4)}])
+    _assert_agree(ga, family, F(0), d, seed=3, restarts=2, sweeps=30, polish_sweeps=60)
+
+
+@pytest.mark.parametrize("m", [6, 66])
+def test_cycles_start_at_their_least_point_and_step_to_the_smaller_neighbour(m):
+    """Each cycle row of the plans is its cycle three times over, from its
+    least point towards the smaller of its neighbours; the set walk of the
+    reference covers the same points, one cycle of them the other way."""
+    ga, _ = punctured_circle_pair_global(m)
+    P = len(ga.pa.points)
+    neighbours = {p: set() for p in range(P)}
+    for x, y in ga.edges.T.tolist():
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    windows = ga._plans[0]
+    backwards = 0
+    for row, (walked, cyclic) in zip(windows[0], reference_chains(ga), strict=True):
+        cycle = row[row < P].tolist()
+        ci = cycle[: len(cycle) // 3]
+        assert cyclic and cycle == ci * 3 and len(ci) == m
+        assert ci[0] == min(ci) and ci[1] == min(neighbours[ci[0]])
+        assert all(b in neighbours[a] for a, b in zip(ci, ci[1:] + ci[:1]))
+        assert sorted(walked.tolist()) == sorted(ci) and walked[0] == ci[0]
+        backwards += walked.tolist() != ci
+    assert backwards == 1
+
+
+def test_open_chains_are_walked_from_their_least_end():
+    # The circle pair's two copies, each an open chain of 31 points.
+    ga, _, _ = punctured_circle_pair(32)
+    windows = ga._plans[0]
+    P = len(ga.pa.points)
+    rows = [row[row < P].tolist() for row in windows[0]]
+    assert rows == [list(range(31)), list(range(31, 62))]
+    assert [(chain.tolist(), cyclic) for chain, cyclic in reference_chains(ga)] == [(row, False) for row in rows]
 
 
 @pytest.mark.parametrize("spec", [("symmetric", 3), ("dihedral", 4), ("cyclic", 3)])
