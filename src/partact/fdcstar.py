@@ -116,6 +116,19 @@ def _pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, order[np.arange(len(i)) + (lo - size.cumsum() + size)[i]]  # a[i]'s run in ordered starts at lo[i]
 
 
+def _row_keys(digits: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """One key per row of ``digits``, the row read in mixed radix; digit t
+    must lie in [0, radices[t]).  The keys sort as the rows do
+    lexicographically, so comparing sorted keys compares sorted rows.  They
+    are exact for every input: int64 while the largest possible key,
+    prod(radices) - 1, is below 2^63, and Python ints otherwise."""
+    key, *rest = digits
+    key = key.astype(np.int64 if math.prod(radices) <= 1 << 63 else object, copy=False)
+    for digit, radix in zip(rest, radices[1:]):
+        key = key * radix + digit
+    return key
+
+
 def _product_lookup(alg: StructureConstantStarAlgebra) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """(i, j) -> k with b_i b_j = b_k, on index arrays; -1 where the product vanishes or i is -1."""
     n = alg.dimension
@@ -226,7 +239,10 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> tuple:
     central exactly, all at once: z b_j and b_j z are equal multisets of
     basis indices, so the product rows with a loop on the left and those
     with a loop on the right, as (class, other factor, product), sort to
-    equal lists.
+    equal lists.  Each row is compared as one key, its digits in radix n
+    (``_row_keys``: int64 below 2^63, Python ints above, so exact for every
+    n), and a failure names the class of the smaller key at the first
+    difference.
     """
     n = alg.dimension
     lookup, S = _product_lookup(alg), alg.star
@@ -247,13 +263,18 @@ def _center_basis(alg: StructureConstantStarAlgebra) -> tuple:
     cls[loops] = least.searchsorted(smallest)
     i, j, k = alg.product.T
     sides = []
-    for loop, other in ((i, j), (j, i)):  # the rows of z b_other, then of b_other z; (n, n, n) off the loops
-        rows = np.where(cls[loop] >= 0, [cls[loop], other, k], n)
-        sides.append(rows[:, np.lexsort(rows[::-1])])
+    for loop, other in ((i, j), (j, i)):  # the rows of z b_other, then of b_other z
+        c = cls[loop]
+        on = c >= 0
+        sides.append(np.sort(_row_keys((c[on], other[on], k[on]), (n, n, n))))
     left, right = sides
     if not np.array_equal(left, right):
-        col = (left != right).any(axis=0).argmax()  # the smaller class at the first difference is not central
-        raise AssertionError(f"class sum of basis element {least[min(left[0, col], right[0, col])]} is not central")
+        # The smaller class at the first difference is not central; where the
+        # shorter side has run out, the longer side's row is the difference.
+        size = min(len(left), len(right))
+        col = np.append(np.flatnonzero(left[:size] != right[:size]), size)[0]
+        first = min(side[col] for side in sides if col < len(side))
+        raise AssertionError(f"class sum of basis element {least[first // n**2]} is not central")
     return loops, cls, least, unit, lookup
 
 
@@ -539,7 +560,9 @@ def imprimitivity_bimodule_verify(pa: PartialAction, *, crossed: StructureConsta
     fixed-point inner product is a sum of squares, positive by construction.
     Compatibility and right fullness are read off integer index tables:
     <delta_a, delta_b> is the indicator of I(a, b) = {k : tgt k = a,
-    src k = b}, and delta_b . (delta_z u_h) = [z = b] delta_{src}.
+    src k = b}, and delta_b . (delta_z u_h) = [z = b] delta_{src}.  The
+    two multisets of (basis index, cell, basis index) rows are compared as
+    sorted lists of one exact key per row (``_row_keys``).
     ``crossed`` is crossed_product(pa).  Failures are reported, not raised:
     the Morita statement assumes finite tower dimension.
     """
@@ -563,10 +586,10 @@ def imprimitivity_bimodule_verify(pa: PartialAction, *, crossed: StructureConsta
     # Each side lists them as (c, cell, basis index); sorted, the lists are equal.
     cells = tgt * npoints + src
     m, c = _pairs(src, src)
-    sides = []
-    for rows in (np.array([j, cells[i], k]), np.array([c, tgt[m] * npoints + tgt[c], m])):
-        sides.append(rows[:, np.lexsort(rows[::-1])])
-    compatibility = np.array_equal(*sides)
+    radices = (n, npoints * npoints, n)
+    compatibility = len(m) == len(k) and np.array_equal(
+        np.sort(_row_keys((j, cells[i], k), radices)), np.sort(_row_keys((c, tgt[m] * npoints + tgt[c], m), radices))
+    )
 
     # The <delta_a, delta_b> are the indicators of the nonempty cells I(a, b).
     # Over distinct basis arrows (``_arrow_ends``) the cells partition the basis,

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import build_group
-from .pactions import PartialAction, restricted_to, validate
+from .pactions import PartialAction, _check_global_table, restricted_to, validate
 
 F1 = Fraction
 
@@ -398,17 +398,16 @@ def punctured_circle_pair_global(m: int):
     if m % 2 != 0:
         raise OddGrid(m)
     group = build_group(("cyclic", 2))
-    h = F1(2, m)
-    points = list(range(2 * m))
-    # The shift moves k by m/2 round its circle and swaps the circles.
-    shift = {k: (k + m // 2) % m + m - k // m * m for k in points}
-    pa = validate(group, points, {0: set(points), 1: set(points)}, {0: {k: k for k in points}, 1: shift})
-    # Each point is joined to the next one round its circle, the lesser first.
     k = np.arange(2 * m)
-    ga = GridAction(pa, k % m, np.sort([k, k - k % m + (k + 1) % m], axis=0), h, F1(8))
-    table = np.zeros((2, 1, 2 * m), dtype=np.int64)
-    table[1, 0, :m] = table[0, 0, m:] = 1
-    return ga, NumericTowers(table, 1)
+    # The shift moves k by m/2 round its circle and swaps the circles.
+    table = np.array([k, (k + m // 2) % m + m - k // m * m])
+    _check_global_table(group, table)
+    pa = PartialAction(group, k, table)
+    # Each point is joined to the next one round its circle, the lesser first.
+    ga = GridAction(pa, k % m, np.sort([k, k - k % m + (k + 1) % m], axis=0), F1(2, m), F1(8))
+    towers = np.zeros((2, 1, 2 * m), dtype=np.int64)
+    towers[1, 0, :m] = towers[0, 0, m:] = 1
+    return ga, NumericTowers(towers, 1)
 
 
 def punctured_circle_pair(m: int, lipschitz=8):

@@ -420,13 +420,15 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     pair (g, x) gets the least pair of its class, taking x in sorted order:
     one min over k of a (g, k, x) array, with g in row blocks, where an
     undefined theta_k(x) reads past every pair.  The classes are numbered
-    in the order of their least pairs.  The envelope acts by
-    a.[g, x] = [a g, x] and the embedding is x -> [1, x]; it is built
-    from that integer table, with the global-action axioms
-    checked on the table.  Construction invariants are asserted on it: the
-    embedding is injective, domains match intersections, the envelope
-    extends the action, and translates of X cover.  They fix the envelope up
-    to equivariant isomorphism (uniqueness of the globalization).
+    in the order of their least pairs: each least pair is flagged in an
+    array over the |G| n pairs, and a class's number is the count of flags
+    before its least pair.  The envelope acts by a.[g, x] = [a g, x] and
+    the embedding is x -> [1, x]; it is built from that integer table, with
+    the global-action axioms checked on the table.  Construction invariants
+    are asserted on it: the embedding is injective, domains match
+    intersections, the envelope extends the action, and translates of X
+    cover.  They fix the envelope up to equivariant isomorphism (uniqueness
+    of the globalization).
     """
     G = pa.group
     mul, inv = G.arrays
@@ -437,8 +439,10 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     for rows in row_blocks(order, order * n):
         # (g, k, x) -> (g k^-1, theta_k(x))
         (mul[rows][:, inv, None] * n + image).min(axis=1, out=least[rows])
-    firsts, point = np.unique(least, return_inverse=True)
-    point = point.reshape(order, n)
+    flag = np.zeros(order * n, dtype=bool)  # over every pair: is it the least of its class?
+    flag[least] = True
+    firsts = np.flatnonzero(flag)
+    point = (np.cumsum(flag) - 1)[least]
     size = len(firsts)
     # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
     moved = point[mul[:, firsts // n], firsts % n]

@@ -10,7 +10,9 @@ dense n x n product table they read and write (``dense_product``,
 ``from_dense``), the restrictions, strata and stabilizer subsystems built
 through ``validate``, the enumeration of the groupoid's arrows, the set
 form of n-decomposability, and the instance document written from the dict
-views.
+views.  It also keeps the row-sorting forms that one sort key per row
+replaced: the class-sum and bimodule multiset checks as ``np.lexsort`` over
+three rows, and the envelope's class numbering by ``np.unique``.
 Tests compare the two, witness for witness and label for label.
 """
 
@@ -22,7 +24,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from partact.fdcstar import AlgebraError, StructureConstantStarAlgebra
+from partact.fdcstar import (
+    AlgebraError,
+    NotSemisimpleOrDegenerate,
+    StructureConstantStarAlgebra,
+    _arrow_ends,
+    _pairs,
+    _product_lookup,
+)
 from partact.groups import FiniteGroup, Subgroup
 from partact.pactions import (
     CompositionViolation,
@@ -526,3 +535,63 @@ def reference_check_invariants(alg: StructureConstantStarAlgebra) -> None:
         raise AlgebraError("star is not an involution")
     if not np.array_equal(np.append(S, n)[idx], E[np.ix_(S, S)].T):
         raise AlgebraError("star is not an anti-homomorphism")
+
+
+def lexsort_center_basis(alg: StructureConstantStarAlgebra) -> tuple:
+    """``fdcstar._center_basis`` with its class-sum check on whole rows:
+    the rows (class, other factor, product) of both sides, (n, n, n) off the
+    loops, sorted by ``np.lexsort``; a failure names the smaller class at
+    the first column where the sorted rows differ."""
+    n = alg.dimension
+    lookup, S = _product_lookup(alg), alg.star
+    ks = np.arange(n)
+    unit, source = lookup(ks, S), lookup(S, ks)
+    bad = (lookup(unit, ks) != ks).nonzero()[0]
+    if len(bad):
+        raise NotSemisimpleOrDegenerate(f"basis element {bad[0]} is not a groupoid arrow")
+    loops = (unit == source).nonzero()[0]
+    at, c = _pairs(unit[loops], source)
+    conjugates = lookup(lookup(c, loops[at]), S[c])
+    if (conjugates < 0).any():
+        raise NotSemisimpleOrDegenerate(f"a conjugate of loop {loops[at[conjugates < 0]].min()} vanishes")
+    smallest = np.minimum.reduceat(conjugates, at.searchsorted(ks[:len(loops)]))
+    least = np.bincount(smallest, minlength=n).nonzero()[0]
+    cls = np.full(n + 1, -1)
+    cls[loops] = least.searchsorted(smallest)
+    i, j, k = alg.product.T
+    sides = []
+    for loop, other in ((i, j), (j, i)):
+        rows = np.where(cls[loop] >= 0, [cls[loop], other, k], n)
+        sides.append(rows[:, np.lexsort(rows[::-1])])
+    left, right = sides
+    if not np.array_equal(left, right):
+        col = (left != right).any(axis=0).argmax()
+        raise AssertionError(f"class sum of basis element {least[min(left[0, col], right[0, col])]} is not central")
+    return loops, cls, least, unit, lookup
+
+
+def lexsort_compatibility(pa: PartialAction, crossed: StructureConstantStarAlgebra) -> bool:
+    """The bimodule's compatibility clause on whole rows: the (c, cell,
+    basis index) rows of both sides, each sorted by ``np.lexsort``, equal."""
+    npoints = pa.size()
+    _, tgt, src = _arrow_ends(crossed, pa)
+    i, j, k = crossed.product.T
+    cells = tgt * npoints + src
+    m, c = _pairs(src, src)
+    sides = []
+    for rows in (np.array([j, cells[i], k]), np.array([c, tgt[m] * npoints + tgt[c], m])):
+        sides.append(rows[:, np.lexsort(rows[::-1])])
+    return np.array_equal(*sides)
+
+
+def unique_numbered_envelope(pa: PartialAction) -> tuple[np.ndarray, np.ndarray]:
+    """The envelope table of ``globalize`` and its embedding row, with each
+    pair's least class pair taken over one dense (g, k, x) array and the
+    classes numbered by ``np.unique``."""
+    mul, inv = pa.group.arrays
+    order, n = pa.group.order, pa.size()
+    image = np.where(pa.table >= 0, pa.table, order * n)
+    least = (mul[:, inv, None] * n + image).min(axis=1)
+    firsts, point = np.unique(least, return_inverse=True)
+    point = point.reshape(order, n)
+    return point[mul[:, firsts // n], firsts % n], point[0]

@@ -25,7 +25,7 @@ from fraction_reference import (
     value,
 )
 
-from partact import cli
+from partact import cli, gridtowers, pactions
 from partact.gridtowers import (
     BadDelta,
     GridAction,
@@ -120,6 +120,24 @@ def test_circle_pair_is_its_closed_form(m):
     assert ga.positions.tolist() == [k % m for k in carrier] and not ga.positions.flags.writeable
     assert coords(ga) == {k: F(2 * (k % m), m) for k in carrier}
     assert (ga.spacing, ga.lipschitz) == (F(2, m), 8)
+
+
+@pytest.mark.parametrize("m", [2, 16, 128])
+def test_circle_pair_global_table_is_the_validated_swap_shift(m, monkeypatch):
+    """The arithmetic table is the one ``validate`` reads off the dict form
+    (the identity and the swap-shift by m/2), read-only, and it is checked
+    as a global action on the way."""
+    ga, _ = punctured_circle_pair_global(m)
+    points = list(range(2 * m))
+    shift = {k: (k + m // 2) % m + (m if k < m else 0) for k in points}
+    want = pactions.validate(build_group(("cyclic", 2)), points, {0: set(points), 1: set(points)},
+                             {0: {k: k for k in points}, 1: shift})
+    assert ga.pa.points.tolist() == want.points.tolist() and ga.pa.table.tolist() == want.table.tolist()
+    assert ga.pa.table.dtype == ga.pa.points.dtype == np.intp and not ga.pa.table.flags.writeable
+    checked = []
+    monkeypatch.setattr(gridtowers, "_check_global_table", lambda group, table: checked.append(table.copy()))
+    punctured_circle_pair_global(m)
+    assert len(checked) == 1 and np.array_equal(checked[0], want.table)
 
 
 def _fractions(row, scale):

@@ -4,6 +4,7 @@ Exception types, witness strings and envelopes must be identical: every
 failure names the first witness of the old scan order.
 """
 
+import collections
 import gc
 import random
 import re
@@ -41,6 +42,8 @@ from scan_reference import (
     dense_verify_certificate,
     from_dense,
     groupoid_arrows,
+    lexsort_center_basis,
+    lexsort_compatibility,
     reference_center_basis,
     reference_central_splitting,
     reference_check_global_table,
@@ -54,6 +57,7 @@ from scan_reference import (
     reference_validate,
     reference_verify_certificate,
     table_of,
+    unique_numbered_envelope,
     unvalidated,
 )
 
@@ -631,8 +635,8 @@ def test_center_basis_agrees_with_union_find():
     assert nontrivial > 10
 
 
-def _conjugation(spec):
-    group = build_group(spec)
+def _conjugation(spec, max_order=24):
+    group = build_group(spec, max_order=max_order)
     return global_action(group, group.elements(), {g: {x: group.conjugate(g, x) for x in group.elements()}
                                                     for g in group.elements()})
 
@@ -749,3 +753,117 @@ def test_unit_fixed_agrees_with_fraction_reference():
         assert fixed == is_fixed_element(pa, x_alpha)
         verdicts.add(fixed)
     assert verdicts == {True, False}
+
+
+def _assert_one_key_checks_agree(pa: PartialAction, monkeypatch) -> None:
+    """``_center_basis``, the bimodule's compatibility and ``globalize``'s
+    numbering on ``pa`` equal their row-sorting forms, and every row key
+    reads digits inside their radices, so no two rows share a key."""
+    row_keys = fdcstar._row_keys
+
+    def checked(digits, radices):
+        for digit, radix in zip(digits, radices, strict=True):
+            assert ((digit >= 0) & (digit < radix)).all(), radices
+        return row_keys(digits, radices)
+
+    monkeypatch.setattr(fdcstar, "_row_keys", checked)
+    alg = crossed_product(pa)
+    for new, ref in zip(fdcstar._center_basis(alg)[:4], lexsort_center_basis(alg)[:4]):
+        assert np.array_equal(new, ref)
+    assert imprimitivity_bimodule_verify(pa, crossed=alg).compatibility == lexsort_compatibility(pa, alg)
+    gr, (table, embed) = globalize(pa), unique_numbered_envelope(pa)
+    assert np.array_equal(gr.envelope.table, table) and np.array_equal(gr.envelope.points, np.arange(len(table[0])))
+    assert gr.embedding == dict(zip(pa.points.tolist(), embed.tolist()))
+
+
+def test_one_key_checks_agree_with_lexsort_on_the_corpus_and_the_order_24_ladder(instances, monkeypatch):
+    """On the corpus, the regular and conjugation actions of C24, D12 and S4
+    and random S4 restrictions."""
+    specs = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
+    drawn = [random_partial_action(seed, ("symmetric", 4), ambient_size=40, keep_probability=0.6) for seed in range(4)]
+    for pa in instances + [_conjugation(spec) for spec in specs] + drawn:
+        _assert_one_key_checks_agree(pa, monkeypatch)
+
+
+@pytest.mark.parametrize("action", ["regular", "conjugation"])
+def test_one_key_checks_agree_with_lexsort_at_order_120(action, monkeypatch):
+    make = _regular if action == "regular" else _conjugation
+    _assert_one_key_checks_agree(make(("cyclic", 120), max_order=120), monkeypatch)
+
+
+def _center_outcome(fn, alg):
+    kind, value = _outcome(fn, alg)
+    return (kind, [v.tolist() for v in value[:4]]) if kind == "ok" else (kind, value)
+
+
+def test_a_tampered_product_names_the_class_the_lexsort_named(instances):
+    """Rows of small crossed products with a loop factor get a wrong product,
+    swap products, or are dropped.  Dropping the largest row (loop, other
+    factor, product) whose other factor is no loop leaves the loop-left side
+    one row short past the end of the other.  Each tampered table gets the
+    outcome and the named class of the row-sorting check."""
+    rng = random.Random(27)
+    outcomes = collections.Counter()
+    for pa in instances:
+        alg = crossed_product(pa)
+        n, rows = alg.dimension, alg.product
+        _, cls, least, unit, _ = lexsort_center_basis(alg)
+        i, j, k = rows.T
+        hits = np.flatnonzero((cls[i] >= 0) | (cls[j] >= 0)).tolist()
+        if not 2 <= len(hits) <= 200:
+            continue
+        tables = []
+        for at in rng.sample(hits, 2):
+            wrong, swapped = rows.copy(), rows.copy()
+            wrong[at, 2] = (wrong[at, 2] + 1) % n
+            other = rng.choice(hits)
+            swapped[[at, other], 2] = swapped[[other, at], 2]
+            tables += [wrong, swapped, np.delete(rows, at, axis=0)]
+        last = np.argmax(np.where(cls[i] >= 0, (cls[i] * n + j) * n + k, -1))
+        short = cls[j[last]] < 0 and unit[i[last]] != i[last]  # a unit's rows are read before the check
+        if short:
+            tables.append(np.delete(rows, last, axis=0))
+        for table in tables:
+            tampered = StructureConstantStarAlgebra(alg.basis, table, alg.star)
+            outcome = _center_outcome(fdcstar._center_basis, tampered)
+            assert outcome == _center_outcome(lexsort_center_basis, tampered)
+            outcomes[outcome[0] if outcome[0] == "ok" else outcome[1].split()[-1]] += 1
+        if short:
+            assert outcome[1] == f"class sum of basis element {least[cls[i[last]]]} is not central"
+            outcomes["short"] += 1
+    assert outcomes["central"] > 20 and outcomes["ok"] > 0 and outcomes["short"] > 0, outcomes
+
+
+def test_a_tampered_product_gets_the_lexsort_compatibility(instances):
+    """A wrong product in one row, or two swapped basis labels, on the
+    corpus: the one-key clause reads as the row-sorting one."""
+    rng = random.Random(2727)
+    verdicts = collections.Counter()
+    for pa in instances:
+        alg = crossed_product(pa)
+        if alg.dimension < 2:
+            continue
+        wrong = alg.product.copy()
+        wrong[rng.randrange(len(wrong)), 2] = rng.randrange(alg.dimension)
+        basis = list(alg.basis)
+        a, b = rng.sample(range(alg.dimension), 2)
+        basis[a], basis[b] = basis[b], basis[a]
+        for tampered in (replace(alg, product=wrong), replace(alg, basis=tuple(basis))):
+            verdict = imprimitivity_bimodule_verify(pa, crossed=tampered).compatibility
+            assert verdict == lexsort_compatibility(pa, tampered)
+            verdicts[verdict] += 1
+    assert verdicts[False] > 50 and verdicts[True] > 0, verdicts
+
+
+def test_row_keys_switch_to_python_ints_at_two_to_the_63():
+    """Three digits at their extremes: radices of product 2^63 keep int64,
+    with 2^63 - 1 the largest key, and one more in the first radix gives
+    Python ints; either way the keys are the exact mixed-radix values and
+    sort as the rows do."""
+    for radices, dtype in (((1 << 21,) * 3, np.int64), (((1 << 21) + 1, 1 << 21, 1 << 21), object)):
+        rows = np.array([[r - 1 for r in radices], [0, 0, 0], [radices[0] - 1, 0, 1], [0, radices[1] - 1, 0]])
+        keys = fdcstar._row_keys(tuple(rows.T), radices)
+        assert keys.dtype == dtype
+        assert keys.tolist() == [(a * radices[1] + b) * radices[2] + c for a, b, c in rows.tolist()]
+        assert np.argsort(keys).tolist() == np.lexsort(rows.T[::-1]).tolist()
+    assert fdcstar._row_keys(tuple(rows.T), radices)[0] == (1 << 63) + (1 << 42) - 1

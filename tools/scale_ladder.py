@@ -14,7 +14,8 @@ Three ladders:
 * order: C48, D24, S5, D60 and C120 above the cap (built with
   ``max_order``), each with its regular action and with the trivial
   partial action (empty domains off the identity) on 100 and 200 points,
-  whose envelope has |G| |X| points.
+  whose envelope has |G| |X| points; S5, D60 and C120 also with their
+  conjugation actions.
 
 Each case runs REPEATS times per checkout, alternating the checkouts, each
 time in a fresh interpreter that caps its own address space at
@@ -45,6 +46,7 @@ REPEATS = 3
 GROUPS = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
 CARRIERS = (25, 50, 100, 200, 400, 800)
 ORDERS = (("cyclic", 48), ("dihedral", 24), ("symmetric", 5), ("dihedral", 60), ("cyclic", 120))
+CONJUGATION_ORDERS = (("symmetric", 5), ("dihedral", 60), ("cyclic", 120))
 PARTIAL_POINTS = (100, 200)
 ADDRESS_SPACE_BYTES = 3 * 10**9
 LAYERS = (
@@ -122,6 +124,8 @@ def cases() -> list[dict]:
     for spec in ORDERS:
         order = {"ladder": "order", "group": list(spec), "max_order": 120}
         out.append({**order, "action": "regular"})
+        if spec in CONJUGATION_ORDERS:
+            out.append({**order, "action": "conjugation"})
         out += [{**order, "action": "trivial partial", "points": k} for k in PARTIAL_POINTS]
     return out
 
