@@ -404,11 +404,14 @@ def restrict_and_quotient(pa: PartialAction, subset: Iterable[int]) -> tuple[Par
 
 @dataclass(frozen=True)
 class GlobalizationResult:
-    """Envelope (a global action), the embedding of X, and a central splitting."""
+    """Envelope (a global action), the embedding of X, and a central splitting:
+    ``splitting`` maps each g to the carrier indices x with (g, x) the least
+    pair of its class, read-only (see :func:`central_splitting`)."""
 
     envelope: PartialAction
     embedding: Mapping[int, int]
     pa: PartialAction
+    splitting: Mapping[int, frozenset[int]]
 
 
 def globalize(pa: PartialAction) -> GlobalizationResult:
@@ -422,13 +425,15 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     undefined theta_k(x) reads past every pair.  The classes are numbered
     in the order of their least pairs: each least pair is flagged in an
     array over the |G| n pairs, and a class's number is the count of flags
-    before its least pair.  The envelope acts by a.[g, x] = [a g, x] and
-    the embedding is x -> [1, x]; it is built from that integer table, with
-    the global-action axioms checked on the table.  Construction invariants
-    are asserted on it: the embedding is injective, domains match
-    intersections, the envelope extends the action, and translates of X
-    cover.  They fix the envelope up to equivariant isomorphism (uniqueness
-    of the globalization).
+    before its least pair.  The envelope acts by a.[g, x] = [a g, x].
+    Only k = 1 puts a pair with g-part 1 in the class of (1, x), so the
+    embedding x -> [1, x] takes the carrier, in order, to points 0..n-1 and
+    is injective; each class [g0, x0] is sigma_g0 of an embedded point, so
+    the translates of X cover.  Neither is asserted.  The global-action
+    axioms are checked on the envelope's table, and its restriction to
+    points 0..n-1 must be the action (domains are the intersections and the
+    envelope extends theta), naming the least failing g.  These fix the
+    envelope up to equivariant isomorphism (uniqueness of the globalization).
     """
     G = pa.group
     mul, inv = G.arrays
@@ -443,56 +448,31 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     flag[least] = True
     firsts = np.flatnonzero(flag)
     point = (np.cumsum(flag) - 1)[least]
-    size = len(firsts)
     # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
     moved = point[mul[:, firsts // n], firsts % n]
     _check_global_table(G, moved)
-    envelope = PartialAction(G, np.arange(size, dtype=np.intp), moved)
-    embed = point[0]
-    at, index = embed.tolist(), pa.index
-    embedding = {x: at[index[x]] for x in pa.carrier}
-
-    in_emb = np.zeros(size, dtype=bool)
-    in_emb[embed] = True
-    if in_emb.sum() != n:
-        raise AssertionError("globalization embedding is not injective")
-    translated = moved[:, embed]  # [g, i]: sigma_g of the embedded point i
-    # emb(X_g) = emb & sigma_g(emb) holds iff sigma_{g^-1} takes emb(z) into emb
-    # exactly for z in X_g.  Extension is read where theta_g is defined.
-    defined = pa.table >= 0
-    domain_bad = (in_emb[translated[inv]] != defined[inv]).any(axis=1)
-    extend_bad = (defined & (translated != embed[pa.table])).any(axis=1)
-    for g in np.flatnonzero(domain_bad | extend_bad)[:1].tolist():
-        if domain_bad[g]:
-            raise AssertionError(f"envelope domain condition fails at g={g}")
-        raise AssertionError(f"envelope does not extend theta_{g}")
-    covered = np.zeros(size, dtype=bool)
-    covered[translated] = True
-    if not covered.all():
-        raise AssertionError("translates of the embedded carrier do not cover the envelope")
-    return GlobalizationResult(envelope, embedding, pa)
+    envelope = PartialAction(G, np.arange(len(firsts), dtype=np.intp), moved)
+    bad = (_subtable(envelope, range(n))[1] != pa.table).any(axis=1)
+    if bad.any():
+        raise AssertionError(f"envelope restricted to the embedded carrier is not theta_{int(np.argmax(bad))}")
+    embedding = {x: pa.index[x] for x in pa.carrier}
+    # The least pairs with g-part g are the firsts in [g n, (g + 1) n).
+    pieces = np.split(firsts % n, firsts.searchsorted(np.arange(1, order) * n))
+    splitting = MappingProxyType({g: frozenset(piece.tolist()) for g, piece in enumerate(pieces)})
+    return GlobalizationResult(envelope, embedding, pa, splitting)
 
 
 def central_splitting(gr: GlobalizationResult) -> dict[int, frozenset[int]]:
     """Subsets p_g of the embedded carrier whose translates partition the envelope.
 
-    Greedy over the group's canonical enumeration, on the envelope's table:
-    each envelope point is claimed by the least g with the point in sigma_g(X),
-    and p_g holds the embedded points e with sigma_g(e) claimed by g.  The
-    partition depends on the enumeration order; existence does not.
+    Greedy over the group's canonical enumeration: each envelope point is
+    claimed by the least g with the point in sigma_g(X), the g-part of its
+    least pair, and two pairs with one g are never equivalent; so p_g is the
+    x with (g, x) a least pair, as ``globalize`` keeps it.  Each class has
+    one least pair, so the pieces partition the envelope (not asserted).
+    The partition depends on the enumeration order; existence does not.
     """
-    theta = gr.envelope.table
-    order, size = theta.shape
-    emb = np.fromiter(gr.embedding.values(), np.intp, len(gr.embedding))
-    translated = theta[:, emb]  # [g, i]: sigma_g of the embedded point i
-    owner = np.full(size, order, dtype=np.intp)
-    np.minimum.at(owner, translated, np.arange(order)[:, None])
-    mine = owner[translated] == np.arange(order)[:, None]
-    # Each row of theta is injective, so the pieces partition the envelope
-    # exactly when every point is claimed once.
-    if not np.array_equal(np.sort(translated[mine]), np.arange(size)):
-        raise AssertionError("central splitting pieces do not partition the envelope")
-    return {g: frozenset(emb[row].tolist()) for g, row in enumerate(mine)}
+    return dict(gr.splitting)
 
 
 def minimal_partial_unitization(pa: PartialAction) -> PartialAction:

@@ -392,6 +392,12 @@ def reference_globalize(pa: PartialAction) -> GlobalizationResult:
         classes.setdefault(find(p), []).append(p)
     reps = sorted(classes, key=lambda r: min(classes[r]))
     label = {rep: i for i, rep in enumerate(reps)}
+    # Each class's least pair (g, x), grouped by g, with x as its carrier index.
+    index = {x: i for i, x in enumerate(sorted(pa.carrier))}
+    splitting = {g: set() for g in elems}
+    for rep in reps:
+        g, x = min(classes[rep])
+        splitting[g].add(index[x])
     point = {p: label[find(p)] for p in pairs}
 
     carrier = frozenset(range(len(reps)))
@@ -416,7 +422,7 @@ def reference_globalize(pa: PartialAction) -> GlobalizationResult:
         covered |= {envelope.maps[g][z] for z in emb}
     if covered != set(carrier):
         raise AssertionError("translates of the embedded carrier do not cover the envelope")
-    return GlobalizationResult(envelope, embedding, pa)
+    return GlobalizationResult(envelope, embedding, pa, {g: frozenset(p) for g, p in splitting.items()})
 
 
 def reference_central_splitting(gr: GlobalizationResult) -> dict[int, frozenset[int]]:

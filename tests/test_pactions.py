@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -329,10 +330,13 @@ def test_globalize_round_trip_on_corpus():
 
 
 def test_central_splitting_partitions_on_corpus():
+    """The translates sigma_g(p_g), read off the envelope's table, partition it."""
     for pa in corpus(12, base_seed=200):
         res = globalize(pa)
-        split = central_splitting(res)  # partition asserted internally
+        split = central_splitting(res)
         assert all(p <= frozenset(res.embedding.values()) for p in split.values())
+        pieces = [res.envelope.table[g, sorted(p)].tolist() for g, p in split.items()]
+        assert sorted(chain.from_iterable(pieces)) == list(range(res.envelope.size()))
 
 
 @given(st.integers(min_value=0, max_value=10_000))

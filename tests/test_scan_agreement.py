@@ -34,6 +34,7 @@ from partact.pactions import (
     globalize,
     random_partial_action,
     restricted_to,
+    trivial_partial_action,
     validate,
 )
 from partact.rokhlin import TowerCertificate, towers_exist, verify_certificate
@@ -368,6 +369,7 @@ def test_globalize_agrees_with_union_find_label_for_label(instances):
         _assert_owns_its_table(env)
         assert all(list(env.maps[g]) == sorted(env.maps[g]) for g in env.group.elements())
         assert central_splitting(new) == reference_central_splitting(new)
+        assert dict(new.splitting) == ref.splitting
         for action in (pa, env):
             arrows = tuple((g, x, y) for g in action.group.elements() for x, y in sorted(action.maps[g].items()))
             assert groupoid_arrows(action) == arrows
@@ -459,6 +461,64 @@ def test_envelope_table_with_two_entries_swapped_is_rejected(monkeypatch):
             patched.setattr(pactions, "_check_global_table", swapping)
             with pytest.raises(AssertionError, match=r"composition at \(g=\d+, h=\d+\)"):
                 globalize(pa)
+
+
+def _least_pair_cases(points: int) -> list:
+    """The corpus, the empty carrier, and S5, D60 and C120 at max_order=120:
+    regular, conjugation, and trivial partial on ``points`` points."""
+    out = harness.corpus(20260808, 100) + [trivial_partial_action(build_group(("cyclic", 3)), [])]
+    for spec in (("symmetric", 5), ("dihedral", 60), ("cyclic", 120)):
+        group = build_group(spec, max_order=120)
+        out += [_regular(spec, max_order=120), _conjugation(spec, max_order=120),
+                trivial_partial_action(group, range(points))]
+    return out
+
+
+def test_the_carrier_is_the_envelopes_first_points():
+    """(1, x) is the least pair of its class, so the embedding is x_i -> i in
+    carrier order, and the envelope restricted to points 0..n-1 is the action."""
+    for pa in _least_pair_cases(200):
+        gr = globalize(pa)
+        assert list(gr.embedding.items()) == [(x, pa.index[x]) for x in pa.carrier]
+        assert dict(gr.embedding) == dict(zip(pa.points.tolist(), range(pa.size())))
+        assert np.array_equal(pactions._subtable(gr.envelope, range(pa.size()))[1], pa.table)
+
+
+def test_central_splitting_is_the_greedy_claim_of_the_envelope():
+    """The least pairs grouped by g are the greedy splitting read off the
+    envelope's maps (20 points for the trivial partial actions, whose
+    envelopes' maps have |G|^2 20 entries)."""
+    for pa in _least_pair_cases(20):
+        gr = globalize(pa)
+        assert central_splitting(gr) == reference_central_splitting(gr)
+
+
+def test_an_envelope_that_does_not_restrict_to_the_action_is_rejected(monkeypatch):
+    """With the table check skipped and two entries of a row g != 1 swapped
+    inside the first n columns, one where theta_g is defined, the envelope
+    no longer restricts to the action on the carrier, and globalize names g."""
+    rng = random.Random(28)
+    cases = [random_partial_action(seed, spec, 12, 0.5)
+             for seed, spec in enumerate((("cyclic", 24), ("dihedral", 12), ("symmetric", 4), ("cyclic", 3)) * 3)]
+    cases += [_regular(("dihedral", 12)), _conjugation(("symmetric", 4))]
+    seen = 0
+    for pa in cases:
+        rows = [g for g in range(1, pa.group.order) if (pa.table[g] >= 0).any()]
+        if pa.size() < 2 or not rows:
+            continue
+        g = rng.choice(rows)
+        a = rng.choice(np.flatnonzero(pa.table[g] >= 0).tolist())
+        b = rng.choice([i for i in range(pa.size()) if i != a])
+
+        def swapping(group, table):
+            table[g, [a, b]] = table[g, [b, a]]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pactions, "_check_global_table", swapping)
+            with pytest.raises(AssertionError, match=rf"embedded carrier is not theta_{g}$"):
+                globalize(pa)
+        seen += 1
+    assert seen >= 10
 
 
 def test_verify_certificate_agrees_with_the_dense_check_above_the_cap():

@@ -13,7 +13,11 @@ held-out seeds 424242 and 9001 and the others the default seed.  The output
 has the layout of BENCH_7.json: every run with its end-to-end metrics, and
 per workload and metric the inclusive quartiles of each side, the ratio of
 medians, the number of pairs the change won and the parent's interquartile
-range.
+range.  Each run also keeps the factor run.py scaled its op times by
+(``probe_scale``) and its throughput, p50 and tail latency as timed
+(``timed``), read off run.py's "# op times scaled by ..." line, so a step
+between two files can be told from a change of machine speed; both are
+null when a checkout's run.py prints no such line.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +40,19 @@ METRICS = {
     "latency_tail_ms": False,
     "peak_rss_mb": False,
 }
+# run.py's note on the probe: its scale factor, then the metrics as timed.
+PROBE = re.compile(r"^# op times scaled by (\S+) to the probe's reference speed; as timed: "
+                   r"throughput_ops_s (\S+), latency_p50_ms (\S+), latency_tail_ms (\S+)$", re.M)
+TIMED = ("throughput_ops_s", "latency_p50_ms", "latency_tail_ms")
+
+
+def probe(stdout: str) -> dict:
+    """The probe factor and as-timed metrics run.py printed; null when it printed none."""
+    found = PROBE.search(stdout)
+    if found is None:
+        return {"probe_scale": None, "timed": None}
+    scale, *timed = map(float, found.groups())
+    return {"probe_scale": scale, "timed": dict(zip(TIMED, timed))}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -50,6 +68,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+        **probe(proc.stdout),
     }
 
 

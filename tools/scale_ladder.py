@@ -11,25 +11,28 @@ Three ladders:
   C24, D12 and S4 on themselves, at the documented group cap;
 * carrier: the trivial S4 action (every g the identity) on 25 to 800
   points, where the crossed product has 24 |X| basis arrows;
-* order: C48, D24, S5, D60 and C120 above the cap (built with
-  ``max_order``), each with its regular action and with the trivial
-  partial action (empty domains off the identity) on 100 and 200 points,
-  whose envelope has |G| |X| points; S5, D60 and C120 also with their
-  conjugation actions.
+* order: C48, D24, C60, D30, C96, D48, S5, D60 and C120 above the cap
+  (built with ``max_order``), each with its regular action and with the
+  trivial partial action (empty domains off the identity) on 100 and 200
+  points, whose envelope has |G| |X| points; S5, D60 and C120 also with
+  their conjugation actions.
 
 Each case runs REPEATS times per checkout, alternating the checkouts, each
 time in a fresh interpreter that caps its own address space at
 ADDRESS_SPACE_BYTES (RLIMIT_AS), so a case that needs more memory fails
 with MemoryError instead of swapping.  A run that exits non-zero is
 recorded with its exit code and the last line of its stderr, and the
-ladder goes on.  A run records the wall time of
-``cli.analyze``, the time spent in each of its layers (timed where ``cli``
-and ``fdcstar`` look them up; a layer that was renamed is timed under its
-former name in checkouts from before the rename; a layer found in neither
-module stops the run), the basis size n, and the process's peak RSS from
-``getrusage`` (``ru_maxrss``, KiB on Linux).  The summary gives, per case
-and checkout, the median of each time and the largest peak RSS over the
-runs that finished, and the exit of the first run that did not.
+ladder goes on.  A run calls ``cli.analyze`` CALLS times, each on a freshly
+built action, and records the best wall time, the best time spent in each
+of its layers over those calls (timed where ``cli`` and ``fdcstar`` look
+them up; a layer that was renamed is timed under its former name in
+checkouts from before the rename; a layer found in neither module stops
+the run), the basis size n, and the process's peak RSS from ``getrusage``
+(``ru_maxrss``, KiB on Linux).  On cases that take under 0.1 s one call
+per run is too noisy to resolve a 15% change; the best of several is
+steadier.  The summary gives, per case and checkout, the median of each
+time and the largest peak RSS over the runs that finished, and the exit
+of the first run that did not.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ import subprocess
 import sys
 
 REPEATS = 3
+CALLS = 5
 GROUPS = (("cyclic", 24), ("dihedral", 12), ("symmetric", 4))
 CARRIERS = (25, 50, 100, 200, 400, 800)
-ORDERS = (("cyclic", 48), ("dihedral", 24), ("symmetric", 5), ("dihedral", 60), ("cyclic", 120))
+ORDERS = (("cyclic", 48), ("dihedral", 24), ("cyclic", 60), ("dihedral", 30), ("cyclic", 96), ("dihedral", 48),
+          ("symmetric", 5), ("dihedral", 60), ("cyclic", 120))
 CONJUGATION_ORDERS = (("symmetric", 5), ("dihedral", 60), ("cyclic", 120))
 PARTIAL_POINTS = (100, 200)
 ADDRESS_SPACE_BYTES = 3 * 10**9
@@ -57,6 +62,7 @@ LAYERS = (
     "fixed_point_algebra",
     "imprimitivity_bimodule_verify",
     "globalize",
+    "central_splitting",
 )
 # The float eigen route, replaced by the exact block_structure.
 FORMER_NAMES = {"block_structure": "block_structure_full"}
@@ -71,9 +77,9 @@ from partact.groups import build_group
 from partact.pactions import global_action, trivial_partial_action
 
 G = build_group(tuple(case["group"]), max_order=case.get("max_order", 24))
-if case["action"] == "trivial partial":
-    pa = trivial_partial_action(G, range(case["points"]))
-else:
+def build():
+    if case["action"] == "trivial partial":
+        return trivial_partial_action(G, range(case["points"]))
     if case["action"] == "trivial":
         points = range(case["points"])
         perms = {g: {x: x for x in points} for g in G.elements()}
@@ -81,7 +87,7 @@ else:
         points = G.elements()
         move = G.mul if case["action"] == "regular" else G.conjugate
         perms = {g: {x: move(g, x) for x in points} for g in G.elements()}
-    pa = global_action(G, points, perms)
+    return global_action(G, points, perms)
 
 layers = {}
 def timed(name, fn):
@@ -102,13 +108,19 @@ for name in case["layers"]:
     if not found:
         raise SystemExit(f"layer {name} is in neither cli nor fdcstar")
 
-start = time.perf_counter()
-report = cli.analyze(pa)
-analyze_s = time.perf_counter() - start
+calls = []
+for _ in range(case["calls"]):
+    pa = build()
+    layers.clear()
+    start = time.perf_counter()
+    report = cli.analyze(pa)
+    calls.append({"analyze_s": time.perf_counter() - start, **{n: layers.get(n, 0.0) for n in case["layers"]}})
+    del pa  # one action alive at a time, as in a single call
+best = {key: min(c[key] for c in calls) for key in calls[0]}
 print(json.dumps({
     "n": report["crossedProduct"]["dimension"],
-    "analyze_s": analyze_s,
-    "layers_s": layers,
+    "analyze_s": best.pop("analyze_s"),
+    "layers_s": best,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -132,7 +144,7 @@ def cases() -> list[dict]:
 
 def run_case(checkout: str, case: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    payload = json.dumps({**case, "layers": list(LAYERS), "former": FORMER_NAMES,
+    payload = json.dumps({**case, "layers": list(LAYERS), "former": FORMER_NAMES, "calls": CALLS,
                           "address_space": ADDRESS_SPACE_BYTES})
     proc = subprocess.run([sys.executable, "-c", CHILD, payload], capture_output=True, text=True, env=env)
     if proc.returncode != 0:
@@ -185,8 +197,9 @@ def main(argv=None) -> int:
     scale = {
         "description": (
             f"tools/scale_ladder.py: {REPEATS} fresh interpreters per case and checkout, "
-            f"alternating, each with RLIMIT_AS {ADDRESS_SPACE_BYTES}; analyze wall time, per-layer "
-            f"time and ru_maxrss; the summary has median times and the largest RSS of the runs "
+            f"alternating, each with RLIMIT_AS {ADDRESS_SPACE_BYTES}; the best analyze wall time "
+            f"and the best time of each layer over {CALLS} calls, each on a freshly built action, "
+            f"and ru_maxrss; the summary has median times and the largest RSS of the runs "
             f"that finished, and the exit code and last stderr line of a run that did not. "
             f"Machine: {os.cpu_count()} cores, Python {platform.python_version()}."
         ),
