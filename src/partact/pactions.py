@@ -90,13 +90,15 @@ def row_blocks(order: int, width: int) -> Iterable[slice]:
 
 def _composition_failure(theta: np.ndarray, mul: np.ndarray, hs=slice(None)) -> Optional[tuple[int, int, np.ndarray]]:
     """First (g, h), in row blocks of g, then h in the order of ``hs`` (all by default), with
-    theta_g(theta_h(x)) defined but not theta_gh(x), and its mask of such x; None when composition holds."""
+    theta_g(theta_h(x)) defined but not theta_gh(x), and its mask of such x; None when composition holds.
+
+    theta_g is read at theta_h(x) straight from ``theta``, where an entry -1
+    reads the last column: a partial table carries a last column of -1s (so
+    undefined stays undefined), and a total table is read as it is."""
     order, n = theta.shape
-    ext = np.full((order, n + 1), -1, dtype=np.intp)  # column n: undefined stays undefined
-    ext[:, :n] = theta
     h_of = np.arange(order)[hs]
     for rows in row_blocks(order, len(h_of) * n):
-        ghx = ext[rows][:, theta[hs]]  # (g, h, x) -> theta_g(theta_h(x))
+        ghx = theta[rows][:, theta[hs]]  # (g, h, x) -> theta_g(theta_h(x))
         bad = (ghx >= 0) & (ghx != theta[mul[rows][:, hs]])
         if bad.any():
             g, k = divmod(int(np.argmax(bad.any(axis=2))), len(h_of))
@@ -273,7 +275,8 @@ def validate(
 
     # With the checks above, composition gives the derived domain identity
     # theta_g(X_{g^-1} & X_h) = X_g & X_{gh}, so that needs no pass of its own.
-    if (failure := _composition_failure(table, mul)) is not None:
+    # Composition reads theta itself: its column n is all -1 by now.
+    if (failure := _composition_failure(theta, mul)) is not None:
         g, h, bad = failure
         raise CompositionViolation(g, h, int(next(x for x in maps[h] if bad[index[x]])))
     return PartialAction(group, points, table)
@@ -290,7 +293,8 @@ def _check_global_table(group: FiniteGroup, theta: np.ndarray) -> None:
     """Raise AssertionError unless ``theta`` is total on range(size), the identity at row 0,
     and theta_g theta_s = theta_gs for every g and generator s: every h is a positive word
     in the generators, so theta_g theta_h = theta_gh follows by induction on its length,
-    and theta is a global action.  A failure names the least g, then the least generator h."""
+    and theta is a global action.  A failure names the least g, then the least generator h.
+    Composition is read straight off ``theta`` once it is known to be total."""
     size = theta.shape[1]
     if not (((theta >= 0) & (theta < size)).all() and np.array_equal(theta[0], np.arange(size))):
         raise AssertionError("table is not total on its points with the identity at row 0")
@@ -423,17 +427,21 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
     pair (g, x) gets the least pair of its class, taking x in sorted order:
     one min over k of a (g, k, x) array, with g in row blocks, where an
     undefined theta_k(x) reads past every pair.  The classes are numbered
-    in the order of their least pairs: each least pair is flagged in an
-    array over the |G| n pairs, and a class's number is the count of flags
-    before its least pair.  The envelope acts by a.[g, x] = [a g, x].
+    in the order of their least pairs (g0, x0): each least pair is flagged
+    in an array over the |G| n pairs, and a class's number is the count of
+    flags before its least pair.  The envelope acts by a.[g0, x0] = [a g0, x0],
+    gathered in row blocks of a.
     Only k = 1 puts a pair with g-part 1 in the class of (1, x), so the
     embedding x -> [1, x] takes the carrier, in order, to points 0..n-1 and
     is injective; each class [g0, x0] is sigma_g0 of an embedded point, so
     the translates of X cover.  Neither is asserted.  The global-action
-    axioms are checked on the envelope's table, and its restriction to
-    points 0..n-1 must be the action (domains are the intersections and the
-    envelope extends theta), naming the least failing g.  These fix the
-    envelope up to equivariant isomorphism (uniqueness of the globalization).
+    axioms are checked on the envelope's table, and its first n columns,
+    where an image at n or above reads as undefined, must be the action
+    (domains are the intersections and the envelope extends theta), naming
+    the least failing g.  These fix the envelope up to equivariant
+    isomorphism (uniqueness of the globalization).  The least pairs come
+    out sorted, so those with g-part g are one run of (g0, x0), and the
+    splitting takes its x0.
     """
     G = pa.group
     mul, inv = G.arrays
@@ -446,19 +454,20 @@ def globalize(pa: PartialAction) -> GlobalizationResult:
         (mul[rows][:, inv, None] * n + image).min(axis=1, out=least[rows])
     flag = np.zeros(order * n, dtype=bool)  # over every pair: is it the least of its class?
     flag[least] = True
-    firsts = np.flatnonzero(flag)
+    g0, x0 = divmod(np.flatnonzero(flag), n)
     point = (np.cumsum(flag) - 1)[least]
-    # a.[g0, x0] = [a g0, x0] on the least pair (g0, x0) of each class.
-    moved = point[mul[:, firsts // n], firsts % n]
+    moved = np.empty((order, len(g0)), dtype=np.intp)
+    for rows in row_blocks(order, len(g0)):
+        moved[rows] = point[mul[rows][:, g0], x0]  # a.[g0, x0] = [a g0, x0]
     _check_global_table(G, moved)
-    envelope = PartialAction(G, np.arange(len(firsts), dtype=np.intp), moved)
-    bad = (_subtable(envelope, range(n))[1] != pa.table).any(axis=1)
+    restricted = moved[:, :n]
+    bad = (np.where(restricted < n, restricted, -1) != pa.table).any(axis=1)
     if bad.any():
         raise AssertionError(f"envelope restricted to the embedded carrier is not theta_{int(np.argmax(bad))}")
+    envelope = PartialAction(G, np.arange(len(g0), dtype=np.intp), moved)
     embedding = {x: pa.index[x] for x in pa.carrier}
-    # The least pairs with g-part g are the firsts in [g n, (g + 1) n).
-    pieces = np.split(firsts % n, firsts.searchsorted(np.arange(1, order) * n))
-    splitting = MappingProxyType({g: frozenset(piece.tolist()) for g, piece in enumerate(pieces)})
+    cuts, xs = g0.searchsorted(np.arange(order + 1)).tolist(), x0.tolist()
+    splitting = MappingProxyType({g: frozenset(xs[lo:hi]) for g, (lo, hi) in enumerate(zip(cuts, cuts[1:]))})
     return GlobalizationResult(envelope, embedding, pa, splitting)
 
 

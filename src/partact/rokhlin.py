@@ -185,7 +185,9 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
     they lie inside the domains by construction.  Levels with mass are taken
     in row blocks, so memory does not grow with their number.  (C2) is a
     whole-array comparison of codes, and (C3) keeps one running Fraction
-    mass per distinct sequence of codes.  Once (C2) holds, column
+    mass per distinct sequence of codes, numbered level by level with a flag
+    array over the (sequence, code) pairs (one byte per pair of a mass and
+    a value; two values for the solver's certificates).  Once (C2) holds, column
     T[j, :, z] has at most one positive code top[j, z], at g = at[j, z];
     (1) at (g, y) compares column y with column z = theta_g(y) shifted by
     g, so it holds iff top[j, y] = top[j, z] and, when positive,
@@ -227,8 +229,12 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
         # positive code per point, so a point's mass is fixed by its codes.
         tops = T.max(axis=1)  # (level, z): the one positive code of column z, or 0
         for top in tops:
-            pairs, key = np.unique(key * len(values) + top, return_inverse=True)
-            masses = [masses[k] + values[c] for k, c in (divmod(u, len(values)) for u in pairs.tolist())]
+            # Number the (key, code) pairs in order: flag those present, count the flags before each.
+            pair = key * len(values) + top
+            flag = np.zeros(len(masses) * len(values), dtype=bool)
+            flag[pair] = True
+            key, pairs = (np.cumsum(flag) - 1)[pair], np.flatnonzero(flag).tolist()
+            masses = [masses[k] + values[c] for k, c in (divmod(u, len(values)) for u in pairs)]
         # Raw condition (1) on one-sparse columns, where z = theta_g(y) is defined.
         at, z = T.argmax(axis=1), pa.table  # z: (g, y), -1 reads any entry
         bad = (z >= 0) & ((tops[:, None] != tops[:, z])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -337,6 +338,23 @@ def test_central_splitting_partitions_on_corpus():
         assert all(p <= frozenset(res.embedding.values()) for p in split.values())
         pieces = [res.envelope.table[g, sorted(p)].tolist() for g, p in split.items()]
         assert sorted(chain.from_iterable(pieces)) == list(range(res.envelope.size()))
+
+
+def test_globalize_memory_is_its_table_and_row_blocks():
+    """The trivial partial C120 action on 200 points: the envelope's table
+    has 120 x 24,000 entries, 23 MB.  It is built and checked in row blocks,
+    so the peak stays under one and a half tables (29 MB measured with
+    tracemalloc); one more (120, 24,000) temporary, as a whole-table gather
+    or a padded copy of the table would make, puts it at 46 MB."""
+    pa = trivial_partial_action(build_group(("cyclic", 120), max_order=120), range(200))
+    tracemalloc.start()
+    try:
+        table = globalize(pa).envelope.table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (120, 24_000)
+    assert peak < 1.5 * table.nbytes
 
 
 @given(st.integers(min_value=0, max_value=10_000))

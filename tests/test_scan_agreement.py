@@ -494,31 +494,45 @@ def test_central_splitting_is_the_greedy_claim_of_the_envelope():
 
 
 def test_an_envelope_that_does_not_restrict_to_the_action_is_rejected(monkeypatch):
-    """With the table check skipped and two entries of a row g != 1 swapped
-    inside the first n columns, one where theta_g is defined, the envelope
-    no longer restricts to the action on the carrier, and globalize names g."""
+    """With the table check skipped and row g != 1 of the envelope's table
+    tampered with in its first n columns, the envelope no longer restricts
+    to the action on the carrier, and globalize names g.  Three tampers:
+    two entries swapped, one of them where theta_g is defined; an image of
+    theta_g moved to an envelope point >= n, which reads as undefined; and
+    a point where theta_g is undefined given an image < n."""
     rng = random.Random(28)
     cases = [random_partial_action(seed, spec, 12, 0.5)
              for seed, spec in enumerate((("cyclic", 24), ("dihedral", 12), ("symmetric", 4), ("cyclic", 3)) * 3)]
     cases += [_regular(("dihedral", 12)), _conjugation(("symmetric", 4))]
-    seen = 0
+    seen = collections.Counter()
     for pa in cases:
-        rows = [g for g in range(1, pa.group.order) if (pa.table[g] >= 0).any()]
-        if pa.size() < 2 or not rows:
+        envelope = globalize(pa).envelope.table
+        n, size = pa.size(), envelope.shape[1]
+        defined = [g for g in range(1, pa.group.order) if (pa.table[g] >= 0).any()]
+        undefined = [g for g in range(1, pa.group.order) if (pa.table[g] < 0).any()]
+        if n < 2 or not defined:
             continue
-        g = rng.choice(rows)
+        g = rng.choice(defined)
         a = rng.choice(np.flatnonzero(pa.table[g] >= 0).tolist())
-        b = rng.choice([i for i in range(pa.size()) if i != a])
+        b = rng.choice([i for i in range(n) if i != a])
+        tampers = {"swap": (g, [a, b], envelope[g, [b, a]])}  # (row, columns, new entries)
+        if size > n:
+            tampers["off the carrier"] = (g, [a], rng.randrange(n, size))
+        if undefined:
+            u = rng.choice(undefined)
+            c = rng.choice(np.flatnonzero(pa.table[u] < 0).tolist())
+            tampers["onto the carrier"] = (u, [c], rng.randrange(n))
+        for kind, (h, cols, entries) in tampers.items():
 
-        def swapping(group, table):
-            table[g, [a, b]] = table[g, [b, a]]
+            def tampering(group, table):
+                table[h, cols] = entries
 
-        with monkeypatch.context() as patched:
-            patched.setattr(pactions, "_check_global_table", swapping)
-            with pytest.raises(AssertionError, match=rf"embedded carrier is not theta_{g}$"):
-                globalize(pa)
-        seen += 1
-    assert seen >= 10
+            with monkeypatch.context() as patched:
+                patched.setattr(pactions, "_check_global_table", tampering)
+                with pytest.raises(AssertionError, match=rf"embedded carrier is not theta_{h}$"):
+                    globalize(pa)
+            seen[kind] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
 
 
 def test_verify_certificate_agrees_with_the_dense_check_above_the_cap():
