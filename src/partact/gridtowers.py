@@ -55,16 +55,26 @@ class GridTooCoarse(GridError):
         super().__init__(f"grid with m = {m} is too coarse; need m >= {minimum}")
 
 
+def _arcs(edges: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) of the distinct arcs both ways round each edge, ascending
+    by tail and then head; a self-loop bounds no step, so it is no arc."""
+    ex, ey = edges[:, edges[0] != edges[1]]
+    arcs = np.sort(np.concatenate([ex * P + ey, ey * P + ex]))
+    return np.divmod(arcs[np.diff(arcs, prepend=-1) != 0], P)
+
+
 @dataclass(frozen=True, eq=False)
 class GridAction:
     """A partial action on grid points with 1-D geometry.
 
     ``positions`` holds each point's coordinate in units of ``spacing``, in
     ``pa.points`` order (a read-only int64 array); ``edges`` holds the
-    adjacency pairs within chain components as a read-only (2, E) int64
-    array of indices into ``pa.points``; ``spacing`` is the uniform grid step
-    and ``lipschitz`` the slope bound for admissible tower functions (values
-    may change by at most lipschitz * spacing per edge).  ``src[g, z]``,
+    adjacency pairs as a read-only (2, E) int64 array of indices into
+    ``pa.points``, forming chains and cycles only (a point with a third
+    distinct neighbour is a GridError; a self-loop is no neighbour and
+    bounds no step); ``spacing`` is the uniform grid step and ``lipschitz``
+    the slope bound for admissible tower functions (values may change by at
+    most lipschitz * spacing per edge).  ``src[g, z]``,
     derived and read-only, is the index of theta_{g^-1}(z) for z in X_g and
     -1 off the domain.
     """
@@ -105,6 +115,11 @@ class GridAction:
             g, e = divmod(int(np.argmax(bad)), edges.shape[1])
             x, y = self.pa.points[edges[:, e]].tolist()
             raise GridError(f"theta_{g} does not preserve adjacency at edge ({x}, {y})")
+        # Chains and cycles only: the least point thrice a tail is named.
+        tail = _arcs(edges, P)[0]
+        branch = tail[2:][tail[2:] == tail[:-2]]
+        if len(branch):
+            raise GridError(f"point {self.pa.points[branch[0]]} has more than two neighbours: the edges must form chains and cycles")
 
     @property
     def band(self) -> Fraction:
@@ -116,10 +131,10 @@ class GridAction:
         and holding no reference back to the action: the chain windows, the
         ends of each point in them, and the capped sources.
 
-        Chains and cycles are maximal runs of adjacent points, walked from a
-        point to its least unvisited neighbour: an open chain from its end
-        of least index, a cycle from its least point towards the smaller of
-        its two neighbours.  Each gets one row of ``windows[0]`` (a cycle
+        Chains and cycles are maximal runs of adjacent points (construction
+        allows no other shape), walked from a point to its least unvisited
+        neighbour: an open chain from its end of least index, a cycle from
+        its least point towards the smaller of its two neighbours.  Each gets one row of ``windows[0]`` (a cycle
         tripled, so its middle third sees both ways round), padded with P;
         ``windows[1]`` holds the rows reversed.  Point p sits at flat position
         ends[0, p] of the forward rows and ends[1, p] of the reversed ones.  A
@@ -128,8 +143,7 @@ class GridAction:
         """
         src, (ex, ey), P = self.src, self.edges, len(self.pa.points)
         # Neighbours of p, distinct and ascending: nbr[first[p] : first[p + 1]].
-        arcs = np.sort(np.concatenate([ex * P + ey, ey * P + ex]))
-        tail, head = np.divmod(arcs[np.diff(arcs, prepend=-1) != 0], P)
+        tail, head = _arcs(self.edges, P)
         first, nbr = tail.searchsorted(np.arange(P + 1)).tolist(), head.tolist()
         seen = [False] * P
 
@@ -473,8 +487,10 @@ def search_towers(
     stops early when the exact residual reaches eps.  Never claims
     nonexistence.  Each restart appends (restart, residual, best residual,
     sweeps run) to ``trace``.  ``lipschitz`` may narrow the model's band but
-    not widen it: towers repaired to a wider band fail the model's
-    admissibility, so a slope above the model's is refused up front.
+    not widen it: towers within a wider band fail the model's admissibility,
+    so a slope above the model's is refused up front.  So is a search with
+    no sweeps: each restart's final state must be a projected one, which is
+    then floored, capped and projected again, in integers, as its candidate.
 
     Restarts run in chunks of ``RESTART_CHUNK`` along a leading array axis.
     Each restart keeps its own seed, its own polish early stop and the float
@@ -495,6 +511,8 @@ def search_towers(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if sweeps + polish_sweeps < 1:
+        raise ValueError(f"sweeps + polish_sweeps must be >= 1, got {sweeps + polish_sweeps}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if d < 0:
@@ -511,7 +529,7 @@ def search_towers(
     exact_band = slope * ga.spacing
     band = float(exact_band)
     G = ga.pa.group
-    src, (ex, ey), P = ga.src, ga.edges, len(ga.pa.points)
+    src, P = ga.src, len(ga.pa.points)
     levels = d + 1
     in_mask = src >= 0
     src_clip = np.clip(src, 0, None)
@@ -533,10 +551,23 @@ def search_towers(
     exact_residual = ResidualFormula(ga, witnesses)
     wmax = exact_residual.float_wmax()
 
+    # Exact candidates are integers over denom = lcm(2^20, band denominator),
+    # capped at the band wherever the float cap binds.  In place of +inf
+    # their pad lies above every value plus the widest step.
+    denom = math.lcm(1 << 20, exact_band.denominator)
+    exact_step = exact_band.numerator * (denom // exact_band.denominator)
+    pad = denom + exact_step * windows.shape[2] + 1
+    int_dtype = _int_dtype(2 * pad)
+    exact_cap = np.full(P, denom, dtype=int_dtype)
+    exact_cap[cap < 1.0] = exact_step
+
     # The lower envelope's forward pass is a prefix minimum of vals - steps
-    # on the rows, its backward pass one of vals + steps on the reversed rows.
-    steps = band * np.arange(windows.shape[2])
-    signed_steps = np.stack([-steps, steps[::-1]])[:, None, :]
+    # on the rows, its backward pass one of vals + steps on the reversed rows:
+    # k band in floats for the sweeps, k exact_step in integers for the candidates.
+    k = np.arange(windows.shape[2])
+    signed_steps, exact_signed_steps = (
+        np.stack([-steps, steps[::-1]])[:, None, :] for steps in (band * k, k.astype(int_dtype) * exact_step)
+    )
 
     # Plans into the buffer [+inf, 0.0, -1.0, v]: incoming values per (level,
     # point) as (R, levels, G, P), the same laid out (G, P, R, levels) with
@@ -548,11 +579,11 @@ def search_towers(
     window_plan = np.where(windows == P, INF, base[..., None, None] + windows)
     envelope_take = np.arange(C * levels).reshape(C, levels, 1, 1) * windows.size + ends
 
-    def load(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A new buffer holding the (R, levels, P) values v, its view of them,
-        and the tower plan for R rows (contiguous, so its take is cheap)."""
-        buf = np.empty(3 + v.size)
-        buf[:3] = np.inf, 0.0, -1.0
+    def load(v: np.ndarray, pad=np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A new buffer of v's dtype holding the (R, levels, P) values v, its view
+        of them, and the tower plan for R rows (contiguous, so its take is cheap)."""
+        buf = np.empty(3 + v.size, dtype=v.dtype)
+        buf[:3] = pad, 0, -1
         buf[3:] = v.ravel()
         return buf, buf[3:].reshape(v.shape), np.ascontiguousarray(tower_plan[:, :, : len(v)])
 
@@ -561,15 +592,14 @@ def search_towers(
         gather lays it out: the layout fixes the order of the sum over (g, j)."""
         return buf.take(plan).transpose(2, 0, 3, 1)
 
-    def lipschitz_project(buf: np.ndarray, v: np.ndarray) -> None:
-        """Largest band-Lipschitz function below v, per chain (lower envelope)."""
-        vals = buf.take(window_plan[: len(v)]) + signed_steps
+    def lipschitz_project(buf: np.ndarray, v: np.ndarray, signed: np.ndarray) -> None:
+        """Largest function below v within the band ``signed`` steps by (float
+        or exact), in v's dtype: the lower envelope on each chain, and so on
+        the grid, whose edges form only chains and cycles."""
+        vals = buf.take(window_plan[: len(v)]) + signed
         np.fmin.accumulate(vals, axis=-1, out=vals)
-        vals -= signed_steps
+        vals -= signed
         np.fmin.reduce(vals.take(envelope_take[: len(v)]), axis=2, out=v)
-
-    def lipschitz_ok(v: np.ndarray) -> bool:
-        return not np.any(np.abs(v[:, ex] - v[:, ey]) > band + 1e-12)
 
     def float_residual(buf: np.ndarray, plan: np.ndarray) -> np.ndarray:
         """Per restart: the partition and orthogonality terms in floats."""
@@ -639,7 +669,7 @@ def search_towers(
                 # Hard constraints: box and caps (cap <= 1), Lipschitz band.
                 np.maximum(v, 0.0, out=v)
                 np.minimum(v, cap, out=v)
-                lipschitz_project(buf, v)
+                lipschitz_project(buf, v, signed_steps)
                 if polishing:
                     # back is the state before the previous polish sweep, so
                     # v == back means F(F(back)) == back.
@@ -668,32 +698,6 @@ def search_towers(
             final[k] = v_k
         return final, ran
 
-    # Exact candidates are integers over denom = lcm(2^20, band denominator);
-    # the cap is the band wherever the float cap binds.
-    denom = math.lcm(1 << 20, exact_band.denominator)
-    exact_step = exact_band.numerator * (denom // exact_band.denominator)
-    int_dtype = _int_dtype(denom + abs(exact_step))
-    exact_cap = np.full(P, denom, dtype=int_dtype)
-    exact_cap[cap < 1.0] = exact_step
-
-    def floor_cap_repair(v: np.ndarray) -> np.ndarray:
-        """Exact-rational candidate over denom: floor to a dyadic grid, then repair.
-
-        Flooring keeps box and cap constraints; a shortest-path style
-        relaxation then restores the Lipschitz band exactly (values only
-        decrease, so box and caps survive).  The relaxation's fixed point is
-        the largest band-respecting function below the floor, whatever the
-        order of the edge updates.
-        """
-        scaled = (v * (1 << 20)).astype(np.int64).astype(int_dtype) * (denom >> 20)
-        f = np.minimum(scaled, exact_cap[None, :])
-        while True:
-            before = f.copy()
-            np.minimum.at(f, (slice(None), ey), f[:, ex] + exact_step)
-            np.minimum.at(f, (slice(None), ex), f[:, ey] + exact_step)
-            if np.array_equal(f, before):
-                return f
-
     best_res: Optional[Fraction] = None
     best: Optional[NumericTowers] = None
     rng_master = np.random.default_rng(seed)
@@ -709,13 +713,13 @@ def search_towers(
                 v_r[j] = np.interp(xs, np.linspace(0, 1, len(anchors)), anchors)
         final, ran = sweep_chunk(np.clip(v, 0.0, 1.0))
         for restart, v_r, sweeps_run in zip(chunk, final, ran):
-            if not lipschitz_ok(v_r):
-                buf, v_r, _ = load(np.clip(v_r, 0.0, 1.0)[None])
-                lipschitz_project(buf, v_r)
-                v_r = v_r[0]
-            f = floor_cap_repair(np.clip(np.minimum(v_r, cap[None, :]), 0.0, 1.0))
-            # The candidate's towers f_g = f . theta_{g^-1} as a table over denom.
-            candidate = NumericTowers(np.where(in_mask[:, None, :], f[:, src_clip].swapaxes(0, 1), 0), denom)
+            # The candidate f: v_r floored to the 2^-20 grid (which keeps the
+            # box), capped, then enveloped in the exact band (values only fall).
+            # Its towers f_g = f . theta_{g^-1} make a table over denom.
+            floor = (v_r * (1 << 20)).astype(np.int64).astype(int_dtype) * (denom >> 20)
+            buf, f, _ = load(np.minimum(floor, exact_cap)[None], pad)
+            lipschitz_project(buf, f, exact_signed_steps)
+            candidate = NumericTowers(np.where(in_mask[:, None, :], f[0][:, src_clip].swapaxes(0, 1), 0), denom)
             res = exact_residual(*check_admissible(ga, candidate))
             if best_res is None or res < best_res:
                 best_res, best = res, candidate

@@ -82,16 +82,24 @@ def _dim_str(value) -> str:
     return "infinity" if value == math.inf else str(int(value))
 
 
+def _draw(rng: random.Random) -> PartialAction:
+    """One instance: a group, a carrier size, a density and a seed from rng."""
+    spec = GROUP_SPECS[rng.randrange(len(GROUP_SPECS))]
+    size = rng.randint(1, MAX_CARRIER)
+    keep = KEEP_PROBABILITIES[rng.randrange(len(KEEP_PROBABILITIES))]
+    return random_partial_action(rng.randrange(1 << 30), spec, size, keep)
+
+
 def corpus(seed: int, count: int) -> list[PartialAction]:
     """The standard reproducible corpus: mixed groups, sizes, densities."""
     rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        spec = GROUP_SPECS[rng.randrange(len(GROUP_SPECS))]
-        size = rng.randint(1, MAX_CARRIER)
-        keep = KEEP_PROBABILITIES[rng.randrange(len(KEEP_PROBABILITIES))]
-        out.append(random_partial_action(rng.randrange(1 << 30), spec, size, keep))
-    return out
+    return [_draw(rng) for _ in range(count)]
+
+
+def _report(theorem: str, instances: int, seed: int, failed, notes=()) -> CheckReport:
+    """The check's report: one replayable record per (instance, lhs, rhs) in ``failed``."""
+    failures = tuple({"instance": _instance_payload(pa), "lhs": lhs, "rhs": rhs} for pa, lhs, rhs in failed)
+    return CheckReport(theorem, instances, seed, failures, tuple(notes))
 
 
 def check_globalization_theorem(seed: int, count: int = 100) -> CheckReport:
@@ -99,19 +107,13 @@ def check_globalization_theorem(seed: int, count: int = 100) -> CheckReport:
 
     Both sides are solver-computed on the instance and on its envelope.
     """
-    failures = []
+    failed = []
     for pa in corpus(seed, count):
-        lhs = rokhlin_dimension(pa)
-        rhs = rokhlin_dimension(globalize(pa).envelope)
-        if lhs.dimension != rhs.dimension:
-            failures.append(
-                {
-                    "instance": _instance_payload(pa),
-                    "lhs": _dim_str(lhs.dimension),
-                    "rhs": _dim_str(rhs.dimension),
-                }
-            )
-    return CheckReport("globalization-preserves-dimension", count, seed, tuple(failures))
+        lhs = rokhlin_dimension(pa).dimension
+        rhs = rokhlin_dimension(globalize(pa).envelope).dimension
+        if lhs != rhs:
+            failed.append((pa, _dim_str(lhs), _dim_str(rhs)))
+    return _report("globalization-preserves-dimension", count, seed, failed)
 
 
 def _decomposable_layers(seed: int, count: int) -> list[tuple[PartialAction, int]]:
@@ -120,10 +122,7 @@ def _decomposable_layers(seed: int, count: int) -> list[tuple[PartialAction, int
     layers: list[tuple[PartialAction, int]] = []
     attempt = 0
     while len(layers) < count:
-        spec = GROUP_SPECS[rng.randrange(len(GROUP_SPECS))]
-        size = rng.randint(1, MAX_CARRIER)
-        keep = KEEP_PROBABILITIES[rng.randrange(len(KEEP_PROBABILITIES))]
-        pa = random_partial_action(rng.randrange(1 << 30), spec, size, keep)
+        pa = _draw(rng)
         s = stratification(pa)
         for k in range(1, pa.group.order + 1):
             if s.stratum(k) and len(layers) < count:
@@ -136,21 +135,15 @@ def _decomposable_layers(seed: int, count: int) -> list[tuple[PartialAction, int
 
 def check_strata_theorem(seed: int, count: int = 100) -> CheckReport:
     """On decomposable instances the dimension is the max over subsystems."""
-    failures = []
+    failed = []
     layers = _decomposable_layers(seed, count)
     for pa, k in layers:
         lhs = rokhlin_dimension(pa).dimension
         parts = orbit_type_decomposition(pa, k) if pa.carrier else []
         rhs = max((rokhlin_dimension(p.subsystem).dimension for p in parts), default=0)
         if lhs != rhs:
-            failures.append(
-                {
-                    "instance": _instance_payload(pa),
-                    "lhs": _dim_str(lhs),
-                    "rhs": _dim_str(rhs),
-                }
-            )
-    return CheckReport("decomposable-dimension-via-subsystems", len(layers), seed, tuple(failures))
+            failed.append((pa, _dim_str(lhs), _dim_str(rhs)))
+    return _report("decomposable-dimension-via-subsystems", len(layers), seed, failed)
 
 
 def _random_invariant_subset(pa: PartialAction, rng: random.Random) -> frozenset[int]:
@@ -162,7 +155,7 @@ def _random_invariant_subset(pa: PartialAction, rng: random.Random) -> frozenset
 def check_monotonicity(seed: int, count: int = 100) -> CheckReport:
     """Restriction and complement never increase the tower dimension."""
     rng = random.Random(seed)
-    failures = []
+    failed = []
     for pa in corpus(seed, count):
         S = _random_invariant_subset(pa, rng)
         part, rest = restrict_and_quotient(pa, S)
@@ -170,14 +163,8 @@ def check_monotonicity(seed: int, count: int = 100) -> CheckReport:
         for name, piece in (("restriction", part), ("complement", rest)):
             piece_dim = rokhlin_dimension(piece).dimension
             if not piece_dim <= full:
-                failures.append(
-                    {
-                        "instance": _instance_payload(pa),
-                        "lhs": f"{name}:{_dim_str(piece_dim)}",
-                        "rhs": _dim_str(full),
-                    }
-                )
-    return CheckReport("restriction-and-quotient-monotone", count, seed, tuple(failures))
+                failed.append((pa, f"{name}:{_dim_str(piece_dim)}", _dim_str(full)))
+    return _report("restriction-and-quotient-monotone", count, seed, failed)
 
 
 def check_morita(seed: int, count: int = 100) -> CheckReport:
@@ -187,8 +174,7 @@ def check_morita(seed: int, count: int = 100) -> CheckReport:
     bimodule clause.  Non-free instances only produce informational notes:
     the hypothesis of the statement fails there.
     """
-    failures = []
-    notes = []
+    failed, notes = [], []
     for pa in corpus(seed, count):
         rok = rokhlin_dimension(pa)
         alg = crossed_product(pa)
@@ -196,59 +182,38 @@ def check_morita(seed: int, count: int = 100) -> CheckReport:
         fp = fixed_point_algebra(pa)
         equivalent = morita_equivalent(fp, cp)
         report = imprimitivity_bimodule_verify(pa, crossed=alg)
-        if rok.finite:
-            if not equivalent or not report.all_hold:
-                failures.append(
-                    {
-                        "instance": _instance_payload(pa),
-                        "lhs": f"morita={equivalent}",
-                        "rhs": f"clauses={report.clauses}",
-                    }
-                )
-        else:
+        if not rok.finite:
             notes.append(
                 f"hypothesis fails (infinite dimension): morita={equivalent}, "
                 f"right_fullness={report.right_fullness}"
             )
-    return CheckReport("morita-fixed-point-vs-crossed-product", count, seed, tuple(failures), tuple(notes))
+        elif not equivalent or not report.all_hold:
+            failed.append((pa, f"morita={equivalent}", f"clauses={report.clauses}"))
+    return _report("morita-fixed-point-vs-crossed-product", count, seed, failed, notes)
 
 
 def check_free_iff_finite(seed: int, count: int = 100) -> CheckReport:
     """Finite dimension iff free, and free forces dimension zero."""
-    failures = []
+    failed = []
     for pa in corpus(seed, count):
-        rok = rokhlin_dimension(pa)
-        free = is_free(pa)
-        ok = (rok.finite == free) and (not free or rok.dimension == 0)
-        if not ok:
-            failures.append(
-                {
-                    "instance": _instance_payload(pa),
-                    "lhs": f"free={free}",
-                    "rhs": _dim_str(rok.dimension),
-                }
-            )
-    return CheckReport("free-iff-finite-dimension", count, seed, tuple(failures))
+        rok, free = rokhlin_dimension(pa), is_free(pa)
+        if rok.finite != free or (free and rok.dimension != 0):
+            failed.append((pa, f"free={free}", _dim_str(rok.dimension)))
+    return _report("free-iff-finite-dimension", count, seed, failed)
 
 
 def check_extension_bound(seed: int, count: int = 100) -> CheckReport:
     """dim(pa) <= dim(restriction) + dim(complement) + 1 for invariant splits."""
     rng = random.Random(seed + 1)
-    failures = []
+    failed = []
     for pa in corpus(seed, count):
         S = _random_invariant_subset(pa, rng)
         part, rest = restrict_and_quotient(pa, S)
         full = rokhlin_dimension(pa).dimension
         bound = rokhlin_dimension(part).dimension + rokhlin_dimension(rest).dimension + 1
         if not full <= bound:
-            failures.append(
-                {
-                    "instance": _instance_payload(pa),
-                    "lhs": _dim_str(full),
-                    "rhs": f"bound:{bound}",
-                }
-            )
-    return CheckReport("extension-dimension-bound", count, seed, tuple(failures))
+            failed.append((pa, _dim_str(full), f"bound:{bound}"))
+    return _report("extension-dimension-bound", count, seed, failed)
 
 
 ALL_CHECKS: tuple[tuple[str, Callable[[int, int], CheckReport]], ...] = (

@@ -180,22 +180,22 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
     equivariance (C1) f_h(y) = f_{gh}(theta_g(y)) for every y in X_{g^-1}
     and every h.
 
-    The towers are integer tables T[j, g, z] = code of f_1^(j)(theta_{g^-1} z)
-    on X_g, 0 elsewhere, where equal values share a code and 0 has code 0;
-    they lie inside the domains by construction.  Levels with mass are taken
-    in row blocks, so memory does not grow with their number.  (C2) is a
-    whole-array comparison of codes, and (C3) keeps one running Fraction
-    mass per distinct sequence of codes, numbered level by level with a flag
-    array over the (sequence, code) pairs (one byte per pair of a mass and
-    a value; two values for the solver's certificates).  Once (C2) holds, column
-    T[j, :, z] has at most one positive code top[j, z], at g = at[j, z];
-    (1) at (g, y) compares column y with column z = theta_g(y) shifted by
-    g, so it holds iff top[j, y] = top[j, z] and, when positive,
-    at[j, z] = g at[j, y]: one (level, g, y) comparison per block.  A
-    failure names the witness a point-by-point scan would meet first: checks
-    in the order above, (C2) by level then point, (C3) by point, and (1) by
-    g, y, h, level (the least over level blocks), with points taken in the
-    iteration order of ``pa.carrier`` and of each domain.
+    The towers are integer tables T[j, g, z] = scale * f_1^(j)(theta_{g^-1} z)
+    on X_g, 0 elsewhere, over scale = the lcm of the values' denominators
+    (int64, or Python ints once scale times the levels passes 2^62); they
+    lie inside the domains by construction.  Levels with mass are taken in
+    row blocks, so memory does not grow with their number.  (C2) is a
+    whole-array comparison, and (C3) adds each level's column maxima to one
+    integer mass per point, which must end at scale.  Once (C2) holds,
+    column T[j, :, z] has at most one positive entry top[j, z], at
+    g = at[j, z]; (1) at (g, y) compares column y with column
+    z = theta_g(y) shifted by g, so it holds iff top[j, y] = top[j, z] and,
+    when positive, at[j, z] = g at[j, y]: one (level, g, y) comparison per
+    block.  A failure names the witness a point-by-point scan would meet
+    first: checks in the order above, (C2) by level then point, (C3) by
+    point, and (1) by g, y, h, level (the least over level blocks), with
+    points taken in the iteration order of ``pa.carrier`` and of each
+    domain.
     """
     levels = cert.d + 1
     for j in range(levels):
@@ -209,15 +209,15 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
     # A level without mass gives zero towers, which pass (C2) and (1) and add
     # nothing to (C3); only the other levels enter the tables.
     live = [j for j in range(levels) if any(cert.levels[j].values())]
-    values = [0] + sorted({v for j in live for v in cert.levels[j].values() if v})
-    code = {v: r for r, v in enumerate(values)}
-    key, masses = np.zeros(n, dtype=np.intp), [Fraction(0)]  # (C3): equal keys, equal codes so far
+    scale = math.lcm(*(v.denominator for j in live for v in cert.levels[j].values()))
+    dtype = np.int64 if scale * len(live) < 1 << 62 else object
+    mass = np.zeros(n, dtype=dtype)  # (C3): scale times the mass at each point so far
     raw = (order,)  # least witness of (1) so far: (g, position of y, h, level, y)
     for block in row_blocks(len(live), order * n):
-        first = np.zeros((block.stop - block.start, n + 1), dtype=np.intp)  # column n: off X_g
+        first = np.zeros((block.stop - block.start, n + 1), dtype=dtype)  # column n: off X_g
         for row, j in enumerate(live[block]):
             for x, v in cert.levels[j].items():
-                first[row, index[x]] = code[v]
+                first[row, index[x]] = v.numerator * (scale // v.denominator)
         T = first[:, pa.table[inv]]  # (level in block, g, z)
         # (C2) per-level orthogonality.
         crowded = (T > 0).sum(axis=1) > 1
@@ -225,16 +225,9 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
             x = next(x for x in pa.carrier if crowded[row, index[x]])
             positive = np.flatnonzero(T[row, :, index[x]]).tolist()
             return CertificateCheck(False, f"orthogonality fails at point {x}, level {live[block][row]}: towers {positive}")
-        # (C3) partition of unity: after (C2) each level holds at most one
-        # positive code per point, so a point's mass is fixed by its codes.
-        tops = T.max(axis=1)  # (level, z): the one positive code of column z, or 0
-        for top in tops:
-            # Number the (key, code) pairs in order: flag those present, count the flags before each.
-            pair = key * len(values) + top
-            flag = np.zeros(len(masses) * len(values), dtype=bool)
-            flag[pair] = True
-            key, pairs = (np.cumsum(flag) - 1)[pair], np.flatnonzero(flag).tolist()
-            masses = [masses[k] + values[c] for k, c in (divmod(u, len(values)) for u in pairs)]
+        # (C3) partition of unity: after (C2) a column's one positive value is its maximum.
+        tops = T.max(axis=1)  # (level, z)
+        mass += tops.sum(axis=0)
         # Raw condition (1) on one-sparse columns, where z = theta_g(y) is defined.
         at, z = T.argmax(axis=1), pa.table  # z: (g, y), -1 reads any entry
         bad = (z >= 0) & ((tops[:, None] != tops[:, z])
@@ -249,10 +242,10 @@ def verify_certificate(pa: PartialAction, cert: TowerCertificate) -> Certificate
             h = np.min([np.where(t > 0, a, order) for a, t in sides], axis=0)  # by level
             row = min(np.flatnonzero(bad[:, g, i]).tolist(), key=lambda r: (h[r], r))
             raw = min(raw, (g, pos, int(h[row]), block.start + row, y))
-    short = np.array([m != 1 for m in masses], dtype=bool)[key]  # by point index
+    short = mass != scale  # by point index
     if short.any():
         x = next(x for x in pa.carrier if short[index[x]])
-        return CertificateCheck(False, f"tower masses sum to {masses[key[index[x]]]} != 1 at point {x}")
+        return CertificateCheck(False, f"tower masses sum to {Fraction(int(mass[index[x]]), scale)} != 1 at point {x}")
     if raw[0] < order:
         g, _, h, row, y = raw
         return CertificateCheck(False, f"raw condition (1) fails at (g={g}, h={h}, y={y}, level {live[row]})")

@@ -224,6 +224,31 @@ def test_adjacency_check_agrees_with_the_reference_on_tampered_chains():
     assert 0 < failures < 40
 
 
+def test_a_branching_point_fails_at_construction():
+    """The edges must form chains and cycles: the least point with a third
+    distinct neighbour is named by its label, after the adjacency check."""
+    pa = trivial_partial_action(build_group(("cyclic", 2)), [10, 11, 12, 13, 14])
+    chain = [(1, 2), (0, 1), (2, 1), (3, 4), (4, 3), (3, 2)]  # repeats and reversals are one edge
+    GridAction(pa, range(5), np.array(chain).T, F(1), F(1))
+    with pytest.raises(GridError, match=r"^point 11 has more than two neighbours: the edges must form chains and cycles$"):
+        GridAction(pa, range(5), np.array(chain + [(3, 1)]).T, F(1), F(1))
+    # On the circle model an extra chord breaks adjacency before it branches.
+    whole, _ = punctured_circle_pair_global(16)
+    with pytest.raises(GridError, match="does not preserve adjacency"):
+        GridAction(whole.pa, whole.positions, np.insert(whole.edges, 0, [0, 2], axis=1), whole.spacing, whole.lipschitz)
+
+
+def test_a_self_loop_bounds_no_step():
+    """A self-loop is no neighbour: an open chain with one at its end keeps
+    its plans, rather than being walked as a cycle."""
+    pa = trivial_partial_action(build_group(("cyclic", 2)), range(4))
+    chain = [[0, 1, 2], [1, 2, 3]]
+    plans = GridAction(pa, range(4), chain, F(1), F(1))._plans
+    for loop in ([0], [3], [1]):
+        looped = GridAction(pa, range(4), np.concatenate([chain, [loop, loop]], axis=1), F(1), F(1))._plans
+        assert all(np.array_equal(a, b) for a, b in zip(looped, plans))
+
+
 def test_an_edge_off_the_carrier_fails_at_construction():
     ga, _, _ = punctured_circle_pair(16)
     for x, y in ((14, 30), (-1, 0)):
@@ -379,6 +404,10 @@ def test_search_on_an_empty_carrier():
     [
         ({"restarts": 0}, "restarts must be >= 1"),
         ({"restarts": -1}, "restarts must be >= 1"),
+        # Every state a sweep leaves is projected; with no sweeps the start
+        # would be scored unprojected.
+        ({"sweeps": 0, "polish_sweeps": 0}, r"sweeps \+ polish_sweeps must be >= 1, got 0"),
+        ({"sweeps": 3, "polish_sweeps": -4}, r"sweeps \+ polish_sweeps must be >= 1, got -1"),
         ({"lipschitz": -3}, "lipschitz must be >= 0"),
         ({"seed": -1}, "seed must be >= 0"),
         # d = -1 gave a zero-level table as the best towers, and d = -2 a
@@ -799,7 +828,7 @@ def test_search_is_pinned_on_cycles_and_the_interval():
 
 
 def test_search_is_pinned_with_a_band_on_python_ints():
-    # A band over 3^40 puts the floor-cap-repair step on Python ints.
+    # A band over 3^40 puts the exact candidate's envelope on Python ints.
     ga, family, _ = punctured_circle_pair(32, lipschitz=F(3**40 - 1, 3**40))
     got: list = []
     towers, res = search_towers(ga, family, F(0), 0, seed=4, restarts=2, sweeps=20, polish_sweeps=30, trace=got)

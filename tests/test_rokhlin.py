@@ -21,7 +21,7 @@ from partact.rokhlin import (
     verify_refutation,
 )
 from lift_reference import PreconditionViolated, orthogonal_lifts
-from scan_reference import unvalidated
+from scan_reference import reference_verify_certificate, unvalidated
 
 F = Fraction
 
@@ -69,6 +69,31 @@ def test_verify_certificate_rejects_tampering(swap_pair):
     bad = TowerCertificate(0, (bad_level,))
     check = verify_certificate(swap_pair, bad)
     assert not check.ok and check.witness
+
+
+def test_verify_certificate_holds_masses_past_2_62_in_python_ints(swap_pair):
+    """Values over 3^40 do not fit int64, so the tables hold Python ints: a
+    valid two-level certificate passes, and tampered copies fail with the
+    scan reference's witness.  Three levels over 3^39 fit int64 one by one,
+    but a mass near 3 would wrap an int64 sum."""
+    a, b, e = F(1, 3**40), F(2, 3**40), F(1, 3**39)
+    valid = TowerCertificate(1, ({0: a, 2: b}, {0: 1 - a, 2: 1 - b}))
+    tampered = [
+        TowerCertificate(1, ({0: a, 2: b}, {0: 1 - a, 2: 1 - b + a})),
+        TowerCertificate(1, ({0: a, 1: a, 2: b}, {0: 1 - a, 2: 1 - b})),
+        TowerCertificate(2, ({0: 1 - e, 2: F(1)}, {0: F(1)}, {0: F(1)})),
+    ]
+    assert verify_certificate(swap_pair, valid).ok and reference_verify_certificate(swap_pair, valid).ok
+    witnesses = []
+    for cert in tampered:
+        new, ref = verify_certificate(swap_pair, cert), reference_verify_certificate(swap_pair, cert)
+        assert not new.ok and (new.ok, new.witness) == (ref.ok, ref.witness)
+        witnesses.append(new.witness)
+    assert witnesses == [
+        f"tower masses sum to {1 + a} != 1 at point 2",
+        "orthogonality fails at point 0, level 0: towers [0, 1]",
+        f"tower masses sum to {3 - e} != 1 at point 0",
+    ]
 
 
 def test_verify_certificate_raw_condition_catches_broken_equivariance():
