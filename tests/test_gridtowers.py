@@ -404,16 +404,16 @@ def test_search_on_an_empty_carrier():
     [
         ({"restarts": 0}, "restarts must be >= 1"),
         ({"restarts": -1}, "restarts must be >= 1"),
-        # Every state a sweep leaves is projected; with no sweeps the start
-        # would be scored unprojected.
-        ({"sweeps": 0, "polish_sweeps": 0}, r"sweeps \+ polish_sweeps must be >= 1, got 0"),
-        ({"sweeps": 3, "polish_sweeps": -4}, r"sweeps \+ polish_sweeps must be >= 1, got -1"),
         ({"lipschitz": -3}, "lipschitz must be >= 0"),
         ({"seed": -1}, "seed must be >= 0"),
         # d = -1 gave a zero-level table as the best towers, and d = -2 a
         # numpy error about negative dimensions.
         ({"d": -1}, "d must be >= 0, got -1"),
         ({"d": -2}, "d must be >= 0, got -2"),
+        # Every state a sweep leaves is projected; with no sweeps the start
+        # would be scored unprojected.
+        ({"sweeps": 0, "polish_sweeps": 0}, r"sweeps \+ polish_sweeps must be >= 1, got 0"),
+        ({"sweeps": 3, "polish_sweeps": -4}, r"sweeps \+ polish_sweeps must be >= 1, got -1"),
     ],
 )
 def test_search_rejects_no_restarts_and_negative_band(kwargs, message):
