@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import build_group
-from .pactions import PartialAction, _check_global_table, restricted_to, validate
+from .pactions import PartialAction, _check_global_table, restricted_to
 
 F1 = Fraction
 
@@ -358,14 +358,12 @@ def interval_half_shift(delta, m: int):
         raise OddGrid(m)
     group = build_group(("cyclic", 2))
     h = F1(2, m)
-    points = list(range(1, m + 1))
-    cut, end = m // 2, m
-    U = [k for k in points if k not in (cut, end)]
-    theta = {k: (k + cut if k < cut else k - cut) for k in U}
-    pa = validate(group, points, {0: set(points), 1: set(U)}, {0: {k: k for k in points}, 1: theta})
-    ga = GridAction(pa, np.arange(1, m + 1), np.stack([np.arange(m - 1), np.arange(1, m)]), h, F1(1, 1) / h)
+    cut, i = m // 2, np.arange(m)
+    # The shift moves point k = i + 1 by cut between the halves; it is undefined at the cut and the end.
+    pa = PartialAction(group, i + 1, np.array([i, np.where(i % cut == cut - 1, -1, (i + cut) % m)]))
+    ga = GridAction(pa, i + 1, np.stack([i[:-1], i[1:]]), h, F1(1, 1) / h)
 
-    family, scale = _plateau(ga.positions, [(0,), (0, cut, end)], h, delta)
+    family, scale = _plateau(ga.positions, [(0,), (0, cut, m)], h, delta)
     f, e = family
     # Levels e and f - e over the points in order; the lower half (k < cut)
     # goes to the shift's tower, the rest, the cut included, to the identity's.

@@ -1,7 +1,9 @@
 """Randomized, seeded theorem-check suites over finite model corpora.
 
 Each check compares two independently computed sides of an equality or
-inequality on a reproducible corpus of random partial actions.  A failure
+inequality over a reproducible corpus of random partial actions, each
+instance paired with its Rokhlin dimension.  ``run_all_checks`` draws and
+solves that corpus once and hands it to all six checks.  A failure
 serializes the offending instance for replay; empty failure lists are the
 release criterion.  Non-free instances are exercised too, but where a
 statement assumes finite tower dimension, hypothesis failure is recorded as
@@ -14,7 +16,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator
 
 from .cli import serialize_instance
 from .decomp import orbit_type_decomposition, stratification
@@ -34,7 +37,7 @@ from .pactions import (
     restricted_to,
     translation_groupoid,
 )
-from .rokhlin import rokhlin_dimension
+from .rokhlin import RokhlinResult, rokhlin_dimension
 
 GROUP_SPECS: tuple = (
     ("cyclic", 2),
@@ -73,11 +76,6 @@ class CheckReport:
         }
 
 
-def _instance_payload(pa: PartialAction) -> dict:
-    """The instance document of ``pa``, which ``partact analyze`` reads back."""
-    return json.loads(serialize_instance(pa))
-
-
 def _dim_str(value) -> str:
     return "infinity" if value == math.inf else str(int(value))
 
@@ -90,84 +88,88 @@ def _draw(rng: random.Random) -> PartialAction:
     return random_partial_action(rng.randrange(1 << 30), spec, size, keep)
 
 
+def _stream(seed: int) -> Iterator[PartialAction]:
+    """The instances ``random.Random(seed)`` draws, one after another."""
+    return map(_draw, repeat(random.Random(seed)))
+
+
 def corpus(seed: int, count: int) -> list[PartialAction]:
     """The standard reproducible corpus: mixed groups, sizes, densities."""
-    rng = random.Random(seed)
-    return [_draw(rng) for _ in range(count)]
+    return list(islice(_stream(seed), count))
+
+
+def _solved(seed: int, count: int) -> tuple[list[tuple[PartialAction, RokhlinResult]], Iterator[PartialAction]]:
+    """The corpus, each instance with its ``rokhlin_dimension``, and its stream at the next draw."""
+    stream = _stream(seed)
+    return [(pa, rokhlin_dimension(pa)) for pa in islice(stream, count)], stream
+
+
+def _on_its_own_corpus(body):
+    """``check(seed, count=100)``: ``body`` over a corpus drawn and solved for this call alone."""
+    def check(seed: int, count: int = 100) -> CheckReport:
+        return body(seed, *_solved(seed, count))
+    check.__name__ = check.__qualname__ = body.__name__
+    check.__doc__, check.body = body.__doc__, body
+    return check
 
 
 def _report(theorem: str, instances: int, seed: int, failed, notes=()) -> CheckReport:
-    """The check's report: one replayable record per (instance, lhs, rhs) in ``failed``."""
-    failures = tuple({"instance": _instance_payload(pa), "lhs": lhs, "rhs": rhs} for pa, lhs, rhs in failed)
+    """The check's report: one record per (instance, lhs, rhs) in ``failed``, the instance
+    as the instance document ``partact analyze`` reads back."""
+    failures = tuple(dict(instance=json.loads(serialize_instance(pa)), lhs=lhs, rhs=rhs) for pa, lhs, rhs in failed)
     return CheckReport(theorem, instances, seed, failures, tuple(notes))
 
 
-def check_globalization_theorem(seed: int, count: int = 100) -> CheckReport:
-    """Tower dimension is preserved by globalization.
-
-    Both sides are solver-computed on the instance and on its envelope.
-    """
+@_on_its_own_corpus
+def check_globalization_theorem(seed: int, solved: list, stream: Iterator) -> CheckReport:
+    """Tower dimension is preserved by globalization: solved on the instance and on its envelope."""
     failed = []
-    for pa in corpus(seed, count):
-        lhs = rokhlin_dimension(pa).dimension
+    for pa, rok in solved:
         rhs = rokhlin_dimension(globalize(pa).envelope).dimension
-        if lhs != rhs:
-            failed.append((pa, _dim_str(lhs), _dim_str(rhs)))
-    return _report("globalization-preserves-dimension", count, seed, failed)
+        if rok.dimension != rhs:
+            failed.append((pa, _dim_str(rok.dimension), _dim_str(rhs)))
+    return _report("globalization-preserves-dimension", len(solved), seed, failed)
 
 
-def _decomposable_layers(seed: int, count: int) -> list[tuple[PartialAction, int]]:
-    """Decomposable instances obtained by restricting to single strata."""
-    rng = random.Random(seed)
-    layers: list[tuple[PartialAction, int]] = []
-    attempt = 0
+@_on_its_own_corpus
+def check_strata_theorem(seed: int, solved: list, stream: Iterator) -> CheckReport:
+    """The dimension is the max over subsystems on restrictions to single strata: of the
+    corpus instances, then, if they run short, of further draws from its stream."""
+    count, layers, failed = len(solved), [], []
+    instances = chain([pa for pa, _ in solved], islice(stream, 49 * count))
     while len(layers) < count:
-        pa = _draw(rng)
-        s = stratification(pa)
-        for k in range(1, pa.group.order + 1):
-            if s.stratum(k) and len(layers) < count:
-                layers.append((restricted_to(pa, s.stratum(k)), k))
-        attempt += 1
-        if attempt > 50 * count:
+        if (pa := next(instances, None)) is None:
             raise RuntimeError("could not generate enough decomposable layers")
-    return layers
-
-
-def check_strata_theorem(seed: int, count: int = 100) -> CheckReport:
-    """On decomposable instances the dimension is the max over subsystems."""
-    failed = []
-    layers = _decomposable_layers(seed, count)
-    for pa, k in layers:
+        s = stratification(pa)
+        layers += [(restricted_to(pa, s.stratum(k)), k) for k in range(1, pa.group.order + 1) if s.stratum(k)]
+    for pa, k in layers[:count]:
         lhs = rokhlin_dimension(pa).dimension
-        parts = orbit_type_decomposition(pa, k) if pa.carrier else []
-        rhs = max((rokhlin_dimension(p.subsystem).dimension for p in parts), default=0)
+        rhs = max(rokhlin_dimension(p.subsystem).dimension for p in orbit_type_decomposition(pa, k))
         if lhs != rhs:
             failed.append((pa, _dim_str(lhs), _dim_str(rhs)))
-    return _report("decomposable-dimension-via-subsystems", len(layers), seed, failed)
+    return _report("decomposable-dimension-via-subsystems", count, seed, failed)
 
 
 def _random_invariant_subset(pa: PartialAction, rng: random.Random) -> frozenset[int]:
-    orbits = translation_groupoid(pa).orbits
-    chosen = [o for o in orbits if rng.random() < 0.5]
-    return frozenset().union(*chosen) if chosen else frozenset()
+    return frozenset().union(*(o for o in translation_groupoid(pa).orbits if rng.random() < 0.5))
 
 
-def check_monotonicity(seed: int, count: int = 100) -> CheckReport:
+@_on_its_own_corpus
+def check_monotonicity(seed: int, solved: list, stream: Iterator) -> CheckReport:
     """Restriction and complement never increase the tower dimension."""
     rng = random.Random(seed)
     failed = []
-    for pa in corpus(seed, count):
-        S = _random_invariant_subset(pa, rng)
-        part, rest = restrict_and_quotient(pa, S)
-        full = rokhlin_dimension(pa).dimension
+    for pa, rok in solved:
+        part, rest = restrict_and_quotient(pa, _random_invariant_subset(pa, rng))
         for name, piece in (("restriction", part), ("complement", rest)):
             piece_dim = rokhlin_dimension(piece).dimension
-            if not piece_dim <= full:
-                failed.append((pa, f"{name}:{_dim_str(piece_dim)}", _dim_str(full)))
-    return _report("restriction-and-quotient-monotone", count, seed, failed)
+            if not piece_dim <= rok.dimension:
+                failed.append((pa, f"{name}:{_dim_str(piece_dim)}", _dim_str(rok.dimension)))
+    return _report("restriction-and-quotient-monotone", len(solved), seed, failed)
 
 
-def check_morita(seed: int, count: int = 100) -> CheckReport:
+@_on_its_own_corpus
+def check_morita(seed: int, solved: list, stream: Iterator) -> CheckReport:
     """Fixed point algebra vs crossed product, with the bimodule clauses.
 
     Finite-dimension instances must be Morita equivalent and pass every
@@ -175,8 +177,7 @@ def check_morita(seed: int, count: int = 100) -> CheckReport:
     the hypothesis of the statement fails there.
     """
     failed, notes = [], []
-    for pa in corpus(seed, count):
-        rok = rokhlin_dimension(pa)
+    for pa, rok in solved:
         alg = crossed_product(pa)
         cp = crossed_product_blocks(pa, crossed=alg)
         fp = fixed_point_algebra(pa)
@@ -184,36 +185,35 @@ def check_morita(seed: int, count: int = 100) -> CheckReport:
         report = imprimitivity_bimodule_verify(pa, crossed=alg)
         if not rok.finite:
             notes.append(
-                f"hypothesis fails (infinite dimension): morita={equivalent}, "
-                f"right_fullness={report.right_fullness}"
+                f"hypothesis fails (infinite dimension): morita={equivalent}, right_fullness={report.right_fullness}"
             )
         elif not equivalent or not report.all_hold:
             failed.append((pa, f"morita={equivalent}", f"clauses={report.clauses}"))
-    return _report("morita-fixed-point-vs-crossed-product", count, seed, failed, notes)
+    return _report("morita-fixed-point-vs-crossed-product", len(solved), seed, failed, notes)
 
 
-def check_free_iff_finite(seed: int, count: int = 100) -> CheckReport:
+@_on_its_own_corpus
+def check_free_iff_finite(seed: int, solved: list, stream: Iterator) -> CheckReport:
     """Finite dimension iff free, and free forces dimension zero."""
     failed = []
-    for pa in corpus(seed, count):
-        rok, free = rokhlin_dimension(pa), is_free(pa)
+    for pa, rok in solved:
+        free = is_free(pa)
         if rok.finite != free or (free and rok.dimension != 0):
             failed.append((pa, f"free={free}", _dim_str(rok.dimension)))
-    return _report("free-iff-finite-dimension", count, seed, failed)
+    return _report("free-iff-finite-dimension", len(solved), seed, failed)
 
 
-def check_extension_bound(seed: int, count: int = 100) -> CheckReport:
+@_on_its_own_corpus
+def check_extension_bound(seed: int, solved: list, stream: Iterator) -> CheckReport:
     """dim(pa) <= dim(restriction) + dim(complement) + 1 for invariant splits."""
     rng = random.Random(seed + 1)
     failed = []
-    for pa in corpus(seed, count):
-        S = _random_invariant_subset(pa, rng)
-        part, rest = restrict_and_quotient(pa, S)
-        full = rokhlin_dimension(pa).dimension
+    for pa, rok in solved:
+        part, rest = restrict_and_quotient(pa, _random_invariant_subset(pa, rng))
         bound = rokhlin_dimension(part).dimension + rokhlin_dimension(rest).dimension + 1
-        if not full <= bound:
-            failed.append((pa, _dim_str(full), f"bound:{bound}"))
-    return _report("extension-dimension-bound", count, seed, failed)
+        if not rok.dimension <= bound:
+            failed.append((pa, _dim_str(rok.dimension), f"bound:{bound}"))
+    return _report("extension-dimension-bound", len(solved), seed, failed)
 
 
 ALL_CHECKS: tuple[tuple[str, Callable[[int, int], CheckReport]], ...] = (
@@ -227,4 +227,6 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int, int], CheckReport]], ...] = (
 
 
 def run_all_checks(seed: int, count: int = 100) -> list[CheckReport]:
-    return [fn(seed, count) for _, fn in ALL_CHECKS]
+    """Every check's report, each body reading one corpus drawn and solved once."""
+    solved, stream = _solved(seed, count)
+    return [fn.body(seed, solved, stream) for _, fn in ALL_CHECKS]

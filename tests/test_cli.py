@@ -583,6 +583,20 @@ def test_cli_grid_trace_path_fails_before_the_search(tmp_path, monkeypatch, caps
     assert captured.out == "" and captured.err.startswith("error: ") and str(missing) in captured.err
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("7", "e2e5cf3e69349cd06cc6071cd00a403054324652a7737432a8e7d02d3d990ed4"),
+        ("20260808", "63872401453ef884e88c795da556dceedcf3945a602b6d5c9ba58ce2da72e563"),
+    ],
+    ids=["seed-7", "seed-20260808"],
+)
+def test_check_output_is_pinned(seed, digest, capsys):
+    """`partact check --count 100` prints byte-identical reports: sha256 of its stdout."""
+    assert main(["check", "--seed", seed, "--count", "100"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_check_small(capsys):
     assert main(["check", "--seed", "7", "--count", "4"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -140,6 +140,20 @@ def test_circle_pair_global_table_is_the_validated_swap_shift(m, monkeypatch):
     assert len(checked) == 1 and np.array_equal(checked[0], want.table)
 
 
+@pytest.mark.parametrize("m", [2, 4, 64, 8192])
+def test_interval_table_is_the_validated_half_shift(m):
+    """The arithmetic table is the one ``validate`` reads off the dict form:
+    k moves by m/2 between the halves, undefined at the cut m/2 and at m."""
+    ga, _, _ = interval_half_shift(F(1, 8), m)
+    points, cut = list(range(1, m + 1)), m // 2
+    U = [k for k in points if k not in (cut, m)]
+    theta = {k: (k + cut if k < cut else k - cut) for k in U}
+    want = pactions.validate(build_group(("cyclic", 2)), points, {0: set(points), 1: set(U)},
+                             {0: {k: k for k in points}, 1: theta})
+    assert ga.pa.points.tolist() == want.points.tolist() and ga.pa.table.tolist() == want.table.tolist()
+    assert ga.pa.table.dtype == ga.pa.points.dtype == np.intp and not ga.pa.table.flags.writeable
+
+
 def _fractions(row, scale):
     return [F(int(v), scale) for v in row]
 

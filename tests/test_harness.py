@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 
+import pytest
+
 from partact.harness import (
+    ALL_CHECKS,
     check_extension_bound,
     check_free_iff_finite,
     check_globalization_theorem,
@@ -80,6 +83,36 @@ def test_run_all_checks_passes_small():
     reports = run_all_checks(5, count=6)
     assert len(reports) == 6
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("seed, count", [(5, 6), (7, 40), (42, 1)])
+def test_run_all_checks_matches_each_check_on_its_own_corpus(seed, count):
+    """The shared corpus changes no report: at (42, 1) the strata check
+    draws past the corpus, whose first draws have empty carriers."""
+    shared = [r.to_payload() for r in run_all_checks(seed, count)]
+    assert shared == [fn(seed, count).to_payload() for _, fn in ALL_CHECKS]
+
+
+@pytest.mark.parametrize("seed, count, draws", [(7, 100, 100), (42, 1, 3)])
+def test_run_all_checks_draws_and_solves_each_instance_once(seed, count, draws, monkeypatch):
+    from partact import harness
+
+    drawn, solved = [], []
+    draw = harness._draw
+
+    def counted_draw(rng):
+        drawn.append(draw(rng))
+        return drawn[-1]
+
+    def counted_solve(pa):
+        solved.append(pa)
+        return rokhlin_dimension(pa)
+
+    monkeypatch.setattr(harness, "_draw", counted_draw)
+    monkeypatch.setattr(harness, "rokhlin_dimension", counted_solve)
+    assert all(r.passed for r in run_all_checks(seed, count))
+    assert len(drawn) == draws
+    assert all(sum(pa is seen for seen in solved) == 1 for pa in drawn[:count])
 
 
 def test_check_morita_builds_one_crossed_product_per_instance(monkeypatch):
